@@ -22,6 +22,7 @@ from .graphs import (
     Graph,
     GraphParseError,
     connected_components,
+    enumerate_maximal_cliques,
     graph_to_dot,
     graph_to_text,
     induced_subgraph,
@@ -64,6 +65,7 @@ def _component_results(g: Graph, budget: float | None):
 
 
 def _cmd_recognize(args) -> int:
+    """recognize and cheapest; cheapest is recognize without --h."""
     g = _read_graph(args.file)
     results = _component_results(g, args.budget_secs)
     if not all(r.helly_ept for r in results):
@@ -80,21 +82,6 @@ def _cmd_recognize(args) -> int:
             return EXIT_OK
         print("not-member")
         return EXIT_NO
-    print(f"helly-ept h={h}")
-    return EXIT_OK
-
-
-def _cmd_cheapest(args) -> int:
-    g = _read_graph(args.file)
-    results = _component_results(g, args.budget_secs)
-    if not all(r.helly_ept for r in results):
-        print("not-helly-ept")
-        return EXIT_NO
-    h = max(r.h for r in results)
-    if args.output and len(results) == 1 and results[0].certificate:
-        Path(args.output).write_text(
-            representation_to_text(results[0].certificate)
-        )
     print(f"helly-ept h={h}")
     return EXIT_OK
 
@@ -174,13 +161,9 @@ def _cmd_catalog(args) -> int:
 
 def _cmd_oracle(args) -> int:
     g = _read_graph(args.file)
-    try:
-        rep = oracle.oracle_membership(
-            g, degree_bound=args.max_degree, budget_secs=args.budget_secs
-        )
-    except BudgetExhaustedError:
-        print("budget-exhausted")
-        return EXIT_BOUND
+    rep = oracle.oracle_membership(
+        g, degree_bound=args.max_degree, budget_secs=args.budget_secs
+    )
     if rep is None:
         print("none")
         return EXIT_NO
@@ -199,8 +182,6 @@ def _cmd_verify_rep(args) -> int:
     helly, _ = representation.is_helly(rep)
     degree = representation.max_host_degree(rep)
     print(f"ok helly={'true' if helly else 'false'} degree={degree}")
-    from .graphs import enumerate_maximal_cliques
-
     for c in enumerate_maximal_cliques(g):
         witness = representation.classify_clique(rep, c)
         members = " ".join(str(v) for v in c)
@@ -245,7 +226,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--output", default=None, help="write certificate here")
     add_budget(p)
-    p.set_defaults(run=_cmd_cheapest)
+    p.set_defaults(run=_cmd_recognize, h=None)
 
     p = sub.add_parser("atoms", help="clique-separator decomposition")
     p.add_argument("file")
@@ -297,10 +278,7 @@ def main(argv: list[str] | None = None) -> int:
     except BoundExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BOUND
-    except (GraphParseError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

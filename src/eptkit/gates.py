@@ -15,6 +15,7 @@ cliques whose intersection is that vertex alone.
 from __future__ import annotations
 
 import functools
+import itertools
 from collections import deque
 from dataclasses import dataclass
 
@@ -25,6 +26,7 @@ from .graphs import (
     canonical_form,
     cycle_graph,
     enumerate_maximal_cliques,
+    induced_subgraph,
     is_connected,
 )
 
@@ -109,15 +111,22 @@ def _extend(
     return new_graph, tuple(sorted(derived)), fresh
 
 
-def build_gate(recipe: GateRecipe) -> LabeledGate:
-    """Replay a recipe into a concrete labeled gate.
-
-    Vertices are numbered in construction order: 0..base-1 around the
-    cycle, then each step's path vertices in path order.
-    """
+def replay_recipe(recipe: GateRecipe) -> list[tuple[Graph, tuple[VertexSet, ...], list[int]]]:
+    """Every stage of a recipe's construction, base cycle first: the
+    graph, its sorted clique list and the path vertices the stage's step
+    added. Vertices are numbered in construction order: 0..base-1 around
+    the cycle, then each step's path vertices in path order."""
     graph, cliques = _base_cycle(recipe.base)
+    stages = [(graph, cliques, [])]
     for step in recipe.steps:
-        graph, cliques, _ = _extend(graph, cliques, step)
+        stages.append(_extend(graph, cliques, step))
+        graph, cliques, _ = stages[-1]
+    return stages
+
+
+def build_gate(recipe: GateRecipe) -> LabeledGate:
+    """Replay a recipe into a concrete labeled gate (see replay_recipe)."""
+    graph, cliques, _ = replay_recipe(recipe)[-1]
     enumerated = tuple(enumerate_maximal_cliques(graph))
     if enumerated != cliques:
         raise RuntimeError("derived clique list disagrees with enumeration")
@@ -167,13 +176,13 @@ def _catalog(max_vertices: int) -> dict[bytes, GateRecipe]:
     return catalog
 
 
-def enumerate_gates(max_vertices: int = CATALOG_VERTEX_BOUND, limit: int = CATALOG_VERTEX_BOUND) -> dict[bytes, GateRecipe]:
+def enumerate_gates(max_vertices: int = CATALOG_VERTEX_BOUND) -> dict[bytes, GateRecipe]:
     """Catalog of every gate with at most max_vertices vertices, keyed
     by canonical form. Breadth-first over recipes with canonical
     dedup, so construction order is deterministic."""
-    if max_vertices > limit:
+    if max_vertices > CATALOG_VERTEX_BOUND:
         raise BoundExceededError(
-            f"gate catalog limited to {limit} vertices, asked for {max_vertices}"
+            f"gate catalog limited to {CATALOG_VERTEX_BOUND} vertices, asked for {max_vertices}"
         )
     return dict(_catalog(max_vertices))
 
@@ -232,10 +241,6 @@ def contains_gate_ge(
         raise BoundExceededError(
             f"gate search limited to {max_vertices} vertices, got {g.n}"
         )
-    import itertools
-
-    from .graphs import induced_subgraph
-
     for size in range(max(4, h + 1), g.n + 1):
         for subset in itertools.combinations(range(g.n), size):
             sub, mapping = induced_subgraph(g, subset)

@@ -166,15 +166,6 @@ def graph_to_dot(g: Graph, name: str = "g") -> str:
     return "\n".join(lines) + "\n"
 
 
-def is_complete_set(g: Graph, vertices: Iterable[int]) -> bool:
-    """True when the given vertices are pairwise adjacent in g."""
-    vs = sorted(set(vertices))
-    for v in vs:
-        if not 0 <= v < g.n:
-            raise ValueError(f"vertex {v} out of range for n={g.n}")
-    return all(g.has_edge(u, v) for u, v in itertools.combinations(vs, 2))
-
-
 def enumerate_maximal_cliques(g: Graph) -> list[VertexSet]:
     """All maximal cliques, each sorted, listed in lexicographic order.
 
@@ -302,7 +293,7 @@ def _wl_colors(g: Graph) -> list[int]:
 
 
 @functools.lru_cache(maxsize=262144)
-def canonical_labeling(g: Graph, bound: int = CANONICAL_VERTEX_BOUND) -> tuple[bytes, VertexSet]:
+def canonical_labeling(g: Graph) -> tuple[bytes, VertexSet]:
     """Canonical form plus one vertex order that realizes it.
 
     The form is the maximal adjacency bitstring over an
@@ -312,8 +303,10 @@ def canonical_labeling(g: Graph, bound: int = CANONICAL_VERTEX_BOUND) -> tuple[b
     Two graphs get equal forms exactly when they are isomorphic.
     """
     n = g.n
-    if n > bound:
-        raise BoundExceededError(f"canonical form limited to {bound} vertices, got {n}")
+    if n > CANONICAL_VERTEX_BOUND:
+        raise BoundExceededError(
+            f"canonical form limited to {CANONICAL_VERTEX_BOUND} vertices, got {n}"
+        )
     if n == 0:
         return bytes([0]), ()
     colors = _wl_colors(g)
@@ -372,17 +365,17 @@ def canonical_labeling(g: Graph, bound: int = CANONICAL_VERTEX_BOUND) -> tuple[b
     return form, tuple(best_order)
 
 
-def canonical_form(g: Graph, bound: int = CANONICAL_VERTEX_BOUND) -> bytes:
+def canonical_form(g: Graph) -> bytes:
     """Bytes equal for two graphs exactly when they are isomorphic."""
-    return canonical_labeling(g, bound)[0]
+    return canonical_labeling(g)[0]
 
 
-def isomorphism(g1: Graph, g2: Graph, bound: int = CANONICAL_VERTEX_BOUND) -> dict[int, int] | None:
+def isomorphism(g1: Graph, g2: Graph) -> dict[int, int] | None:
     """A vertex map g1 -> g2 if the graphs are isomorphic, else None."""
     if g1.n != g2.n or len(g1.edges) != len(g2.edges):
         return None
-    f1, o1 = canonical_labeling(g1, bound)
-    f2, o2 = canonical_labeling(g2, bound)
+    f1, o1 = canonical_labeling(g1)
+    f2, o2 = canonical_labeling(g2)
     if f1 != f2:
         return None
     return {o1[p]: o2[p] for p in range(g1.n)}

@@ -15,9 +15,9 @@ edge; accepted assignments are Helly representations verbatim.
 Tree candidates are scanned as unlabeled shapes in ascending order of
 maximum degree, so the first accepting shape realizes the minimum host
 degree over all bijection trees and one scan per graph answers every
-bounded membership query. The public tree stream, by contrast,
-enumerates labeled trees in Prüfer order; it exists as independent
-plumbing for tests and the CLI.
+bounded membership query. Contracting edges merges tree vertices, so
+that minimum can exceed the cheapest host degree of the graph, which
+recognition.cheapest_representation computes.
 """
 
 from __future__ import annotations
@@ -25,8 +25,6 @@ from __future__ import annotations
 import functools
 import os
 import time
-from collections.abc import Iterator
-from dataclasses import dataclass
 
 from .graphs import (
     BoundExceededError,
@@ -38,7 +36,7 @@ from .graphs import (
 )
 from .representation import EptRepresentation, HostTree, TreePath
 
-DEFAULT_TREE_EDGE_BOUND = 9
+CLIQUE_BOUND = 9
 CORPUS_VERTEX_BOUND = 7
 
 
@@ -48,61 +46,6 @@ class BudgetExhaustedError(RuntimeError):
 
 def default_budget_secs() -> float:
     return float(os.environ.get("EPTKIT_BUDGET_SECS", "60"))
-
-
-def _prufer_decode(seq: tuple[int, ...], n: int) -> list[tuple[int, int]]:
-    import heapq
-
-    degree = [1] * n
-    for x in seq:
-        degree[x] += 1
-    leaves = [v for v in range(n) if degree[v] == 1]
-    heapq.heapify(leaves)
-    edges = []
-    for x in seq:
-        leaf = heapq.heappop(leaves)
-        edges.append((leaf, x))
-        degree[x] -= 1
-        if degree[x] == 1:
-            heapq.heappush(leaves, x)
-    u = heapq.heappop(leaves)
-    v = heapq.heappop(leaves)
-    edges.append((u, v))
-    return edges
-
-
-def enumerate_trees(
-    m: int,
-    max_degree: int | None = None,
-    limit: int = DEFAULT_TREE_EDGE_BOUND,
-) -> Iterator[HostTree]:
-    """All labeled trees with m edges in Prüfer-sequence order,
-    optionally filtered to maximum degree; (m+1)^(m-1) trees without
-    the filter."""
-    if m < 1:
-        raise ValueError("need at least one edge")
-    if m > limit:
-        raise BoundExceededError(f"tree enumeration limited to {limit} edges, asked for {m}")
-    n = m + 1
-    cap = None if max_degree is None else max_degree - 1
-    counts = [0] * n
-
-    def emit(seq: list[int]) -> Iterator[HostTree]:
-        if len(seq) == m - 1:
-            tree = HostTree(n, _prufer_decode(tuple(seq), n))
-            if max_degree is None or tree.max_degree() <= max_degree:
-                yield tree
-            return
-        for v in range(n):
-            if cap is not None and counts[v] >= cap:
-                continue
-            counts[v] += 1
-            seq.append(v)
-            yield from emit(seq)
-            seq.pop()
-            counts[v] -= 1
-
-    return emit([])
 
 
 class TreeShape:
@@ -291,81 +234,48 @@ def _span_to_path(shape: TreeShape, mask: int) -> TreePath:
     return tuple(walk)
 
 
-@dataclass(frozen=True)
-class ScanResult:
-    rep: EptRepresentation | None
-    min_h: int | None
-
-
-_scan_cache: dict[Graph, ScanResult] = {}
-
-
-def _scan(g: Graph, budget_secs: float | None) -> ScanResult:
-    cached = _scan_cache.get(g)
-    if cached is not None:
-        return cached
+def _scan(g: Graph, budget_secs: float | None) -> EptRepresentation | None:
+    """The representation on the first accepting shape, which has the
+    minimum host degree over all bijection trees, or None."""
+    cliques = enumerate_maximal_cliques(g)
+    m = len(cliques)
+    if m > CLIQUE_BOUND:
+        raise BoundExceededError(f"oracle limited to {CLIQUE_BOUND} cliques, graph has {m}")
+    if m == 0:
+        return EptRepresentation(HostTree(1, ()), ())
     if budget_secs is None:
         budget_secs = default_budget_secs()
     deadline = _Deadline(budget_secs)
-    cliques = enumerate_maximal_cliques(g)
-    m = len(cliques)
-    if m == 0:
-        result = ScanResult(EptRepresentation(HostTree(1, ()), ()), 2)
-        _scan_cache[g] = result
-        return result
     order = _clique_order(cliques)
     adj_self = [
         (1 << v) | sum(1 << w for w in g.neighbors(v)) for v in range(g.n)
     ]
-    result = ScanResult(None, None)
     for shape in tree_shapes(m):
         spans = _assign_cliques(shape, cliques, order, adj_self, deadline)
         if spans is not None:
             tree = HostTree(shape.n, shape.edges)
             paths = tuple(_span_to_path(shape, mask) for mask in spans)
-            result = ScanResult(
-                EptRepresentation(tree, paths), max(2, shape.max_degree)
-            )
-            break
-    _scan_cache[g] = result
-    return result
+            return EptRepresentation(tree, paths)
+    return None
+
+
+_scan_cache: dict[Graph, EptRepresentation | None] = {}
 
 
 def oracle_membership(
     g: Graph,
     degree_bound: int | None = None,
-    tree_edge_bound: int = DEFAULT_TREE_EDGE_BOUND,
     budget_secs: float | None = None,
 ) -> EptRepresentation | None:
     """A verified Helly representation of g with host degree at most
     degree_bound (when given), or None after exhausting all bijection
     trees. Raises BudgetExhaustedError when time runs out first."""
-    m = len(enumerate_maximal_cliques(g))
-    if m > tree_edge_bound:
-        raise BoundExceededError(
-            f"oracle limited to {tree_edge_bound} cliques, graph has {m}"
-        )
-    found = _scan(g, budget_secs)
-    if found.rep is None:
+    if g not in _scan_cache:
+        _scan_cache[g] = _scan(g, budget_secs)
+    rep = _scan_cache[g]
+    if rep is not None and degree_bound is not None and rep.tree.max_degree() > degree_bound:
         return None
-    if degree_bound is not None and found.rep.tree.max_degree() > degree_bound:
-        return None
-    return found.rep
-
-
-def oracle_min_h(
-    g: Graph,
-    tree_edge_bound: int = DEFAULT_TREE_EDGE_BOUND,
-    budget_secs: float | None = None,
-) -> int | None:
-    """Minimum degree bound (at least 2) at which oracle_membership
-    succeeds; None when g admits no Helly representation."""
-    m = len(enumerate_maximal_cliques(g))
-    if m > tree_edge_bound:
-        raise BoundExceededError(
-            f"oracle limited to {tree_edge_bound} cliques, graph has {m}"
-        )
-    return _scan(g, budget_secs).min_h
+    return rep
 
 
 @functools.lru_cache(maxsize=16)
@@ -386,16 +296,14 @@ def _corpus_exact(n: int) -> tuple[Graph, ...]:
     return tuple(g for _, g in sorted(out.items()))
 
 
-def small_graph_corpus(
-    n: int, connected_only: bool = False, limit: int = CORPUS_VERTEX_BOUND
-) -> tuple[Graph, ...]:
+def small_graph_corpus(n: int, connected_only: bool = False) -> tuple[Graph, ...]:
     """All graphs on exactly n vertices up to isomorphism, in canonical
     order; optionally only the connected ones."""
     if n < 0:
         raise ValueError("vertex count must be non-negative")
-    if n > limit:
+    if n > CORPUS_VERTEX_BOUND:
         raise BoundExceededError(
-            f"corpus limited to {limit} vertices, asked for {n}"
+            f"corpus limited to {CORPUS_VERTEX_BOUND} vertices, asked for {n}"
         )
     graphs = _corpus_exact(n)
     if connected_only:

@@ -1,5 +1,5 @@
-"""The decision pipeline: Helly EPT membership, the atom formula for
-the minimum host degree, and the gate characterization cross-check.
+"""The decision pipeline: Helly EPT membership and the atom formula
+for the minimum host degree.
 
 Membership is decided exactly by the oracle's bijection-tree search.
 Once a graph is known Helly EPT, the cheapest host degree follows from
@@ -7,7 +7,7 @@ its clique-separator atoms: with k the maximum clique count over atoms,
 the answer is k when k >= 4, else 2 for interval graphs and 3 for the
 remaining (chordal) cases. The independent characterization says
 non-membership at degree h is equivalent to an induced gate with more
-than h cliques; characterization_crosscheck compares both routes.
+than h cliques (gates.contains_gate_ge); the tests compare both routes.
 """
 
 from __future__ import annotations
@@ -16,17 +16,9 @@ import itertools
 from dataclasses import dataclass
 
 from .decomposition import atoms
-from .gates import contains_gate_ge
-from .graphs import (
-    BoundExceededError,
-    Graph,
-    enumerate_maximal_cliques,
-    is_connected,
-)
+from .graphs import Graph, enumerate_maximal_cliques, is_connected
 from .oracle import oracle_membership
 from .representation import EptRepresentation, max_host_degree
-
-DEFAULT_CLIQUE_BOUND = 9
 
 
 @dataclass(frozen=True)
@@ -107,37 +99,23 @@ def is_interval(g: Graph) -> bool:
     return is_chordal(g) and not has_asteroidal_triple(g)
 
 
-def is_helly_ept(
-    g: Graph,
-    clique_bound: int = DEFAULT_CLIQUE_BOUND,
-    budget_secs: float | None = None,
-) -> EptRepresentation | None:
+def is_helly_ept(g: Graph, budget_secs: float | None = None) -> EptRepresentation | None:
     """A verified Helly representation of g, or None when exhaustive
     bijection-tree search rules one out."""
     if g.n == 0 or not is_connected(g):
         raise ValueError("input graph must be connected")
-    m = len(enumerate_maximal_cliques(g))
-    if m > clique_bound:
-        raise BoundExceededError(
-            f"membership search limited to {clique_bound} cliques, graph has {m}"
-        )
-    return oracle_membership(
-        g, tree_edge_bound=clique_bound, budget_secs=budget_secs
-    )
+    return oracle_membership(g, budget_secs=budget_secs)
 
 
-def cheapest_representation(
-    g: Graph,
-    clique_bound: int = DEFAULT_CLIQUE_BOUND,
-    budget_secs: float | None = None,
-) -> RecognitionResult:
+def cheapest_representation(g: Graph, budget_secs: float | None = None) -> RecognitionResult:
     """Minimum h with g in Helly [h,2,2], via the atom formula.
 
-    The attached certificate is the oracle's representation; it is
-    omitted in the (never yet observed) event that its host degree
-    exceeds the computed h.
+    The attached certificate is the oracle's representation, which
+    lives on a bijection tree; it is omitted when that tree's degree
+    exceeds h, as on a K8 with five cliques attached (h = 3, while
+    every bijection tree needs degree 4).
     """
-    rep = is_helly_ept(g, clique_bound, budget_secs)
+    rep = is_helly_ept(g, budget_secs)
     if rep is None:
         return RecognitionResult(False, None, None)
     k = max(
@@ -151,32 +129,12 @@ def cheapest_representation(
     return RecognitionResult(True, h, cert)
 
 
-def helly_h_membership(
-    g: Graph,
-    h: int,
-    clique_bound: int = DEFAULT_CLIQUE_BOUND,
-    budget_secs: float | None = None,
-) -> bool:
-    """Whether g is Helly [h,2,2] for h >= 3: every atom must have at
-    most h cliques. Raises when g is not Helly EPT at all."""
-    if h < 3:
-        raise ValueError("membership test requires h >= 3")
-    if is_helly_ept(g, clique_bound, budget_secs) is None:
+def helly_h_membership(g: Graph, h: int, budget_secs: float | None = None) -> bool:
+    """Whether g is Helly [h,2,2] for h >= 2, i.e. whether its cheapest
+    host degree is at most h. Raises when g is not Helly EPT at all."""
+    if h < 2:
+        raise ValueError("membership test requires h >= 2")
+    result = cheapest_representation(g, budget_secs)
+    if not result.helly_ept:
         raise ValueError("graph is not Helly EPT")
-    return all(
-        len(enumerate_maximal_cliques(atom)) <= h for atom, _ in atoms(g)
-    )
-
-
-def characterization_crosscheck(
-    g: Graph,
-    h: int,
-    clique_bound: int = DEFAULT_CLIQUE_BOUND,
-    budget_secs: float | None = None,
-) -> bool:
-    """Agreement between the atom formula and the forbidden-gate route:
-    membership at h must coincide with the absence of an induced gate
-    with more than h cliques."""
-    member = helly_h_membership(g, h, clique_bound, budget_secs)
-    witness = contains_gate_ge(g, h)
-    return member == (witness is None)
+    return result.h <= h

@@ -21,13 +21,14 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
-from .gates import LabeledGate, _base_cycle, _extend
+from .gates import CATALOG_VERTEX_BOUND, LabeledGate, is_gate, replay_recipe
 from .graphs import (
     Edge,
     Graph,
     GraphParseError,
     VertexSet,
     enumerate_maximal_cliques,
+    induced_subgraph,
     is_connected,
     isomorphism,
 )
@@ -263,6 +264,12 @@ def classify_clique(
     target = tuple(sorted(c))
     if target not in enumerate_maximal_cliques(g):
         raise ValueError(f"{c} is not a maximal clique of the derived graph")
+    return _clique_witness(rep, c)
+
+
+def _clique_witness(rep: EptRepresentation, c: VertexSet) -> EdgeClique | ClawClique:
+    """classify_clique without the check that c is a maximal clique."""
+    target = tuple(sorted(c))
     for e in rep.tree.edges:
         if clique_of_edge(rep, e) == target:
             return EdgeClique(e)
@@ -289,7 +296,7 @@ def is_helly(rep: EptRepresentation) -> tuple[bool, VertexSet | None]:
     """
     g = edge_intersection_graph(rep)
     for c in enumerate_maximal_cliques(g):
-        if isinstance(classify_clique(rep, c), ClawClique):
+        if isinstance(_clique_witness(rep, c), ClawClique):
             return False, c
     return True, None
 
@@ -343,12 +350,9 @@ def find_multipie(
     claw. Scans candidate centers ascending; the spoke set is forced to
     be the union of the members' covered neighbor pairs.
     """
-    from .gates import is_gate
-    from .graphs import induced_subgraph
-
     g = edge_intersection_graph(rep)
     sub, _ = induced_subgraph(g, gate_vertices)
-    recipe = is_gate(sub, max_vertices=max(12, sub.n))
+    recipe = is_gate(sub, max_vertices=max(CATALOG_VERTEX_BOUND, sub.n))
     if recipe is None or recipe.clique_count() != k:
         raise ValueError(f"vertices {gate_vertices} do not induce a {k}-gate")
     members = tuple(sorted(gate_vertices))
@@ -468,7 +472,7 @@ def star_representation(gate: LabeledGate) -> EptRepresentation:
     spoke, so the result is Helly.
     """
     recipe = gate.recipe
-    graph, cliques = _base_cycle(recipe.base)
+    stages = replay_recipe(recipe)
     # Spokes are numbered from 1; leaf i+1 closes the pie between the
     # paths of cycle vertices i-1 and i.
     spoke_of: dict[VertexSet, int] = {}
@@ -478,12 +482,12 @@ def star_representation(gate: LabeledGate) -> EptRepresentation:
         paths.append((i + 1, 0, (i + 1) % b + 1))
         spoke_of[tuple(sorted((i, (i + 1) % b)))] = (i + 1) % b + 1
     leaf_count = b
-    for step in recipe.steps:
+    # stage i is the gate before step i, stage i+1 the gate after it
+    for step, (_, cliques, _), (_, _, fresh) in zip(recipe.steps, stages, stages[1:]):
         old_a = cliques[step.clique_a]
         old_b = cliques[step.clique_b]
         e = spoke_of.pop(old_a)
         e2 = spoke_of.pop(old_b)
-        graph, cliques, fresh = _extend(graph, cliques, step)
         new_leaves = list(range(leaf_count + 1, leaf_count + step.path_len))
         leaf_count += step.path_len - 1
         rail = [e, *new_leaves, e2]
@@ -493,6 +497,7 @@ def star_representation(gate: LabeledGate) -> EptRepresentation:
             spoke_of[tuple(sorted((fresh[i], fresh[i + 1])))] = new_leaves[i]
         spoke_of[tuple(sorted(old_a + (fresh[0],)))] = e
         spoke_of[tuple(sorted(old_b + (fresh[-1],)))] = e2
+    graph, cliques, _ = stages[-1]
     assert set(spoke_of) == set(cliques)
     tree = HostTree(
         leaf_count + 1, [(0, i) for i in range(1, leaf_count + 1)]

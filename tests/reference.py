@@ -1,0 +1,72 @@
+"""Test-side references: labeled host-tree enumeration and the minimum
+host degree over bijection trees.
+
+Both are independent of the library's recognition route. The labeled
+trees feed a brute-force search that cross-checks the oracle's shape
+scan; the bijection-tree minimum is the criterion-4 reference that
+cheapest_representation is compared against.
+"""
+
+import heapq
+from collections.abc import Iterator
+
+from eptkit.graphs import BoundExceededError, Graph
+from eptkit.oracle import CLIQUE_BOUND, oracle_membership
+from eptkit.representation import HostTree
+
+
+def _prufer_decode(seq: tuple[int, ...], n: int) -> list[tuple[int, int]]:
+    degree = [1] * n
+    for x in seq:
+        degree[x] += 1
+    leaves = [v for v in range(n) if degree[v] == 1]
+    heapq.heapify(leaves)
+    edges = []
+    for x in seq:
+        leaf = heapq.heappop(leaves)
+        edges.append((leaf, x))
+        degree[x] -= 1
+        if degree[x] == 1:
+            heapq.heappush(leaves, x)
+    u = heapq.heappop(leaves)
+    v = heapq.heappop(leaves)
+    edges.append((u, v))
+    return edges
+
+
+def enumerate_trees(m: int, max_degree: int | None = None) -> Iterator[HostTree]:
+    """All labeled trees with m edges in Prüfer-sequence order,
+    optionally filtered to maximum degree; (m+1)^(m-1) trees without
+    the filter. Limited to the oracle's clique bound."""
+    if m < 1:
+        raise ValueError("need at least one edge")
+    if m > CLIQUE_BOUND:
+        raise BoundExceededError(f"tree enumeration limited to {CLIQUE_BOUND} edges, asked for {m}")
+    n = m + 1
+    cap = None if max_degree is None else max_degree - 1
+    counts = [0] * n
+
+    def emit(seq: list[int]) -> Iterator[HostTree]:
+        if len(seq) == m - 1:
+            tree = HostTree(n, _prufer_decode(tuple(seq), n))
+            if max_degree is None or tree.max_degree() <= max_degree:
+                yield tree
+            return
+        for v in range(n):
+            if cap is not None and counts[v] >= cap:
+                continue
+            counts[v] += 1
+            seq.append(v)
+            yield from emit(seq)
+            seq.pop()
+            counts[v] -= 1
+
+    return emit([])
+
+
+def oracle_min_h(g: Graph, budget_secs: float | None = None) -> int | None:
+    """Minimum host degree (at least 2) over the bijection trees of g;
+    None when g admits no Helly representation. It can exceed the
+    cheapest host degree, which may need a tree with more edges."""
+    rep = oracle_membership(g, budget_secs=budget_secs)
+    return None if rep is None else max(2, rep.tree.max_degree())

@@ -16,6 +16,7 @@ import pytest
 
 from eptkit.decomposition import atoms
 from eptkit.gates import (
+    GateRecipe,
     build_gate,
     check_two_clique_property,
     contains_gate_ge,
@@ -30,7 +31,7 @@ from eptkit.graphs import (
     enumerate_maximal_cliques,
     graph_to_text,
 )
-from eptkit.oracle import oracle_membership, oracle_min_h, small_graph_corpus
+from eptkit.oracle import oracle_membership, small_graph_corpus
 from eptkit.recognition import (
     cheapest_representation,
     helly_h_membership,
@@ -50,6 +51,7 @@ from eptkit.representation import (
     star_representation,
     verify,
 )
+from reference import oracle_min_h
 
 MEMBERSHIP_BUDGET_SECS = 600.0
 
@@ -194,8 +196,6 @@ def test_criterion_6_figure_fidelity():
 
 
 def build_gate_c5():
-    from eptkit.gates import GateRecipe
-
     return build_gate(GateRecipe(5))
 
 

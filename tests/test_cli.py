@@ -10,6 +10,7 @@ from eptkit.representation import (
     is_helly,
     max_host_degree,
     parse_representation,
+    representation_to_text,
     verify,
 )
 
@@ -80,23 +81,26 @@ def test_recognize_non_member(capsys, s3_file):
     assert (code, out) == (1, "not-helly-ept\n")
 
 
-def test_recognize_stdin(capsys, monkeypatch):
+@pytest.mark.parametrize("command", ["recognize", "cheapest"])
+def test_recognize_stdin(capsys, monkeypatch, command):
     monkeypatch.setattr("sys.stdin", io.StringIO(graph_to_text(cycle_graph(4))))
-    code, out, _ = run(capsys, "recognize", "-")
+    code, out, _ = run(capsys, command, "-")
     assert (code, out) == (0, "helly-ept h=4\n")
 
 
-def test_recognize_disconnected(capsys, tmp_path):
+@pytest.mark.parametrize("command", ["recognize", "cheapest"])
+def test_recognize_disconnected(capsys, tmp_path, command):
     p = tmp_path / "two.txt"
     p.write_text("6 6\n0 1\n1 2\n0 2\n3 4\n4 5\n3 5\n")
-    code, out, err = run(capsys, "recognize", str(p))
+    code, out, err = run(capsys, command, str(p))
     assert (code, out) == (0, "helly-ept h=2\n")
     assert "disconnected" in err
 
 
-def test_recognize_writes_certificate(capsys, tmp_path, c5_file):
+@pytest.mark.parametrize("command", ["recognize", "cheapest"])
+def test_recognize_writes_certificate(capsys, tmp_path, c5_file, command):
     cert = tmp_path / "cert.txt"
-    code, _, _ = run(capsys, "recognize", c5_file, "--output", str(cert))
+    code, _, _ = run(capsys, command, c5_file, "--output", str(cert))
     assert code == 0
     rep = parse_representation(cert.read_text())
     assert verify(rep, cycle_graph(5)) == (True, None)
@@ -288,6 +292,4 @@ def test_emitted_representation_round_trip(capsys, tmp_path, c5_file):
     assert verify(rep, cycle_graph(5)) == (True, None)
     assert is_helly(rep)[0]
     assert max_host_degree(rep) == 5
-    from eptkit.representation import representation_to_text
-
     assert representation_to_text(rep) == text

@@ -17,9 +17,7 @@ from eptkit.graphs import (
 )
 from eptkit.oracle import (
     BudgetExhaustedError,
-    enumerate_trees,
     oracle_membership,
-    oracle_min_h,
     small_graph_corpus,
     tree_shapes,
 )
@@ -30,6 +28,7 @@ from eptkit.representation import (
     max_host_degree,
     verify,
 )
+from reference import enumerate_trees, oracle_min_h
 
 TWO_C5S = Graph(8, [
     (0, 1), (1, 2), (2, 3), (3, 4), (0, 4),

@@ -13,9 +13,9 @@ from eptkit.graphs import (
     find_chordless_cycle_ge,
     path_graph,
 )
-from eptkit.oracle import oracle_min_h, small_graph_corpus
+from eptkit.gates import contains_gate_ge
+from eptkit.oracle import small_graph_corpus
 from eptkit.recognition import (
-    characterization_crosscheck,
     cheapest_representation,
     has_asteroidal_triple,
     helly_h_membership,
@@ -24,6 +24,7 @@ from eptkit.recognition import (
     is_interval,
 )
 from eptkit.representation import is_helly, max_host_degree, verify
+from reference import oracle_min_h
 
 S3_GRAPH = Graph(6, [
     (2, 3), (3, 5), (2, 5), (0, 2), (0, 3), (1, 3), (1, 5), (2, 4), (4, 5),
@@ -147,6 +148,19 @@ def test_cheapest_agrees_with_oracle_sample():
         assert result.h == oracle_min_h(g), g
 
 
+def test_cheapest_below_bijection_tree_minimum():
+    # K8 with five cliques attached: chordal, not interval, so h = 3, but
+    # every host tree with one edge per clique needs a degree-4 vertex
+    cliques = [
+        range(8), [0, *range(19, 28)], [1, 7, *range(12, 19)],
+        [2, 5, *range(28, 32)], [3, 5, *range(32, 40)], [4, *range(8, 12)],
+    ]
+    w09 = Graph(40, {e for c in cliques for e in itertools.combinations(c, 2)})
+    assert len(enumerate_maximal_cliques(w09)) == 6
+    assert cheapest_representation(w09).h == 3
+    assert oracle_min_h(w09) == 4
+
+
 def test_helly_h_membership():
     assert helly_h_membership(cycle_graph(5), 5)
     assert not helly_h_membership(cycle_graph(5), 4)
@@ -156,15 +170,15 @@ def test_helly_h_membership():
     # monotone in h
     for h in range(5, 9):
         assert helly_h_membership(cycle_graph(5), h)
-    with pytest.raises(ValueError, match="h >= 3"):
-        helly_h_membership(cycle_graph(4), 2)
+    assert not helly_h_membership(cycle_graph(4), 2)
+    assert helly_h_membership(path_graph(6), 2)
+    with pytest.raises(ValueError, match="h >= 2"):
+        helly_h_membership(path_graph(6), 1)
     with pytest.raises(ValueError, match="not Helly EPT"):
         helly_h_membership(S3_GRAPH, 4)
 
 
 def test_characterization_crosscheck():
     for h in (3, 4, 5, 6):
-        assert characterization_crosscheck(cycle_graph(5), h)
-        assert characterization_crosscheck(TWO_C5S, h)
-        assert characterization_crosscheck(path_graph(5), h)
-        assert characterization_crosscheck(complete_graph(4), h)
+        for g in (cycle_graph(5), TWO_C5S, path_graph(5), complete_graph(4)):
+            assert helly_h_membership(g, h) == (contains_gate_ge(g, h) is None), (g, h)
