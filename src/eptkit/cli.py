@@ -22,7 +22,6 @@ from .graphs import (
     Graph,
     GraphParseError,
     connected_components,
-    enumerate_maximal_cliques,
     graph_to_dot,
     graph_to_text,
     induced_subgraph,
@@ -179,11 +178,12 @@ def _cmd_verify_rep(args) -> int:
     if not ok:
         print(f"mismatch: {why}")
         return EXIT_NO
-    helly, _ = representation.is_helly(rep)
+    witnesses = representation.clique_witnesses(rep)
+    # is_helly's criterion: every maximal clique is an edge-clique
+    helly = all(isinstance(w, representation.EdgeClique) for _, w in witnesses)
     degree = representation.max_host_degree(rep)
     print(f"ok helly={'true' if helly else 'false'} degree={degree}")
-    for c in enumerate_maximal_cliques(g):
-        witness = representation.classify_clique(rep, c)
+    for c, witness in witnesses:
         members = " ".join(str(v) for v in c)
         if isinstance(witness, representation.EdgeClique):
             a, b = witness.edge

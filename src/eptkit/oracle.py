@@ -18,10 +18,23 @@ degree over all bijection trees and one scan per graph answers every
 bounded membership query. Contracting edges merges tree vertices, so
 that minimum can exceed the cheapest host degree of the graph, which
 recognition.cheapest_representation computes.
+
+Orbit pruning (after McKay & Piperno's orbit pruning in nauty): the
+first clique in assignment order is tried only on the lowest-index edge
+of each edge orbit of the shape's automorphism group, and the second
+only on the lowest-index edge of each orbit of the stabilizer of the
+first clique's edge. Deeper levels try every free edge. The scan still
+returns the same first assignment: candidates are tried in ascending
+edge order, and a skipped edge j has a lower-index image j' under an
+automorphism fixing every placed edge. That automorphism maps the
+assignments below j one-to-one onto those below j', keeping spans
+paths and keeping non-adjacent spans disjoint, so the subtree under j'
+was searched first and fails exactly when the one under j would.
 """
 
 from __future__ import annotations
 
+import collections
 import functools
 import os
 import time
@@ -52,7 +65,10 @@ class TreeShape:
     """One unlabeled host-tree shape, pinned as a labeled representative
     with precomputed edge-index masks for the assignment search."""
 
-    __slots__ = ("graph", "n", "m", "edges", "max_degree", "incident", "path_mask", "_path_memo")
+    __slots__ = (
+        "graph", "n", "m", "edges", "max_degree", "incident", "path_mask",
+        "_path_memo", "_orbit_masks",
+    )
 
     def __init__(self, graph: Graph):
         self.graph = graph
@@ -79,6 +95,7 @@ class TreeShape:
                         self.path_mask[root][w] = self.path_mask[root][u] | 1 << e
                         stack.append(w)
         self._path_memo: dict[int, bool] = {}
+        self._orbit_masks: tuple[int, dict[int, int]] | None = None
 
     def span_is_path(self, mask: int) -> bool:
         """Whether a span mask (connected by construction) has maximum
@@ -90,6 +107,81 @@ class TreeShape:
             )
             self._path_memo[mask] = cached
         return cached
+
+    def orbit_masks(self) -> tuple[int, dict[int, int]]:
+        """Candidate edges for the first two cliques of the assignment
+        search: the lowest-index edge of each orbit of Aut(T), and for
+        each such edge r the lowest-index edge other than r of each
+        orbit of the stabilizer of r. Built on first use; 1 + m entries
+        at most."""
+        if self._orbit_masks is None:
+            self._orbit_masks = _edge_orbit_masks(self)
+        return self._orbit_masks
+
+
+def _edge_orbit_masks(shape: TreeShape) -> tuple[int, dict[int, int]]:
+    """TreeShape.orbit_masks, computed.
+
+    Subdividing every edge gives a tree of even diameter, so it has one
+    centre, which every automorphism fixes; the automorphisms of the
+    shape are those of the subdivision rooted there, and those fixing
+    edge r are the ones that also fix r's midpoint when it is labelled.
+    AHU codes identify isomorphic rooted subtrees, and two vertices lie
+    in one orbit exactly when their codes agree and their parents lie in
+    one orbit.
+    """
+    n = shape.n
+    size = n + shape.m
+    adj: list[list[int]] = [[] for _ in range(size)]
+    for j, (a, b) in enumerate(shape.edges):
+        adj[a].append(n + j)
+        adj[b].append(n + j)
+        adj[n + j] += (a, b)
+    degree = [len(nb) for nb in adj]
+    layer = [v for v in range(size) if degree[v] <= 1]
+    left = size
+    while left > len(layer):
+        left -= len(layer)
+        nxt = []
+        for v in layer:
+            for w in adj[v]:
+                degree[w] -= 1
+                if degree[w] == 1:
+                    nxt.append(w)
+        layer = nxt
+    parent = [-1] * size
+    order = [layer[0]]
+    for u in order:
+        for w in adj[u]:
+            if w != parent[u]:
+                parent[w] = u
+                order.append(w)
+
+    def representatives(mark: int) -> int:
+        intern: dict[tuple[int, ...], int] = {}
+        code = [0] * size
+        for u in reversed(order):
+            children = sorted(code[w] for w in adj[u] if w != parent[u])
+            code[u] = intern.setdefault((u == mark, *children), len(intern))
+        orbit = [0] * size
+        orbit_ids: dict[tuple[int, int], int] = {}
+        for u in order[1:]:
+            orbit[u] = orbit_ids.setdefault((orbit[parent[u]], code[u]), len(orbit_ids) + 1)
+        first: dict[int, int] = {}
+        mask = 0
+        for j in range(shape.m):
+            if first.setdefault(orbit[n + j], j) == j:
+                mask |= 1 << j
+        return mask
+
+    level0 = representatives(-1)
+    level1 = {}
+    rest = level0
+    while rest:
+        r = (rest & -rest).bit_length() - 1
+        rest &= rest - 1
+        level1[r] = representatives(n + r) & ~(1 << r)
+    return level0, level1
 
 
 @functools.lru_cache(maxsize=32)
@@ -191,15 +283,24 @@ def _assign_cliques(
         for v in fresh_anchor:
             anchors[v] = -1
 
+    level0, level1 = shape.orbit_masks()
+    full = (1 << shape.m) - 1
+
     def search(i: int) -> bool:
         nonlocal used
         deadline.check()
         if i == len(order):
             return True
         ci = order[i]
-        for j in range(shape.m):
-            if used >> j & 1:
-                continue
+        if i == 0:
+            free = level0
+        elif i == 1:
+            free = level1[used.bit_length() - 1]
+        else:
+            free = full & ~used
+        while free:
+            j = (free & -free).bit_length() - 1
+            free &= free - 1
             journal: list[tuple[int, int, int]] = []
             fresh = [v for v in cliques[ci] if anchors[v] < 0]
             used |= 1 << j
@@ -259,7 +360,10 @@ def _scan(g: Graph, budget_secs: float | None) -> EptRepresentation | None:
     return None
 
 
-_scan_cache: dict[Graph, EptRepresentation | None] = {}
+# Scan results by labelled graph, least recently used evicted first;
+# the size holds the whole connected corpus on up to 7 vertices.
+SCAN_CACHE_SIZE = 4096
+_scan_cache: collections.OrderedDict[Graph, EptRepresentation | None] = collections.OrderedDict()
 
 
 def oracle_membership(
@@ -270,9 +374,13 @@ def oracle_membership(
     """A verified Helly representation of g with host degree at most
     degree_bound (when given), or None after exhausting all bijection
     trees. Raises BudgetExhaustedError when time runs out first."""
-    if g not in _scan_cache:
-        _scan_cache[g] = _scan(g, budget_secs)
-    rep = _scan_cache[g]
+    if g in _scan_cache:
+        _scan_cache.move_to_end(g)
+        rep = _scan_cache[g]
+    else:
+        rep = _scan_cache[g] = _scan(g, budget_secs)
+        if len(_scan_cache) > SCAN_CACHE_SIZE:
+            _scan_cache.popitem(last=False)
     if rep is not None and degree_bound is not None and rep.tree.max_degree() > degree_bound:
         return None
     return rep

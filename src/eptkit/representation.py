@@ -260,25 +260,36 @@ def classify_clique(
     maximal clique, or when no witness exists (which would contradict
     the clique structure of edge-intersection representations and
     signals a broken input)."""
-    g = edge_intersection_graph(rep)
     target = tuple(sorted(c))
-    if target not in enumerate_maximal_cliques(g):
-        raise ValueError(f"{c} is not a maximal clique of the derived graph")
-    return _clique_witness(rep, c)
+    for clique, witness in clique_witnesses(rep):
+        if clique == target:
+            return witness
+    raise ValueError(f"{c} is not a maximal clique of the derived graph")
 
 
-def _clique_witness(rep: EptRepresentation, c: VertexSet) -> EdgeClique | ClawClique:
-    """classify_clique without the check that c is a maximal clique."""
-    target = tuple(sorted(c))
+def clique_witnesses(
+    rep: EptRepresentation,
+) -> list[tuple[VertexSet, EdgeClique | ClawClique]]:
+    """Every maximal clique of the derived graph, in the order of
+    enumerate_maximal_cliques, paired with its classify_clique witness.
+    Builds the derived graph and its cliques once."""
+    edge_of: dict[VertexSet, Edge] = {}
     for e in rep.tree.edges:
-        if clique_of_edge(rep, e) == target:
-            return EdgeClique(e)
+        edge_of.setdefault(clique_of_edge(rep, e), e)
+    out: list[tuple[VertexSet, EdgeClique | ClawClique]] = []
+    for c in enumerate_maximal_cliques(edge_intersection_graph(rep)):
+        e = edge_of.get(c)
+        out.append((c, EdgeClique(e) if e is not None else _claw_witness(rep, c)))
+    return out
+
+
+def _claw_witness(rep: EptRepresentation, c: VertexSet) -> ClawClique:
     for center in range(rep.tree.n):
         if rep.tree.degree(center) < 3:
             continue
         for ends in itertools.combinations(sorted(rep.tree.neighbors(center)), 3):
             spokes = [(center, q) for q in ends]
-            if clique_of_claw(rep, center, spokes) == target:
+            if clique_of_claw(rep, center, spokes) == c:
                 return ClawClique(center, ends)
     raise RuntimeError(f"no edge or claw witness for clique {c}: broken representation")
 
@@ -294,9 +305,8 @@ def is_helly(rep: EptRepresentation) -> tuple[bool, VertexSet | None]:
     three paths forming a claw, which pairwise intersect with no common
     edge.
     """
-    g = edge_intersection_graph(rep)
-    for c in enumerate_maximal_cliques(g):
-        if isinstance(_clique_witness(rep, c), ClawClique):
+    for c, witness in clique_witnesses(rep):
+        if isinstance(witness, ClawClique):
             return False, c
     return True, None
 

@@ -26,6 +26,7 @@ from eptkit.representation import (
     classify_clique,
     is_helly,
     max_host_degree,
+    representation_to_text,
     verify,
 )
 from reference import enumerate_trees, oracle_min_h
@@ -33,6 +34,12 @@ from reference import enumerate_trees, oracle_min_h
 TWO_C5S = Graph(8, [
     (0, 1), (1, 2), (2, 3), (3, 4), (0, 4),
     (0, 5), (5, 6), (6, 7), (1, 7),
+])
+GATE5 = GateRecipe(4, (ExtensionStep(0, 3, 2),))
+# a corpus7 member with 8 maximal cliques whose first accepting shape
+# has maximum degree 4, so lower-degree shapes are refuted first
+CORPUS7_M8 = Graph(7, [
+    (0, 4), (0, 5), (0, 6), (1, 4), (1, 5), (2, 5), (2, 6), (3, 6),
 ])
 
 
@@ -70,6 +77,64 @@ def test_tree_shapes_counts():
     degrees = [s.max_degree for s in tree_shapes(6)]
     assert degrees == sorted(degrees)
     assert degrees[0] == 2 and degrees[-1] == 6
+
+
+def brute_orbit_representatives(shape, automorphisms, fixed=None):
+    """Mask of the lowest-index edge in each orbit of the edge
+    permutations that fix edge `fixed` (all of them when None)."""
+    orbits = [{j} for j in range(shape.m)]
+    for image in automorphisms:
+        if fixed is None or image[fixed] == fixed:
+            for j, k in enumerate(image):
+                orbits[j].add(k)
+    return sum(1 << j for j in range(shape.m) if min(orbits[j]) == j)
+
+
+def test_orbit_masks_match_brute_force():
+    shapes = [s for m in range(7) for s in tree_shapes(m)]
+    assert len(shapes) == 25
+    for shape in shapes:
+        index = {e: i for i, e in enumerate(shape.edges)}
+        automorphisms = []
+        for perm in itertools.permutations(range(shape.n)):
+            image = [
+                index.get((perm[a], perm[b]) if perm[a] < perm[b] else (perm[b], perm[a]))
+                for a, b in shape.edges
+            ]
+            if None not in image:
+                automorphisms.append(image)
+        level0, level1 = shape.orbit_masks()
+        assert level0 == brute_orbit_representatives(shape, automorphisms), shape.edges
+        assert sorted(level1) == [j for j in range(shape.m) if level0 >> j & 1]
+        for r, mask in level1.items():
+            expected = brute_orbit_representatives(shape, automorphisms, fixed=r)
+            assert mask == expected & ~(1 << r), (shape.edges, r)
+
+
+@pytest.mark.parametrize("g, text", [
+    (cycle_graph(6),
+     "7 6\n0 1\n0 2\n0 3\n0 4\n0 5\n0 6\n"
+     "0 : 1 0 2\n1 : 1 0 3\n2 : 3 0 4\n3 : 4 0 5\n4 : 5 0 6\n5 : 2 0 6\n"),
+    (cycle_graph(8),
+     "9 8\n0 1\n0 2\n0 3\n0 4\n0 5\n0 6\n0 7\n0 8\n"
+     "0 : 1 0 2\n1 : 1 0 3\n2 : 3 0 4\n3 : 4 0 5\n4 : 5 0 6\n5 : 6 0 7\n"
+     "6 : 7 0 8\n7 : 2 0 8\n"),
+    (TWO_C5S,
+     "10 9\n0 1\n0 2\n0 4\n0 6\n0 8\n1 3\n1 5\n1 7\n1 9\n"
+     "0 : 2 0 1 3\n1 : 4 0 1 5\n2 : 4 0 6\n3 : 6 0 8\n4 : 2 0 8\n5 : 3 1 7\n"
+     "6 : 7 1 9\n7 : 5 1 9\n"),
+    (build_gate(GATE5).graph,
+     "6 5\n0 1\n0 2\n0 3\n0 4\n0 5\n"
+     "0 : 1 0 2\n1 : 1 0 3\n2 : 3 0 4\n3 : 2 0 4\n4 : 1 0 5\n5 : 4 0 5\n"),
+    (CORPUS7_M8,
+     "9 8\n0 1\n0 2\n0 6\n0 8\n1 3\n1 5\n1 7\n2 4\n"
+     "0 : 2 0 1 3\n1 : 5 1 7\n2 : 6 0 8\n3 : 2 4\n4 : 3 1 5\n5 : 6 0 1 7\n"
+     "6 : 4 2 0 8\n"),
+], ids=["c6", "c8", "two-c5s", "gate5", "corpus7-m8"])
+def test_first_assignment_certificates_pinned(g, text):
+    # orbit pruning skips only placements equivalent to one tried
+    # earlier, so the scan keeps returning the first assignment
+    assert representation_to_text(oracle_membership(g)) == text
 
 
 def span_edges_of(tree, touched):
