@@ -92,9 +92,9 @@ def _cmd_atoms(args) -> int:
         _emit(decomposition.tree_to_dot(tree), args.output)
         return EXIT_OK
     blocks = [decomposition.tree_to_text(tree)]
-    for i, (atom, mapping) in enumerate(decomposition.atoms(g)):
-        header = f"atom {i}: vertices " + " ".join(str(v) for v in mapping)
-        blocks.append(graph_to_text(atom, comments=(header,)))
+    for i, leaf in enumerate(tree.leaves()):
+        header = f"atom {i}: vertices " + " ".join(str(v) for v in leaf.vertices)
+        blocks.append(graph_to_text(leaf.graph, comments=(header,)))
     _emit("\n".join(blocks), args.output)
     return EXIT_OK
 

@@ -3,7 +3,45 @@
 A separator here is any complete vertex set whose removal disconnects
 the graph. Atoms are the leaves of the recursive decomposition: induced
 subgraphs that are connected and admit no such separator. The recursion
-keeps the separator inside every part, so atoms may overlap.
+keeps the separator inside every part, so atoms may overlap. Each split
+uses the smallest complete separator, ties broken by the sorted vertex
+tuple; call it S*.
+
+Candidates come from MCS-M (Berry, Blair, Heggernes & Peyton 2004), as
+in Berry, Pogorelcnik & Simonet (2010). MCS-M numbers the vertices from
+n down to 1, each time choosing the unnumbered vertex of maximum
+weight, lowest index first. After v is chosen, every unnumbered u gets
++1 weight and a fill edge uv when some path from v to u runs only
+through unnumbered vertices of weight below u's. The result H is a
+minimal triangulation of g. A chosen vertex whose weight is at most the
+previous one's is a generator, and the sets madj(x) of generators x
+(x's H-neighbours numbered before x) are the minimal separators of H.
+Those complete in g are the clique minimal separators of g.
+
+Why the minimum of those sets is S*:
+- Every proper subset of S* is complete and comes earlier in the
+  order, so it does not separate. For s in S*, g minus (S* - s) is
+  connected, so s has a neighbour in every component of g - S*. Every
+  component is full, and S* is a clique minimal separator.
+- Every clique minimal separator of g is a minimal separator of every
+  minimal triangulation of g, so S* is among the candidates. Every
+  candidate separates g, so none comes before S*.
+
+`decomposition_tree` runs MCS-M once, on the input graph, and reuses
+its candidates at every node. A child induces P[S + C], where P is the
+parent's subgraph, S the parent's S* and C a component of P - S; the
+rest of P meets C only through S. Let T be a clique minimal separator
+of P[S + C] with full components D1 and D2. If T contains S, both lie
+in C and stay components of P - T. Otherwise the clique S - T meets at
+most one of them, say D1; D2 lies in C and stays a component of P - T,
+and D1 only grows. Either way T has two full components in P, so T is a
+clique minimal separator of P and, by induction, of g. Hence the S* of
+a node on vertex set V is the first candidate of g, in (size, tuple)
+order, that lies in V and separates g[V].
+
+Cost: MCS-M takes O(n(n + m)) time and yields at most n - 1
+candidates; each node scans them, with one O(n + m) component search
+per candidate inside V. Nothing is exponential.
 """
 
 from __future__ import annotations
@@ -15,7 +53,6 @@ from .graphs import (
     Graph,
     VertexSet,
     connected_components,
-    enumerate_maximal_cliques,
     induced_subgraph,
     is_connected,
 )
@@ -54,14 +91,69 @@ class CliqueDecomposition:
         return out
 
 
-def _complete_subsets(g: Graph) -> list[VertexSet]:
-    """Nonempty complete sets, each a subset of some maximal clique,
-    ordered smallest first with lexicographic ties."""
+def _clique_minimal_separators(g: Graph) -> list[VertexSet]:
+    """Clique minimal separators of a connected graph, each sorted,
+    ordered by (size, tuple): the complete madj sets of MCS-M
+    generators."""
+    n = g.n
+    adj = g._adj
+    weight = [0] * n
+    madj: list[list[int]] = [[] for _ in range(n)]
+    unnumbered = list(range(n))
+    numbered = [False] * n
     found: set[VertexSet] = set()
-    for clique in enumerate_maximal_cliques(g):
-        for size in range(1, len(clique) + 1):
-            found.update(itertools.combinations(clique, size))
+    previous = -1
+    for _ in range(n):
+        v = max(unnumbered, key=lambda u: (weight[u], -u))
+        unnumbered.remove(v)
+        numbered[v] = True
+        if weight[v] <= previous:
+            sep = frozenset(madj[v])
+            if all(sep - {u} <= adj[u] for u in sep):
+                found.add(tuple(sorted(sep)))
+        previous = weight[v]
+        # bucket j holds reached vertices whose paths from v have
+        # interior weights at most j; they extend paths at level j.
+        # No unnumbered vertex outweighs v.
+        reached = [False] * n
+        buckets: list[list[int]] = [[] for _ in range(weight[v] + 1)]
+        raised = []
+        for u in adj[v]:
+            if not numbered[u]:
+                reached[u] = True
+                buckets[weight[u]].append(u)
+                raised.append(u)
+        for level, bucket in enumerate(buckets):
+            while bucket:
+                y = bucket.pop()
+                for z in adj[y]:
+                    if numbered[z] or reached[z]:
+                        continue
+                    reached[z] = True
+                    if weight[z] > level:
+                        buckets[weight[z]].append(z)
+                        raised.append(z)
+                    else:
+                        bucket.append(z)
+        for u in raised:
+            weight[u] += 1
+            madj[u].append(v)
     return sorted(found, key=lambda s: (len(s), s))
+
+
+def _first_split(
+    g: Graph, separators: list[VertexSet], vertices: VertexSet
+) -> tuple[VertexSet, list[VertexSet]] | None:
+    """The first of `separators` inside `vertices` that disconnects
+    g[vertices], with the parts of the remainder."""
+    inside = set(vertices)
+    for sep in separators:
+        if inside.issuperset(sep):
+            sub, mapping = induced_subgraph(g, inside.difference(sep))
+            comps = connected_components(sub)
+            if len(comps) >= 2:
+                return sep, [tuple(mapping[i] for i in comp) for comp in comps]
+    return None
 
 
 def find_clique_separator(g: Graph) -> tuple[VertexSet, list[VertexSet]] | None:
@@ -69,35 +161,23 @@ def find_clique_separator(g: Graph) -> tuple[VertexSet, list[VertexSet]] | None:
     of the remainder; lexicographic tie-break. None when g is an atom."""
     if g.n == 0 or not is_connected(g):
         raise ValueError("input graph must be connected")
-    for cand in _complete_subsets(g):
-        rest = [v for v in range(g.n) if v not in cand]
-        if not rest:
-            continue
-        sub, mapping = induced_subgraph(g, rest)
-        comps = connected_components(sub)
-        if len(comps) >= 2:
-            return cand, [tuple(mapping[i] for i in comp) for comp in comps]
-    return None
+    return _first_split(g, _clique_minimal_separators(g), tuple(range(g.n)))
 
 
 def decomposition_tree(g: Graph) -> CliqueDecomposition:
     """Recursive decomposition; each part keeps the separator vertices."""
-
-    def build(vertices: VertexSet) -> SeparatorNode | AtomLeaf:
-        sub, mapping = induced_subgraph(g, vertices)
-        split = find_clique_separator(sub)
-        if split is None:
-            return AtomLeaf(vertices, sub)
-        sep, parts = split
-        sep_orig = tuple(mapping[i] for i in sep)
-        children = tuple(
-            build(tuple(sorted(sep_orig + tuple(mapping[i] for i in part))))
-            for part in parts
-        )
-        return SeparatorNode(sep_orig, children)
-
     if g.n == 0 or not is_connected(g):
         raise ValueError("input graph must be connected")
+    separators = _clique_minimal_separators(g)
+
+    def build(vertices: VertexSet) -> SeparatorNode | AtomLeaf:
+        split = _first_split(g, separators, vertices)
+        if split is None:
+            return AtomLeaf(vertices, induced_subgraph(g, vertices)[0])
+        sep, parts = split
+        children = tuple(build(tuple(sorted(sep + part))) for part in parts)
+        return SeparatorNode(sep, children)
+
     return CliqueDecomposition(g, build(tuple(range(g.n))))
 
 

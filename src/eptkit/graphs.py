@@ -16,6 +16,7 @@ VertexSet = tuple[int, ...]
 Edge = tuple[int, int]
 
 CANONICAL_VERTEX_BOUND = 16
+PARSE_VERTEX_BOUND = 10_000
 
 
 class GraphParseError(ValueError):
@@ -98,7 +99,9 @@ def parse_graph(text: str | bytes) -> Graph:
     Line 1 is "n m", followed by m lines "u v" with 0 <= u,v < n and
     u != v. Tokens are whitespace-separated, '#'-prefixed comment lines
     and blank lines are ignored. Raises GraphParseError naming the
-    1-based line number of the first offending line.
+    1-based line number of the first offending line; a header with more
+    than PARSE_VERTEX_BOUND vertices is rejected before anything is
+    allocated for them.
     """
     if isinstance(text, bytes):
         text = text.decode()
@@ -121,6 +124,10 @@ def parse_graph(text: str | bytes) -> Graph:
                 raise GraphParseError("expected header 'n m'", lineno) from None
             if n < 0 or m < 0:
                 raise GraphParseError("header counts must be non-negative", lineno)
+            if n > PARSE_VERTEX_BOUND:
+                raise GraphParseError(
+                    f"graph input limited to {PARSE_VERTEX_BOUND} vertices, got {n}", lineno
+                )
             header = (n, m)
             continue
         n, m = header

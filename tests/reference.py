@@ -1,16 +1,27 @@
-"""Test-side references: labeled host-tree enumeration and the minimum
-host degree over bijection trees.
+"""Test-side references: labeled host-tree enumeration, the minimum
+host degree over bijection trees, and brute-force clique separators.
 
-Both are independent of the library's recognition route. The labeled
-trees feed a brute-force search that cross-checks the oracle's shape
-scan; the bijection-tree minimum is the criterion-4 reference that
-cheapest_representation is compared against.
+All are independent of the library's routes. The labeled trees feed a
+brute-force search that cross-checks the oracle's shape scan; the
+bijection-tree minimum is the criterion-4 reference that
+cheapest_representation is compared against; the separator search
+tests every complete set, smallest first, against the MCS-M candidates
+of the decomposition.
 """
 
 import heapq
+import itertools
 from collections.abc import Iterator
 
-from eptkit.graphs import BoundExceededError, Graph
+from eptkit.decomposition import AtomLeaf, CliqueDecomposition, SeparatorNode
+from eptkit.graphs import (
+    BoundExceededError,
+    Graph,
+    VertexSet,
+    connected_components,
+    enumerate_maximal_cliques,
+    induced_subgraph,
+)
 from eptkit.oracle import CLIQUE_BOUND, oracle_membership
 from eptkit.representation import HostTree
 
@@ -70,3 +81,48 @@ def oracle_min_h(g: Graph, budget_secs: float | None = None) -> int | None:
     cheapest host degree, which may need a tree with more edges."""
     rep = oracle_membership(g, budget_secs=budget_secs)
     return None if rep is None else max(2, rep.tree.max_degree())
+
+
+def _complete_subsets(g: Graph) -> list[VertexSet]:
+    """Nonempty complete sets, each a subset of some maximal clique,
+    ordered smallest first with lexicographic ties."""
+    found: set[VertexSet] = set()
+    for clique in enumerate_maximal_cliques(g):
+        for size in range(1, len(clique) + 1):
+            found.update(itertools.combinations(clique, size))
+    return sorted(found, key=lambda s: (len(s), s))
+
+
+def reference_clique_separator(g: Graph) -> tuple[VertexSet, list[VertexSet]] | None:
+    """The first complete set, in (size, tuple) order, whose removal
+    disconnects g, with the parts of the remainder; exponential in the
+    clique size."""
+    for cand in _complete_subsets(g):
+        rest = [v for v in range(g.n) if v not in cand]
+        if not rest:
+            continue
+        sub, mapping = induced_subgraph(g, rest)
+        comps = connected_components(sub)
+        if len(comps) >= 2:
+            return cand, [tuple(mapping[i] for i in comp) for comp in comps]
+    return None
+
+
+def reference_decomposition_tree(g: Graph) -> CliqueDecomposition:
+    """The decomposition tree built by splitting every node's induced
+    subgraph with reference_clique_separator."""
+
+    def build(vertices: VertexSet) -> SeparatorNode | AtomLeaf:
+        sub, mapping = induced_subgraph(g, vertices)
+        split = reference_clique_separator(sub)
+        if split is None:
+            return AtomLeaf(vertices, sub)
+        sep, parts = split
+        sep_orig = tuple(mapping[i] for i in sep)
+        children = tuple(
+            build(tuple(sorted(sep_orig + tuple(mapping[i] for i in part))))
+            for part in parts
+        )
+        return SeparatorNode(sep_orig, children)
+
+    return CliqueDecomposition(g, build(tuple(range(g.n))))

@@ -5,7 +5,13 @@ import io
 import pytest
 
 from eptkit.cli import main
-from eptkit.graphs import Graph, cycle_graph, graph_to_text, parse_graph
+from eptkit.graphs import (
+    PARSE_VERTEX_BOUND,
+    Graph,
+    cycle_graph,
+    graph_to_text,
+    parse_graph,
+)
 from eptkit.representation import (
     is_helly,
     max_host_degree,
@@ -282,6 +288,14 @@ def test_input_errors(capsys, tmp_path):
     big.write_text(graph_to_text(Graph(7, [(a, b) for a in range(3) for b in range(3, 7)])))
     code, _, err = run(capsys, "recognize", str(big))
     assert code == 3 and "cliques" in err
+
+
+def test_oversized_header(capsys, tmp_path):
+    big = tmp_path / "big.txt"
+    big.write_text(f"{PARSE_VERTEX_BOUND + 1} 0\n")
+    for command in ("recognize", "atoms"):
+        code, _, err = run(capsys, command, str(big))
+        assert code == 2 and "line 1" in err and "limited to" in err
 
 
 def test_emitted_representation_round_trip(capsys, tmp_path, c5_file):

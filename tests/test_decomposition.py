@@ -1,6 +1,7 @@
 """Clique-separator decomposition and atoms."""
 
 import itertools
+import random
 
 import pytest
 
@@ -15,6 +16,7 @@ from eptkit.decomposition import (
 )
 from eptkit.graphs import (
     Graph,
+    canonical_form,
     complete_graph,
     connected_components,
     cycle_graph,
@@ -149,3 +151,48 @@ def test_tree_to_dot():
     assert 'label="sep 0 1"' in dot
     assert 'label="atom 0 1 2"' in dot
     assert "n0 -- n1" in dot
+
+
+def test_separator_on_large_complete_graph():
+    # K_40 has 2^40 complete subsets, so no search may enumerate them
+    assert find_clique_separator(complete_graph(40)) is None
+
+
+def test_atoms_of_long_path():
+    got = atoms(path_graph(60))
+    assert [vs for _, vs in got] == [(i, i + 1) for i in range(59)]
+    assert all(a == path_graph(2) for a, _ in got)
+
+
+def clique_tree(rng: random.Random, n_target: int) -> Graph:
+    """Cliques of 3-6 vertices, each glued to an earlier clique along
+    1-2 shared vertices, until the graph has n_target or more."""
+    cliques = [list(range(rng.randint(3, 6)))]
+    n = len(cliques[0])
+    while n < n_target:
+        parent = rng.choice(cliques)
+        shared = rng.sample(parent, rng.randint(1, 2))
+        fresh = list(range(n, n + rng.randint(2, 4)))
+        n += len(fresh)
+        cliques.append(shared + fresh)
+    return Graph(n, {
+        (u, v) for c in cliques for u in c for v in c if u < v
+    })
+
+
+def test_decomposition_invariant_under_relabelling_of_clique_tree():
+    rng = random.Random(40)
+    g = clique_tree(rng, 40)
+    assert g.n >= 40 and is_connected(g)
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    h = Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+    got_g, got_h = atoms(g), atoms(h)
+    assert sorted(tuple(sorted(perm[v] for v in vs)) for _, vs in got_g) == sorted(
+        vs for _, vs in got_h
+    )
+    assert sorted(canonical_form(a) for a, _ in got_g) == sorted(
+        canonical_form(a) for a, _ in got_h
+    )
+    # in a chordal graph the atoms are exactly the maximal cliques
+    assert all(len(a.edges) == a.n * (a.n - 1) // 2 for a, _ in got_g)

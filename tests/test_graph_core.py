@@ -6,6 +6,7 @@ import random
 import pytest
 
 from eptkit.graphs import (
+    PARSE_VERTEX_BOUND,
     BoundExceededError,
     Graph,
     GraphParseError,
@@ -105,6 +106,13 @@ def test_parse_graph_comments_and_blanks():
 def test_parse_graph_errors(text, message):
     with pytest.raises(GraphParseError, match=message):
         parse_graph(text)
+
+
+def test_parse_graph_vertex_bound():
+    assert parse_graph(f"{PARSE_VERTEX_BOUND} 0\n").n == PARSE_VERTEX_BOUND
+    with pytest.raises(GraphParseError, match="limited to") as info:
+        parse_graph(f"{PARSE_VERTEX_BOUND + 1} 0\n")
+    assert info.value.line == 1
 
 
 def test_parse_error_carries_line_number():

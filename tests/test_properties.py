@@ -1,6 +1,8 @@
-"""Property tests against networkx: maximal cliques, chordality, and
-relabelling invariance of the oracle. hypothesis and networkx are
-test-only dependencies; the module is skipped without them."""
+"""Property tests against networkx and the test-side references:
+maximal cliques, chordality, isomorphism, text round trips, clique
+separators, and relabelling invariance of the oracle and of
+cheapest_representation. hypothesis and networkx are test-only
+dependencies; the module is skipped without them."""
 
 import itertools
 
@@ -12,10 +14,32 @@ nx = pytest.importorskip("networkx")
 from hypothesis import assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from eptkit.graphs import Graph, enumerate_maximal_cliques, is_connected  # noqa: E402
+from eptkit.decomposition import (  # noqa: E402
+    decomposition_tree,
+    find_clique_separator,
+    tree_to_text,
+)
+from eptkit.graphs import (  # noqa: E402
+    Graph,
+    enumerate_maximal_cliques,
+    graph_to_text,
+    is_connected,
+    isomorphism,
+    parse_graph,
+)
 from eptkit.oracle import oracle_membership  # noqa: E402
-from eptkit.recognition import is_chordal  # noqa: E402
-from eptkit.representation import is_helly, verify  # noqa: E402
+from eptkit.recognition import cheapest_representation, is_chordal  # noqa: E402
+from eptkit.representation import (  # noqa: E402
+    is_helly,
+    parse_representation,
+    representation_to_text,
+    verify,
+)
+
+from reference import (  # noqa: E402
+    reference_clique_separator,
+    reference_decomposition_tree,
+)
 
 SETTINGS = settings(max_examples=200, deadline=None, derandomize=True, database=None)
 
@@ -26,6 +50,21 @@ def graphs(draw):
     pairs = list(itertools.combinations(range(n), 2))
     keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
     return Graph(n, [e for e, k in zip(pairs, keep) if k])
+
+
+@st.composite
+def connected_graphs(draw, max_n: int):
+    """A random spanning tree (each vertex joins an earlier one) plus
+    random extra edges."""
+    n = draw(st.integers(1, max_n))
+    tree = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
+    extra = [e for e in itertools.combinations(range(n), 2) if e not in tree]
+    keep = draw(st.lists(st.booleans(), min_size=len(extra), max_size=len(extra)))
+    return Graph(n, tree | {e for e, k in zip(extra, keep) if k})
+
+
+def relabel(g: Graph, perm) -> Graph:
+    return Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
 
 
 def to_networkx(g: Graph):
@@ -53,8 +92,7 @@ def test_is_chordal_matches_networkx(g):
 def test_oracle_invariant_under_relabelling(data):
     g = data.draw(graphs())
     assume(is_connected(g) and len(enumerate_maximal_cliques(g)) <= 7)
-    perm = data.draw(st.permutations(range(g.n)))
-    h = Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+    h = relabel(g, data.draw(st.permutations(range(g.n))))
     reps = [oracle_membership(g), oracle_membership(h)]
     assert (reps[0] is None) == (reps[1] is None)
     if reps[0] is None:
@@ -63,3 +101,54 @@ def test_oracle_invariant_under_relabelling(data):
     for graph, rep in zip((g, h), reps):
         assert verify(rep, graph) == (True, None)
         assert is_helly(rep) == (True, None)
+
+
+@SETTINGS
+@given(st.data())
+def test_isomorphism_matches_networkx(data):
+    g1 = data.draw(graphs())
+    if data.draw(st.booleans()):
+        g2 = relabel(g1, data.draw(st.permutations(range(g1.n))))
+    else:
+        g2 = data.draw(graphs())
+    expected = nx.is_isomorphic(to_networkx(g1), to_networkx(g2))
+    mapping = isomorphism(g1, g2)
+    assert (mapping is not None) == expected
+    if mapping is not None:
+        assert relabel(g1, mapping) == g2
+
+
+@SETTINGS
+@given(graphs())
+def test_graph_text_round_trip(g):
+    assert parse_graph(graph_to_text(g)) == g
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(graphs())
+def test_representation_text_round_trip(g):
+    assume(is_connected(g) and len(enumerate_maximal_cliques(g)) <= 7)
+    rep = oracle_membership(g)
+    assume(rep is not None)
+    text = representation_to_text(rep)
+    assert parse_representation(text) == rep
+    assert representation_to_text(parse_representation(text)) == text
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_cheapest_invariant_under_relabelling(data):
+    g = data.draw(connected_graphs(7))
+    assume(len(enumerate_maximal_cliques(g)) <= 7)
+    h = relabel(g, data.draw(st.permutations(range(g.n))))
+    got_g, got_h = cheapest_representation(g), cheapest_representation(h)
+    assert (got_g.helly_ept, got_g.h) == (got_h.helly_ept, got_h.h)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(connected_graphs(10))
+def test_clique_separator_matches_reference(g):
+    assert find_clique_separator(g) == reference_clique_separator(g)
+    assert tree_to_text(decomposition_tree(g)) == tree_to_text(
+        reference_decomposition_tree(g)
+    )
