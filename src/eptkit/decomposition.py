@@ -46,7 +46,6 @@ per candidate inside V. Nothing is exponential.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .graphs import (
@@ -165,20 +164,27 @@ def find_clique_separator(g: Graph) -> tuple[VertexSet, list[VertexSet]] | None:
 
 
 def decomposition_tree(g: Graph) -> CliqueDecomposition:
-    """Recursive decomposition; each part keeps the separator vertices."""
+    """Recursive decomposition; each part keeps the separator vertices.
+    Built without recursion: a path's tree is n - 2 levels deep."""
     if g.n == 0 or not is_connected(g):
         raise ValueError("input graph must be connected")
     separators = _clique_minimal_separators(g)
-
-    def build(vertices: VertexSet) -> SeparatorNode | AtomLeaf:
+    preorder = []  # (vertices, split) per node
+    stack = [tuple(range(g.n))]
+    while stack:
+        vertices = stack.pop()
         split = _first_split(g, separators, vertices)
+        preorder.append((vertices, split))
+        if split is not None:
+            stack.extend(tuple(sorted(split[0] + part)) for part in reversed(split[1]))
+    # reverse preorder builds children first, the first child on top of `built`
+    built: list[SeparatorNode | AtomLeaf] = []
+    for vertices, split in reversed(preorder):
         if split is None:
-            return AtomLeaf(vertices, induced_subgraph(g, vertices)[0])
-        sep, parts = split
-        children = tuple(build(tuple(sorted(sep + part))) for part in parts)
-        return SeparatorNode(sep, children)
-
-    return CliqueDecomposition(g, build(tuple(range(g.n))))
+            built.append(AtomLeaf(vertices, induced_subgraph(g, vertices)[0]))
+        else:
+            built.append(SeparatorNode(split[0], tuple(built.pop() for _ in split[1])))
+    return CliqueDecomposition(g, built.pop())
 
 
 def atoms(g: Graph) -> list[tuple[Graph, VertexSet]]:
@@ -188,37 +194,39 @@ def atoms(g: Graph) -> list[tuple[Graph, VertexSet]]:
 
 def tree_to_text(tree: CliqueDecomposition) -> str:
     lines: list[str] = []
-
-    def walk(node: SeparatorNode | AtomLeaf, depth: int) -> None:
+    stack: list[tuple[SeparatorNode | AtomLeaf, int]] = [(tree.root, 0)]
+    while stack:
+        node, depth = stack.pop()
         pad = "  " * depth
         if isinstance(node, AtomLeaf):
             lines.append(pad + "atom: " + " ".join(map(str, node.vertices)))
         else:
             lines.append(pad + "separator: " + " ".join(map(str, node.separator)))
-            for child in node.children:
-                walk(child, depth + 1)
-
-    walk(tree.root, 0)
+            stack.extend((child, depth + 1) for child in reversed(node.children))
     return "\n".join(lines) + "\n"
 
 
 def tree_to_dot(tree: CliqueDecomposition, name: str = "decomposition") -> str:
     lines = [f"graph {name} {{"]
-    counter = itertools.count()
-
-    def walk(node: SeparatorNode | AtomLeaf) -> int:
-        idx = next(counter)
+    # nodes, numbered in preorder, with their parent's number; the edge
+    # line to a node waits on the stack until its subtree is written
+    stack: list[tuple[SeparatorNode | AtomLeaf, int | None] | str] = [(tree.root, None)]
+    idx = 0
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            lines.append(item)
+            continue
+        node, parent = item
+        if parent is not None:
+            stack.append(f"  n{parent} -- n{idx};")
         if isinstance(node, AtomLeaf):
             label = "atom " + " ".join(map(str, node.vertices))
             lines.append(f'  n{idx} [shape=box, label="{label}"];')
         else:
             label = "sep " + " ".join(map(str, node.separator))
             lines.append(f'  n{idx} [label="{label}"];')
-            for child in node.children:
-                cid = walk(child)
-                lines.append(f"  n{idx} -- n{cid};")
-        return idx
-
-    walk(tree.root)
+            stack.extend((child, idx) for child in reversed(node.children))
+        idx += 1
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -232,21 +232,19 @@ def rewire_gate(gate: LabeledGate, v: int, t: int) -> LabeledGate:
     return LabeledGate(rewired, tuple(enumerate_maximal_cliques(rewired)), recipe)
 
 
-def contains_gate_ge(
-    g: Graph, h: int, max_vertices: int = CATALOG_VERTEX_BOUND
-) -> tuple[VertexSet, GateRecipe] | None:
+def contains_gate_ge(g: Graph, h: int) -> tuple[VertexSet, GateRecipe] | None:
     """First induced k-gate with k > h, scanning vertex subsets by size
     then lexicographic order. None when no such gate is induced."""
-    if g.n > max_vertices:
+    if g.n > CATALOG_VERTEX_BOUND:
         raise BoundExceededError(
-            f"gate search limited to {max_vertices} vertices, got {g.n}"
+            f"gate search limited to {CATALOG_VERTEX_BOUND} vertices, got {g.n}"
         )
     for size in range(max(4, h + 1), g.n + 1):
         for subset in itertools.combinations(range(g.n), size):
             sub, mapping = induced_subgraph(g, subset)
             if any(sub.degree(i) < 2 for i in range(sub.n)):
                 continue
-            recipe = is_gate(sub, max_vertices)
+            recipe = is_gate(sub)
             if recipe is not None and recipe.clique_count() > h:
                 return mapping, recipe
     return None

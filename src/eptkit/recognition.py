@@ -1,13 +1,14 @@
-"""The decision pipeline: Helly EPT membership and the atom formula
-for the minimum host degree.
+"""The decision pipeline: Helly EPT membership and the minimum host
+degree.
 
 Membership is decided exactly by the oracle's bijection-tree search.
-Once a graph is known Helly EPT, the cheapest host degree follows from
-its clique-separator atoms: with k the maximum clique count over atoms,
-the answer is k when k >= 4, else 2 for interval graphs and 3 for the
-remaining (chordal) cases. The independent characterization says
-non-membership at degree h is equivalent to an induced gate with more
-than h cliques (gates.contains_gate_ge); the tests compare both routes.
+For a member, h rests on two things only: the search's certificate and
+the clique-separator atoms (see cheapest_representation). is_interval,
+is_chordal and has_asteroidal_triple are standalone tests off that
+route; the tests use them as its independent reference. The
+independent characterization says non-membership at degree h is
+equivalent to an induced gate with more than h cliques
+(gates.contains_gate_ge); the tests compare both routes.
 """
 
 from __future__ import annotations
@@ -16,7 +17,13 @@ import itertools
 from dataclasses import dataclass
 
 from .decomposition import atoms
-from .graphs import Graph, enumerate_maximal_cliques, is_connected
+from .graphs import (
+    Graph,
+    connected_components,
+    enumerate_maximal_cliques,
+    induced_subgraph,
+    is_connected,
+)
 from .oracle import oracle_membership
 from .representation import EptRepresentation, max_host_degree
 
@@ -39,19 +46,14 @@ def is_chordal(g: Graph) -> bool:
     visited = [False] * n
     visit: list[int] = []
     for _ in range(n):
-        v = max(
-            (w for w in range(n) if not visited[w]),
-            key=lambda w: (weight[w], -w),
-        )
+        v = max((w for w in range(n) if not visited[w]), key=lambda w: (weight[w], -w))
         visited[v] = True
         visit.append(v)
         for u in g.neighbors(v):
             if not visited[u]:
                 weight[u] += 1
     peo = visit[::-1]
-    pos = [0] * n
-    for i, v in enumerate(peo):
-        pos[v] = i
+    pos = {v: i for i, v in enumerate(peo)}
     for v in peo:
         later = [u for u in g.neighbors(v) if pos[u] > pos[v]]
         if later:
@@ -62,40 +64,26 @@ def is_chordal(g: Graph) -> bool:
 
 
 def has_asteroidal_triple(g: Graph) -> bool:
-    """Three pairwise non-adjacent vertices, each pair connected by a
-    path avoiding the closed neighborhood of the third."""
-
-    def reaches(a: int, b: int, banned: frozenset[int]) -> bool:
-        if a in banned or b in banned:
-            return False
-        stack = [a]
-        seen = {a}
-        while stack:
-            u = stack.pop()
-            if u == b:
-                return True
-            for w in g.neighbors(u):
-                if w not in seen and w not in banned:
-                    seen.add(w)
-                    stack.append(w)
-        return False
-
-    closed = [g.neighbors(v) | {v} for v in range(g.n)]
-    for a, b, c in itertools.combinations(range(g.n), 3):
-        if g.has_edge(a, b) or g.has_edge(a, c) or g.has_edge(b, c):
-            continue
-        if (
-            reaches(a, b, closed[c])
-            and reaches(a, c, closed[b])
-            and reaches(b, c, closed[a])
-        ):
-            return True
-    return False
+    """Three pairwise non-adjacent vertices, each pair joined by a path
+    avoiding the third's closed neighborhood: each two share a component
+    of g - N[c] for the third vertex c, labelled once per vertex."""
+    label = []  # label[c][v]: v's component of g - N[c], -1 inside N[c]
+    for c in range(g.n):
+        closed = g.neighbors(c) | {c}
+        sub, mapping = induced_subgraph(g, (v for v in range(g.n) if v not in closed))
+        comps = enumerate(connected_components(sub))
+        where = {mapping[v]: i for i, comp in comps for v in comp}
+        label.append([where.get(v, -1) for v in range(g.n)])
+    return any(
+        label[c][a] == label[c][b] != -1
+        and label[b][a] == label[b][c] != -1
+        and label[a][b] == label[a][c] != -1
+        for a, b, c in itertools.combinations(range(g.n), 3)
+    )
 
 
 def is_interval(g: Graph) -> bool:
-    """Interval graphs are exactly the chordal graphs without an
-    asteroidal triple."""
+    """Chordal and free of asteroidal triples (Lekkerkerker & Boland)."""
     return is_chordal(g) and not has_asteroidal_triple(g)
 
 
@@ -108,21 +96,26 @@ def is_helly_ept(g: Graph, budget_secs: float | None = None) -> EptRepresentatio
 
 
 def cheapest_representation(g: Graph, budget_secs: float | None = None) -> RecognitionResult:
-    """Minimum h with g in Helly [h,2,2], via the atom formula.
+    """Minimum h with g in Helly [h,2,2], from the scan and the atoms.
 
-    The attached certificate is the oracle's representation, which
-    lives on a bijection tree; it is omitted when that tree's degree
-    exceeds h, as on a K8 with five cliques attached (h = 3, while
-    every bijection tree needs degree 4).
+    With k the maximum clique count over g's atoms, h = k when k >= 4,
+    else 2 if g is interval and 3 if not. The certificate tells which:
+    - the scan tries tree shapes in ascending maximum degree;
+    - the path is the only shape with m edges and degree <= 2;
+    - paths on a path host derive an interval graph, and an interval
+      graph's clique path (Gilmore & Hoffman 1964) is a bijection tree;
+    - so the certificate lies on a path exactly when g is interval.
+
+    The certificate is omitted when its tree's degree exceeds h, as on
+    a K8 with five cliques attached (h = 3, while every bijection tree
+    needs degree 4).
     """
     rep = is_helly_ept(g, budget_secs)
     if rep is None:
         return RecognitionResult(False, None, None)
-    k = max(
-        len(enumerate_maximal_cliques(atom)) for atom, _ in atoms(g)
-    )
+    k = max(len(enumerate_maximal_cliques(atom)) for atom, _ in atoms(g))
     if k <= 3:
-        h = 2 if is_interval(g) else 3
+        h = 2 if max_host_degree(rep) <= 2 else 3
     else:
         h = k
     cert = rep if max_host_degree(rep) <= h else None

@@ -1,6 +1,10 @@
-"""Command-line interface: verdict lines, exit codes, file round trips."""
+"""Command-line interface: verdict lines, exit codes, file round trips,
+and the names the benchmark tracer wraps."""
 
+import ast
+import importlib
 import io
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +15,7 @@ from eptkit.graphs import (
     cycle_graph,
     graph_to_text,
     parse_graph,
+    path_graph,
 )
 from eptkit.representation import (
     is_helly,
@@ -143,6 +148,18 @@ def test_atoms_dot(capsys, c5_file):
     assert code == 0
     assert out.startswith("graph decomposition")
     assert 'label="atom 0 1 2 3 4"' in out
+
+
+def test_atoms_of_long_path(capsys, tmp_path):
+    p = tmp_path / "p900.txt"
+    p.write_text(graph_to_text(path_graph(900)))
+    code, out, _ = run(capsys, "atoms", str(p))
+    assert code == 0
+    assert out.startswith("separator: 1\n  atom: 0 1\n  separator: 2\n")
+    assert out.count("# atom ") == 899
+    code, out, _ = run(capsys, "atoms", str(p), "--format", "dot")
+    assert code == 0
+    assert out.count(" -- ") == 899 + 898 - 1
 
 
 def test_gen_gate(capsys):
@@ -307,3 +324,18 @@ def test_emitted_representation_round_trip(capsys, tmp_path, c5_file):
     assert is_helly(rep)[0]
     assert max_host_degree(rep) == 5
     assert representation_to_text(rep) == text
+
+
+def test_benchmark_span_targets_resolve():
+    # perfbench/run.py --trace 1 wraps every (module, attr) in the
+    # tracer's TARGETS; read from the file so no perfbench code runs
+    source = (Path(__file__).resolve().parents[1] / "perfbench" / "spans.py").read_text()
+    targets = next(
+        ast.literal_eval(node.value)
+        for node in ast.parse(source).body
+        if isinstance(node, ast.Assign)
+        and any(getattr(t, "id", None) == "TARGETS" for t in node.targets)
+    )
+    assert targets
+    for name, (module, attr) in targets.items():
+        assert hasattr(importlib.import_module(module), attr), name

@@ -153,6 +153,37 @@ def test_tree_to_dot():
     assert "n0 -- n1" in dot
 
 
+def test_nested_tree_renderings():
+    # preorder numbering; the edge to a child follows the child's subtree
+    tree = decomposition_tree(Graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (2, 5), (3, 5)]))
+    assert tree_to_text(tree) == (
+        "separator: 1\n"
+        "  atom: 0 1\n"
+        "  separator: 2\n"
+        "    atom: 1 2\n"
+        "    separator: 3\n"
+        "      atom: 2 3 5\n"
+        "      atom: 3 4\n"
+    )
+    assert tree_to_dot(tree, name="g") == (
+        "graph g {\n"
+        '  n0 [label="sep 1"];\n'
+        '  n1 [shape=box, label="atom 0 1"];\n'
+        "  n0 -- n1;\n"
+        '  n2 [label="sep 2"];\n'
+        '  n3 [shape=box, label="atom 1 2"];\n'
+        "  n2 -- n3;\n"
+        '  n4 [label="sep 3"];\n'
+        '  n5 [shape=box, label="atom 2 3 5"];\n'
+        "  n4 -- n5;\n"
+        '  n6 [shape=box, label="atom 3 4"];\n'
+        "  n4 -- n6;\n"
+        "  n2 -- n4;\n"
+        "  n0 -- n2;\n"
+        "}\n"
+    )
+
+
 def test_separator_on_large_complete_graph():
     # K_40 has 2^40 complete subsets, so no search may enumerate them
     assert find_clique_separator(complete_graph(40)) is None
@@ -162,6 +193,13 @@ def test_atoms_of_long_path():
     got = atoms(path_graph(60))
     assert [vs for _, vs in got] == [(i, i + 1) for i in range(59)]
     assert all(a == path_graph(2) for a, _ in got)
+
+
+def test_atoms_of_path_deeper_than_recursion_limit():
+    # the tree of P_n is n - 2 levels deep, so it is built and walked
+    # without recursion
+    got = atoms(path_graph(900))
+    assert [vs for _, vs in got] == [(i, i + 1) for i in range(899)]
 
 
 def clique_tree(rng: random.Random, n_target: int) -> Graph:

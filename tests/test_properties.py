@@ -1,8 +1,9 @@
 """Property tests against networkx and the test-side references:
-maximal cliques, chordality, isomorphism, text round trips, clique
-separators, and relabelling invariance of the oracle and of
-cheapest_representation. hypothesis and networkx are test-only
-dependencies; the module is skipped without them."""
+maximal cliques, chordality, asteroidal triples, interval graphs,
+isomorphism, text round trips, clique separators, and relabelling
+invariance of the oracle and of cheapest_representation. hypothesis
+and networkx are test-only dependencies; the module is skipped without
+them."""
 
 import itertools
 
@@ -28,7 +29,12 @@ from eptkit.graphs import (  # noqa: E402
     parse_graph,
 )
 from eptkit.oracle import oracle_membership  # noqa: E402
-from eptkit.recognition import cheapest_representation, is_chordal  # noqa: E402
+from eptkit.recognition import (  # noqa: E402
+    cheapest_representation,
+    has_asteroidal_triple,
+    is_chordal,
+    is_interval,
+)
 from eptkit.representation import (  # noqa: E402
     is_helly,
     parse_representation,
@@ -85,6 +91,19 @@ def test_maximal_cliques_match_networkx(g):
 @given(graphs())
 def test_is_chordal_matches_networkx(g):
     assert is_chordal(g) == nx.is_chordal(to_networkx(g))
+
+
+@SETTINGS
+@given(graphs())
+def test_has_asteroidal_triple_matches_networkx(g):
+    assert has_asteroidal_triple(g) == (not nx.is_at_free(to_networkx(g)))
+
+
+@SETTINGS
+@given(graphs())
+def test_is_interval_matches_networkx(g):
+    g_nx = to_networkx(g)
+    assert is_interval(g) == (nx.is_chordal(g_nx) and nx.is_at_free(g_nx))
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
