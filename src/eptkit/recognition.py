@@ -1,24 +1,31 @@
 """The decision pipeline: Helly EPT membership and the minimum host
 degree.
 
-Membership is decided exactly by the oracle's bijection-tree search.
-For a member, h rests on two things only: the search's certificate and
-the clique-separator atoms (see cheapest_representation). is_interval,
-is_chordal and has_asteroidal_triple are standalone tests off that
-route; the tests use them as its independent reference. The
-independent characterization says non-membership at degree h is
-equivalent to an induced gate with more than h cliques
+cheapest_representation decides membership in two steps. First the
+atom test: a graph one of whose clique-separator atoms is neither
+complete nor line-like is no member, and that atom is the witness. A
+chordal graph passes without being decomposed (is_chordal), since all
+its atoms are complete. Every other graph goes to the oracle's
+exhaustive bijection-tree search, which also yields the certificate.
+is_helly_ept is that search alone, the reference the tests compare
+with. For a member, h rests on the certificate and the atoms (see
+cheapest_representation). is_interval and has_asteroidal_triple are
+standalone tests off that route; the tests use them as its independent
+reference. The independent characterization says non-membership at
+degree h is equivalent to an induced gate with more than h cliques
 (gates.contains_gate_ge); the tests compare both routes.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 
 from .decomposition import atoms
 from .graphs import (
     Graph,
+    VertexSet,
     connected_components,
     enumerate_maximal_cliques,
     induced_subgraph,
@@ -32,26 +39,38 @@ from .representation import EptRepresentation, max_host_degree
 class RecognitionResult:
     """Outcome of cheapest_representation. When helly_ept, h is the
     minimum host degree (at least 2) and certificate, when attached,
-    is a verified Helly representation of that degree or lower."""
+    is a verified Helly representation of that degree or lower. When
+    not, obstruction, when attached, is the vertex set in g of an atom
+    that is neither complete nor line-like; without it the exhaustive
+    search ruled g out."""
 
     helly_ept: bool
     h: int | None
     certificate: EptRepresentation | None
+    obstruction: VertexSet | None = None
 
 
 def is_chordal(g: Graph) -> bool:
-    """Maximum-cardinality search plus perfect-elimination check."""
+    """Maximum-cardinality search plus perfect-elimination check, in
+    O(n + m): unvisited vertices wait in buckets by weight."""
     n = g.n
     weight = [0] * n
+    buckets: list[set[int]] = [set(range(n))] + [set() for _ in range(n)]
+    top = 0
     visited = [False] * n
     visit: list[int] = []
     for _ in range(n):
-        v = max((w for w in range(n) if not visited[w]), key=lambda w: (weight[w], -w))
+        while not buckets[top]:
+            top -= 1
+        v = buckets[top].pop()
         visited[v] = True
         visit.append(v)
         for u in g.neighbors(v):
             if not visited[u]:
+                buckets[weight[u]].remove(u)
                 weight[u] += 1
+                buckets[weight[u]].add(u)
+        top += 1  # a step raises the maximum weight by at most one
     peo = visit[::-1]
     pos = {v: i for i, v in enumerate(peo)}
     for v in peo:
@@ -95,11 +114,56 @@ def is_helly_ept(g: Graph, budget_secs: float | None = None) -> EptRepresentatio
     return oracle_membership(g, budget_secs=budget_secs)
 
 
-def cheapest_representation(g: Graph, budget_secs: float | None = None) -> RecognitionResult:
-    """Minimum h with g in Helly [h,2,2], from the scan and the atoms.
+def _is_line_like(cliques: list[VertexSet]) -> bool:
+    """Whether an atom with these maximal cliques, two or more, is
+    line-like: every vertex lies in exactly two of the cliques, and H
+    is 2-connected and triangle-free, where H has one node per clique
+    and one edge per distinct clique pair held by a vertex (so true
+    twins share an edge). In an atom A it is enough that no vertex lies
+    in three cliques; the rest follows because A is connected and has
+    no clique separator:
+    - a vertex v in one clique C only: C - v would separate v from the
+      rest of A, which is not empty as A is not complete;
+    - a triangle C1 C2 C3 in H: the vertices held by its three pairs
+      form a clique, so they lie in one maximal clique, yet each lies
+      in only two of C1, C2, C3 and in no other;
+    - H is connected as A is. A cut node C of H: each edge of A - C
+      lies in a clique other than C, so its ends' H-edges share a node
+      of H - C. Each component of H - C holds a clique D, and a vertex
+      of D - C (not empty, as D is maximal) has its H-edge there. So
+      A - C has vertices in two components of H - C with no edge
+      between them, and the clique C would separate A.
+    """
+    held = Counter(v for clique in cliques for v in clique)
+    return max(held.values()) <= 2
 
-    With k the maximum clique count over g's atoms, h = k when k >= 4,
-    else 2 if g is interval and 3 if not. The certificate tells which:
+
+def cheapest_representation(g: Graph, budget_secs: float | None = None) -> RecognitionResult:
+    """Minimum h with g in Helly [h,2,2], from the atom test, the scan
+    and the atoms.
+
+    The atom test. Every atom of a Helly EPT graph is complete or
+    line-like (_is_line_like). An atom A is an induced subgraph, so it
+    is Helly EPT, and it is connected with no clique separator. Take
+    A's normal form from the oracle: a host tree whose edges are A's
+    maximal cliques, each C = K_e for one edge e, with every vertex's
+    path made of the edges of its cliques. Suppose A is not complete
+    and a vertex's path has three or more edges. The clique K_e of a
+    middle edge e separates the vertices whose paths lie wholly on
+    either side of e, since paths on opposite sides share no edge.
+    Both sides are non-empty: the neighbouring edges' cliques differ
+    from K_e, so each holds a vertex whose path stops before e. So no
+    vertex lies in three of A's cliques, and A is line-like.
+    A chordal graph passes without being decomposed: every atom is an
+    induced chordal graph with no clique separator, and a non-complete
+    connected chordal graph has one (Dirac 1961), so every atom is
+    complete. The first failing atom, in decomposition order, is the
+    obstruction. Disconnected inputs are refused by atoms or, when
+    chordal, by is_helly_ept, with the same ValueError.
+
+    With k the maximum clique count over g's atoms (1 for a chordal
+    g), h = k when k >= 4, else 2 if g is interval and 3 if not. The
+    certificate tells which:
     - the scan tries tree shapes in ascending maximum degree;
     - the path is the only shape with m edges and degree <= 2;
     - paths on a path host derive an interval graph, and an interval
@@ -110,10 +174,16 @@ def cheapest_representation(g: Graph, budget_secs: float | None = None) -> Recog
     a K8 with five cliques attached (h = 3, while every bijection tree
     needs degree 4).
     """
+    k = 1
+    if not is_chordal(g):
+        for atom, vertices in atoms(g):
+            cliques = enumerate_maximal_cliques(atom)
+            if len(cliques) > 1 and not _is_line_like(cliques):
+                return RecognitionResult(False, None, None, obstruction=vertices)
+            k = max(k, len(cliques))
     rep = is_helly_ept(g, budget_secs)
     if rep is None:
         return RecognitionResult(False, None, None)
-    k = max(len(enumerate_maximal_cliques(atom)) for atom, _ in atoms(g))
     if k <= 3:
         h = 2 if max_host_degree(rep) <= 2 else 3
     else:

@@ -1,5 +1,6 @@
 """Test-side references: labeled host-tree enumeration, the minimum
-host degree over bijection trees, and brute-force clique separators.
+host degree over bijection trees, brute-force clique separators, and
+line-likeness checked on the clique graph itself.
 
 All are independent of the library's routes. The labeled trees feed a
 brute-force search that cross-checks the oracle's shape scan; the
@@ -21,6 +22,7 @@ from eptkit.graphs import (
     connected_components,
     enumerate_maximal_cliques,
     induced_subgraph,
+    is_connected,
 )
 from eptkit.oracle import CLIQUE_BOUND, oracle_membership
 from eptkit.representation import HostTree
@@ -126,3 +128,20 @@ def reference_decomposition_tree(g: Graph) -> CliqueDecomposition:
         return SeparatorNode(sep_orig, children)
 
     return CliqueDecomposition(g, build(tuple(range(g.n))))
+
+
+def reference_is_line_like(g: Graph) -> bool:
+    """Every vertex lies in exactly two maximal cliques, and H is
+    2-connected and triangle-free. H has one node per maximal clique
+    and one edge per distinct clique pair held by a vertex."""
+    cliques = enumerate_maximal_cliques(g)
+    held = [[i for i, c in enumerate(cliques) if v in c] for v in range(g.n)]
+    if any(len(pair) != 2 for pair in held):
+        return False
+    h = Graph(len(cliques), (tuple(pair) for pair in held))
+    if any(h.neighbors(a) & h.neighbors(b) for a, b in h.edges):
+        return False
+    return h.n >= 3 and all(
+        is_connected(induced_subgraph(h, [c for c in range(h.n) if c != cut])[0])
+        for cut in range(h.n)
+    )

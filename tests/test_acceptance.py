@@ -232,6 +232,27 @@ def test_criterion_8_decomposition_invariance(helly_corpus):
             assert shuffled == base, graph_to_text(g)
 
 
+def test_atom_test_on_whole_corpus(corpus7, helly_corpus):
+    # cheapest_representation names an obstruction exactly when an atom
+    # fails the atom test; non-members that pass it get none
+    members = {g for g, _ in helly_corpus}
+    counts = Counter()
+    for g in corpus7:
+        result = cheapest_representation(g)
+        if g in members:
+            assert result.helly_ept, graph_to_text(g)
+            continue
+        assert not result.helly_ept, graph_to_text(g)
+        in_cap = len(enumerate_maximal_cliques(g)) <= 9
+        failed = result.obstruction is not None
+        counts[in_cap, failed] += 1
+        if failed:
+            assert result.obstruction in {vertices for _, vertices in atoms(g)}
+    # 385 of 398 in-cap non-members fail the atom test; all 11 excluded
+    # graphs do, so they get a witness instead of BoundExceededError
+    assert counts == {(True, True): 385, (True, False): 13, (False, True): 11}
+
+
 def test_criterion_8_gate_invariants():
     catalog = enumerate_gates(12)
     by_k = Counter(r.clique_count() for r in catalog.values())

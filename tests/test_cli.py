@@ -301,8 +301,15 @@ def test_input_errors(capsys, tmp_path):
     bad.write_text("2 1\n0 0\n")
     code, _, err = run(capsys, "recognize", str(bad))
     assert code == 2 and "self-loop" in err
-    big = tmp_path / "k34.txt"
-    big.write_text(graph_to_text(Graph(7, [(a, b) for a in range(3) for b in range(3, 7)])))
+    # K_{3,4} has 12 cliques but one atom that is not line-like, so the
+    # atom test answers before the clique bound is reached
+    k34 = tmp_path / "k34.txt"
+    k34.write_text(graph_to_text(Graph(7, [(a, b) for a in range(3) for b in range(3, 7)])))
+    code, out, _ = run(capsys, "recognize", str(k34))
+    assert (code, out) == (1, "not-helly-ept\n")
+    # C10 is line-like with 10 cliques, so it reaches the scan's bound
+    big = tmp_path / "c10.txt"
+    big.write_text(graph_to_text(cycle_graph(10)))
     code, _, err = run(capsys, "recognize", str(big))
     assert code == 3 and "cliques" in err
 

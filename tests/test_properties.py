@@ -1,9 +1,9 @@
 """Property tests against networkx and the test-side references:
 maximal cliques, chordality, asteroidal triples, interval graphs,
-isomorphism, text round trips, clique separators, and relabelling
-invariance of the oracle and of cheapest_representation. hypothesis
-and networkx are test-only dependencies; the module is skipped without
-them."""
+isomorphism, text round trips, clique separators, relabelling
+invariance of the oracle and of cheapest_representation, and the atom
+test against the exhaustive search. hypothesis and networkx are
+test-only dependencies; the module is skipped without them."""
 
 import itertools
 
@@ -16,6 +16,7 @@ from hypothesis import assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from eptkit.decomposition import (  # noqa: E402
+    atoms,
     decomposition_tree,
     find_clique_separator,
     tree_to_text,
@@ -45,6 +46,7 @@ from eptkit.representation import (  # noqa: E402
 from reference import (  # noqa: E402
     reference_clique_separator,
     reference_decomposition_tree,
+    reference_is_line_like,
 )
 
 SETTINGS = settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -67,6 +69,28 @@ def connected_graphs(draw, max_n: int):
     extra = [e for e in itertools.combinations(range(n), 2) if e not in tree]
     keep = draw(st.lists(st.booleans(), min_size=len(extra), max_size=len(extra)))
     return Graph(n, tree | {e for e, k in zip(extra, keep) if k})
+
+
+@st.composite
+def chordal_graphs(draw, max_n: int):
+    """Each vertex joins a clique of earlier vertices grown from a
+    random one, which keeps the graph chordal, plus at most one random
+    extra edge, which may break that."""
+    n = draw(st.integers(1, max_n))
+    adj: list[set[int]] = [set() for _ in range(n)]
+    for v in range(1, n):
+        clique = [draw(st.integers(0, v - 1))]
+        for w in draw(st.permutations(range(v))):
+            if w not in clique and adj[w].issuperset(clique) and draw(st.booleans()):
+                clique.append(w)
+        for w in clique:
+            adj[v].add(w)
+            adj[w].add(v)
+    edges = {(u, v) for v in range(n) for u in adj[v] if u < v}
+    if n >= 2 and draw(st.booleans()):
+        u, v = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        edges.add((min(u, v), max(u, v)))
+    return Graph(n, edges)
 
 
 def relabel(g: Graph, perm) -> Graph:
@@ -171,3 +195,28 @@ def test_clique_separator_matches_reference(g):
     assert tree_to_text(decomposition_tree(g)) == tree_to_text(
         reference_decomposition_tree(g)
     )
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(connected_graphs(8))
+def test_atom_test_rejects_only_non_members(g):
+    # the obstruction is the first atom that is neither complete nor
+    # line-like on its clique graph, and only non-members have one
+    assume(len(enumerate_maximal_cliques(g)) <= 9)
+    failing = [
+        vertices
+        for atom, vertices in atoms(g)
+        if len(enumerate_maximal_cliques(atom)) > 1 and not reference_is_line_like(atom)
+    ]
+    result = cheapest_representation(g)
+    assert result.obstruction == (failing[0] if failing else None)
+    if failing:
+        assert oracle_membership(g) is None
+
+
+@SETTINGS
+@given(chordal_graphs(10))
+def test_chordal_atoms_are_complete(g):
+    assume(nx.is_chordal(to_networkx(g)))
+    for atom, _ in atoms(g):
+        assert len(atom.edges) == atom.n * (atom.n - 1) // 2

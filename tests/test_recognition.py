@@ -1,9 +1,11 @@
-"""Recognition pipeline: interval, membership, atom formula, crosscheck."""
+"""Recognition pipeline: interval, membership, the atom test and its
+route, atom formula, crosscheck."""
 
 import itertools
 
 import pytest
 
+from eptkit import recognition
 from eptkit.graphs import (
     BoundExceededError,
     Graph,
@@ -16,6 +18,7 @@ from eptkit.graphs import (
 from eptkit.gates import contains_gate_ge
 from eptkit.oracle import small_graph_corpus
 from eptkit.recognition import (
+    RecognitionResult,
     cheapest_representation,
     has_asteroidal_triple,
     helly_h_membership,
@@ -35,6 +38,19 @@ TWO_C5S = Graph(8, [
 ])
 # spider: subdivided claw, chordal but with an asteroidal triple
 SPIDER = Graph(7, [(0, 1), (0, 2), (0, 3), (1, 4), (2, 5), (3, 6)])
+# wide-chordal w09, a K8 with five cliques attached: chordal, not
+# interval, so h = 3, but every host tree with one edge per clique
+# needs a degree-4 vertex
+W09 = Graph(40, {
+    e
+    for c in (
+        range(8), [0, *range(19, 28)], [1, 7, *range(12, 19)],
+        [2, 5, *range(28, 32)], [3, 5, *range(32, 40)], [4, *range(8, 12)],
+    )
+    for e in itertools.combinations(c, 2)
+})
+K34 = Graph(7, [(a, b) for a in range(3) for b in range(3, 7)])
+WHEEL5 = Graph(6, [(i, (i + 1) % 5) for i in range(5)] + [(i, 5) for i in range(5)])
 
 
 def brute_interval(g: Graph) -> bool:
@@ -149,16 +165,41 @@ def test_cheapest_agrees_with_oracle_sample():
 
 
 def test_cheapest_below_bijection_tree_minimum():
-    # K8 with five cliques attached: chordal, not interval, so h = 3, but
-    # every host tree with one edge per clique needs a degree-4 vertex
-    cliques = [
-        range(8), [0, *range(19, 28)], [1, 7, *range(12, 19)],
-        [2, 5, *range(28, 32)], [3, 5, *range(32, 40)], [4, *range(8, 12)],
-    ]
-    w09 = Graph(40, {e for c in cliques for e in itertools.combinations(c, 2)})
-    assert len(enumerate_maximal_cliques(w09)) == 6
-    assert cheapest_representation(w09).h == 3
-    assert oracle_min_h(w09) == 4
+    assert len(enumerate_maximal_cliques(W09)) == 6
+    assert cheapest_representation(W09).h == 3
+    assert oracle_min_h(W09) == 4
+
+
+def refuse(name):
+    def call(*args, **kwargs):
+        raise AssertionError(f"{name} called")
+    return call
+
+
+def test_atom_test_answers_without_the_scan(monkeypatch):
+    monkeypatch.setattr(recognition, "oracle_membership", refuse("oracle_membership"))
+    # K_{3,4} is one atom whose vertices lie in 3 or 4 cliques; the
+    # 5-wheel is one atom whose hub lies in all 5 triangles
+    for g in (K34, WHEEL5):
+        assert cheapest_representation(g) == RecognitionResult(
+            False, None, None, obstruction=tuple(range(g.n))
+        )
+
+
+def test_chordal_input_skips_the_decomposition(monkeypatch):
+    monkeypatch.setattr(recognition, "atoms", refuse("atoms"))
+    result = cheapest_representation(W09)
+    assert result.helly_ept and result.h == 3
+
+
+def test_atom_test_names_the_failing_atom():
+    # a 5-wheel glued on one rim edge to a C4: the C4 atom is line-like,
+    # the wheel's is not
+    g = Graph(8, list(WHEEL5.edges) + [(0, 6), (6, 7), (7, 1)])
+    result = cheapest_representation(g)
+    assert not result.helly_ept and result.obstruction == (0, 1, 2, 3, 4, 5)
+    # S3 passes the atom test, so only the exhaustive search rules it out
+    assert cheapest_representation(S3_GRAPH) == RecognitionResult(False, None, None)
 
 
 def test_helly_h_membership():
