@@ -71,10 +71,18 @@ def _cmd_recognize(args) -> int:
         print("not-helly-ept")
         return EXIT_NO
     h = max(r.h for r in results)
-    if args.output and len(results) == 1 and results[0].certificate:
-        Path(args.output).write_text(
-            representation_to_text(results[0].certificate)
-        )
+    if args.output:
+        if len(results) != 1:
+            print("note: no certificate written: disconnected input", file=sys.stderr)
+        elif results[0].certificate is None:
+            print(
+                f"note: no certificate written: the one found has host degree above h={h}",
+                file=sys.stderr,
+            )
+        else:
+            Path(args.output).write_text(
+                representation_to_text(results[0].certificate)
+            )
     if args.h is not None:
         if h <= args.h:
             print("member")

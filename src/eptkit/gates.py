@@ -69,18 +69,11 @@ class LabeledGate:
     recipe: GateRecipe
 
 
-def _base_cycle(base: int) -> tuple[Graph, tuple[VertexSet, ...]]:
-    if base < 4:
-        raise ValueError("gate base cycle needs at least 4 vertices")
-    g = cycle_graph(base)
-    return g, tuple(enumerate_maximal_cliques(g))
-
-
 def _extend(
     graph: Graph, cliques: tuple[VertexSet, ...], step: ExtensionStep
-) -> tuple[Graph, tuple[VertexSet, ...], list[int]]:
-    """Apply one extension step; returns the new graph, the re-derived
-    sorted clique list and the freshly added path vertices."""
+) -> tuple[Graph, tuple[VertexSet, ...]]:
+    """Apply one extension step; returns the new graph and the
+    re-derived sorted clique list."""
     k = len(cliques)
     for idx in (step.clique_a, step.clique_b):
         if not 0 <= idx < k:
@@ -108,27 +101,20 @@ def _extend(
     )
     derived.append(tuple(sorted(a | {fresh[0]})))
     derived.append(tuple(sorted(b | {fresh[-1]})))
-    return new_graph, tuple(sorted(derived)), fresh
-
-
-def replay_recipe(recipe: GateRecipe) -> list[tuple[Graph, tuple[VertexSet, ...], list[int]]]:
-    """Every stage of a recipe's construction, base cycle first: the
-    graph, its sorted clique list and the path vertices the stage's step
-    added. Vertices are numbered in construction order: 0..base-1 around
-    the cycle, then each step's path vertices in path order."""
-    graph, cliques = _base_cycle(recipe.base)
-    stages = [(graph, cliques, [])]
-    for step in recipe.steps:
-        stages.append(_extend(graph, cliques, step))
-        graph, cliques, _ = stages[-1]
-    return stages
+    return new_graph, tuple(sorted(derived))
 
 
 def build_gate(recipe: GateRecipe) -> LabeledGate:
-    """Replay a recipe into a concrete labeled gate (see replay_recipe)."""
-    graph, cliques, _ = replay_recipe(recipe)[-1]
-    enumerated = tuple(enumerate_maximal_cliques(graph))
-    if enumerated != cliques:
+    """Replay a recipe into a concrete labeled gate. Vertices are
+    numbered in construction order: 0..base-1 around the cycle, then
+    each step's path vertices in path order."""
+    if recipe.base < 4:
+        raise ValueError("gate base cycle needs at least 4 vertices")
+    graph = cycle_graph(recipe.base)
+    cliques = tuple(enumerate_maximal_cliques(graph))
+    for step in recipe.steps:
+        graph, cliques = _extend(graph, cliques, step)
+    if tuple(enumerate_maximal_cliques(graph)) != cliques:
         raise RuntimeError("derived clique list disagrees with enumeration")
     return LabeledGate(graph, cliques, recipe)
 
@@ -166,7 +152,7 @@ def _catalog(max_vertices: int) -> dict[bytes, GateRecipe]:
                     continue
                 for length in range(2, budget + 1):
                     step = ExtensionStep(a, b, length)
-                    graph, cliques, _ = _extend(gate.graph, gate.cliques, step)
+                    graph, cliques = _extend(gate.graph, gate.cliques, step)
                     form = canonical_form(graph)
                     if form in catalog:
                         continue

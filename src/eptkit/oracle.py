@@ -222,6 +222,10 @@ class _Deadline:
     __slots__ = ("at", "ticks")
 
     def __init__(self, budget_secs: float):
+        # NaN compares false with everything, so it would switch the
+        # budget off instead of being rejected
+        if not budget_secs >= 0:
+            raise ValueError(f"budget must be a non-negative number of seconds, got {budget_secs}")
         self.at = time.monotonic() + budget_secs
         self.ticks = 0
 

@@ -12,7 +12,8 @@ Pies are the unique representation shape of chordless cycles: a star
 with as many spokes as the cycle, each path covering two consecutive
 spokes. Multipies generalize pies and are exactly the shape forced by
 gates. Gates conversely always admit a star-host representation with
-one spoke per maximal clique, built here by star_representation.
+one spoke per maximal clique, which star_representation reads off the
+gate's clique list: each vertex's path joins the spokes of its two.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
-from .gates import CATALOG_VERTEX_BOUND, LabeledGate, is_gate, replay_recipe
+from .gates import CATALOG_VERTEX_BOUND, LabeledGate, is_gate
 from .graphs import (
     Edge,
     Graph,
@@ -30,7 +31,6 @@ from .graphs import (
     enumerate_maximal_cliques,
     induced_subgraph,
     is_connected,
-    isomorphism,
 )
 
 
@@ -407,6 +407,10 @@ def parse_representation(text: str) -> EptRepresentation:
     if len(parts) != 2 or not all(p.isdigit() for p in parts):
         raise GraphParseError(f"malformed header {header!r}", line=line_no)
     t_n, t_m = int(parts[0]), int(parts[1])
+    if t_n >= 1 and t_m != t_n - 1:
+        raise GraphParseError(
+            f"a tree on {t_n} vertices has {t_n - 1} edges, not {t_m}", line=line_no
+        )
     if len(rows) - 1 < t_m:
         raise GraphParseError(f"expected {t_m} tree edges", line=rows[-1][0])
     edges = []
@@ -474,51 +478,24 @@ def representation_to_dot(rep: EptRepresentation) -> str:
 def star_representation(gate: LabeledGate) -> EptRepresentation:
     """Helly representation of a k-gate on a star host with k spokes.
 
-    Replays the recipe. The base cycle becomes a pie; each extension
-    adds one new spoke per new clique: with e and e' the spokes of the
-    two extended cliques and e_1..e_{l-1} the new spokes, the first path
-    covers (e, e_1), interior path i covers (e_{i-1}, e_i), and the last
-    covers (e_{l-1}, e'). Every maximal clique ends up as K_e of its own
-    spoke, so the result is Helly.
+    Spoke i + 1 of the star on centre 0 stands for gate.cliques[i], and
+    vertex v gets the path (a, 0, b), where a < b are the spokes of its
+    two cliques. This is a Helly representation of any graph whose
+    vertices each lie in exactly two maximal cliques. Two vertices are
+    adjacent when they share a clique, that is when their paths share a
+    spoke, so the derived graph is the gate. No three cliques pairwise
+    meet: the three shared vertices would form a clique, which would
+    have to lie in a third clique of one of them. So no claw is covered,
+    and every maximal clique of the derived graph is one spoke's K_e.
+    Raises ValueError for the first vertex in other than two cliques.
     """
-    recipe = gate.recipe
-    stages = replay_recipe(recipe)
-    # Spokes are numbered from 1; leaf i+1 closes the pie between the
-    # paths of cycle vertices i-1 and i.
-    spoke_of: dict[VertexSet, int] = {}
-    paths: list[TreePath] = []
-    b = recipe.base
-    for i in range(b):
-        paths.append((i + 1, 0, (i + 1) % b + 1))
-        spoke_of[tuple(sorted((i, (i + 1) % b)))] = (i + 1) % b + 1
-    leaf_count = b
-    # stage i is the gate before step i, stage i+1 the gate after it
-    for step, (_, cliques, _), (_, _, fresh) in zip(recipe.steps, stages, stages[1:]):
-        old_a = cliques[step.clique_a]
-        old_b = cliques[step.clique_b]
-        e = spoke_of.pop(old_a)
-        e2 = spoke_of.pop(old_b)
-        new_leaves = list(range(leaf_count + 1, leaf_count + step.path_len))
-        leaf_count += step.path_len - 1
-        rail = [e, *new_leaves, e2]
-        for v, (left, right) in zip(fresh, itertools.pairwise(rail)):
-            paths.append((left, 0, right))
-        for i in range(step.path_len - 1):
-            spoke_of[tuple(sorted((fresh[i], fresh[i + 1])))] = new_leaves[i]
-        spoke_of[tuple(sorted(old_a + (fresh[0],)))] = e
-        spoke_of[tuple(sorted(old_b + (fresh[-1],)))] = e2
-    graph, cliques, _ = stages[-1]
-    assert set(spoke_of) == set(cliques)
-    tree = HostTree(
-        leaf_count + 1, [(0, i) for i in range(1, leaf_count + 1)]
-    )
-    rep = EptRepresentation(tree, tuple(paths))
-    if gate.graph == graph:
-        return rep
-    relabel = isomorphism(graph, gate.graph)
-    if relabel is None:
-        raise ValueError("gate graph does not match its recipe")
-    relabeled: list[TreePath] = [()] * graph.n
-    for v in range(graph.n):
-        relabeled[relabel[v]] = paths[v]
-    return EptRepresentation(tree, tuple(relabeled))
+    spokes: list[list[int]] = [[] for _ in range(gate.graph.n)]
+    for i, c in enumerate(gate.cliques, start=1):
+        for v in c:
+            spokes[v].append(i)
+    for v, ends in enumerate(spokes):
+        if len(ends) != 2:
+            raise ValueError(f"vertex {v} lies in {len(ends)} maximal cliques, not 2")
+    k = len(gate.cliques)
+    tree = HostTree(k + 1, [(0, i) for i in range(1, k + 1)])
+    return EptRepresentation(tree, tuple((a, 0, b) for a, b in spokes))

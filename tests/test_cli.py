@@ -24,6 +24,7 @@ from eptkit.representation import (
     representation_to_text,
     verify,
 )
+from test_recognition import W09
 
 S3_TEXT = """\
 6 9
@@ -115,6 +116,23 @@ def test_recognize_writes_certificate(capsys, tmp_path, c5_file, command):
     assert code == 0
     rep = parse_representation(cert.read_text())
     assert verify(rep, cycle_graph(5)) == (True, None)
+
+
+@pytest.mark.parametrize("command", ["recognize", "cheapest"])
+def test_output_note_without_certificate(capsys, tmp_path, command):
+    # w09's cheapest h is 3, but its only certificate needs degree 4
+    w09 = tmp_path / "w09.txt"
+    w09.write_text(graph_to_text(W09))
+    two = tmp_path / "two.txt"
+    two.write_text("6 6\n0 1\n1 2\n0 2\n3 4\n4 5\n3 5\n")
+    cert = tmp_path / "cert.txt"
+    code, out, err = run(capsys, command, str(w09), "--output", str(cert))
+    assert (code, out) == (0, "helly-ept h=3\n")
+    assert "note: no certificate written: the one found has host degree above h=3" in err
+    code, out, err = run(capsys, command, str(two), "--output", str(cert))
+    assert (code, out) == (0, "helly-ept h=2\n")
+    assert "note: no certificate written: disconnected input" in err
+    assert not cert.exists()
 
 
 def test_cheapest(capsys, tmp_path, c5_file, s3_file):
@@ -251,6 +269,20 @@ def test_oracle_budget_env(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("EPTKIT_BUDGET_SECS", "1e-9")
     code, out, _ = run(capsys, "oracle", str(p))
     assert (code, out) == (3, "budget-exhausted\n")
+
+
+def test_oracle_nan_budget(capsys, tmp_path, monkeypatch):
+    g = parse_graph(TWO_C5S_TEXT)
+    perm = [6, 4, 2, 0, 7, 5, 3, 1]
+    p = tmp_path / "twoc5c.txt"
+    p.write_text(graph_to_text(Graph(8, [(perm[u], perm[v]) for u, v in g.edges])))
+    code, out, err = run(capsys, "oracle", str(p), "--budget-secs", "nan")
+    assert (code, out) == (2, "")
+    assert "budget must be a non-negative number of seconds, got nan" in err
+    monkeypatch.setenv("EPTKIT_BUDGET_SECS", "nan")
+    code, out, err = run(capsys, "oracle", str(p))
+    assert (code, out) == (2, "")
+    assert "got nan" in err
 
 
 def test_verify_rep_claw_report(capsys, tmp_path, s3_file):

@@ -309,6 +309,14 @@ def test_oracle_bounds_and_budget():
         oracle_membership(shuffled, budget_secs=1e-9)
 
 
+def test_oracle_rejects_bad_budget():
+    perm = [1, 0, 3, 2, 5, 4, 7, 6]
+    shuffled = Graph(8, [(perm[u], perm[v]) for u, v in TWO_C5S.edges])
+    for budget in (float("nan"), -1.0):
+        with pytest.raises(ValueError, match="non-negative number of seconds"):
+            oracle_membership(shuffled, budget_secs=budget)
+
+
 def test_corpus_counts():
     for n, total, conn in [
         (1, 1, 1), (2, 2, 1), (3, 4, 2), (4, 11, 6),

@@ -1,6 +1,7 @@
 """Host-tree path representations: verification, cliques, pies, stars."""
 
 import itertools
+import random
 
 import pytest
 
@@ -95,7 +96,7 @@ def test_verify():
     rep = c5_pie()
     assert verify(rep, cycle_graph(5)) == (True, None)
     ok, why = verify(rep, path_graph(5))
-    assert not ok and why == "vertices 0 and 4: non-adjacent but paths share tree edge (0, 1)"
+    assert not ok and why == "vertices 0 and 4: non-adjacent but paths share tree edge (0, 2)"
     missing = Graph(5, set(cycle_graph(5).edges) | {(0, 2)})
     ok, why = verify(rep, missing)
     assert not ok and why == "vertices 0 and 2: adjacent but paths share no tree edge"
@@ -110,9 +111,9 @@ def test_max_host_degree():
 
 def test_clique_of_edge():
     rep = c5_pie()
-    assert clique_of_edge(rep, (0, 1)) == (0, 4)
-    assert clique_of_edge(rep, (1, 0)) == (0, 4)
-    assert clique_of_edge(rep, (0, 2)) == (0, 1)
+    assert clique_of_edge(rep, (0, 1)) == (0, 1)
+    assert clique_of_edge(rep, (1, 0)) == (0, 1)
+    assert clique_of_edge(rep, (0, 2)) == (0, 4)
     with pytest.raises(ValueError, match="not in host tree"):
         clique_of_edge(rep, (1, 2))
     # every maximal clique of the pie is some K_e
@@ -172,7 +173,7 @@ def test_is_helly():
 def test_find_pie():
     rep = c5_pie()
     witness = find_pie(rep, (0, 1, 2, 3, 4))
-    assert witness == PieWitness(0, (1, 2, 3, 4, 5), (0, 1, 2, 3, 4))
+    assert witness == PieWitness(0, (2, 1, 3, 4, 5), (0, 1, 2, 3, 4))
     k = 5
     for i in range(k):
         ends = witness.spoke_ends
@@ -282,6 +283,52 @@ def test_star_representation_of_relabeled_gate():
     assert is_helly(rep)[0]
 
 
+def relabeled_gate(gate: LabeledGate, perm) -> LabeledGate:
+    g = Graph(gate.graph.n, [(perm[u], perm[v]) for u, v in gate.graph.edges])
+    return LabeledGate(g, tuple(enumerate_maximal_cliques(g)), gate.recipe)
+
+
+def check_star(rep, gate):
+    k = len(gate.cliques)
+    assert verify(rep, gate.graph) == (True, None)
+    assert is_helly(rep) == (True, None)
+    assert max_host_degree(rep) == k
+    assert rep.tree.n == k + 1 and rep.tree.degree(0) == k
+    assert all(rep.tree.degree(q) == 1 for q in range(1, k + 1))
+
+
+@pytest.mark.parametrize("n", [17, 30])
+def test_star_representation_of_relabeled_long_cycle(n):
+    # beyond the canonical-labelling bound of 16 vertices
+    perm = list(range(n))
+    random.Random(n).shuffle(perm)
+    gate = relabeled_gate(build_gate(GateRecipe(n)), perm)
+    check_star(star_representation(gate), gate)
+
+
+def test_star_representation_over_relabeled_catalog():
+    rng = random.Random(7)
+    catalog = enumerate_gates(12)
+    assert len(catalog) == 203
+    for recipe in catalog.values():
+        perm = list(range(recipe.vertex_count()))
+        rng.shuffle(perm)
+        gate = relabeled_gate(build_gate(recipe), perm)
+        k = recipe.clique_count()
+        rep = star_representation(gate)
+        check_star(rep, gate)
+        witness = find_multipie(rep, tuple(range(gate.graph.n)), k)
+        check_multipie_conditions(rep, witness, k)
+
+
+def test_star_representation_needs_two_cliques_per_vertex():
+    # the path 0-1-2: vertex 0 lies in one maximal clique only
+    p3 = path_graph(3)
+    gate = LabeledGate(p3, tuple(enumerate_maximal_cliques(p3)), GateRecipe(4))
+    with pytest.raises(ValueError, match="vertex 0 lies in 1 maximal cliques, not 2"):
+        star_representation(gate)
+
+
 def test_text_round_trip():
     for rep in (c5_pie(), S3_REP):
         text = representation_to_text(rep)
@@ -313,6 +360,7 @@ def test_text_format_and_comments():
         ("2 1\n", "expected 1 tree edges", 1),
         ("3 2\n0 1\n0 2\n0 : 9\n", "leaves the tree", 4),
         ("3 2\n0 1\n1 0\n0 : 0\n", "connected and acyclic", 1),
+        ("400000 0\n0 : 0\n", "a tree on 400000 vertices has 399999 edges, not 0", 1),
     ],
 )
 def test_parse_errors(text, message, line):
