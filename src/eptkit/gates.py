@@ -119,15 +119,65 @@ def build_gate(recipe: GateRecipe) -> LabeledGate:
     return LabeledGate(graph, cliques, recipe)
 
 
+def _adjacency_masks(g: Graph) -> list[int]:
+    return [sum(1 << w for w in g.neighbors(v)) for v in range(g.n)]
+
+
+def _two_clique_split(adj: list[int], mask: int) -> tuple[bool, int]:
+    """(True, number of maximal cliques) when every vertex of the
+    subgraph induced by mask lies in exactly two maximal cliques meeting
+    only in that vertex, else (False, first vertex that does not).
+
+    Vertex v passes when its neighbourhood N inside mask splits into two
+    non-empty cliques A and B with no edge between them, and that is
+    exactly the two-clique condition:
+    - if v passes, every clique holding v lies in N + v and cannot hold
+      a vertex of A and one of B, so v's maximal cliques are A + v and
+      B + v, and they meet only in v;
+    - if v lies in exactly two maximal cliques C1 and C2 with
+      C1 & C2 = {v}, then N is the disjoint union of C1 - v and C2 - v,
+      as each neighbour lies in a maximal clique with v. Neither part is
+      empty, since C1 = {v} would make v isolated and {v} its only
+      maximal clique. An edge x-y with x in C1 - v and y in C2 - v would
+      put the clique {v, x, y} inside a maximal clique holding v, that
+      is inside C1 or C2, and then x or y would lie in C1 & C2 = {v}.
+    With x the lowest vertex of N, N splits that way exactly when each u
+    in N, together with its neighbours inside N, makes up its own part:
+    x with its neighbours inside N, or the rest of N.
+    When every vertex passes, each maximal clique is one of its lowest
+    vertex's two, so counting the parts above their vertex counts the
+    cliques.
+    """
+    count = 0
+    rest = mask
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        v = low.bit_length() - 1
+        nbrs = adj[v] & mask
+        if not nbrs:
+            return False, v
+        x = nbrs & -nbrs
+        side = (adj[x.bit_length() - 1] & nbrs) | x
+        for part in (side, nbrs & ~side):
+            if not part:
+                return False, v
+            todo = part
+            while todo:
+                u = todo & -todo
+                todo ^= u
+                if (adj[u.bit_length() - 1] & nbrs) | u != part:
+                    return False, v
+            if not part & (low - 1):
+                count += 1
+    return True, count
+
+
 def check_two_clique_property(g: Graph) -> tuple[bool, int | None]:
     """Whether every vertex lies in exactly two maximal cliques meeting
     only in that vertex; returns the first violating vertex otherwise."""
-    cliques = enumerate_maximal_cliques(g)
-    for v in range(g.n):
-        holding = [set(c) for c in cliques if v in c]
-        if len(holding) != 2 or holding[0] & holding[1] != {v}:
-            return False, v
-    return True, None
+    ok, found = _two_clique_split(_adjacency_masks(g), (1 << g.n) - 1)
+    return (True, None) if ok else (False, found)
 
 
 @functools.lru_cache(maxsize=8)
@@ -181,7 +231,7 @@ def is_gate(g: Graph, max_vertices: int = CATALOG_VERTEX_BOUND) -> GateRecipe | 
         )
     if g.n < 4 or not is_connected(g):
         return None
-    if any(g.degree(v) < 2 for v in range(g.n)):
+    if not _two_clique_split(_adjacency_masks(g), (1 << g.n) - 1)[0]:
         return None
     return _catalog(max_vertices).get(canonical_form(g))
 
@@ -220,17 +270,24 @@ def rewire_gate(gate: LabeledGate, v: int, t: int) -> LabeledGate:
 
 def contains_gate_ge(g: Graph, h: int) -> tuple[VertexSet, GateRecipe] | None:
     """First induced k-gate with k > h, scanning vertex subsets by size
-    then lexicographic order. None when no such gate is induced."""
+    then lexicographic order. None when no such gate is induced.
+
+    A subset is looked up in the catalog only when every vertex lies in
+    exactly two of its maximal cliques, meeting only in that vertex, and
+    it has more than h cliques (_two_clique_split). Every k-gate with
+    k > h passes, so the subsets skipped hold no hit."""
     if g.n > CATALOG_VERTEX_BOUND:
         raise BoundExceededError(
             f"gate search limited to {CATALOG_VERTEX_BOUND} vertices, got {g.n}"
         )
+    adj = _adjacency_masks(g)
     for size in range(max(4, h + 1), g.n + 1):
         for subset in itertools.combinations(range(g.n), size):
-            sub, mapping = induced_subgraph(g, subset)
-            if any(sub.degree(i) < 2 for i in range(sub.n)):
+            ok, cliques = _two_clique_split(adj, sum(1 << v for v in subset))
+            if not ok or cliques <= h:
                 continue
+            sub, mapping = induced_subgraph(g, subset)
             recipe = is_gate(sub)
-            if recipe is not None and recipe.clique_count() > h:
+            if recipe is not None:
                 return mapping, recipe
     return None

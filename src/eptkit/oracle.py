@@ -61,6 +61,18 @@ def default_budget_secs() -> float:
     return float(os.environ.get("EPTKIT_BUDGET_SECS", "60"))
 
 
+def resolve_budget_secs(budget_secs: float | None) -> float:
+    """budget_secs, or default_budget_secs() when None; a NaN or
+    negative budget is a ValueError."""
+    if budget_secs is None:
+        budget_secs = default_budget_secs()
+    # NaN compares false with everything, so it would switch the budget
+    # off instead of being rejected
+    if not budget_secs >= 0:
+        raise ValueError(f"budget must be a non-negative number of seconds, got {budget_secs}")
+    return budget_secs
+
+
 class TreeShape:
     """One unlabeled host-tree shape, pinned as a labeled representative
     with precomputed edge-index masks for the assignment search."""
@@ -222,11 +234,7 @@ class _Deadline:
     __slots__ = ("at", "ticks")
 
     def __init__(self, budget_secs: float):
-        # NaN compares false with everything, so it would switch the
-        # budget off instead of being rejected
-        if not budget_secs >= 0:
-            raise ValueError(f"budget must be a non-negative number of seconds, got {budget_secs}")
-        self.at = time.monotonic() + budget_secs
+        self.at = time.monotonic() + resolve_budget_secs(budget_secs)
         self.ticks = 0
 
     def check(self) -> None:
@@ -339,7 +347,7 @@ def _span_to_path(shape: TreeShape, mask: int) -> TreePath:
     return tuple(walk)
 
 
-def _scan(g: Graph, budget_secs: float | None) -> EptRepresentation | None:
+def _scan(g: Graph, budget_secs: float) -> EptRepresentation | None:
     """The representation on the first accepting shape, which has the
     minimum host degree over all bijection trees, or None."""
     cliques = enumerate_maximal_cliques(g)
@@ -348,8 +356,6 @@ def _scan(g: Graph, budget_secs: float | None) -> EptRepresentation | None:
         raise BoundExceededError(f"oracle limited to {CLIQUE_BOUND} cliques, graph has {m}")
     if m == 0:
         return EptRepresentation(HostTree(1, ()), ())
-    if budget_secs is None:
-        budget_secs = default_budget_secs()
     deadline = _Deadline(budget_secs)
     order = _clique_order(cliques)
     adj_self = [
@@ -377,7 +383,9 @@ def oracle_membership(
 ) -> EptRepresentation | None:
     """A verified Helly representation of g with host degree at most
     degree_bound (when given), or None after exhausting all bijection
-    trees. Raises BudgetExhaustedError when time runs out first."""
+    trees. Raises BudgetExhaustedError when time runs out first, and
+    ValueError for a NaN or negative budget, cached or not."""
+    budget_secs = resolve_budget_secs(budget_secs)
     if g in _scan_cache:
         _scan_cache.move_to_end(g)
         rep = _scan_cache[g]

@@ -31,7 +31,7 @@ from .graphs import (
     induced_subgraph,
     is_connected,
 )
-from .oracle import oracle_membership
+from .oracle import oracle_membership, resolve_budget_secs
 from .representation import EptRepresentation, max_host_degree
 
 
@@ -173,7 +173,11 @@ def cheapest_representation(g: Graph, budget_secs: float | None = None) -> Recog
     The certificate is omitted when its tree's degree exceeds h, as on
     a K8 with five cliques attached (h = 3, while every bijection tree
     needs degree 4).
+
+    The budget is resolved and checked first, so a NaN or negative one
+    is a ValueError on every route.
     """
+    budget_secs = resolve_budget_secs(budget_secs)
     k = 1
     if not is_chordal(g):
         for atom, vertices in atoms(g):

@@ -1,13 +1,16 @@
 """Test-side references: labeled host-tree enumeration, the minimum
-host degree over bijection trees, brute-force clique separators, and
-line-likeness checked on the clique graph itself.
+host degree over bijection trees, brute-force clique separators,
+line-likeness checked on the clique graph itself, and the induced-gate
+search and two-clique test without bitmask filtering.
 
 All are independent of the library's routes. The labeled trees feed a
 brute-force search that cross-checks the oracle's shape scan; the
 bijection-tree minimum is the criterion-4 reference that
 cheapest_representation is compared against; the separator search
 tests every complete set, smallest first, against the MCS-M candidates
-of the decomposition.
+of the decomposition; the gate search looks up every subset of minimum
+degree 2 in the catalog, and the two-clique test reads maximal cliques
+from Bron-Kerbosch.
 """
 
 import heapq
@@ -15,10 +18,12 @@ import itertools
 from collections.abc import Iterator
 
 from eptkit.decomposition import AtomLeaf, CliqueDecomposition, SeparatorNode
+from eptkit.gates import GateRecipe, enumerate_gates
 from eptkit.graphs import (
     BoundExceededError,
     Graph,
     VertexSet,
+    canonical_form,
     connected_components,
     enumerate_maximal_cliques,
     induced_subgraph,
@@ -145,3 +150,29 @@ def reference_is_line_like(g: Graph) -> bool:
         is_connected(induced_subgraph(h, [c for c in range(h.n) if c != cut])[0])
         for cut in range(h.n)
     )
+
+
+def reference_contains_gate_ge(g: Graph, h: int) -> tuple[VertexSet, GateRecipe] | None:
+    """First induced k-gate with k > h in (size, tuple) order: every
+    connected subset of minimum degree 2 is looked up in the catalog."""
+    catalog = enumerate_gates()
+    for size in range(max(4, h + 1), g.n + 1):
+        for subset in itertools.combinations(range(g.n), size):
+            sub, mapping = induced_subgraph(g, subset)
+            if any(sub.degree(i) < 2 for i in range(sub.n)) or not is_connected(sub):
+                continue
+            recipe = catalog.get(canonical_form(sub))
+            if recipe is not None and recipe.clique_count() > h:
+                return mapping, recipe
+    return None
+
+
+def reference_two_clique_property(g: Graph) -> tuple[bool, int | None]:
+    """Whether every vertex lies in exactly two maximal cliques meeting
+    only in that vertex, else the first vertex that does not."""
+    cliques = enumerate_maximal_cliques(g)
+    for v in range(g.n):
+        holding = [set(c) for c in cliques if v in c]
+        if len(holding) != 2 or holding[0] & holding[1] != {v}:
+            return False, v
+    return True, None

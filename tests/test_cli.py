@@ -285,6 +285,20 @@ def test_oracle_nan_budget(capsys, tmp_path, monkeypatch):
     assert "got nan" in err
 
 
+def test_nan_budget_before_the_atom_test(capsys, monkeypatch):
+    # K_{3,4} is answered by the atom test, which never runs the scan
+    k34 = graph_to_text(Graph(7, [(a, b) for a in range(3) for b in range(3, 7)]))
+    monkeypatch.setattr("sys.stdin", io.StringIO(k34))
+    code, out, err = run(capsys, "recognize", "-", "--budget-secs", "nan")
+    assert (code, out) == (2, "")
+    assert "got nan" in err
+    monkeypatch.setattr("sys.stdin", io.StringIO(k34))
+    monkeypatch.setenv("EPTKIT_BUDGET_SECS", "nan")
+    code, out, err = run(capsys, "recognize", "-")
+    assert (code, out) == (2, "")
+    assert "got nan" in err
+
+
 def test_verify_rep_claw_report(capsys, tmp_path, s3_file):
     rep = tmp_path / "s3rep.txt"
     rep.write_text(

@@ -1,10 +1,13 @@
-"""Gate construction, catalog and detection."""
+"""Gate construction, catalog and detection, with the bitmask-filtered
+gate search checked against the unfiltered reference."""
 
 import itertools
+import random
 from collections import Counter
 
 import pytest
 
+from eptkit import gates
 from eptkit.gates import (
     ExtensionStep,
     GateRecipe,
@@ -25,6 +28,8 @@ from eptkit.graphs import (
     isomorphism,
     path_graph,
 )
+from eptkit.oracle import small_graph_corpus
+from reference import reference_contains_gate_ge, reference_two_clique_property
 
 C4_PENDANT = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4)])
 
@@ -189,3 +194,50 @@ def test_contains_gate_threshold():
     hit = contains_gate_ge(gate.graph, 3)
     assert hit is not None and hit[1].clique_count() == 4
     assert contains_gate_ge(gate.graph, 5) is None
+
+
+def relabeled_catalog():
+    rng = random.Random(20261018)
+    for recipe in enumerate_gates().values():
+        g = build_gate(recipe).graph
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        yield recipe, Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+
+
+def connected_corpus():
+    return [g for n in range(4, 8) for g in small_graph_corpus(n, connected_only=True)]
+
+
+def test_contains_gate_ge_matches_reference_on_catalog():
+    for recipe, g in relabeled_catalog():
+        k = recipe.clique_count()
+        for h in (k - 1, k):
+            assert contains_gate_ge(g, h) == reference_contains_gate_ge(g, h), (recipe, h)
+
+
+def test_contains_gate_ge_matches_reference_on_corpus():
+    for g in connected_corpus():
+        for h in range(2, 7):
+            assert contains_gate_ge(g, h) == reference_contains_gate_ge(g, h), (g.edges, h)
+
+
+def test_two_clique_property_matches_reference():
+    for g in connected_corpus():
+        assert check_two_clique_property(g) == reference_two_clique_property(g), g.edges
+
+
+def test_gate_search_canonicalizes_only_two_clique_subsets(monkeypatch):
+    real = gates.canonical_form
+
+    def guarded(g):
+        assert reference_two_clique_property(g)[0], f"canonical form of a non-gate {g.edges}"
+        return real(g)
+
+    monkeypatch.setattr(gates, "canonical_form", guarded)
+    recipe, g = [(r, g) for r, g in relabeled_catalog() if g.n == 12][-1]
+    k = recipe.clique_count()
+    witness = contains_gate_ge(g, k - 1)
+    assert witness is not None and witness[1].clique_count() == k
+    assert contains_gate_ge(g, k) is None
+    assert is_gate(complete_graph(4)) is None

@@ -317,6 +317,14 @@ def test_oracle_rejects_bad_budget():
             oracle_membership(shuffled, budget_secs=budget)
 
 
+def test_cached_scan_rejects_bad_budget():
+    c6 = cycle_graph(6)
+    assert oracle_membership(c6) is not None
+    for budget in (float("nan"), -1.0):
+        with pytest.raises(ValueError, match="non-negative number of seconds"):
+            oracle_membership(c6, budget_secs=budget)
+
+
 def test_corpus_counts():
     for n, total, conn in [
         (1, 1, 1), (2, 2, 1), (3, 4, 2), (4, 11, 6),
