@@ -65,6 +65,8 @@ def _component_results(g: Graph, budget: float | None):
 
 def _cmd_recognize(args) -> int:
     """recognize and cheapest; cheapest is recognize without --h."""
+    if args.h is not None and args.h < 2:
+        raise ValueError("membership test requires h >= 2")
     g = _read_graph(args.file)
     results = _component_results(g, args.budget_secs)
     if not all(r.helly_ept for r in results):

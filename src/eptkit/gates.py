@@ -20,6 +20,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .graphs import (
+    PARSE_VERTEX_BOUND,
     BoundExceededError,
     Graph,
     VertexSet,
@@ -80,8 +81,6 @@ def _extend(
             raise ValueError(f"clique id {idx} out of range, gate has {k} cliques")
     if step.clique_a == step.clique_b:
         raise ValueError("extension needs two distinct cliques")
-    if step.path_len < 2:
-        raise ValueError("extension path length must be at least 2")
     a = set(cliques[step.clique_a])
     b = set(cliques[step.clique_b])
     if a & b:
@@ -107,9 +106,18 @@ def _extend(
 def build_gate(recipe: GateRecipe) -> LabeledGate:
     """Replay a recipe into a concrete labeled gate. Vertices are
     numbered in construction order: 0..base-1 around the cycle, then
-    each step's path vertices in path order."""
+    each step's path vertices in path order. A recipe for more than
+    PARSE_VERTEX_BOUND vertices is refused before anything is built."""
     if recipe.base < 4:
         raise ValueError("gate base cycle needs at least 4 vertices")
+    # checked up front so that vertex_count() cannot be pulled under the
+    # bound by a negative path length
+    if any(step.path_len < 2 for step in recipe.steps):
+        raise ValueError("extension path length must be at least 2")
+    if recipe.vertex_count() > PARSE_VERTEX_BOUND:
+        raise BoundExceededError(
+            f"gate limited to {PARSE_VERTEX_BOUND} vertices, recipe has {recipe.vertex_count()}"
+        )
     graph = cycle_graph(recipe.base)
     cliques = tuple(enumerate_maximal_cliques(graph))
     for step in recipe.steps:

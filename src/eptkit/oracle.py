@@ -251,59 +251,47 @@ def _assign_cliques(
     deadline: _Deadline,
 ) -> list[int] | None:
     """Backtracking bijection cliques -> tree edges; returns the span
-    mask per graph vertex on success."""
-    n_g = len(adj_self)
-    spans = [0] * n_g
-    anchors = [-1] * n_g
-    covered = [0] * shape.m
-    used = 0
+    mask per graph vertex on success.
 
-    # journal entries: (0, edge, vertex) = coverage bit to clear;
-    # (1, vertex, old span) = span to restore
-    def place(ci: int, j: int, journal: list[tuple[int, int, int]]) -> bool:
+    Each level places its clique, for every candidate edge, on its own
+    copies of spans (edge mask per graph vertex) and covered (graph-vertex
+    mask per tree edge), and passes the used edges down as an argument,
+    so a failed candidate is dropped with its copies and nothing is undone.
+
+    A vertex's span grows from any tree vertex w it already holds, here
+    the first end of its lowest edge: the span S is connected, so for
+    the vertex p of S nearest a new end a, path(w, a) runs inside S up
+    to p and then along path(p, a), and S | path(w, a) = S | path(p, a)
+    whichever w is taken.
+    """
+    level0, level1 = shape.orbit_masks()
+    full = (1 << shape.m) - 1
+
+    def place(ci: int, j: int, spans: list[int], covered: list[int]) -> bool:
         a, b = shape.edges[j]
         for v in cliques[ci]:
             old = spans[v]
-            if anchors[v] < 0:
-                anchors[v] = a
-                new = 1 << j
-            else:
-                w0 = anchors[v]
-                new = old | shape.path_mask[w0][a] | shape.path_mask[w0][b]
-            if new != old and not shape.span_is_path(new):
+            # an empty span grows from a, to edge j alone
+            w = shape.edges[(old & -old).bit_length() - 1][0] if old else a
+            new = old | shape.path_mask[w][a] | shape.path_mask[w][b]
+            if new == old:
+                continue
+            if not shape.span_is_path(new):
                 return False
+            spans[v] = new
             delta = new & ~old
-            bit = 1 << v
             while delta:
                 e = (delta & -delta).bit_length() - 1
                 if covered[e] & ~adj_self[v]:
                     return False
-                covered[e] |= bit
-                journal.append((0, e, v))
+                covered[e] |= 1 << v
                 delta &= delta - 1
-            if new != old:
-                journal.append((1, v, old))
-                spans[v] = new
         return True
 
-    def undo(journal: list[tuple[int, int, int]], fresh_anchor: list[int]) -> None:
-        for kind, x, y in reversed(journal):
-            if kind == 0:
-                covered[x] &= ~(1 << y)
-            else:
-                spans[x] = y
-        for v in fresh_anchor:
-            anchors[v] = -1
-
-    level0, level1 = shape.orbit_masks()
-    full = (1 << shape.m) - 1
-
-    def search(i: int) -> bool:
-        nonlocal used
+    def search(i: int, used: int, spans: list[int], covered: list[int]) -> list[int] | None:
         deadline.check()
         if i == len(order):
-            return True
-        ci = order[i]
+            return spans
         if i == 0:
             free = level0
         elif i == 1:
@@ -313,38 +301,22 @@ def _assign_cliques(
         while free:
             j = (free & -free).bit_length() - 1
             free &= free - 1
-            journal: list[tuple[int, int, int]] = []
-            fresh = [v for v in cliques[ci] if anchors[v] < 0]
-            used |= 1 << j
-            if place(ci, j, journal) and search(i + 1):
-                return True
-            undo(journal, fresh)
-            used &= ~(1 << j)
-        return False
+            next_spans, next_covered = spans[:], covered[:]
+            if place(order[i], j, next_spans, next_covered):
+                found = search(i + 1, used | 1 << j, next_spans, next_covered)
+                if found is not None:
+                    return found
+        return None
 
-    return spans if search(0) else None
+    return search(0, 0, [0] * len(adj_self), [0] * shape.m)
 
 
 def _span_to_path(shape: TreeShape, mask: int) -> TreePath:
-    """Vertex sequence of a path-shaped span, walked from its lowest
-    endpoint."""
-    degree = {}
-    for q in range(shape.n):
-        d = (mask & shape.incident[q]).bit_count()
-        if d:
-            degree[q] = d
-    ends = sorted(q for q, d in degree.items() if d == 1)
-    walk = [ends[0]]
-    prev = -1
-    while len(walk) < len(degree):
-        cur = walk[-1]
-        for w in sorted(shape.graph.neighbors(cur)):
-            e = shape.edges.index((cur, w) if cur < w else (w, cur))
-            if w != prev and mask >> e & 1:
-                walk.append(w)
-                prev = cur
-                break
-    return tuple(walk)
+    """Vertex sequence of a path-shaped span from its lowest endpoint,
+    that is its tree vertices by their distance from that end."""
+    on = [q for q in range(shape.n) if mask & shape.incident[q]]
+    start = next(q for q in on if (mask & shape.incident[q]).bit_count() == 1)
+    return tuple(sorted(on, key=lambda q: shape.path_mask[start][q].bit_count()))
 
 
 def _scan(g: Graph, budget_secs: float) -> EptRepresentation | None:

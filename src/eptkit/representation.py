@@ -366,6 +366,8 @@ def find_multipie(
     if recipe is None or recipe.clique_count() != k:
         raise ValueError(f"vertices {gate_vertices} do not induce a {k}-gate")
     members = tuple(sorted(gate_vertices))
+    if find_claw_violation(rep, members) is not None:
+        raise RuntimeError("no multipie found: broken representation or bad gate")
     for center in range(rep.tree.n):
         if rep.tree.degree(center) < k:
             continue
@@ -380,8 +382,6 @@ def find_multipie(
             continue
         coverage = {q: sum(q in a for a in ends.values()) for q in spoke_set}
         if any(c < 2 for c in coverage.values()):
-            continue
-        if find_claw_violation(rep, members) is not None:
             continue
         return MultipieWitness(
             center,

@@ -7,6 +7,7 @@ clique budget and are excluded from membership scans; the exclusion is
 re-justified by the bound inside the fixture.
 """
 
+import hashlib
 import itertools
 import random
 import time
@@ -48,6 +49,7 @@ from eptkit.representation import (
     find_pie,
     is_helly,
     max_host_degree,
+    representation_to_text,
     star_representation,
     verify,
 )
@@ -251,6 +253,30 @@ def test_atom_test_on_whole_corpus(corpus7, helly_corpus):
     # 385 of 398 in-cap non-members fail the atom test; all 11 excluded
     # graphs do, so they get a witness instead of BoundExceededError
     assert counts == {(True, True): 385, (True, False): 13, (False, True): 11}
+
+
+# sha256 over representation_to_text of every corpus member's
+# certificate in fixture order, and over those of the members under one
+# random.Random(20261018) relabelling each
+CORPUS_CERTIFICATES_SHA256 = "27d7b5f632b35079e63e4a959e1cb9711decfa1914d7d5a062355d1c5cd8b73a"
+RELABELLED_CERTIFICATES_SHA256 = "690d6922974075cd4c78437c15769e80a81420529558b190a4dc200b809e1751"
+
+
+def test_corpus_certificates_pinned(helly_corpus):
+    # the scan's certificates are byte-stable for all 587 members, not
+    # only for the few pinned in test_oracle.py
+    given = hashlib.sha256()
+    relabelled = hashlib.sha256()
+    rng = random.Random(20261018)
+    for g, rep in helly_corpus:
+        given.update(representation_to_text(rep).encode())
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        h = Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+        rep_h = oracle_membership(h, budget_secs=MEMBERSHIP_BUDGET_SECS)
+        relabelled.update(representation_to_text(rep_h).encode())
+    assert given.hexdigest() == CORPUS_CERTIFICATES_SHA256
+    assert relabelled.hexdigest() == RELABELLED_CERTIFICATES_SHA256
 
 
 def test_criterion_8_gate_invariants():

@@ -12,6 +12,7 @@ from eptkit.cli import main
 from eptkit.graphs import (
     PARSE_VERTEX_BOUND,
     Graph,
+    complete_graph,
     cycle_graph,
     graph_to_text,
     parse_graph,
@@ -84,6 +85,18 @@ def test_recognize_with_bound(capsys, c5_file):
     assert (code, out) == (0, "member\n")
     code, out, _ = run(capsys, "recognize", c5_file, "--h", "4")
     assert (code, out) == (1, "not-member\n")
+
+
+@pytest.mark.parametrize("h", ["1", "-3"])
+def test_recognize_h_below_two(capsys, tmp_path, h):
+    # K3 lies on a one-edge host, so "not-member" would be wrong; the
+    # bound is refused before the graph is read, even a missing one
+    k3 = tmp_path / "k3.txt"
+    k3.write_text(graph_to_text(complete_graph(3)))
+    for path in (str(k3), str(tmp_path / "missing.txt")):
+        code, out, err = run(capsys, "recognize", path, "--h", h)
+        assert (code, out) == (2, "")
+        assert "membership test requires h >= 2" in err
 
 
 def test_recognize_non_member(capsys, s3_file):
@@ -203,6 +216,13 @@ def test_gen_gate_errors(capsys):
     assert code == 2 and "want A,B,L" in err
     code, _, err = run(capsys, "gen-gate", "--base", "4", "--extend", "0,1,2")
     assert code == 2 and "not disjoint" in err
+
+
+def test_gen_gate_over_vertex_bound(capsys):
+    # 4 + 9997 vertices: refused before anything is built
+    code, out, err = run(capsys, "gen-gate", "--base", "4", "--extend", "0,3,9997")
+    assert (code, out) == (3, "")
+    assert "limited to 10000 vertices" in err
 
 
 def test_catalog(capsys, tmp_path):

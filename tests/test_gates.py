@@ -19,6 +19,7 @@ from eptkit.gates import (
     rewire_gate,
 )
 from eptkit.graphs import (
+    PARSE_VERTEX_BOUND,
     BoundExceededError,
     Graph,
     canonical_form,
@@ -73,6 +74,15 @@ def test_extension_validation():
         build_gate(GateRecipe(4, (ExtensionStep(0, 3, 1),)))
     with pytest.raises(ValueError, match="not disjoint"):
         build_gate(GateRecipe(4, (ExtensionStep(0, 1, 2),)))
+
+
+def test_build_gate_checks_vertex_count_first():
+    # refused by arithmetic on the recipe, before the cycle is built
+    with pytest.raises(BoundExceededError, match="limited to"):
+        build_gate(GateRecipe(PARSE_VERTEX_BOUND + 1))
+    # a negative path length cannot pull the count under the bound
+    with pytest.raises(ValueError, match="path length"):
+        build_gate(GateRecipe(PARSE_VERTEX_BOUND + 1, (ExtensionStep(0, 2, -5),)))
 
 
 def test_two_clique_property():
