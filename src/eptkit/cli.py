@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import time
 from pathlib import Path
 
 from . import decomposition, gates, oracle, recognition, representation
@@ -50,16 +51,21 @@ def _emit(payload: str, output: str | None) -> None:
 
 
 def _component_results(g: Graph, budget: float | None):
+    """One result per connected component; the budget holds for all of
+    them together, each component getting what the earlier ones left."""
+    budget = oracle.resolve_budget_secs(budget)
     if is_connected(g):
         return [recognition.cheapest_representation(g, budget_secs=budget)]
     print(
         "warning: disconnected input, reporting the maximum over components",
         file=sys.stderr,
     )
+    start = time.monotonic()
     results = []
     for comp in connected_components(g):
         sub, _ = induced_subgraph(g, comp)
-        results.append(recognition.cheapest_representation(sub, budget_secs=budget))
+        left = max(0.0, budget - (time.monotonic() - start))
+        results.append(recognition.cheapest_representation(sub, budget_secs=left))
     return results
 
 

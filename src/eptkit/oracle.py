@@ -10,7 +10,9 @@ unchosen edges leaves each path being exactly the edges of its
 vertex's cliques. The search therefore assigns cliques to tree edges
 and accepts when every vertex's span (the minimal subtree covering its
 cliques' edges) is a path and spans of non-adjacent vertices share no
-edge; accepted assignments are Helly representations verbatim.
+edge; accepted assignments are Helly representations verbatim. A span
+is a path exactly when its edge mask is a key of the shape's table of
+tree paths (TreeShape.paths), whose value is the certificate's path.
 
 Tree candidates are scanned as unlabeled shapes in ascending order of
 maximum degree, so the first accepting shape realizes the minimum host
@@ -57,15 +59,11 @@ class BudgetExhaustedError(RuntimeError):
     """The wall-clock budget ran out before the search space did."""
 
 
-def default_budget_secs() -> float:
-    return float(os.environ.get("EPTKIT_BUDGET_SECS", "60"))
-
-
 def resolve_budget_secs(budget_secs: float | None) -> float:
-    """budget_secs, or default_budget_secs() when None; a NaN or
-    negative budget is a ValueError."""
+    """budget_secs, or when None EPTKIT_BUDGET_SECS (60 when unset); a
+    NaN or negative budget is a ValueError."""
     if budget_secs is None:
-        budget_secs = default_budget_secs()
+        budget_secs = float(os.environ.get("EPTKIT_BUDGET_SECS", "60"))
     # NaN compares false with everything, so it would switch the budget
     # off instead of being rejected
     if not budget_secs >= 0:
@@ -75,12 +73,16 @@ def resolve_budget_secs(budget_secs: float | None) -> float:
 
 class TreeShape:
     """One unlabeled host-tree shape, pinned as a labeled representative
-    with precomputed edge-index masks for the assignment search."""
+    with precomputed edge-index masks for the assignment search.
 
-    __slots__ = (
-        "graph", "n", "m", "edges", "max_degree", "incident", "path_mask",
-        "_path_memo", "_orbit_masks",
-    )
+    paths maps the edge mask of the tree path between tree vertices
+    a < b to its vertex sequence from a, one entry per pair. A connected
+    edge set of a tree is a path exactly when it is the tree path
+    between two of its vertices, so a connected span is a path exactly
+    when it is a key, and its value lists the path from its
+    lower-numbered end."""
+
+    __slots__ = ("graph", "n", "m", "edges", "max_degree", "path_mask", "paths", "_orbit_masks")
 
     def __init__(self, graph: Graph):
         self.graph = graph
@@ -89,36 +91,23 @@ class TreeShape:
         self.m = len(self.edges)
         self.max_degree = max((graph.degree(v) for v in range(graph.n)), default=0)
         index = {e: i for i, e in enumerate(self.edges)}
-        self.incident = [0] * self.n
-        for i, (a, b) in enumerate(self.edges):
-            self.incident[a] |= 1 << i
-            self.incident[b] |= 1 << i
         # path_mask[a][b]: edge-index mask of the tree path from a to b
         self.path_mask = [[0] * self.n for _ in range(self.n)]
+        self.paths: dict[int, TreePath] = {}
         for root in range(self.n):
+            seq = {root: (root,)}
             stack = [root]
-            seen = {root}
             while stack:
                 u = stack.pop()
                 for w in graph.neighbors(u):
-                    if w not in seen:
-                        seen.add(w)
+                    if w not in seq:
+                        seq[w] = seq[u] + (w,)
                         e = index[(u, w) if u < w else (w, u)]
                         self.path_mask[root][w] = self.path_mask[root][u] | 1 << e
+                        if root < w:
+                            self.paths[self.path_mask[root][w]] = seq[w]
                         stack.append(w)
-        self._path_memo: dict[int, bool] = {}
         self._orbit_masks: tuple[int, dict[int, int]] | None = None
-
-    def span_is_path(self, mask: int) -> bool:
-        """Whether a span mask (connected by construction) has maximum
-        degree 2, i.e. forms a path."""
-        cached = self._path_memo.get(mask)
-        if cached is None:
-            cached = all(
-                (mask & inc).bit_count() <= 2 for inc in self.incident
-            )
-            self._path_memo[mask] = cached
-        return cached
 
     def orbit_masks(self) -> tuple[int, dict[int, int]]:
         """Candidate edges for the first two cliques of the assignment
@@ -210,9 +199,9 @@ def tree_shapes(m: int) -> tuple[TreeShape, ...]:
             form = canonical_form(h)
             if form not in grown:
                 grown[form] = h
-    shapes = [TreeShape(g) for g in grown.values()]
-    shapes.sort(key=lambda s: (s.max_degree, canonical_form(s.graph)))
-    return tuple(shapes)
+    shapes = {form: TreeShape(g) for form, g in grown.items()}
+    ranked = sorted(shapes, key=lambda form: (shapes[form].max_degree, form))
+    return tuple(shapes[form] for form in ranked)
 
 
 def _clique_order(cliques: tuple[VertexSet, ...]) -> list[int]:
@@ -234,7 +223,7 @@ class _Deadline:
     __slots__ = ("at", "ticks")
 
     def __init__(self, budget_secs: float):
-        self.at = time.monotonic() + resolve_budget_secs(budget_secs)
+        self.at = time.monotonic() + budget_secs
         self.ticks = 0
 
     def check(self) -> None:
@@ -251,7 +240,7 @@ def _assign_cliques(
     deadline: _Deadline,
 ) -> list[int] | None:
     """Backtracking bijection cliques -> tree edges; returns the span
-    mask per graph vertex on success.
+    mask per graph vertex on success, each a key of shape.paths.
 
     Each level places its clique, for every candidate edge, on its own
     copies of spans (edge mask per graph vertex) and covered (graph-vertex
@@ -262,7 +251,8 @@ def _assign_cliques(
     the first end of its lowest edge: the span S is connected, so for
     the vertex p of S nearest a new end a, path(w, a) runs inside S up
     to p and then along path(p, a), and S | path(w, a) = S | path(p, a)
-    whichever w is taken.
+    whichever w is taken. Spans are thus connected, so a grown span is
+    a path exactly when it is a key of shape.paths, the test place makes.
     """
     level0, level1 = shape.orbit_masks()
     full = (1 << shape.m) - 1
@@ -276,7 +266,7 @@ def _assign_cliques(
             new = old | shape.path_mask[w][a] | shape.path_mask[w][b]
             if new == old:
                 continue
-            if not shape.span_is_path(new):
+            if new not in shape.paths:
                 return False
             spans[v] = new
             delta = new & ~old
@@ -311,14 +301,6 @@ def _assign_cliques(
     return search(0, 0, [0] * len(adj_self), [0] * shape.m)
 
 
-def _span_to_path(shape: TreeShape, mask: int) -> TreePath:
-    """Vertex sequence of a path-shaped span from its lowest endpoint,
-    that is its tree vertices by their distance from that end."""
-    on = [q for q in range(shape.n) if mask & shape.incident[q]]
-    start = next(q for q in on if (mask & shape.incident[q]).bit_count() == 1)
-    return tuple(sorted(on, key=lambda q: shape.path_mask[start][q].bit_count()))
-
-
 def _scan(g: Graph, budget_secs: float) -> EptRepresentation | None:
     """The representation on the first accepting shape, which has the
     minimum host degree over all bijection trees, or None."""
@@ -337,8 +319,7 @@ def _scan(g: Graph, budget_secs: float) -> EptRepresentation | None:
         spans = _assign_cliques(shape, cliques, order, adj_self, deadline)
         if spans is not None:
             tree = HostTree(shape.n, shape.edges)
-            paths = tuple(_span_to_path(shape, mask) for mask in spans)
-            return EptRepresentation(tree, paths)
+            return EptRepresentation(tree, tuple(shape.paths[mask] for mask in spans))
     return None
 
 

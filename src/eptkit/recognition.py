@@ -19,6 +19,7 @@ degree h is equivalent to an induced gate with more than h cliques
 from __future__ import annotations
 
 import itertools
+import time
 from collections import Counter
 from dataclasses import dataclass
 
@@ -175,9 +176,11 @@ def cheapest_representation(g: Graph, budget_secs: float | None = None) -> Recog
     needs degree 4).
 
     The budget is resolved and checked first, so a NaN or negative one
-    is a ValueError on every route.
+    is a ValueError on every route. It runs from the start of the call:
+    the scan gets what the atom test left, none when it took it all.
     """
     budget_secs = resolve_budget_secs(budget_secs)
+    start = time.monotonic()
     k = 1
     if not is_chordal(g):
         for atom, vertices in atoms(g):
@@ -185,7 +188,7 @@ def cheapest_representation(g: Graph, budget_secs: float | None = None) -> Recog
             if len(cliques) > 1 and not _is_line_like(cliques):
                 return RecognitionResult(False, None, None, obstruction=vertices)
             k = max(k, len(cliques))
-    rep = is_helly_ept(g, budget_secs)
+    rep = is_helly_ept(g, max(0.0, budget_secs - (time.monotonic() - start)))
     if rep is None:
         return RecognitionResult(False, None, None)
     if k <= 3:

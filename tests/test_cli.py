@@ -5,9 +5,11 @@ import ast
 import importlib
 import io
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
+from eptkit import cli
 from eptkit.cli import main
 from eptkit.graphs import (
     PARSE_VERTEX_BOUND,
@@ -18,6 +20,7 @@ from eptkit.graphs import (
     parse_graph,
     path_graph,
 )
+from eptkit.recognition import RecognitionResult
 from eptkit.representation import (
     is_helly,
     max_host_degree,
@@ -303,6 +306,32 @@ def test_oracle_nan_budget(capsys, tmp_path, monkeypatch):
     code, out, err = run(capsys, "oracle", str(p))
     assert (code, out) == (2, "")
     assert "got nan" in err
+
+
+def test_components_share_the_budget(capsys, monkeypatch):
+    budgets = []
+
+    def record(g, budget_secs):
+        budgets.append(budget_secs)
+        return RecognitionResult(True, 2, None)
+
+    monkeypatch.setattr(cli.recognition, "cheapest_representation", record)
+    # read once before the first component and once before each one
+    clock = iter([10.0, 10.0, 11.0, 13.0])
+    monkeypatch.setattr(cli, "time", SimpleNamespace(monotonic=lambda: next(clock)))
+    three_edges = graph_to_text(Graph(6, [(0, 1), (2, 3), (4, 5)]))
+    monkeypatch.setattr("sys.stdin", io.StringIO(three_edges))
+    code, out, _ = run(capsys, "cheapest", "-", "--budget-secs", "2.5")
+    assert (code, out) == (0, "helly-ept h=2\n")
+    assert budgets == [2.5, 1.5, 0.0]
+    # a connected input gets the whole budget, resolved from the
+    # environment once
+    budgets.clear()
+    monkeypatch.setenv("EPTKIT_BUDGET_SECS", "7")
+    monkeypatch.setattr("sys.stdin", io.StringIO(graph_to_text(path_graph(3))))
+    code, out, _ = run(capsys, "cheapest", "-")
+    assert (code, out) == (0, "helly-ept h=2\n")
+    assert budgets == [7.0]
 
 
 def test_nan_budget_before_the_atom_test(capsys, monkeypatch):

@@ -1,6 +1,7 @@
 """Exhaustive representation oracle: trees, shapes, membership, corpus."""
 
 import itertools
+from collections import Counter
 
 import pytest
 
@@ -109,6 +110,28 @@ def test_orbit_masks_match_brute_force():
         for r, mask in level1.items():
             expected = brute_orbit_representatives(shape, automorphisms, fixed=r)
             assert mask == expected & ~(1 << r), (shape.edges, r)
+
+
+def test_shape_paths_match_brute_force():
+    shapes = [s for m in range(8) for s in tree_shapes(m)]
+    assert len(shapes) == 48
+    for shape in shapes:
+        assert len(shape.paths) == shape.n * (shape.n - 1) // 2, shape.edges
+        for mask in range(1, 1 << shape.m):
+            edges = {e for j, e in enumerate(shape.edges) if mask >> j & 1}
+            touched = Counter(v for e in edges for v in e)
+            # an edge set of a forest is connected when it touches one
+            # vertex more than it has edges
+            if len(touched) != len(edges) + 1:
+                continue
+            is_path = max(touched.values()) <= 2
+            assert (mask in shape.paths) == is_path, (shape.edges, mask)
+            if is_path:
+                path = shape.paths[mask]
+                ends = [v for v, d in touched.items() if d == 1]
+                assert path[0] == min(ends) and path[-1] == max(ends), (shape.edges, path)
+                assert len(path) == len(set(path)) == len(edges) + 1
+                assert {(min(p, q), max(p, q)) for p, q in zip(path, path[1:])} == edges
 
 
 @pytest.mark.parametrize("g, text", [

@@ -2,6 +2,7 @@
 route, atom formula, crosscheck."""
 
 import itertools
+from types import SimpleNamespace
 
 import pytest
 
@@ -190,6 +191,21 @@ def test_chordal_input_skips_the_decomposition(monkeypatch):
     monkeypatch.setattr(recognition, "atoms", refuse("atoms"))
     result = cheapest_representation(W09)
     assert result.helly_ept and result.h == 3
+
+
+def test_scan_gets_what_the_atom_test_left(monkeypatch):
+    budgets = []
+
+    def record(g, budget_secs):
+        budgets.append(budget_secs)
+
+    monkeypatch.setattr(recognition, "is_helly_ept", record)
+    # each call reads the clock once before and once after the atom test
+    clock = iter([100.0, 101.5, 200.0, 203.0])
+    monkeypatch.setattr(recognition, "time", SimpleNamespace(monotonic=lambda: next(clock)))
+    for _ in range(2):
+        assert not cheapest_representation(cycle_graph(6), budget_secs=2.5).helly_ept
+    assert budgets == [1.0, 0.0]
 
 
 def test_atom_test_names_the_failing_atom():
