@@ -176,9 +176,7 @@ def _cmd_catalog(args) -> int:
 
 def _cmd_oracle(args) -> int:
     g = _read_graph(args.file)
-    rep = oracle.oracle_membership(
-        g, degree_bound=args.max_degree, budget_secs=args.budget_secs
-    )
+    rep = oracle.oracle_membership(g, budget_secs=args.budget_secs)
     if rep is None:
         print("none")
         return EXIT_NO
@@ -194,14 +192,14 @@ def _cmd_verify_rep(args) -> int:
     if not ok:
         print(f"mismatch: {why}")
         return EXIT_NO
-    witnesses = representation.clique_witnesses(rep)
-    # is_helly's criterion: every maximal clique is an edge-clique
-    helly = all(isinstance(w, representation.EdgeClique) for _, w in witnesses)
+    helly, _ = representation.is_helly(rep)
     degree = representation.max_host_degree(rep)
     print(f"ok helly={'true' if helly else 'false'} degree={degree}")
-    for c, witness in witnesses:
+    for c, witness in representation.clique_witnesses(rep):
         members = " ".join(str(v) for v in c)
-        if isinstance(witness, representation.EdgeClique):
+        if witness is None:
+            print(f"clique {members}: single-vertex path, no edge")
+        elif isinstance(witness, representation.EdgeClique):
             a, b = witness.edge
             print(f"clique {members}: edge-clique ({a},{b})")
         else:
@@ -265,7 +263,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle", help="exhaustive Helly representation search")
     p.add_argument("file")
-    p.add_argument("--max-degree", type=int, default=None)
     p.add_argument("--output", default=None)
     add_budget(p)
     p.set_defaults(run=_cmd_oracle)

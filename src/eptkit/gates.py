@@ -231,17 +231,17 @@ def enumerate_gates(max_vertices: int = CATALOG_VERTEX_BOUND) -> dict[bytes, Gat
     return dict(_catalog(max_vertices))
 
 
-def is_gate(g: Graph, max_vertices: int = CATALOG_VERTEX_BOUND) -> GateRecipe | None:
+def is_gate(g: Graph) -> GateRecipe | None:
     """The catalog recipe for g's isomorphism class, if g is a gate."""
-    if g.n > max_vertices:
+    if g.n > CATALOG_VERTEX_BOUND:
         raise BoundExceededError(
-            f"gate lookup limited to {max_vertices} vertices, got {g.n}"
+            f"gate lookup limited to {CATALOG_VERTEX_BOUND} vertices, got {g.n}"
         )
     if g.n < 4 or not is_connected(g):
         return None
     if not _two_clique_split(_adjacency_masks(g), (1 << g.n) - 1)[0]:
         return None
-    return _catalog(max_vertices).get(canonical_form(g))
+    return _catalog(CATALOG_VERTEX_BOUND).get(canonical_form(g))
 
 
 def rewire_gate(gate: LabeledGate, v: int, t: int) -> LabeledGate:
@@ -250,7 +250,7 @@ def rewire_gate(gate: LabeledGate, v: int, t: int) -> LabeledGate:
     v's maximal cliques C1 and C2 (there are exactly two) lose v; w_1 is
     joined to all of C1 - v and w_t to all of C2 - v. The survivors keep
     their relative order and the path vertices come last. The result is
-    again a gate; its catalog recipe is attached.
+    again a gate; is_gate attaches its recipe, or refuses above 12 vertices.
     """
     g = gate.graph
     if not 0 <= v < g.n:
@@ -263,14 +263,13 @@ def rewire_gate(gate: LabeledGate, v: int, t: int) -> LabeledGate:
     c1, c2 = sorted((tuple(sorted(c)) for c in holding))
     keep = [u for u in range(g.n) if u != v]
     pos = {u: i for i, u in enumerate(keep)}
-    n_new = len(keep) + t
     first = len(keep)
     edges = [(pos[a], pos[b]) for a, b in g.edges if a != v and b != v]
     edges.extend((first + i, first + i + 1) for i in range(t - 1))
     edges.extend((pos[u], first) for u in c1 if u != v)
     edges.extend((pos[u], first + t - 1) for u in c2 if u != v)
-    rewired = Graph(n_new, edges)
-    recipe = is_gate(rewired, max_vertices=max(CATALOG_VERTEX_BOUND, n_new))
+    rewired = Graph(len(keep) + t, edges)
+    recipe = is_gate(rewired)
     if recipe is None:
         raise RuntimeError("rewiring failed to produce a cataloged gate")
     return LabeledGate(rewired, tuple(enumerate_maximal_cliques(rewired)), recipe)

@@ -176,32 +176,40 @@ def graph_to_dot(g: Graph, name: str = "g") -> str:
 def enumerate_maximal_cliques(g: Graph) -> list[VertexSet]:
     """All maximal cliques, each sorted, listed in lexicographic order.
 
-    Bron-Kerbosch with pivoting; the pivot is the lowest-index vertex
-    maximizing candidate coverage, which keeps the recursion
-    deterministic.
+    Bron-Kerbosch with pivoting, on its own stack rather than Python's;
+    the pivot is the lowest-index vertex maximizing candidate coverage.
     """
     if g.n == 0:
         return []
     adj = g._adj
     out: list[VertexSet] = []
 
-    def expand(r: list[int], p: set[int], x: set[int]) -> None:
-        if not p and not x:
-            out.append(tuple(sorted(r)))
-            return
-        pivot = -1
-        best = -1
+    def frame(r: list[int], p: set[int], x: set[int]):
+        # no vertex of p covers itself, so none covers more than cap
+        cap = len(p) if x else len(p) - 1
+        pivot = best = -1
         for u in sorted(p | x):
             c = len(p & adj[u])
             if c > best:
-                best = c
-                pivot = u
-        for v in sorted(p - adj[pivot]):
-            expand(r + [v], p & adj[v], x & adj[v])
-            p.remove(v)
-            x.add(v)
+                best, pivot = c, u
+                if c == cap:
+                    break
+        return r, p, x, iter(sorted(p - adj[pivot]))
 
-    expand([], set(range(g.n)), set())
+    stack = [frame([], set(range(g.n)), set())]
+    while stack:
+        r, p, x, branch = stack[-1]
+        v = next(branch, None)
+        if v is None:
+            stack.pop()
+            continue
+        child_p, child_x = p & adj[v], x & adj[v]
+        p.remove(v)
+        x.add(v)
+        if child_p:
+            stack.append(frame(r + [v], child_p, child_x))
+        elif not child_x:
+            out.append(tuple(sorted(r + [v])))
     out.sort()
     return out
 
@@ -246,21 +254,26 @@ def find_chordless_cycle_ge(g: Graph, len_min: int = 4) -> VertexSet | None:
     """First chordless cycle with at least len_min vertices, in cycle order.
 
     Grows induced paths from each start vertex (the cycle minimum), so a
-    returned cycle carries no chords by construction. Exponential in the
-    worst case, fine at the intended scale.
+    returned cycle carries no chords by construction. The depth-first
+    search runs on its own stack rather than Python's. Exponential in
+    the worst case, fine at the intended scale.
     """
     if len_min < 4:
         raise ValueError("len_min must be at least 4")
     adj = g._adj
-
-    def extend(path: list[int], on_path: set[int]) -> VertexSet | None:
-        s = path[0]
-        last = path[-1]
-        interior = path[1:-1]
-        for u in sorted(adj[last]):
-            if u <= s or u in on_path:
+    for s in range(g.n):
+        path = [s]
+        # branches[i] walks the neighbours of path[i]
+        branches = [iter(sorted(adj[s]))]
+        while branches:
+            u = next(branches[-1], None)
+            if u is None:
+                branches.pop()
+                path.pop()
                 continue
-            if any(u in adj[w] for w in interior):
+            if u <= s or u in path:
+                continue
+            if any(u in adj[w] for w in path[1:-1]):
                 continue
             if len(path) >= 2 and u in adj[s]:
                 if len(path) + 1 >= len_min:
@@ -268,18 +281,7 @@ def find_chordless_cycle_ge(g: Graph, len_min: int = 4) -> VertexSet | None:
                 # closing chord makes any longer cycle through u impossible
                 continue
             path.append(u)
-            on_path.add(u)
-            found = extend(path, on_path)
-            if found is not None:
-                return found
-            path.pop()
-            on_path.remove(u)
-        return None
-
-    for s in range(g.n):
-        found = extend([s], {s})
-        if found is not None:
-            return found
+            branches.append(iter(sorted(adj[u])))
     return None
 
 

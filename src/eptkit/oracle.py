@@ -16,10 +16,10 @@ tree paths (TreeShape.paths), whose value is the certificate's path.
 
 Tree candidates are scanned as unlabeled shapes in ascending order of
 maximum degree, so the first accepting shape realizes the minimum host
-degree over all bijection trees and one scan per graph answers every
-bounded membership query. Contracting edges merges tree vertices, so
-that minimum can exceed the cheapest host degree of the graph, which
-recognition.cheapest_representation computes.
+degree over all bijection trees. Contracting edges merges tree
+vertices, so that minimum can exceed the cheapest host degree of the
+graph: the scan's degree is not an answer to "is G in Helly [h,2,2]?",
+which recognition.cheapest_representation answers.
 
 Orbit pruning (after McKay & Piperno's orbit pruning in nauty): the
 first clique in assignment order is tried only on the lowest-index edge
@@ -329,25 +329,18 @@ SCAN_CACHE_SIZE = 4096
 _scan_cache: collections.OrderedDict[Graph, EptRepresentation | None] = collections.OrderedDict()
 
 
-def oracle_membership(
-    g: Graph,
-    degree_bound: int | None = None,
-    budget_secs: float | None = None,
-) -> EptRepresentation | None:
-    """A verified Helly representation of g with host degree at most
-    degree_bound (when given), or None after exhausting all bijection
-    trees. Raises BudgetExhaustedError when time runs out first, and
-    ValueError for a NaN or negative budget, cached or not."""
+def oracle_membership(g: Graph, *, budget_secs: float | None = None) -> EptRepresentation | None:
+    """A verified Helly representation of g on the first accepting
+    bijection tree, or None after exhausting all of them. Raises
+    BudgetExhaustedError when time runs out first, and ValueError for a
+    NaN or negative budget, cached or not."""
     budget_secs = resolve_budget_secs(budget_secs)
     if g in _scan_cache:
         _scan_cache.move_to_end(g)
-        rep = _scan_cache[g]
-    else:
-        rep = _scan_cache[g] = _scan(g, budget_secs)
-        if len(_scan_cache) > SCAN_CACHE_SIZE:
-            _scan_cache.popitem(last=False)
-    if rep is not None and degree_bound is not None and rep.tree.max_degree() > degree_bound:
-        return None
+        return _scan_cache[g]
+    rep = _scan_cache[g] = _scan(g, budget_secs)
+    if len(_scan_cache) > SCAN_CACHE_SIZE:
+        _scan_cache.popitem(last=False)
     return rep
 
 

@@ -22,7 +22,7 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
-from .gates import CATALOG_VERTEX_BOUND, LabeledGate, is_gate
+from .gates import LabeledGate, is_gate
 from .graphs import (
     Edge,
     Graph,
@@ -256,34 +256,39 @@ def classify_clique(
     rep: EptRepresentation, c: VertexSet
 ) -> EdgeClique | ClawClique:
     """Witness for a maximal clique c: a tree edge e with K_e = c when
-    one exists, else a claw Y with K_Y = c. Raises when c is not a
-    maximal clique, or when no witness exists (which would contradict
-    the clique structure of edge-intersection representations and
-    signals a broken input)."""
+    one exists, else a claw Y with K_Y = c. Raises ValueError when c is
+    not a maximal clique or is {v} for a single-vertex path, and
+    RuntimeError when another clique has no witness (which signals a
+    broken input)."""
     target = tuple(sorted(c))
     for clique, witness in clique_witnesses(rep):
         if clique == target:
+            if witness is None:
+                raise ValueError(f"{c} is the clique of a single-vertex path, which has no edge")
             return witness
     raise ValueError(f"{c} is not a maximal clique of the derived graph")
 
 
 def clique_witnesses(
     rep: EptRepresentation,
-) -> list[tuple[VertexSet, EdgeClique | ClawClique]]:
+) -> list[tuple[VertexSet, EdgeClique | ClawClique | None]]:
     """Every maximal clique of the derived graph, in the order of
-    enumerate_maximal_cliques, paired with its classify_clique witness.
-    Builds the derived graph and its cliques once."""
+    enumerate_maximal_cliques, paired with its classify_clique witness,
+    or with None for the clique {v} of a single-vertex path, which no
+    K_e or K_Y holds. Builds the derived graph and its cliques once."""
     edge_of: dict[VertexSet, Edge] = {}
     for e in rep.tree.edges:
         edge_of.setdefault(clique_of_edge(rep, e), e)
-    out: list[tuple[VertexSet, EdgeClique | ClawClique]] = []
+    out: list[tuple[VertexSet, EdgeClique | ClawClique | None]] = []
     for c in enumerate_maximal_cliques(edge_intersection_graph(rep)):
         e = edge_of.get(c)
         out.append((c, EdgeClique(e) if e is not None else _claw_witness(rep, c)))
     return out
 
 
-def _claw_witness(rep: EptRepresentation, c: VertexSet) -> ClawClique:
+def _claw_witness(rep: EptRepresentation, c: VertexSet) -> ClawClique | None:
+    if len(rep.paths[c[0]]) == 1:  # c is {v}, and v's path has no edge
+        return None
     for center in range(rep.tree.n):
         if rep.tree.degree(center) < 3:
             continue
@@ -303,10 +308,11 @@ def is_helly(rep: EptRepresentation) -> tuple[bool, VertexSet | None]:
     a complete set, so it lies inside some maximal clique C; when
     C = K_e all its paths share e. Conversely a claw-clique contains
     three paths forming a claw, which pairwise intersect with no common
-    edge.
+    edge, and the clique {v} of a single-vertex path is the one-path
+    subfamily whose edge set is empty.
     """
     for c, witness in clique_witnesses(rep):
-        if isinstance(witness, ClawClique):
+        if not isinstance(witness, EdgeClique):
             return False, c
     return True, None
 
@@ -358,11 +364,12 @@ def find_multipie(
     the k spoke ends; no two members cover the same pair; every spoke
     end is covered by at least two members; no three members form a
     claw. Scans candidate centers ascending; the spoke set is forced to
-    be the union of the members' covered neighbor pairs.
+    be the union of the members' covered neighbor pairs. is_gate checks
+    the gate, so above 12 vertices this raises BoundExceededError.
     """
     g = edge_intersection_graph(rep)
     sub, _ = induced_subgraph(g, gate_vertices)
-    recipe = is_gate(sub, max_vertices=max(CATALOG_VERTEX_BOUND, sub.n))
+    recipe = is_gate(sub)
     if recipe is None or recipe.clique_count() != k:
         raise ValueError(f"vertices {gate_vertices} do not induce a {k}-gate")
     members = tuple(sorted(gate_vertices))

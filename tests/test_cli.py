@@ -267,9 +267,13 @@ def test_oracle_none(capsys, s3_file):
     assert (code, out) == (1, "none\n")
 
 
-def test_oracle_degree_bound(capsys, c5_file):
-    code, out, _ = run(capsys, "oracle", c5_file, "--max-degree", "4")
-    assert (code, out) == (1, "none\n")
+def test_oracle_has_no_degree_option(capsys, c5_file):
+    # the scan's tree degree is verify-rep's degree=, and membership in
+    # Helly [h,2,2] is recognize --h
+    with pytest.raises(SystemExit) as exc:
+        main(["oracle", c5_file, "--max-degree", "3"])
+    assert exc.value.code == 2
+    assert "--max-degree" in capsys.readouterr().err
 
 
 def test_oracle_budget_exhausted(capsys, tmp_path):
@@ -360,6 +364,19 @@ def test_verify_rep_claw_report(capsys, tmp_path, s3_file):
     assert lines[0] == "ok helly=false degree=3"
     assert "clique 2 3 5: claw-clique center 0 ends 1,2,3" in lines
     assert sum("edge-clique" in line for line in lines) == 3
+
+
+def test_verify_rep_single_vertex_paths(capsys, tmp_path):
+    graph = tmp_path / "two.txt"
+    graph.write_text("2 0\n")
+    rep = tmp_path / "points.txt"
+    rep.write_text("2 1\n0 1\n0 : 0\n1 : 1\n")
+    code, out, _ = run(capsys, "verify-rep", str(graph), str(rep))
+    assert (code, out.splitlines()) == (0, [
+        "ok helly=false degree=1",
+        "clique 0: single-vertex path, no edge",
+        "clique 1: single-vertex path, no edge",
+    ])
 
 
 def test_verify_rep_mismatch(capsys, tmp_path, c5_file):

@@ -162,10 +162,17 @@ def test_rewire_preserves_gate():
         for t in (2, 3):
             rewired = rewire_gate(gate, 0, t)
             assert rewired.graph.n == gate.graph.n - 1 + t
-            assert is_gate(rewired.graph, max_vertices=rewired.graph.n) is not None
+            assert is_gate(rewired.graph) is not None
             assert rewired.cliques == tuple(enumerate_maximal_cliques(rewired.graph))
             ok, _ = check_two_clique_property(rewired.graph)
             assert ok
+
+
+def test_rewire_beyond_catalog_bound():
+    # the result has 13 vertices, one more than the catalog holds
+    recipe = next(r for r in enumerate_gates(12).values() if r.vertex_count() == 12)
+    with pytest.raises(BoundExceededError, match="12 vertices"):
+        rewire_gate(build_gate(recipe), 0, 2)
 
 
 def test_rewire_validation():

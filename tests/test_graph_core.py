@@ -1,7 +1,9 @@
 """Core graph type, parsing, cliques, canonical forms."""
 
+import contextlib
 import itertools
 import random
+import sys
 
 import pytest
 
@@ -155,6 +157,28 @@ def test_maximal_cliques_against_brute_force():
             assert enumerate_maximal_cliques(g) == brute_cliques(g), g
 
 
+@contextlib.contextmanager
+def recursion_headroom(frames: int):
+    """Lower the recursion limit to the current stack depth plus frames."""
+    depth = 0
+    frame = sys._getframe()
+    while frame is not None:
+        depth += 1
+        frame = frame.f_back
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + frames)
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(old)
+
+
+def test_maximal_cliques_without_recursion():
+    k200 = complete_graph(200)
+    with recursion_headroom(50):
+        assert enumerate_maximal_cliques(k200) == [tuple(range(200))]
+
+
 def test_connectivity():
     assert is_connected(path_graph(5))
     assert not is_connected(Graph(3, [(0, 1)]))
@@ -182,6 +206,12 @@ def test_chordless_cycles():
     assert find_chordless_cycle_ge(Graph(4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)])) is None
     cyc = find_chordless_cycle_ge(Graph(5, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4)]))
     assert cyc == (0, 1, 2, 3)
+
+
+def test_chordless_cycle_without_recursion():
+    c300 = cycle_graph(300)
+    with recursion_headroom(50):
+        assert find_chordless_cycle_ge(c300) == tuple(range(300))
 
 
 def test_canonical_form_invariant_under_relabeling():

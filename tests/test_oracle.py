@@ -26,7 +26,6 @@ from eptkit.representation import (
     EdgeClique,
     classify_clique,
     is_helly,
-    max_host_degree,
     representation_to_text,
     verify,
 )
@@ -293,13 +292,10 @@ def test_membership_absent():
     assert oracle_min_h(s3) is None
 
 
-def test_membership_degree_bound():
-    c5 = cycle_graph(5)
-    assert oracle_membership(c5, degree_bound=4) is None
-    rep = oracle_membership(c5, degree_bound=5)
-    assert rep is not None and max_host_degree(rep) == 5
-    # bound below the minimum loses nothing above it
-    assert oracle_membership(c5, degree_bound=7) is not None
+def test_membership_budget_is_keyword_only():
+    # a bare number after the graph is refused, not taken for seconds
+    with pytest.raises(TypeError):
+        oracle_membership(cycle_graph(5), 4)
 
 
 def test_returned_representation_postconditions():

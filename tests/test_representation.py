@@ -2,11 +2,14 @@
 
 import itertools
 import random
+import time
 
 import pytest
 
+from eptkit import representation
 from eptkit.gates import ExtensionStep, GateRecipe, LabeledGate, build_gate, enumerate_gates
 from eptkit.graphs import (
+    BoundExceededError,
     Graph,
     GraphParseError,
     cycle_graph,
@@ -23,6 +26,7 @@ from eptkit.representation import (
     classify_clique,
     clique_of_claw,
     clique_of_edge,
+    clique_witnesses,
     edge_intersection_graph,
     find_claw_violation,
     find_multipie,
@@ -168,6 +172,33 @@ def test_is_helly():
     assert not ok and clique == (2, 3, 5)
     # is_helly false implies an extractable claw violation
     assert find_claw_violation(S3_REP) is not None
+
+
+# two isolated vertices, each on a single-vertex path of a one-edge tree
+POINTS_REP = EptRepresentation(HostTree(2, [(0, 1)]), ((0,), (1,)))
+
+
+def test_single_vertex_paths():
+    assert verify(POINTS_REP, Graph(2)) == (True, None)
+    assert clique_witnesses(POINTS_REP) == [((0,), None), ((1,), None)]
+    assert is_helly(POINTS_REP) == (False, (0,))
+    with pytest.raises(ValueError, match="single-vertex path"):
+        classify_clique(POINTS_REP, (1,))
+    # only the isolated vertex's clique lacks a witness
+    rep = EptRepresentation(HostTree(3, [(0, 1), (1, 2)]), ((0, 1), (2,), (0, 1, 2)))
+    assert clique_witnesses(rep) == [((0, 2), EdgeClique((0, 1))), ((1,), None)]
+    assert is_helly(rep) == (False, (1,))
+
+
+def test_missing_witness_still_raises(monkeypatch):
+    # with no edge cliques, a two-vertex clique on a path host has no
+    # witness at all, which only a broken representation can cause
+    monkeypatch.setattr(representation, "clique_of_edge", lambda rep, e: ())
+    rep = EptRepresentation(HostTree(2, [(0, 1)]), ((0, 1), (1, 0)))
+    with pytest.raises(RuntimeError, match="no edge or claw witness"):
+        clique_witnesses(rep)
+    with pytest.raises(RuntimeError, match="no edge or claw witness"):
+        is_helly(rep)
 
 
 def test_find_pie():
@@ -319,6 +350,17 @@ def test_star_representation_over_relabeled_catalog():
         check_star(rep, gate)
         witness = find_multipie(rep, tuple(range(gate.graph.n)), k)
         check_multipie_conditions(rep, witness, k)
+
+
+def test_find_multipie_beyond_catalog_bound():
+    perm = list(range(13))
+    random.Random(13).shuffle(perm)
+    gate = relabeled_gate(build_gate(GateRecipe(13)), perm)
+    rep = star_representation(gate)
+    start = time.perf_counter()
+    with pytest.raises(BoundExceededError, match="12 vertices"):
+        find_multipie(rep, tuple(range(13)), 13)
+    assert time.perf_counter() - start < 0.5
 
 
 def test_star_representation_needs_two_cliques_per_vertex():
