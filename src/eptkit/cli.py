@@ -227,7 +227,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def add_budget(p):
         p.add_argument("--budget-secs", type=float, default=None,
-                       help="wall-clock search budget (default from EPTKIT_BUDGET_SECS or 60)")
+                       help="wall-clock search budget in seconds (default 60)")
 
     p = sub.add_parser("recognize", help="decide Helly [h,2,2] membership")
     p.add_argument("file", help="graph file, - for stdin")

@@ -250,13 +250,18 @@ def rewire_gate(gate: LabeledGate, v: int, t: int) -> LabeledGate:
     v's maximal cliques C1 and C2 (there are exactly two) lose v; w_1 is
     joined to all of C1 - v and w_t to all of C2 - v. The survivors keep
     their relative order and the path vertices come last. The result is
-    again a gate; is_gate attaches its recipe, or refuses above 12 vertices.
+    again a gate, and is_gate attaches its recipe. A result above 12
+    vertices is refused before anything is built.
     """
     g = gate.graph
     if not 0 <= v < g.n:
         raise ValueError(f"vertex {v} out of range")
     if t < 2:
         raise ValueError("replacement path needs at least 2 vertices")
+    if g.n - 1 + t > CATALOG_VERTEX_BOUND:
+        raise BoundExceededError(
+            f"gate lookup limited to {CATALOG_VERTEX_BOUND} vertices, rewiring gives {g.n - 1 + t}"
+        )
     holding = [set(c) for c in gate.cliques if v in c]
     if len(holding) != 2:
         raise ValueError(f"vertex {v} is not in exactly two cliques")

@@ -36,9 +36,7 @@ was searched first and fails exactly when the one under j would.
 
 from __future__ import annotations
 
-import collections
 import functools
-import os
 import time
 
 from .graphs import (
@@ -60,10 +58,10 @@ class BudgetExhaustedError(RuntimeError):
 
 
 def resolve_budget_secs(budget_secs: float | None) -> float:
-    """budget_secs, or when None EPTKIT_BUDGET_SECS (60 when unset); a
-    NaN or negative budget is a ValueError."""
+    """budget_secs, or 60 when None; a NaN or negative budget is a
+    ValueError."""
     if budget_secs is None:
-        budget_secs = float(os.environ.get("EPTKIT_BUDGET_SECS", "60"))
+        budget_secs = 60.0
     # NaN compares false with everything, so it would switch the budget
     # off instead of being rejected
     if not budget_secs >= 0:
@@ -301,9 +299,13 @@ def _assign_cliques(
     return search(0, 0, [0] * len(adj_self), [0] * shape.m)
 
 
-def _scan(g: Graph, budget_secs: float) -> EptRepresentation | None:
-    """The representation on the first accepting shape, which has the
-    minimum host degree over all bijection trees, or None."""
+def oracle_membership(g: Graph, *, budget_secs: float | None = None) -> EptRepresentation | None:
+    """A verified Helly representation of g on the first accepting
+    bijection tree, which has the minimum host degree over all of them,
+    or None after exhausting all of them. Raises BudgetExhaustedError
+    when time runs out first, and ValueError for a NaN or negative
+    budget. Nothing is kept between calls."""
+    budget_secs = resolve_budget_secs(budget_secs)
     cliques = enumerate_maximal_cliques(g)
     m = len(cliques)
     if m > CLIQUE_BOUND:
@@ -321,27 +323,6 @@ def _scan(g: Graph, budget_secs: float) -> EptRepresentation | None:
             tree = HostTree(shape.n, shape.edges)
             return EptRepresentation(tree, tuple(shape.paths[mask] for mask in spans))
     return None
-
-
-# Scan results by labelled graph, least recently used evicted first;
-# the size holds the whole connected corpus on up to 7 vertices.
-SCAN_CACHE_SIZE = 4096
-_scan_cache: collections.OrderedDict[Graph, EptRepresentation | None] = collections.OrderedDict()
-
-
-def oracle_membership(g: Graph, *, budget_secs: float | None = None) -> EptRepresentation | None:
-    """A verified Helly representation of g on the first accepting
-    bijection tree, or None after exhausting all of them. Raises
-    BudgetExhaustedError when time runs out first, and ValueError for a
-    NaN or negative budget, cached or not."""
-    budget_secs = resolve_budget_secs(budget_secs)
-    if g in _scan_cache:
-        _scan_cache.move_to_end(g)
-        return _scan_cache[g]
-    rep = _scan_cache[g] = _scan(g, budget_secs)
-    if len(_scan_cache) > SCAN_CACHE_SIZE:
-        _scan_cache.popitem(last=False)
-    return rep
 
 
 @functools.lru_cache(maxsize=16)

@@ -163,8 +163,16 @@ def cheapest_representation(g: Graph, budget_secs: float | None = None) -> Recog
     chordal, by is_helly_ept, with the same ValueError.
 
     With k the maximum clique count over g's atoms (1 for a chordal
-    g), h = k when k >= 4, else 2 if g is interval and 3 if not. The
-    certificate tells which:
+    g), k is 1 or at least 4, because a passing atom has one clique or
+    at least four:
+    - two maximal cliques C1, C2 would meet in a clique separator:
+      every edge lies in C1 or C2, so C1 & C2 separates C1 - C2 from
+      C2 - C1;
+    - three would be a line-like clique graph H on 3 nodes, and the
+      only 2-connected graph on 3 nodes is a triangle.
+    A non-chordal g has an atom that is not complete, so it has k >= 4,
+    and then h = k. A chordal g has h = 2 if it is interval and 3 if
+    not. The certificate tells which:
     - the scan tries tree shapes in ascending maximum degree;
     - the path is the only shape with m edges and degree <= 2;
     - paths on a path host derive an interval graph, and an interval
@@ -191,7 +199,7 @@ def cheapest_representation(g: Graph, budget_secs: float | None = None) -> Recog
     rep = is_helly_ept(g, max(0.0, budget_secs - (time.monotonic() - start)))
     if rep is None:
         return RecognitionResult(False, None, None)
-    if k <= 3:
+    if k == 1:
         h = 2 if max_host_degree(rep) <= 2 else 3
     else:
         h = k

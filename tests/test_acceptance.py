@@ -201,8 +201,8 @@ def build_gate_c5():
 
 
 def test_criterion_7_negative_instance():
-    # fresh labeling dodges the session scan cache, so the exhaustive
-    # search actually runs inside the timed window
+    # a relabeled copy; nothing is kept between calls, so the
+    # exhaustive search runs inside the timed window for any labeling
     perm = [4, 0, 5, 1, 3, 2]
     shuffled = Graph(6, [(perm[u], perm[v]) for u, v in S3_GRAPH.edges])
     start = time.perf_counter()

@@ -3,6 +3,7 @@ gate search checked against the unfiltered reference."""
 
 import itertools
 import random
+import time
 from collections import Counter
 
 import pytest
@@ -173,6 +174,15 @@ def test_rewire_beyond_catalog_bound():
     recipe = next(r for r in enumerate_gates(12).values() if r.vertex_count() == 12)
     with pytest.raises(BoundExceededError, match="12 vertices"):
         rewire_gate(build_gate(recipe), 0, 2)
+
+
+def test_rewire_refuses_before_building():
+    # a billion-vertex path would take minutes and gigabytes to build
+    c4 = build_gate(GateRecipe(4))
+    start = time.perf_counter()
+    with pytest.raises(BoundExceededError, match="12 vertices"):
+        rewire_gate(c4, 0, 10**9)
+    assert time.perf_counter() - start < 0.1
 
 
 def test_rewire_validation():

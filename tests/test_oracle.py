@@ -321,11 +321,18 @@ def test_oracle_bounds_and_budget():
         oracle_membership(k34)
     with pytest.raises(BoundExceededError):
         oracle_min_h(k34)
-    # relabeled copy dodges the scan cache, so the deadline actually runs
+    # a relabeled copy; nothing is kept between calls, so any labeling
+    # runs the scan and its deadline
     perm = [7, 6, 5, 4, 3, 2, 1, 0]
     shuffled = Graph(8, [(perm[u], perm[v]) for u, v in TWO_C5S.edges])
     with pytest.raises(BudgetExhaustedError):
         oracle_membership(shuffled, budget_secs=1e-9)
+
+
+def test_earlier_calls_do_not_answer_later_ones():
+    assert oracle_membership(TWO_C5S) is not None
+    with pytest.raises(BudgetExhaustedError):
+        oracle_membership(TWO_C5S, budget_secs=1e-9)
 
 
 def test_oracle_rejects_bad_budget():

@@ -7,6 +7,7 @@ from types import SimpleNamespace
 import pytest
 
 from eptkit import recognition
+from eptkit.decomposition import atoms
 from eptkit.graphs import (
     BoundExceededError,
     Graph,
@@ -216,6 +217,28 @@ def test_atom_test_names_the_failing_atom():
     assert not result.helly_ept and result.obstruction == (0, 1, 2, 3, 4, 5)
     # S3 passes the atom test, so only the exhaustive search rules it out
     assert cheapest_representation(S3_GRAPH) == RecognitionResult(False, None, None)
+
+
+def test_passing_atoms_have_one_clique_or_four():
+    # so a non-chordal graph that passes the atom test has k >= 4, and
+    # cheapest_representation's k == 1 branch covers every k <= 3
+    chordal = passing = 0
+    for n in range(1, 8):
+        for g in small_graph_corpus(n, connected_only=True):
+            if is_chordal(g):
+                chordal += 1
+                continue
+            counts = []
+            for atom, _ in atoms(g):
+                cliques = enumerate_maximal_cliques(atom)
+                if len(cliques) > 1 and not recognition._is_line_like(cliques):
+                    break
+                counts.append(len(cliques))
+            else:
+                passing += 1
+                assert all(k == 1 or k >= 4 for k in counts)
+                assert max(counts) >= 4
+    assert (chordal, passing) == (354, 246)
 
 
 def test_helly_h_membership():
