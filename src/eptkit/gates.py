@@ -24,6 +24,8 @@ from .graphs import (
     BoundExceededError,
     Graph,
     VertexSet,
+    _automorphism_generators,
+    _orbit_representatives,
     canonical_form,
     cycle_graph,
     enumerate_maximal_cliques,
@@ -190,6 +192,19 @@ def check_two_clique_property(g: Graph) -> tuple[bool, int | None]:
 
 @functools.lru_cache(maxsize=8)
 def _catalog(max_vertices: int) -> dict[bytes, GateRecipe]:
+    """enumerate_gates' catalog, in insertion order.
+
+    A queued gate is extended only on the first disjoint clique pair
+    (a < b, lexicographic) of each orbit of its automorphism group on
+    pairs, and the result is the one the search over every pair gives.
+    An automorphism s maps maximal cliques to maximal cliques, so
+    extending the pair {s(a), s(b)} by a path of length l gives a graph
+    isomorphic to extending {a, b} by l (reversing the path covers the
+    case s(a) > s(b)). A skipped pair is the image of an earlier pair,
+    whose candidates were canonicalized first, length for length, so
+    each of the skipped pair's candidates would find its form already
+    cataloged and be dropped.
+    """
     catalog: dict[bytes, GateRecipe] = {}
     queue: deque[LabeledGate] = deque()
     for base in range(4, max_vertices + 1):
@@ -200,24 +215,45 @@ def _catalog(max_vertices: int) -> dict[bytes, GateRecipe]:
             queue.append(gate)
     while queue:
         gate = queue.popleft()
-        k = len(gate.cliques)
         budget = max_vertices - gate.graph.n
         if budget < 2:
             continue
-        for a in range(k):
-            for b in range(a + 1, k):
-                if set(gate.cliques[a]) & set(gate.cliques[b]):
+        for a, b in _pair_orbit_representatives(gate):
+            for length in range(2, budget + 1):
+                step = ExtensionStep(a, b, length)
+                graph, cliques = _extend(gate.graph, gate.cliques, step)
+                form = canonical_form(graph)
+                if form in catalog:
                     continue
-                for length in range(2, budget + 1):
-                    step = ExtensionStep(a, b, length)
-                    graph, cliques = _extend(gate.graph, gate.cliques, step)
-                    form = canonical_form(graph)
-                    if form in catalog:
-                        continue
-                    recipe = GateRecipe(gate.recipe.base, gate.recipe.steps + (step,))
-                    catalog[form] = recipe
-                    queue.append(LabeledGate(graph, cliques, recipe))
+                recipe = GateRecipe(gate.recipe.base, gate.recipe.steps + (step,))
+                catalog[form] = recipe
+                queue.append(LabeledGate(graph, cliques, recipe))
     return catalog
+
+
+def _pair_orbit_representatives(gate: LabeledGate) -> list[tuple[int, int]]:
+    """The first disjoint clique pair (a, b), a < b, of each orbit of
+    Aut(gate.graph) on such pairs, in lexicographic order."""
+    cliques = gate.cliques
+    k = len(cliques)
+    index = {c: i for i, c in enumerate(cliques)}
+
+    def move(image: VertexSet):
+        to = [index[tuple(sorted(image[v] for v in c))] for c in cliques]
+
+        def apply(pair: tuple[int, int]) -> tuple[int, int]:
+            a, b = to[pair[0]], to[pair[1]]
+            return (a, b) if a < b else (b, a)
+
+        return apply
+
+    pairs = [
+        (a, b)
+        for a in range(k)
+        for b in range(a + 1, k)
+        if not set(cliques[a]) & set(cliques[b])
+    ]
+    return _orbit_representatives(pairs, [move(p) for p in _automorphism_generators(gate.graph)])
 
 
 def enumerate_gates(max_vertices: int = CATALOG_VERTEX_BOUND) -> dict[bytes, GateRecipe]:

@@ -46,14 +46,25 @@ class Graph:
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u},{v}) out of range for n={n}")
             norm.add((u, v) if u < v else (v, u))
+        self._fill(n, frozenset(norm))
+
+    @classmethod
+    def _from_checked(cls, n: int, edges: frozenset[Edge]) -> Graph:
+        """A graph from edges the caller has already range-checked and
+        normalized to u < v, without checking them again."""
+        g = cls.__new__(cls)
+        g._fill(n, edges)
+        return g
+
+    def _fill(self, n: int, edges: frozenset[Edge]) -> None:
         self.n = n
-        self.edges = frozenset(norm)
+        self.edges = edges
         adj = [set() for _ in range(n)]
-        for u, v in norm:
+        for u, v in edges:
             adj[u].add(v)
             adj[v].add(u)
         self._adj = tuple(frozenset(s) for s in adj)
-        self._hash = hash((n, self.edges))
+        self._hash = hash((n, edges))
 
     def neighbors(self, v: int) -> frozenset[int]:
         return self._adj[v]
@@ -106,8 +117,7 @@ def parse_graph(text: str | bytes) -> Graph:
     if isinstance(text, bytes):
         text = text.decode()
     header = None
-    edges: list[Edge] = []
-    seen: set[Edge] = set()
+    edges: set[Edge] = set()
     last_line = 1
     for lineno, raw in enumerate(text.splitlines(), start=1):
         last_line = lineno
@@ -141,20 +151,19 @@ def parse_graph(text: str | bytes) -> Graph:
             raise GraphParseError("expected edge line 'u v'", lineno) from None
         if u == v:
             raise GraphParseError(f"self-loop at vertex {u}", lineno)
-        for w in (u, v):
-            if not 0 <= w < n:
-                raise GraphParseError(f"vertex {w} out of range for n={n}", lineno)
+        if not (0 <= u < n and 0 <= v < n):
+            w = v if 0 <= u < n else u
+            raise GraphParseError(f"vertex {w} out of range for n={n}", lineno)
         key = (u, v) if u < v else (v, u)
-        if key in seen:
+        if key in edges:
             raise GraphParseError(f"duplicate edge {key[0]} {key[1]}", lineno)
-        seen.add(key)
-        edges.append(key)
+        edges.add(key)
     if header is None:
         raise GraphParseError("empty input, expected header 'n m'", last_line)
     n, m = header
     if len(edges) != m:
         raise GraphParseError(f"expected {m} edges, found {len(edges)}", last_line)
-    return Graph(n, edges)
+    return Graph._from_checked(n, frozenset(edges))
 
 
 def graph_to_text(g: Graph, comments: Iterable[str] = ()) -> str:
@@ -311,6 +320,40 @@ def canonical_labeling(g: Graph) -> tuple[bytes, VertexSet]:
     row is maximal, and interchangeable twin vertices are collapsed.
     Two graphs get equal forms exactly when they are isomorphic.
     """
+    return _canonical_search(g, None)
+
+
+def _automorphism_generators(g: Graph) -> tuple[VertexSet, ...]:
+    """Permutations that generate Aut(g), each as the tuple of images
+    of 0..n-1 (see _canonical_search). Not cached."""
+    found: list[VertexSet] = []
+    _canonical_search(g, found)
+    return tuple(found)
+
+
+def _canonical_search(g: Graph, automorphisms: list[VertexSet] | None) -> tuple[bytes, VertexSet]:
+    """canonical_labeling's search. When automorphisms is a list, it
+    also receives a generating set of Aut(g): the map best_order[i] ->
+    order[i] for each leaf order whose bits equal the best, and the
+    transposition of each pair of twins the search collapses.
+
+    Each of them is an automorphism: two orders with equal bits give
+    equal adjacency matrices, and swapping twins u and v (adjacency
+    equal apart from each other) keeps every edge. They generate
+    Aut(g). Without the twin collapse the tree of orders is mapped onto
+    itself by every automorphism, since the candidates at a node are
+    chosen by adjacency to the placed vertices and by refinement colors,
+    both invariant; so the leaves with the maximal bits are exactly the
+    images of best_order, one per automorphism. The pruning never cuts
+    them, as it cuts only prefixes strictly below the best one seen,
+    which is at most the maximal one. Take such a leaf and walk down
+    from the root: where the next vertex v was collapsed into a twin u
+    the search kept, apply the transposition (u v), which fixes the
+    placed prefix and turns the leaf into a maximal leaf through u.
+    The walk ends at a maximal leaf the search reached, which is the
+    image of best_order under a found map. So every automorphism is a
+    product of the found ones.
+    """
     n = g.n
     if n > CANONICAL_VERTEX_BOUND:
         raise BoundExceededError(
@@ -326,6 +369,9 @@ def canonical_labeling(g: Graph) -> tuple[bytes, VertexSet]:
 
     best_bits: list[int] | None = None
     best_order: list[int] | None = None
+    # leaves with bits equal to the best, and collapsed twin pairs
+    equal_leaves: list[list[int]] = []
+    swaps: set[tuple[int, int]] = set()
 
     def pattern(mask: int, order: list[int]) -> int:
         pat = 0
@@ -340,6 +386,9 @@ def canonical_labeling(g: Graph) -> tuple[bytes, VertexSet]:
             if best_bits is None or bits > best_bits:
                 best_bits = list(bits)
                 best_order = list(order)
+                equal_leaves.clear()
+            elif automorphisms is not None and bits == best_bits:
+                equal_leaves.append(list(order))
             return
         cands = []
         for v in range(n):
@@ -350,10 +399,14 @@ def canonical_labeling(g: Graph) -> tuple[bytes, VertexSet]:
         # keep one representative per group of interchangeable twins
         reps: list[int] = []
         for v in branch:
-            if not any(
-                adj_mask[v] & ~(1 << u) == adj_mask[u] & ~(1 << v) for u in reps
-            ):
+            twin = next(
+                (u for u in reps if adj_mask[v] & ~(1 << u) == adj_mask[u] & ~(1 << v)),
+                None,
+            )
+            if twin is None:
                 reps.append(v)
+            elif automorphisms is not None:
+                swaps.add((twin, v))
         seg = [top[0] >> (depth - 1 - i) & 1 for i in range(depth)]
         bits.extend(seg)
         # prune only when strictly below the current best prefix
@@ -366,12 +419,45 @@ def canonical_labeling(g: Graph) -> tuple[bytes, VertexSet]:
 
     search([], 0, [])
     assert best_bits is not None and best_order is not None
+    if automorphisms is not None:
+        for leaf in equal_leaves:
+            image = [0] * n
+            for b, v in zip(best_order, leaf):
+                image[b] = v
+            automorphisms.append(tuple(image))
+        for u, v in sorted(swaps):
+            image = list(range(n))
+            image[u], image[v] = v, u
+            automorphisms.append(tuple(image))
     value = 0
     for b in best_bits:
         value = (value << 1) | b
     nbits = n * (n - 1) // 2
     form = bytes([n]) + value.to_bytes((nbits + 7) // 8 or 1, "big")
     return form, tuple(best_order)
+
+
+def _orbit_representatives(items: Iterable, moves: list) -> list:
+    """The first of the items in each orbit of the group that moves
+    (permutations of one finite set) generate, in the items' order.
+    An orbit is a closure under the moves, since in a finite group
+    every inverse is a power."""
+    seen = set()
+    firsts = []
+    for x in items:
+        if x in seen:
+            continue
+        firsts.append(x)
+        seen.add(x)
+        stack = [x]
+        while stack:
+            y = stack.pop()
+            for move in moves:
+                z = move(y)
+                if z not in seen:
+                    seen.add(z)
+                    stack.append(z)
+    return firsts
 
 
 def canonical_form(g: Graph) -> bytes:

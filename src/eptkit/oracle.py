@@ -43,6 +43,8 @@ from .graphs import (
     BoundExceededError,
     Graph,
     VertexSet,
+    _automorphism_generators,
+    _orbit_representatives,
     canonical_form,
     enumerate_maximal_cliques,
     is_connected,
@@ -118,21 +120,17 @@ class TreeShape:
         return self._orbit_masks
 
 
-def _edge_orbit_masks(shape: TreeShape) -> tuple[int, dict[int, int]]:
-    """TreeShape.orbit_masks, computed.
-
+def _centred_subdivision(
+    n: int, edges: tuple[tuple[int, int], ...]
+) -> tuple[list[list[int]], list[int], list[int]]:
+    """The tree on n vertices with these edges, every edge j subdivided
+    by a midpoint n + j, rooted at its centre: adjacency lists, parents
+    (-1 at the root) and a breadth-first order from the root.
     Subdividing every edge gives a tree of even diameter, so it has one
-    centre, which every automorphism fixes; the automorphisms of the
-    shape are those of the subdivision rooted there, and those fixing
-    edge r are the ones that also fix r's midpoint when it is labelled.
-    AHU codes identify isomorphic rooted subtrees, and two vertices lie
-    in one orbit exactly when their codes agree and their parents lie in
-    one orbit.
-    """
-    n = shape.n
-    size = n + shape.m
+    centre, which every automorphism fixes."""
+    size = n + len(edges)
     adj: list[list[int]] = [[] for _ in range(size)]
-    for j, (a, b) in enumerate(shape.edges):
+    for j, (a, b) in enumerate(edges):
         adj[a].append(n + j)
         adj[b].append(n + j)
         adj[n + j] += (a, b)
@@ -155,14 +153,37 @@ def _edge_orbit_masks(shape: TreeShape) -> tuple[int, dict[int, int]]:
             if w != parent[u]:
                 parent[w] = u
                 order.append(w)
+    return adj, parent, order
+
+
+def _ahu_codes(
+    adj: list[list[int]], parent: list[int], order: list[int], intern: dict, mark: int = -1
+) -> list[int]:
+    """AHU codes of the rooted subtrees, with vertex mark labelled.
+    Codes drawn from one intern table are equal exactly when the
+    labelled rooted subtrees are isomorphic."""
+    code = [0] * len(adj)
+    for u in reversed(order):
+        children = sorted(code[w] for w in adj[u] if w != parent[u])
+        code[u] = intern.setdefault((u == mark, *children), len(intern))
+    return code
+
+
+def _edge_orbit_masks(shape: TreeShape) -> tuple[int, dict[int, int]]:
+    """TreeShape.orbit_masks, computed.
+
+    The automorphisms of the shape are those of its subdivision rooted
+    at the centre (_centred_subdivision), and those fixing edge r are
+    the ones that also fix r's midpoint when it is labelled. Two
+    vertices lie in one orbit exactly when their AHU codes agree and
+    their parents lie in one orbit.
+    """
+    n = shape.n
+    adj, parent, order = _centred_subdivision(n, shape.edges)
 
     def representatives(mark: int) -> int:
-        intern: dict[tuple[int, ...], int] = {}
-        code = [0] * size
-        for u in reversed(order):
-            children = sorted(code[w] for w in adj[u] if w != parent[u])
-            code[u] = intern.setdefault((u == mark, *children), len(intern))
-        orbit = [0] * size
+        code = _ahu_codes(adj, parent, order, {}, mark)
+        orbit = [0] * len(adj)
         orbit_ids: dict[tuple[int, int], int] = {}
         for u in order[1:]:
             orbit[u] = orbit_ids.setdefault((orbit[parent[u]], code[u]), len(orbit_ids) + 1)
@@ -186,20 +207,35 @@ def _edge_orbit_masks(shape: TreeShape) -> tuple[int, dict[int, int]]:
 @functools.lru_cache(maxsize=32)
 def tree_shapes(m: int) -> tuple[TreeShape, ...]:
     """All unlabeled trees with m edges, sorted by (max degree,
-    canonical form) so low-degree hosts come first."""
+    canonical form) so low-degree hosts come first.
+
+    Each shape is the first tree of its isomorphism class met while
+    hanging a new leaf from every vertex of every shape with m - 1
+    edges, in order. Classes are told apart by the AHU code of the
+    edge-subdivided tree rooted at its centre, and only the first tree
+    of a class is canonicalized, for the sort. That code is a complete
+    invariant. Two trees with an edge are isomorphic exactly when their
+    subdivisions are: an isomorphism of subdivisions maps leaves, which
+    are original vertices, to leaves, so it keeps the side of the
+    bipartition that holds the original vertices, and it keeps which of
+    them share a midpoint. Subdivisions are isomorphic exactly when they
+    are as trees rooted at their centres, since every isomorphism maps
+    centre to centre, and AHU codes decide rooted isomorphism.
+    """
     if m == 0:
         return (TreeShape(Graph(1)),)
-    grown: dict[bytes, Graph] = {}
+    intern: dict = {}
+    grown: dict[int, TreeShape] = {}
     for shape in tree_shapes(m - 1):
-        g = shape.graph
-        for v in range(g.n):
-            h = Graph(g.n + 1, list(g.edges) + [(v, g.n)])
-            form = canonical_form(h)
-            if form not in grown:
-                grown[form] = h
-    shapes = {form: TreeShape(g) for form, g in grown.items()}
-    ranked = sorted(shapes, key=lambda form: (shapes[form].max_degree, form))
-    return tuple(shapes[form] for form in ranked)
+        for v in range(shape.n):
+            edges = shape.edges + ((v, shape.n),)
+            adj, parent, order = _centred_subdivision(shape.n + 1, edges)
+            code = _ahu_codes(adj, parent, order, intern)[order[0]]
+            if code not in grown:
+                grown[code] = TreeShape(Graph(shape.n + 1, edges))
+    return tuple(
+        sorted(grown.values(), key=lambda s: (s.max_degree, canonical_form(s.graph)))
+    )
 
 
 def _clique_order(cliques: tuple[VertexSet, ...]) -> list[int]:
@@ -327,14 +363,34 @@ def oracle_membership(g: Graph, *, budget_secs: float | None = None) -> EptRepre
 
 @functools.lru_cache(maxsize=16)
 def _corpus_exact(n: int) -> tuple[Graph, ...]:
+    """small_graph_corpus(n) before the connectivity filter.
+
+    Each graph on n - 1 vertices grows a vertex n - 1 joined to the
+    vertices of a neighbourhood mask, masks in ascending order; the
+    first graph found of each isomorphism class is kept, and the classes
+    come out in canonical-form order. Only the smallest mask of each
+    orbit of the parent's automorphism group is tried. An automorphism
+    s of the parent, extended by fixing n - 1, maps the graph grown from
+    mask M onto the one grown from s(M), so a skipped mask grows a graph
+    isomorphic to one grown from a smaller mask of the same parent,
+    tried before it, whose form was then already kept.
+    """
     if n == 0:
         return ()
     if n == 1:
         return (Graph(1),)
+
+    def move(image: VertexSet):
+        def apply(mask: int) -> int:
+            return sum(1 << w for v, w in enumerate(image) if mask >> v & 1)
+
+        return apply
+
     out: dict[bytes, Graph] = {}
     for g in _corpus_exact(n - 1):
         base = list(g.edges)
-        for mask in range(1 << (n - 1)):
+        moves = [move(image) for image in _automorphism_generators(g)]
+        for mask in _orbit_representatives(range(1 << (n - 1)), moves):
             edges = base + [(i, n - 1) for i in range(n - 1) if mask >> i & 1]
             h = Graph(n, edges)
             form = canonical_form(h)

@@ -1,7 +1,8 @@
 """Test-side references: labeled host-tree enumeration, the minimum
 host degree over bijection trees, brute-force clique separators,
 line-likeness checked on the clique graph itself, and the induced-gate
-search and two-clique test without bitmask filtering.
+search and two-clique test without bitmask filtering, and the orbits
+and group of a set of vertex permutations.
 
 All are independent of the library's routes. The labeled trees feed a
 brute-force search that cross-checks the oracle's shape scan; the
@@ -176,3 +177,36 @@ def reference_two_clique_property(g: Graph) -> tuple[bool, int | None]:
         if len(holding) != 2 or holding[0] & holding[1] != {v}:
             return False, v
     return True, None
+
+
+def is_automorphism(g: Graph, image: VertexSet) -> bool:
+    return sorted(image) == list(range(g.n)) and g.edges == frozenset(
+        (image[u], image[v]) if image[u] < image[v] else (image[v], image[u])
+        for u, v in g.edges
+    )
+
+
+def vertex_orbits(n: int, perms) -> list[frozenset[int]]:
+    """The vertex orbits of the group the permutations generate, sorted."""
+    orbit = [{v} for v in range(n)]
+    for image in perms:
+        for v, w in enumerate(image):
+            if orbit[v] is not orbit[w]:
+                orbit[v] |= orbit[w]
+                for u in orbit[w]:
+                    orbit[u] = orbit[v]
+    return sorted({frozenset(o) for o in orbit}, key=min)
+
+
+def generated_group(n: int, perms) -> set[VertexSet]:
+    """Every product of the permutations, the identity included."""
+    group = {tuple(range(n))}
+    todo = list(group)
+    while todo:
+        x = todo.pop()
+        for image in perms:
+            y = tuple(image[v] for v in x)
+            if y not in group:
+                group.add(y)
+                todo.append(y)
+    return group

@@ -32,7 +32,7 @@ from eptkit.graphs import (
     enumerate_maximal_cliques,
     graph_to_text,
 )
-from eptkit.oracle import oracle_membership, small_graph_corpus
+from eptkit.oracle import oracle_membership, small_graph_corpus, tree_shapes
 from eptkit.recognition import (
     cheapest_representation,
     helly_h_membership,
@@ -252,6 +252,32 @@ def test_atom_test_on_whole_corpus(corpus7, helly_corpus):
     # 385 of 398 in-cap non-members fail the atom test; all 11 excluded
     # graphs do, so they get a witness instead of BoundExceededError
     assert counts == {(True, True): 385, (True, False): 13, (False, True): 11}
+
+
+# sha256 over the repr of each generated family, in generation order;
+# the corpus certificates below are built on all three
+FAMILIES_SHA256 = {
+    "tree_shapes": "7259bdb241209075dcf3a0a5da1a0d2e250ab6d98be651054737b17dda92033a",
+    "gates10": "bcedb2b6385cb77f7a4c75b78506e4de1272acacb92036a28ef3e54672ef2999",
+    "gates12": "5b8878abd99eacb12cd48b26213ad4b3fae62a1aff2a9f0276d0bc472a54904c",
+    "corpus": "339c49d0e6c79bb6864cfa25e1bd732d3879153deb9796ffbcc86d05821c97d9",
+}
+
+
+def generated_family(name: str) -> list:
+    if name == "tree_shapes":
+        return [[(s.n, s.edges) for s in tree_shapes(m)] for m in range(10)]
+    if name.startswith("gates"):
+        return [(form.hex(), recipe) for form, recipe in enumerate_gates(int(name[5:])).items()]
+    return [[g.sorted_edges() for g in small_graph_corpus(n)] for n in range(8)]
+
+
+@pytest.mark.parametrize("name", sorted(FAMILIES_SHA256))
+def test_generated_families_pinned(name):
+    # representatives, their labellings and their order: skipping
+    # candidates that are images of earlier ones must not move them
+    digest = hashlib.sha256(repr(generated_family(name)).encode()).hexdigest()
+    assert digest == FAMILIES_SHA256[name]
 
 
 # sha256 over representation_to_text of every corpus member's

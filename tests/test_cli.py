@@ -444,3 +444,7 @@ def test_benchmark_span_targets_resolve():
     assert targets
     for name, (module, attr) in targets.items():
         assert hasattr(importlib.import_module(module), attr), name
+    # Tracer.install reads the canonical cache's hit counts, so a traced
+    # run fails without the lru_cache around canonical_labeling
+    module, attr = targets["graphs.canonical_labeling"]
+    assert callable(getattr(importlib.import_module(module), attr).cache_info)

@@ -12,6 +12,8 @@ from eptkit.graphs import (
     BoundExceededError,
     Graph,
     GraphParseError,
+    _automorphism_generators,
+    _canonical_search,
     canonical_form,
     canonical_labeling,
     complete_graph,
@@ -28,6 +30,7 @@ from eptkit.graphs import (
     path_graph,
 )
 from eptkit.oracle import small_graph_corpus
+from reference import generated_group, is_automorphism, vertex_orbits
 
 
 def brute_cliques(g: Graph) -> list[tuple[int, ...]]:
@@ -100,6 +103,7 @@ def test_parse_graph_comments_and_blanks():
         ("2 1\nnope\n", "edge"),
         ("2 1\n0 0\n", "self-loop"),
         ("2 1\n0 5\n", "out of range"),
+        ("2 1\n7 5\n", "vertex 7 out of range"),
         ("3 2\n0 1\n0 1\n", "duplicate"),
         ("3 1\n0 1\n1 2\n", "more than 1 edge"),
         ("3 2\n0 1\n", "expected 2 edges"),
@@ -108,6 +112,16 @@ def test_parse_graph_comments_and_blanks():
 def test_parse_graph_errors(text, message):
     with pytest.raises(GraphParseError, match=message):
         parse_graph(text)
+
+
+def test_parse_graph_normalizes_each_edge():
+    g = parse_graph("3 2\n1 0\n2 1\n")
+    assert g == path_graph(3) and hash(g) == hash(path_graph(3))
+    assert g.edges == frozenset({(0, 1), (1, 2)})
+    assert g.neighbors(1) == {0, 2}
+    with pytest.raises(GraphParseError, match="duplicate edge 0 1") as info:
+        parse_graph("3 2\n0 1\n1 0\n")
+    assert info.value.line == 3
 
 
 def test_parse_graph_vertex_bound():
@@ -242,6 +256,32 @@ def test_canonical_labeling_order_is_permutation():
     assert sorted(order) == list(range(6))
     with pytest.raises(BoundExceededError):
         canonical_labeling(Graph(17))
+
+
+# twin pairs are swapped by automorphisms that no search leaf shows,
+# since the search keeps one vertex of each twin group
+C4 = cycle_graph(4)
+K23 = Graph(5, [(a, b) for a in (0, 1) for b in (2, 3, 4)])
+
+
+def test_automorphism_generators_match_brute_force():
+    graphs = [g for n in range(7) for g in small_graph_corpus(n)] + [C4, K23]
+    assert len(graphs) == 210
+    for g in graphs:
+        generators = _automorphism_generators(g)
+        assert all(is_automorphism(g, image) for image in generators), g.edges
+        brute = [
+            perm
+            for perm in itertools.permutations(range(g.n))
+            if is_automorphism(g, perm)
+        ]
+        assert vertex_orbits(g.n, generators) == vertex_orbits(g.n, brute), g.edges
+        assert generated_group(g.n, generators) == set(brute), g.edges
+
+
+def test_collecting_automorphisms_leaves_the_labeling_alone():
+    for g in [C4, K23, complete_graph(5), Graph(4), cycle_graph(6)]:
+        assert _canonical_search(g, []) == canonical_labeling(g)
 
 
 def test_isomorphism_matches_brute_force():

@@ -1,9 +1,10 @@
 """Property tests against networkx and the test-side references:
 maximal cliques, chordality, asteroidal triples, interval graphs,
 isomorphism, text round trips, clique separators, relabelling
-invariance of the oracle and of cheapest_representation, and the atom
-test against the exhaustive search. hypothesis and networkx are
-test-only dependencies; the module is skipped without them."""
+invariance of the oracle and of cheapest_representation, the atom
+test against the exhaustive search, and the automorphism generators of
+the catalog gates. hypothesis and networkx are test-only dependencies;
+the module is skipped without them."""
 
 import itertools
 
@@ -21,8 +22,10 @@ from eptkit.decomposition import (  # noqa: E402
     find_clique_separator,
     tree_to_text,
 )
+from eptkit.gates import build_gate, enumerate_gates  # noqa: E402
 from eptkit.graphs import (  # noqa: E402
     Graph,
+    _automorphism_generators,
     enumerate_maximal_cliques,
     graph_to_text,
     is_connected,
@@ -44,9 +47,12 @@ from eptkit.representation import (  # noqa: E402
 )
 
 from reference import (  # noqa: E402
+    generated_group,
+    is_automorphism,
     reference_clique_separator,
     reference_decomposition_tree,
     reference_is_line_like,
+    vertex_orbits,
 )
 
 SETTINGS = settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -220,3 +226,20 @@ def test_chordal_atoms_are_complete(g):
     assume(nx.is_chordal(to_networkx(g)))
     for atom, _ in atoms(g):
         assert len(atom.edges) == atom.n * (atom.n - 1) // 2
+
+
+def test_automorphism_generators_match_networkx_on_catalog():
+    from networkx.algorithms.isomorphism import GraphMatcher
+
+    recipes = list(enumerate_gates(12).values())
+    assert len(recipes) == 203
+    for recipe in recipes:
+        g = build_gate(recipe).graph
+        generators = _automorphism_generators(g)
+        assert all(is_automorphism(g, image) for image in generators), recipe
+        h = to_networkx(g)
+        automorphisms = [
+            tuple(m[v] for v in range(g.n)) for m in GraphMatcher(h, h).isomorphisms_iter()
+        ]
+        assert vertex_orbits(g.n, generators) == vertex_orbits(g.n, automorphisms), recipe
+        assert len(generated_group(g.n, generators)) == len(automorphisms), recipe
