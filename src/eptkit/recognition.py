@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import itertools
 import time
-from collections import Counter
 from dataclasses import dataclass
 
 from .decomposition import atoms
@@ -115,14 +114,28 @@ def is_helly_ept(g: Graph, budget_secs: float | None = None) -> EptRepresentatio
     return oracle_membership(g, budget_secs=budget_secs)
 
 
-def _is_line_like(cliques: list[VertexSet]) -> bool:
-    """Whether an atom with these maximal cliques, two or more, is
-    line-like: every vertex lies in exactly two of the cliques, and H
-    is 2-connected and triangle-free, where H has one node per clique
-    and one edge per distinct clique pair held by a vertex (so true
-    twins share an edge). In an atom A it is enough that no vertex lies
-    in three cliques; the rest follows because A is connected and has
-    no clique separator:
+def _is_line_like(atom: Graph) -> bool:
+    """Whether an atom is complete or line-like, read off its
+    neighbourhoods without listing its maximal cliques.
+
+    For a vertex v, let U be the vertices of N(v) adjacent to all the
+    rest of N(v), and R = N(v) - U. The maximal cliques holding v are
+    v + U + D for the maximal cliques D of R, or v + U when R is empty.
+    No vertex of R is adjacent to all the rest of R, or it would be
+    adjacent to all of U too and lie in U. So R is not one clique, and
+    two maximal cliques covering R share no vertex and have no edge
+    between their differences, which would lie in a third. Hence v lies
+    in at most two maximal cliques exactly when R is empty or two
+    disjoint cliques with no edge between them, that is when the closed
+    neighbourhoods in R of R's vertices are two disjoint sets. A
+    complete atom passes, as every R is empty.
+
+    Line-like means every vertex lies in exactly two maximal cliques,
+    and H is 2-connected and triangle-free, where H has one node per
+    clique and one edge per distinct clique pair held by a vertex (so
+    true twins share an edge). In an atom A that is not complete it is
+    enough that no vertex lies in three cliques; the rest follows
+    because A is connected and has no clique separator:
     - a vertex v in one clique C only: C - v would separate v from the
       rest of A, which is not empty as A is not complete;
     - a triangle C1 C2 C3 in H: the vertices held by its three pairs
@@ -135,8 +148,13 @@ def _is_line_like(cliques: list[VertexSet]) -> bool:
       A - C has vertices in two components of H - C with no edge
       between them, and the clique C would separate A.
     """
-    held = Counter(v for clique in cliques for v in clique)
-    return max(held.values()) <= 2
+    adj = atom._adj
+    for near in adj:
+        rest = {u for u in near if len(adj[u] & near) < len(near) - 1}
+        closed = {frozenset(adj[w] & rest | {w}) for w in rest}
+        if closed and (len(closed) != 2 or sum(map(len, closed)) != len(rest)):
+            return False
+    return True
 
 
 def cheapest_representation(g: Graph, budget_secs: float | None = None) -> RecognitionResult:
@@ -192,10 +210,9 @@ def cheapest_representation(g: Graph, budget_secs: float | None = None) -> Recog
     k = 1
     if not is_chordal(g):
         for atom, vertices in atoms(g):
-            cliques = enumerate_maximal_cliques(atom)
-            if len(cliques) > 1 and not _is_line_like(cliques):
+            if not _is_line_like(atom):
                 return RecognitionResult(False, None, None, obstruction=vertices)
-            k = max(k, len(cliques))
+            k = max(k, len(enumerate_maximal_cliques(atom)))
     rep = is_helly_ept(g, max(0.0, budget_secs - (time.monotonic() - start)))
     if rep is None:
         return RecognitionResult(False, None, None)

@@ -5,8 +5,10 @@ vertices are adjacent exactly when their paths share a tree edge. For a
 tree edge e, the edge set K_e collects the vertices whose paths contain
 e; for a claw (three tree edges at one center) the set K_Y collects the
 vertices whose paths contain two of its spokes. Every maximal clique of
-the derived graph is one of these two kinds, and a representation is
-Helly precisely when no maximal clique needs a claw witness.
+the derived graph is one of these two kinds (Golumbic & Jamison 1985),
+apart from {v} for a single-vertex path, and a representation is Helly
+precisely when no maximal clique needs a claw witness. clique_witnesses
+reads the candidates off the host tree and keeps the maximal ones.
 
 Pies are the unique representation shape of chordless cycles: a star
 with as many spokes as the cycle, each path covering two consecutive
@@ -19,6 +21,7 @@ gate's clique list: each vertex's path joins the spokes of its two.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -28,7 +31,6 @@ from .graphs import (
     Graph,
     GraphParseError,
     VertexSet,
-    enumerate_maximal_cliques,
     induced_subgraph,
     is_connected,
 )
@@ -219,14 +221,32 @@ def _claw_pair_at(rep: EptRepresentation, v: int, center: int) -> tuple[int, int
     """The two tree neighbors of center covered by v's path as it passes
     through, or None when the path misses center or stops there."""
     path = rep.paths[v]
-    try:
-        i = path.index(center)
-    except ValueError:
+    if center not in path[1:-1]:
         return None
-    if i == 0 or i == len(path) - 1:
-        return None
+    i = path.index(center)
     a, b = path[i - 1], path[i + 1]
     return (a, b) if a < b else (b, a)
+
+
+def _covered_claws(
+    rep: EptRepresentation, vertices
+) -> Iterator[tuple[ClawClique, list[list[int]]]]:
+    """Every claw whose three spoke pairs are each covered by a path of
+    `vertices`, centers ascending and ends in lexicographic order, with
+    the vertices covering its pairs (x, y), (x, z), (y, z), in the order
+    of `vertices`. Together they are K_Y within `vertices`."""
+    through: dict[int, dict[tuple[int, int], list[int]]] = {}
+    for v in vertices:
+        path = rep.paths[v]
+        for a, center, b in zip(path, path[1:], path[2:]):
+            pair = (a, b) if a < b else (b, a)
+            through.setdefault(center, {}).setdefault(pair, []).append(v)
+    for center, covered in sorted(through.items()):
+        ends = sorted({q for pair in covered for q in pair})
+        for x, y, z in itertools.combinations(ends, 3):
+            if (x, y) in covered and (x, z) in covered and (y, z) in covered:
+                held = [covered[(x, y)], covered[(x, z)], covered[(y, z)]]
+                yield ClawClique(center, (x, y, z)), held
 
 
 def find_claw_violation(
@@ -236,30 +256,19 @@ def find_claw_violation(
     three spoke pairs are each covered by one of the paths. Returns the
     claw and the covering vertices, or None. Scans centers ascending."""
     vertices = range(len(rep.paths)) if subset is None else subset
-    for center in range(rep.tree.n):
-        if rep.tree.degree(center) < 3:
-            continue
-        covered: dict[tuple[int, int], int] = {}
-        for v in vertices:
-            pair = _claw_pair_at(rep, v, center)
-            if pair is not None and pair not in covered:
-                covered[pair] = v
-        ends = sorted({q for pair in covered for q in pair})
-        for x, y, z in itertools.combinations(ends, 3):
-            if (x, y) in covered and (x, z) in covered and (y, z) in covered:
-                claw = ClawClique(center, (x, y, z))
-                return claw, (covered[(x, y)], covered[(x, z)], covered[(y, z)])
+    for claw, held in _covered_claws(rep, vertices):
+        return claw, tuple(h[0] for h in held)
     return None
 
 
 def classify_clique(
     rep: EptRepresentation, c: VertexSet
 ) -> EdgeClique | ClawClique:
-    """Witness for a maximal clique c: a tree edge e with K_e = c when
-    one exists, else a claw Y with K_Y = c. Raises ValueError when c is
-    not a maximal clique or is {v} for a single-vertex path, and
-    RuntimeError when another clique has no witness (which signals a
-    broken input)."""
+    """Witness for a maximal clique c, as clique_witnesses pairs it: the
+    first tree edge e, in sorted order, with K_e = c when one exists,
+    else the first claw Y, by center and then ends in lexicographic
+    order, with K_Y = c. Raises ValueError when c is not a maximal
+    clique or is {v} for a single-vertex path."""
     target = tuple(sorted(c))
     for clique, witness in clique_witnesses(rep):
         if clique == target:
@@ -272,31 +281,42 @@ def classify_clique(
 def clique_witnesses(
     rep: EptRepresentation,
 ) -> list[tuple[VertexSet, EdgeClique | ClawClique | None]]:
-    """Every maximal clique of the derived graph, in the order of
-    enumerate_maximal_cliques, paired with its classify_clique witness,
-    or with None for the clique {v} of a single-vertex path, which no
-    K_e or K_Y holds. Builds the derived graph and its cliques once."""
-    edge_of: dict[VertexSet, Edge] = {}
+    """Every maximal clique of the derived graph, sorted, in
+    lexicographic order. Each is paired with the first tree edge e, in
+    sorted order, with K_e equal to it; else with the first claw Y, by
+    center and then ends in lexicographic order, with K_Y equal to it;
+    else with None for the clique {v} of a single-vertex path, which no
+    K_e or K_Y holds.
+
+    The candidates are read off the host tree: the non-empty K_e, the
+    K_Y of each claw whose three spoke pairs are covered, and {v} for
+    each single-vertex path. Each is a clique, and every maximal clique
+    is one of them (Golumbic & Jamison 1985), so the maximal candidates
+    are the maximal cliques. The claw found for a maximal clique c that
+    is no K_e is the first of all claws with K_Y = c: a claw with
+    K_Y = c and an uncovered pair would leave every member of c on one
+    spoke, the one the covered pairs share, and c, maximal, would equal
+    that spoke's K_e.
+    """
+    candidates: dict[VertexSet, EdgeClique | ClawClique | None] = {}
     for e in rep.tree.edges:
-        edge_of.setdefault(clique_of_edge(rep, e), e)
-    out: list[tuple[VertexSet, EdgeClique | ClawClique | None]] = []
-    for c in enumerate_maximal_cliques(edge_intersection_graph(rep)):
-        e = edge_of.get(c)
-        out.append((c, EdgeClique(e) if e is not None else _claw_witness(rep, c)))
-    return out
-
-
-def _claw_witness(rep: EptRepresentation, c: VertexSet) -> ClawClique | None:
-    if len(rep.paths[c[0]]) == 1:  # c is {v}, and v's path has no edge
-        return None
-    for center in range(rep.tree.n):
-        if rep.tree.degree(center) < 3:
-            continue
-        for ends in itertools.combinations(sorted(rep.tree.neighbors(center)), 3):
-            spokes = [(center, q) for q in ends]
-            if clique_of_claw(rep, center, spokes) == c:
-                return ClawClique(center, ends)
-    raise RuntimeError(f"no edge or claw witness for clique {c}: broken representation")
+        c = clique_of_edge(rep, e)
+        if c:
+            candidates.setdefault(c, EdgeClique(e))
+    for claw, held in _covered_claws(rep, range(len(rep.paths))):
+        candidates.setdefault(tuple(sorted(held[0] + held[1] + held[2])), claw)
+    for v, path in enumerate(rep.paths):
+        if len(path) == 1:
+            candidates[(v,)] = None
+    holding: list[list[VertexSet]] = [[] for _ in rep.paths]
+    for c in candidates:
+        for v in c:
+            holding[v].append(c)
+    return [
+        (c, candidates[c])
+        for c in sorted(candidates)
+        if not any(len(d) > len(c) and set(c).issubset(d) for d in holding[c[0]])
+    ]
 
 
 def is_helly(rep: EptRepresentation) -> tuple[bool, VertexSet | None]:
@@ -315,10 +335,6 @@ def is_helly(rep: EptRepresentation) -> tuple[bool, VertexSet | None]:
         if not isinstance(witness, EdgeClique):
             return False, c
     return True, None
-
-
-def _spoke_ends_on_path(rep: EptRepresentation, v: int, center: int) -> set[int]:
-    return set(rep.paths[v]) & set(rep.tree.neighbors(center))
 
 
 def find_pie(rep: EptRepresentation, cycle: VertexSet) -> PieWitness:
@@ -340,7 +356,7 @@ def find_pie(rep: EptRepresentation, cycle: VertexSet) -> PieWitness:
     for center in range(rep.tree.n):
         if rep.tree.degree(center) < k:
             continue
-        ends = [_spoke_ends_on_path(rep, v, center) for v in cycle]
+        ends = [set(_claw_pair_at(rep, v, center) or ()) for v in cycle]
         if any(len(a) != 2 for a in ends):
             continue
         shared = [ends[i] & ends[(i + 1) % k] for i in range(k)]
@@ -378,17 +394,15 @@ def find_multipie(
     for center in range(rep.tree.n):
         if rep.tree.degree(center) < k:
             continue
-        ends = {v: _spoke_ends_on_path(rep, v, center) for v in members}
-        if any(len(a) != 2 for a in ends.values()):
+        pairs = {v: _claw_pair_at(rep, v, center) for v in members}
+        if None in pairs.values():
             continue
-        spoke_set = set().union(*ends.values())
+        spoke_set = {q for pair in pairs.values() for q in pair}
         if len(spoke_set) != k:
             continue
-        pairs = {v: tuple(sorted(ends[v])) for v in members}
         if len(set(pairs.values())) != len(members):
             continue
-        coverage = {q: sum(q in a for a in ends.values()) for q in spoke_set}
-        if any(c < 2 for c in coverage.values()):
+        if any(sum(q in pair for pair in pairs.values()) < 2 for q in spoke_set):
             continue
         return MultipieWitness(
             center,

@@ -1,8 +1,9 @@
 """Test-side references: labeled host-tree enumeration, the minimum
 host degree over bijection trees, brute-force clique separators,
 line-likeness checked on the clique graph itself, and the induced-gate
-search and two-clique test without bitmask filtering, and the orbits
-and group of a set of vertex permutations.
+search and two-clique test without bitmask filtering, the orbits and
+group of a set of vertex permutations, and a representation's maximal
+cliques and claws found by brute force.
 
 All are independent of the library's routes. The labeled trees feed a
 brute-force search that cross-checks the oracle's shape scan; the
@@ -11,7 +12,9 @@ cheapest_representation is compared against; the separator search
 tests every complete set, smallest first, against the MCS-M candidates
 of the decomposition; the gate search looks up every subset of minimum
 degree 2 in the catalog, and the two-clique test reads maximal cliques
-from Bron-Kerbosch.
+from Bron-Kerbosch. The clique witnesses run Bron-Kerbosch on the
+derived graph and try every claw at every node, the route the library
+replaced by reading the candidates off the host tree.
 """
 
 import heapq
@@ -31,7 +34,7 @@ from eptkit.graphs import (
     is_connected,
 )
 from eptkit.oracle import CLIQUE_BOUND, oracle_membership
-from eptkit.representation import HostTree
+from eptkit.representation import ClawClique, EdgeClique, EptRepresentation, HostTree
 
 
 def _prufer_decode(seq: tuple[int, ...], n: int) -> list[tuple[int, int]]:
@@ -210,3 +213,64 @@ def generated_group(n: int, perms) -> set[VertexSet]:
                 group.add(y)
                 todo.append(y)
     return group
+
+
+def _spoke_sets(rep: EptRepresentation) -> list[set[frozenset[int]]]:
+    return [{frozenset(step) for step in zip(p, p[1:])} for p in rep.paths]
+
+
+def reference_clique_witnesses(
+    rep: EptRepresentation,
+) -> list[tuple[VertexSet, EdgeClique | ClawClique | None]]:
+    """Every maximal clique of the derived graph, by Bron-Kerbosch on
+    it, with the first tree edge e whose K_e equals it, else the first
+    claw (center ascending, ends lexicographic) of all claws at all
+    nodes whose K_Y does, else None for {v} of a single-vertex path.
+    K_e and K_Y are read off the paths' edge sets."""
+    sets = _spoke_sets(rep)
+    n = len(sets)
+    derived = Graph(n, [
+        (u, v) for u, v in itertools.combinations(range(n), 2) if sets[u] & sets[v]
+    ])
+    edge_of: dict[VertexSet, EdgeClique] = {}
+    for a, b in rep.tree.edges:
+        k_e = tuple(v for v in range(n) if frozenset((a, b)) in sets[v])
+        edge_of.setdefault(k_e, EdgeClique((a, b)))
+    out = []
+    for c in enumerate_maximal_cliques(derived):
+        witness = edge_of.get(c)
+        if witness is None and len(rep.paths[c[0]]) > 1:
+            witness = next(
+                claw for claw in _all_claws(rep)
+                if tuple(
+                    v for v in range(n)
+                    if sum(frozenset((claw.center, q)) in sets[v] for q in claw.ends) >= 2
+                ) == c
+            )
+        out.append((c, witness))
+    return out
+
+
+def _all_claws(rep: EptRepresentation) -> Iterator[ClawClique]:
+    for center in range(rep.tree.n):
+        for ends in itertools.combinations(sorted(rep.tree.neighbors(center)), 3):
+            yield ClawClique(center, ends)
+
+
+def reference_claw_violation(
+    rep: EptRepresentation, subset: VertexSet | None = None
+) -> tuple[ClawClique, tuple[int, int, int]] | None:
+    """The first claw of all claws at all nodes each of whose three
+    spoke pairs lies on a path of `subset`, with the first such path of
+    each pair (x, y), (x, z), (y, z)."""
+    sets = _spoke_sets(rep)
+    vertices = range(len(sets)) if subset is None else subset
+    for claw in _all_claws(rep):
+        x, y, z = (frozenset((claw.center, q)) for q in claw.ends)
+        covering = tuple(
+            next((v for v in vertices if {s, t} <= sets[v]), None)
+            for s, t in ((x, y), (x, z), (y, z))
+        )
+        if None not in covering:
+            return claw, covering
+    return None

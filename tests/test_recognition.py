@@ -2,6 +2,7 @@
 route, atom formula, crosscheck."""
 
 import itertools
+import time
 from types import SimpleNamespace
 
 import pytest
@@ -219,6 +220,17 @@ def test_atom_test_names_the_failing_atom():
     assert cheapest_representation(S3_GRAPH) == RecognitionResult(False, None, None)
 
 
+def test_atom_test_decides_before_listing_cliques(monkeypatch):
+    # K_{3x20}, the complement of 20 disjoint triangles, is one atom
+    # with 3^20 maximal cliques; each neighbourhood is a K_{3x19}
+    monkeypatch.setattr(recognition, "enumerate_maximal_cliques", refuse("enumerate_maximal_cliques"))
+    g = Graph(60, [(u, v) for u, v in itertools.combinations(range(60), 2) if u // 3 != v // 3])
+    start = time.perf_counter()
+    result = cheapest_representation(g, budget_secs=0.1)
+    assert result == RecognitionResult(False, None, None, obstruction=tuple(range(60)))
+    assert time.perf_counter() - start < 1.0
+
+
 def test_passing_atoms_have_one_clique_or_four():
     # so a non-chordal graph that passes the atom test has k >= 4, and
     # cheapest_representation's k == 1 branch covers every k <= 3
@@ -230,10 +242,9 @@ def test_passing_atoms_have_one_clique_or_four():
                 continue
             counts = []
             for atom, _ in atoms(g):
-                cliques = enumerate_maximal_cliques(atom)
-                if len(cliques) > 1 and not recognition._is_line_like(cliques):
+                if not recognition._is_line_like(atom):
                     break
-                counts.append(len(cliques))
+                counts.append(len(enumerate_maximal_cliques(atom)))
             else:
                 passing += 1
                 assert all(k == 1 or k >= 4 for k in counts)
@@ -259,6 +270,8 @@ def test_helly_h_membership():
 
 
 def test_characterization_crosscheck():
-    for h in (3, 4, 5, 6):
-        for g in (cycle_graph(5), TWO_C5S, path_graph(5), complete_graph(4)):
-            assert helly_h_membership(g, h) == (contains_gate_ge(g, h) is None), (g, h)
+    for g in (cycle_graph(5), TWO_C5S, path_graph(5), complete_graph(4)):
+        h_min = cheapest_representation(g).h
+        assert helly_h_membership(g, 3) == (h_min <= 3), g
+        for h in (3, 4, 5, 6):
+            assert (h_min <= h) == (contains_gate_ge(g, h) is None), (g, h)

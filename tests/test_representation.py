@@ -6,7 +6,6 @@ import time
 
 import pytest
 
-from eptkit import representation
 from eptkit.gates import ExtensionStep, GateRecipe, LabeledGate, build_gate, enumerate_gates
 from eptkit.graphs import (
     BoundExceededError,
@@ -39,6 +38,7 @@ from eptkit.representation import (
     star_representation,
     verify,
 )
+from reference import reference_claw_violation, reference_clique_witnesses
 
 # branching tree on six triangle-ish paths: three triangles hang off a
 # central claw clique, and the claw clique is not an edge clique
@@ -190,15 +190,60 @@ def test_single_vertex_paths():
     assert is_helly(rep) == (False, (1,))
 
 
-def test_missing_witness_still_raises(monkeypatch):
-    # with no edge cliques, a two-vertex clique on a path host has no
-    # witness at all, which only a broken representation can cause
-    monkeypatch.setattr(representation, "clique_of_edge", lambda rep, e: ())
-    rep = EptRepresentation(HostTree(2, [(0, 1)]), ((0, 1), (1, 0)))
-    with pytest.raises(RuntimeError, match="no edge or claw witness"):
-        clique_witnesses(rep)
-    with pytest.raises(RuntimeError, match="no edge or claw witness"):
-        is_helly(rep)
+def random_representation(rng: random.Random) -> EptRepresentation:
+    """A random tree on 2-14 vertices, each joined to an earlier one in a
+    shuffled order, with 1-16 paths between random ends; equal ends give
+    a single-vertex path."""
+    n = rng.randint(2, 14)
+    order = rng.sample(range(n), n)
+    tree = HostTree(n, [(order[rng.randrange(i)], order[i]) for i in range(1, n)])
+    paths = []
+    for _ in range(rng.randint(1, 16)):
+        a, b = rng.randrange(n), rng.randrange(n)
+        parent = {a: a}
+        queue = [a]
+        for q in queue:
+            for r in tree.neighbors(q) - parent.keys():
+                parent[r] = q
+                queue.append(r)
+        path = [b]
+        while path[-1] != a:
+            path.append(parent[path[-1]])
+        paths.append(tuple(path))
+    return EptRepresentation(tree, tuple(paths))
+
+
+def test_clique_witnesses_match_reference():
+    # the tree-read cliques and witnesses against Bron-Kerbosch on the
+    # derived graph and every claw at every node
+    rng = random.Random(20261018)
+    reps = [random_representation(rng) for _ in range(1000)]
+    reps += [star_representation(build_gate(r)) for r in enumerate_gates(12).values()]
+    reps += [S3_REP, POINTS_REP]
+    with_claws = with_points = 0
+    for rep in reps:
+        expected = reference_clique_witnesses(rep)
+        assert clique_witnesses(rep) == expected, rep
+        bad = next((c for c, w in expected if not isinstance(w, EdgeClique)), None)
+        assert is_helly(rep) == (bad is None, bad)
+        for c, w in expected:
+            if w is None:
+                with pytest.raises(ValueError, match="single-vertex path"):
+                    classify_clique(rep, c)
+            else:
+                assert classify_clique(rep, c) == w
+        hit = find_claw_violation(rep)
+        assert hit == reference_claw_violation(rep), rep
+        # every covered claw's K_Y is a maximal clique, so the first
+        # violation is the first claw witness
+        claws = [w for _, w in expected if isinstance(w, ClawClique)]
+        first = min(claws, key=lambda w: (w.center, w.ends), default=None)
+        assert (hit and hit[0]) == first
+        subset = tuple(v for v in range(len(rep.paths)) if rng.random() < 0.7)
+        assert find_claw_violation(rep, subset) == reference_claw_violation(rep, subset)
+        with_claws += bool(claws)
+        with_points += None in (w for _, w in expected)
+    assert with_claws >= 100 and with_points >= 100
 
 
 def test_find_pie():
