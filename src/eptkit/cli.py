@@ -192,10 +192,12 @@ def _cmd_verify_rep(args) -> int:
     if not ok:
         print(f"mismatch: {why}")
         return EXIT_NO
-    helly, _ = representation.is_helly(rep)
+    # is_helly's test, read off the listing printed below so it runs once
+    witnesses = representation.clique_witnesses(rep)
+    helly = all(isinstance(w, representation.EdgeClique) for _, w in witnesses)
     degree = representation.max_host_degree(rep)
     print(f"ok helly={'true' if helly else 'false'} degree={degree}")
-    for c, witness in representation.clique_witnesses(rep):
+    for c, witness in witnesses:
         members = " ".join(str(v) for v in c)
         if witness is None:
             print(f"clique {members}: single-vertex path, no edge")

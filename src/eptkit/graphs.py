@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from typing import Iterable
+from typing import Iterable, Iterator
 
 VertexSet = tuple[int, ...]
 Edge = tuple[int, int]
@@ -183,15 +183,20 @@ def graph_to_dot(g: Graph, name: str = "g") -> str:
 
 
 def enumerate_maximal_cliques(g: Graph) -> list[VertexSet]:
-    """All maximal cliques, each sorted, listed in lexicographic order.
+    """All maximal cliques, each sorted, listed in lexicographic order."""
+    return sorted(_maximal_cliques(g))
+
+
+def _maximal_cliques(g: Graph) -> Iterator[VertexSet]:
+    """Every maximal clique, sorted, as Bron-Kerbosch finds it, so a
+    caller that needs only the first few can stop early.
 
     Bron-Kerbosch with pivoting, on its own stack rather than Python's;
     the pivot is the lowest-index vertex maximizing candidate coverage.
     """
     if g.n == 0:
-        return []
+        return
     adj = g._adj
-    out: list[VertexSet] = []
 
     def frame(r: list[int], p: set[int], x: set[int]):
         # no vertex of p covers itself, so none covers more than cap
@@ -218,9 +223,7 @@ def enumerate_maximal_cliques(g: Graph) -> list[VertexSet]:
         if child_p:
             stack.append(frame(r + [v], child_p, child_x))
         elif not child_x:
-            out.append(tuple(sorted(r + [v])))
-    out.sort()
-    return out
+            yield tuple(sorted(r + [v]))
 
 
 def connected_components(g: Graph) -> list[VertexSet]:

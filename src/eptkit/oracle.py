@@ -37,16 +37,19 @@ was searched first and fails exactly when the one under j would.
 from __future__ import annotations
 
 import functools
+import heapq
+import itertools
 import time
+from collections.abc import Sequence
 
 from .graphs import (
     BoundExceededError,
     Graph,
     VertexSet,
     _automorphism_generators,
+    _maximal_cliques,
     _orbit_representatives,
     canonical_form,
-    enumerate_maximal_cliques,
     is_connected,
 )
 from .representation import EptRepresentation, HostTree, TreePath
@@ -238,18 +241,43 @@ def tree_shapes(m: int) -> tuple[TreeShape, ...]:
     )
 
 
-def _clique_order(cliques: tuple[VertexSet, ...]) -> list[int]:
+def _clique_order(cliques: Sequence[VertexSet]) -> list[int]:
     """Assignment order: grow a connected front over shared vertices so
-    span pruning bites early; lexicographic tie-break."""
-    remaining = set(range(len(cliques)))
+    span pruning bites early; lexicographic tie-break. Each step takes
+    the lowest-index clique left that shares a vertex with those
+    placed, or the lowest-index clique left when none does.
+
+    A clique joins the heap `linked` when one of its vertices is first
+    placed and stays linked until it is taken, so the heap's lowest
+    index not yet taken is the next clique. A clique is pushed at most
+    once per vertex it holds, so the order costs O(s log s) for s the
+    total size of the cliques."""
+    holding: dict[int, list[int]] = {}
+    for i, c in enumerate(cliques):
+        for v in c:
+            holding.setdefault(v, []).append(i)
+    taken = [False] * len(cliques)
     placed: set[int] = set()
+    linked: list[int] = []
+    first_free = 0
     order = []
-    while remaining:
-        linked = [i for i in sorted(remaining) if placed & set(cliques[i])]
-        nxt = linked[0] if linked else min(remaining)
+    while len(order) < len(cliques):
+        while linked and taken[linked[0]]:
+            heapq.heappop(linked)
+        if linked:
+            nxt = heapq.heappop(linked)
+        else:
+            while taken[first_free]:
+                first_free += 1
+            nxt = first_free
+        taken[nxt] = True
         order.append(nxt)
-        remaining.remove(nxt)
-        placed.update(cliques[nxt])
+        for v in cliques[nxt]:
+            if v not in placed:
+                placed.add(v)
+                for j in holding[v]:
+                    if not taken[j]:
+                        heapq.heappush(linked, j)
     return order
 
 
@@ -268,7 +296,7 @@ class _Deadline:
 
 def _assign_cliques(
     shape: TreeShape,
-    cliques: tuple[VertexSet, ...],
+    cliques: list[VertexSet],
     order: list[int],
     adj_self: list[int],
     deadline: _Deadline,
@@ -339,13 +367,18 @@ def oracle_membership(g: Graph, *, budget_secs: float | None = None) -> EptRepre
     """A verified Helly representation of g on the first accepting
     bijection tree, which has the minimum host degree over all of them,
     or None after exhausting all of them. Raises BudgetExhaustedError
-    when time runs out first, and ValueError for a NaN or negative
-    budget. Nothing is kept between calls."""
+    when time runs out first, BoundExceededError as soon as the listing
+    finds a clique past CLIQUE_BOUND, and ValueError for a NaN or
+    negative budget. Nothing is kept between calls."""
     budget_secs = resolve_budget_secs(budget_secs)
-    cliques = enumerate_maximal_cliques(g)
+    # stop listing at the first clique past the bound: K_{3x12} alone
+    # has 531 441
+    cliques = sorted(itertools.islice(_maximal_cliques(g), CLIQUE_BOUND + 1))
     m = len(cliques)
     if m > CLIQUE_BOUND:
-        raise BoundExceededError(f"oracle limited to {CLIQUE_BOUND} cliques, graph has {m}")
+        raise BoundExceededError(
+            f"oracle limited to {CLIQUE_BOUND} cliques, graph has more than {CLIQUE_BOUND}"
+        )
     if m == 0:
         return EptRepresentation(HostTree(1, ()), ())
     deadline = _Deadline(budget_secs)

@@ -1,19 +1,24 @@
 """The decision pipeline: Helly EPT membership and the minimum host
 degree.
 
-cheapest_representation decides membership in two steps. First the
-atom test: a graph one of whose clique-separator atoms is neither
-complete nor line-like is no member, and that atom is the witness. A
-chordal graph passes without being decomposed (is_chordal), since all
-its atoms are complete. Every other graph goes to the oracle's
-exhaustive bijection-tree search, which also yields the certificate.
-is_helly_ept is that search alone, the reference the tests compare
-with. For a member, h rests on the certificate and the atoms (see
-cheapest_representation). is_interval and has_asteroidal_triple are
-standalone tests off that route; the tests use them as its independent
-reference. The independent characterization says non-membership at
-degree h is equivalent to an induced gate with more than h cliques
-(gates.contains_gate_ge); the tests compare both routes.
+cheapest_representation decides membership in up to three steps.
+First the atom test: a graph one of whose clique-separator atoms is
+neither complete nor line-like is no member, and that atom is the
+witness. A chordal graph passes without being decomposed (is_chordal),
+since all its atoms are complete. Then, for a non-chordal graph, the
+internal-edge lemma (_pendant_answer): a maximal clique that separates
+nothing is a leaf edge of every normal form, so a vertex in three such
+cliques rules g out, and a graph with no separating maximal clique is
+a member exactly when its star is, at any clique count. Every other
+graph goes to the oracle's exhaustive bijection-tree search, which
+also yields the certificate. is_helly_ept is that search alone, the
+reference the tests compare with. For a member, h rests on the
+certificate and the atoms (see cheapest_representation). is_interval
+and has_asteroidal_triple are standalone tests off that route; the
+tests use them as its independent reference. The independent
+characterization says non-membership at degree h is equivalent to an
+induced gate with more than h cliques (gates.contains_gate_ge); the
+tests compare both routes.
 """
 
 from __future__ import annotations
@@ -31,8 +36,8 @@ from .graphs import (
     induced_subgraph,
     is_connected,
 )
-from .oracle import oracle_membership, resolve_budget_secs
-from .representation import EptRepresentation, max_host_degree
+from .oracle import _clique_order, oracle_membership, resolve_budget_secs
+from .representation import EptRepresentation, clique_star, max_host_degree
 
 
 @dataclass(frozen=True)
@@ -41,8 +46,9 @@ class RecognitionResult:
     minimum host degree (at least 2) and certificate, when attached,
     is a verified Helly representation of that degree or lower. When
     not, obstruction, when attached, is the vertex set in g of an atom
-    that is neither complete nor line-like; without it the exhaustive
-    search ruled g out."""
+    that is neither complete nor line-like. Without it, either a vertex
+    lies in three maximal cliques that separate nothing (the pendant
+    filter in _pendant_answer) or the exhaustive search ruled g out."""
 
     helly_ept: bool
     h: int | None
@@ -157,9 +163,87 @@ def _is_line_like(atom: Graph) -> bool:
     return True
 
 
+def _separating(
+    g: Graph, cliques: list[VertexSet], pieces: list[tuple[Graph, VertexSet]]
+) -> list[bool]:
+    """Whether each maximal clique separates the connected graph g,
+    whose atoms are `pieces`.
+
+    A clique C that separates g holds a vertex lying in two atoms. Take
+    a and b in different components of g - C, and S a minimal subset of
+    C separating them: it is complete, and not empty as g is connected.
+    By minimality each s in S has a neighbour x in a's component of
+    g - S and a neighbour y in b's. The atoms cover every edge, as each
+    split keeps its separator in every part. An atom holding both sx
+    and sy would be split by its part of S, a complete set separating x
+    from y inside it, so s lies in two atoms. A single atom therefore
+    needs no test, and otherwise only the cliques holding a vertex of
+    two atoms get one, in O(n + m) each.
+    """
+    if len(pieces) == 1:
+        return [False] * len(cliques)
+    atom_count = [0] * g.n
+    for _, vertices in pieces:
+        for v in vertices:
+            atom_count[v] += 1
+    return [
+        any(atom_count[v] > 1 for v in c)
+        and not is_connected(induced_subgraph(g, set(range(g.n)).difference(c))[0])
+        for c in cliques
+    ]
+
+
+def _pendant_answer(
+    g: Graph, pieces: list[tuple[Graph, VertexSet]], k: int
+) -> RecognitionResult | None:
+    """The answer for a non-chordal g whose atoms `pieces` passed the
+    atom test with k the largest atom clique count, when the maximal
+    cliques that separate nothing decide it; None when the scan must.
+
+    The internal-edge lemma. In a normal form (oracle.py: a host tree
+    whose edges are g's maximal cliques, each vertex's path made of the
+    edges of its cliques), the clique K_e of every internal edge e
+    separates g. Each side of e holds another edge D. By maximality
+    K_D has a vertex outside K_e, whose path holds D but not e and so
+    stays on D's side. Adjacent vertices share an edge, so every path
+    in g between the two such vertices, one per side, passes a vertex
+    whose path crosses e, that is a vertex of K_e. Hence a maximal
+    clique that separates nothing is a leaf edge of every normal form.
+
+    The pendant filter. A path in a tree holds at most two leaf edges,
+    its end edges, so in a member no vertex lies in three maximal
+    cliques that separate nothing. A g with such a vertex is answered
+    no, without the scan and at any clique count.
+
+    No separating clique means a star. Then every edge of a normal form
+    is a leaf edge, and a tree with no internal edge is a star. A
+    vertex's path in a star covers one or two spokes, so g is a member
+    exactly when no vertex lies in three maximal cliques, which the
+    filter has checked. The certificate is clique_star on the cliques
+    in oracle._clique_order, the very star the scan would return: the
+    star is the only bijection tree, with spoke i + 1 taken by the i-th
+    clique of that order. h is k as always; the star, of degree m, the
+    clique count, is attached only when m <= k.
+    """
+    cliques = enumerate_maximal_cliques(g)
+    separating = _separating(g, cliques, pieces)
+    leaf_count = [0] * g.n
+    for c, sep in zip(cliques, separating):
+        if not sep:
+            for v in c:
+                leaf_count[v] += 1
+    if max(leaf_count) > 2:
+        return RecognitionResult(False, None, None)
+    if any(separating):
+        return None
+    star = clique_star(g.n, [cliques[i] for i in _clique_order(cliques)])
+    return RecognitionResult(True, k, star if len(cliques) <= k else None)
+
+
 def cheapest_representation(g: Graph, budget_secs: float | None = None) -> RecognitionResult:
-    """Minimum h with g in Helly [h,2,2], from the atom test, the scan
-    and the atoms.
+    """Minimum h with g in Helly [h,2,2], from the atom test, the
+    pendant filter or the star (_pendant_answer), the scan and the
+    atoms.
 
     The atom test. Every atom of a Helly EPT graph is complete or
     line-like (_is_line_like). An atom A is an induced subgraph, so it
@@ -197,22 +281,35 @@ def cheapest_representation(g: Graph, budget_secs: float | None = None) -> Recog
       graph's clique path (Gilmore & Hoffman 1964) is a bijection tree;
     - so the certificate lies on a path exactly when g is interval.
 
+    A non-chordal g that passes the atom test goes to _pendant_answer,
+    which answers it without the scan when a vertex lies in three
+    maximal cliques that separate nothing, or when no maximal clique
+    separates g; only the rest reach the scan and its clique bound.
+    Chordal inputs skip this step: their answers come from the scan,
+    and a chordal graph with no separating maximal clique has at most
+    two, as every inner node of a clique tree separates.
+
     The certificate is omitted when its tree's degree exceeds h, as on
     a K8 with five cliques attached (h = 3, while every bijection tree
     needs degree 4).
 
     The budget is resolved and checked first, so a NaN or negative one
     is a ValueError on every route. It runs from the start of the call:
-    the scan gets what the atom test left, none when it took it all.
+    the scan gets what the atom test and the pendant filter left, none
+    when they took it all.
     """
     budget_secs = resolve_budget_secs(budget_secs)
     start = time.monotonic()
     k = 1
     if not is_chordal(g):
-        for atom, vertices in atoms(g):
+        pieces = atoms(g)
+        for atom, vertices in pieces:
             if not _is_line_like(atom):
                 return RecognitionResult(False, None, None, obstruction=vertices)
             k = max(k, len(enumerate_maximal_cliques(atom)))
+        answer = _pendant_answer(g, pieces, k)
+        if answer is not None:
+            return answer
     rep = is_helly_ept(g, max(0.0, budget_secs - (time.monotonic() - start)))
     if rep is None:
         return RecognitionResult(False, None, None)

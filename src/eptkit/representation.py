@@ -16,12 +16,13 @@ spokes. Multipies generalize pies and are exactly the shape forced by
 gates. Gates conversely always admit a star-host representation with
 one spoke per maximal clique, which star_representation reads off the
 gate's clique list: each vertex's path joins the spokes of its two.
+clique_star builds that star for any graph whose vertices each lie in
+one or two maximal cliques.
 """
 
 from __future__ import annotations
 
-import itertools
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -242,11 +243,18 @@ def _covered_claws(
             pair = (a, b) if a < b else (b, a)
             through.setdefault(center, {}).setdefault(pair, []).append(v)
     for center, covered in sorted(through.items()):
-        ends = sorted({q for pair in covered for q in pair})
-        for x, y, z in itertools.combinations(ends, 3):
-            if (x, y) in covered and (x, z) in covered and (y, z) in covered:
-                held = [covered[(x, y)], covered[(x, z)], covered[(y, z)]]
-                yield ClawClique(center, (x, y, z)), held
+        # the claws are the triangles x < y < z of the graph of covered
+        # pairs; each covered pair (x, y) meets its z in the common
+        # neighbours of x and y, so a wide star costs no cubic scan
+        near: dict[int, set[int]] = {}
+        for x, y in covered:
+            near.setdefault(x, set()).add(y)
+            near.setdefault(y, set()).add(x)
+        for x in sorted(near):
+            for y in sorted(q for q in near[x] if q > x):
+                for z in sorted(q for q in near[x] & near[y] if q > y):
+                    held = [covered[(x, y)], covered[(x, z)], covered[(y, z)]]
+                    yield ClawClique(center, (x, y, z)), held
 
 
 def find_claw_violation(
@@ -298,11 +306,14 @@ def clique_witnesses(
     spoke, the one the covered pairs share, and c, maximal, would equal
     that spoke's K_e.
     """
+    holders: dict[Edge, list[int]] = {e: [] for e in rep.tree.edges}
+    for v, s in enumerate(rep.path_edge_sets):
+        for e in s:
+            holders[e].append(v)
     candidates: dict[VertexSet, EdgeClique | ClawClique | None] = {}
-    for e in rep.tree.edges:
-        c = clique_of_edge(rep, e)
-        if c:
-            candidates.setdefault(c, EdgeClique(e))
+    for e, held in holders.items():
+        if held:
+            candidates.setdefault(tuple(held), EdgeClique(e))
     for claw, held in _covered_claws(rep, range(len(rep.paths))):
         candidates.setdefault(tuple(sorted(held[0] + held[1] + held[2])), claw)
     for v, path in enumerate(rep.paths):
@@ -496,27 +507,41 @@ def representation_to_dot(rep: EptRepresentation) -> str:
     return "\n".join(lines) + "\n"
 
 
-def star_representation(gate: LabeledGate) -> EptRepresentation:
-    """Helly representation of a k-gate on a star host with k spokes.
+def clique_star(n: int, cliques: Sequence[VertexSet]) -> EptRepresentation:
+    """The star on centre 0 whose spoke i + 1 stands for cliques[i].
+    Vertex v of 0..n-1 gets the path (a, 0, b) when a < b are the spokes
+    of its two cliques, and (0, a) when it lies in cliques[a - 1] alone.
 
-    Spoke i + 1 of the star on centre 0 stands for gate.cliques[i], and
-    vertex v gets the path (a, 0, b), where a < b are the spokes of its
-    two cliques. This is a Helly representation of any graph whose
-    vertices each lie in exactly two maximal cliques. Two vertices are
-    adjacent when they share a clique, that is when their paths share a
-    spoke, so the derived graph is the gate. No three cliques pairwise
-    meet: the three shared vertices would form a clique, which would
-    have to lie in a third clique of one of them. So no claw is covered,
-    and every maximal clique of the derived graph is one spoke's K_e.
-    Raises ValueError for the first vertex in other than two cliques.
+    When `cliques` are the maximal cliques of a graph g, this is a Helly
+    representation of g. Two vertices are adjacent when they share a
+    clique, that is when their paths share a spoke, so the derived graph
+    is g. No three cliques pairwise meet: the three shared vertices
+    would form a clique, which would have to lie in a third clique of
+    one of them. So no claw is covered, and every maximal clique of the
+    derived graph is one spoke's K_e. Raises ValueError for the first
+    vertex in no clique or in more than two.
     """
-    spokes: list[list[int]] = [[] for _ in range(gate.graph.n)]
-    for i, c in enumerate(gate.cliques, start=1):
+    spokes: list[list[int]] = [[] for _ in range(n)]
+    for i, c in enumerate(cliques, start=1):
         for v in c:
             spokes[v].append(i)
     for v, ends in enumerate(spokes):
-        if len(ends) != 2:
-            raise ValueError(f"vertex {v} lies in {len(ends)} maximal cliques, not 2")
-    k = len(gate.cliques)
-    tree = HostTree(k + 1, [(0, i) for i in range(1, k + 1)])
-    return EptRepresentation(tree, tuple((a, 0, b) for a, b in spokes))
+        if not 1 <= len(ends) <= 2:
+            raise ValueError(f"vertex {v} lies in {len(ends)} maximal cliques, not 1 or 2")
+    m = len(cliques)
+    tree = HostTree(m + 1, [(0, i) for i in range(1, m + 1)])
+    return EptRepresentation(
+        tree, tuple((ends[0], 0, ends[1]) if len(ends) == 2 else (0, ends[0]) for ends in spokes)
+    )
+
+
+def star_representation(gate: LabeledGate) -> EptRepresentation:
+    """Helly representation of a k-gate on a star host with k spokes:
+    clique_star on gate.cliques, so vertex v gets the path (a, 0, b)
+    through the spokes a < b of its two cliques. Raises ValueError for
+    a vertex in other than two cliques."""
+    rep = clique_star(gate.graph.n, gate.cliques)
+    for v, path in enumerate(rep.paths):
+        if len(path) != 3:
+            raise ValueError(f"vertex {v} lies in 1 maximal cliques, not 2")
+    return rep

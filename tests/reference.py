@@ -1,5 +1,6 @@
 """Test-side references: labeled host-tree enumeration, the minimum
-host degree over bijection trees, brute-force clique separators,
+host degree over bijection trees, the scan's clique order rescanned at
+every step, brute-force clique separators,
 line-likeness checked on the clique graph itself, and the induced-gate
 search and two-clique test without bitmask filtering, the orbits and
 group of a set of vertex permutations, and a representation's maximal
@@ -14,7 +15,10 @@ of the decomposition; the gate search looks up every subset of minimum
 degree 2 in the catalog, and the two-clique test reads maximal cliques
 from Bron-Kerbosch. The clique witnesses run Bron-Kerbosch on the
 derived graph and try every claw at every node, the route the library
-replaced by reading the candidates off the host tree.
+replaced by reading the candidates off the host tree; its claws come
+from every triple of spoke ends, where the library lists the triangles
+of the covered pairs. The clique order is the quadratic rescan the
+heap in oracle._clique_order replaced.
 """
 
 import heapq
@@ -92,6 +96,22 @@ def oracle_min_h(g: Graph, budget_secs: float | None = None) -> int | None:
     cheapest host degree, which may need a tree with more edges."""
     rep = oracle_membership(g, budget_secs=budget_secs)
     return None if rep is None else max(2, rep.tree.max_degree())
+
+
+def reference_clique_order(cliques: list[VertexSet]) -> list[int]:
+    """The scan's assignment order, rescanned at every step: the
+    lowest-index clique left that shares a vertex with those placed,
+    else the lowest-index clique left."""
+    remaining = set(range(len(cliques)))
+    placed: set[int] = set()
+    order = []
+    while remaining:
+        linked = [i for i in sorted(remaining) if placed & set(cliques[i])]
+        nxt = linked[0] if linked else min(remaining)
+        order.append(nxt)
+        remaining.remove(nxt)
+        placed.update(cliques[nxt])
+    return order
 
 
 def _complete_subsets(g: Graph) -> list[VertexSet]:

@@ -31,11 +31,14 @@ from eptkit.graphs import (
     cycle_graph,
     enumerate_maximal_cliques,
     graph_to_text,
+    induced_subgraph,
+    is_connected,
 )
 from eptkit.oracle import oracle_membership, small_graph_corpus, tree_shapes
 from eptkit.recognition import (
     cheapest_representation,
     helly_h_membership,
+    is_chordal,
     is_helly_ept,
     is_interval,
 )
@@ -309,6 +312,41 @@ def test_corpus_certificates_pinned(helly_corpus):
         relabelled.update(representation_to_text(rep_h).encode())
     assert given.hexdigest() == CORPUS_CERTIFICATES_SHA256
     assert relabelled.hexdigest() == RELABELLED_CERTIFICATES_SHA256
+
+
+def test_star_route_matches_scan_on_corpus(corpus7, monkeypatch):
+    # every in-cap corpus graph with no separating maximal clique that is
+    # non-chordal and passes the atom test is answered without the scan;
+    # the scan stays the reference for verdict and certificate bytes
+    from eptkit import recognition
+
+    # None is not callable, so a call into the scan fails the test
+    monkeypatch.setattr(recognition, "oracle_membership", None)
+    rng = random.Random(20261018)
+    counts = Counter()
+    for g in corpus7:
+        cliques = enumerate_maximal_cliques(g)
+        if len(cliques) > 9 or is_chordal(g):
+            continue
+        if any(
+            not is_connected(induced_subgraph(g, set(range(g.n)) - set(c))[0]) for c in cliques
+        ):
+            continue
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        for h in (g, Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])):
+            result = cheapest_representation(h)
+            if result.obstruction is not None:
+                counts["atom test"] += 1
+                continue
+            rep = oracle_membership(h, budget_secs=MEMBERSHIP_BUDGET_SECS)
+            assert result.helly_ept == (rep is not None), graph_to_text(h)
+            if rep is not None:
+                assert result.certificate is not None
+                assert representation_to_text(result.certificate) == representation_to_text(rep)
+            counts[result.helly_ept] += 1
+    # the no-separating-clique non-members all fail the atom test
+    assert counts == {True: 106, "atom test": 434}
 
 
 def test_criterion_8_gate_invariants():

@@ -405,11 +405,25 @@ def test_input_errors(capsys, tmp_path):
     k34.write_text(graph_to_text(Graph(7, [(a, b) for a in range(3) for b in range(3, 7)])))
     code, out, _ = run(capsys, "recognize", str(k34))
     assert (code, out) == (1, "not-helly-ept\n")
-    # C10 is line-like with 10 cliques, so it reaches the scan's bound
-    big = tmp_path / "c10.txt"
-    big.write_text(graph_to_text(cycle_graph(10)))
+    # C10 with a pendant vertex has 11 cliques, 2 of them separating, and
+    # no vertex in three that separate nothing, so it reaches the scan's
+    # bound
+    big = tmp_path / "c10_pendant.txt"
+    big.write_text(graph_to_text(Graph(11, list(cycle_graph(10).edges) + [(0, 10)])))
     code, _, err = run(capsys, "recognize", str(big))
     assert code == 3 and "cliques" in err
+
+
+def test_cycle_past_the_clique_bound(capsys, tmp_path):
+    # no maximal clique of C10 separates it, so its star answers without
+    # the scan and its 9-clique bound
+    c10 = tmp_path / "c10.txt"
+    c10.write_text(graph_to_text(cycle_graph(10)))
+    rep_file = tmp_path / "rep.txt"
+    code, out, _ = run(capsys, "recognize", str(c10), "--output", str(rep_file))
+    assert (code, out) == (0, "helly-ept h=10\n")
+    code, out, _ = run(capsys, "verify-rep", str(c10), str(rep_file))
+    assert code == 0 and out.startswith("ok helly=true degree=10\n")
 
 
 def test_oversized_header(capsys, tmp_path):

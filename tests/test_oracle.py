@@ -1,6 +1,8 @@
 """Exhaustive representation oracle: trees, shapes, membership, corpus."""
 
 import itertools
+import random
+import time
 from collections import Counter
 
 import pytest
@@ -18,6 +20,7 @@ from eptkit.graphs import (
 )
 from eptkit.oracle import (
     BudgetExhaustedError,
+    _clique_order,
     oracle_membership,
     small_graph_corpus,
     tree_shapes,
@@ -29,7 +32,7 @@ from eptkit.representation import (
     representation_to_text,
     verify,
 )
-from reference import enumerate_trees, oracle_min_h
+from reference import enumerate_trees, oracle_min_h, reference_clique_order
 
 TWO_C5S = Graph(8, [
     (0, 1), (1, 2), (2, 3), (3, 4), (0, 4),
@@ -317,7 +320,7 @@ def test_returned_representation_postconditions():
 
 def test_oracle_bounds_and_budget():
     k34 = Graph(7, [(a, b) for a in range(3) for b in range(3, 7)])
-    with pytest.raises(BoundExceededError, match="12"):
+    with pytest.raises(BoundExceededError, match="more than 9"):
         oracle_membership(k34)
     with pytest.raises(BoundExceededError):
         oracle_min_h(k34)
@@ -327,6 +330,31 @@ def test_oracle_bounds_and_budget():
     shuffled = Graph(8, [(perm[u], perm[v]) for u, v in TWO_C5S.edges])
     with pytest.raises(BudgetExhaustedError):
         oracle_membership(shuffled, budget_secs=1e-9)
+
+
+def test_clique_listing_stops_past_the_bound():
+    # K_{3x12}, the complement of 12 disjoint triangles, has 3^12 maximal
+    # cliques; the oracle refuses it at the tenth, whatever its budget
+    g = Graph(36, [(u, v) for u, v in itertools.combinations(range(36), 2) if u // 3 != v // 3])
+    start = time.perf_counter()
+    with pytest.raises(BoundExceededError, match="more than 9"):
+        oracle_membership(g, budget_secs=60.0)
+    assert time.perf_counter() - start < 0.5
+
+
+def test_clique_order_matches_reference():
+    # the heap order equals the rescan it replaced, on the corpus and on
+    # seeded random clique lists with repeated and isolated vertices
+    rng = random.Random(20261018)
+    lists = [enumerate_maximal_cliques(g) for n in range(1, 8) for g in small_graph_corpus(n)]
+    for _ in range(2000):
+        size = rng.randint(1, 14)
+        lists.append([
+            tuple(sorted(rng.sample(range(size), rng.randint(1, min(size, 4)))))
+            for _ in range(rng.randint(0, 12))
+        ])
+    for cliques in lists:
+        assert _clique_order(cliques) == reference_clique_order(cliques), cliques
 
 
 def test_earlier_calls_do_not_answer_later_ones():

@@ -2,7 +2,9 @@
 route, atom formula, crosscheck."""
 
 import itertools
+import random
 import time
+from collections import Counter
 from types import SimpleNamespace
 
 import pytest
@@ -16,9 +18,11 @@ from eptkit.graphs import (
     cycle_graph,
     enumerate_maximal_cliques,
     find_chordless_cycle_ge,
+    induced_subgraph,
+    is_connected,
     path_graph,
 )
-from eptkit.gates import contains_gate_ge
+from eptkit.gates import build_gate, contains_gate_ge, enumerate_gates
 from eptkit.oracle import small_graph_corpus
 from eptkit.recognition import (
     RecognitionResult,
@@ -53,6 +57,12 @@ W09 = Graph(40, {
     for e in itertools.combinations(c, 2)
 })
 K34 = Graph(7, [(a, b) for a in range(3) for b in range(3, 7)])
+C6_PENDANT = Graph(7, list(cycle_graph(6).edges) + [(0, 6)])
+# corpus7 a0808: vertex 1 lies in three maximal cliques that separate
+# nothing, {0, 1, 4}, {1, 2, 3} and {1, 6}
+A0808 = Graph(7, [
+    (0, 1), (0, 4), (1, 2), (1, 3), (1, 4), (1, 6), (2, 3), (3, 4), (3, 5), (4, 5), (5, 6),
+])
 WHEEL5 = Graph(6, [(i, (i + 1) % 5) for i in range(5)] + [(i, 5) for i in range(5)])
 
 
@@ -124,7 +134,7 @@ def test_membership_preconditions():
     with pytest.raises(ValueError, match="connected"):
         is_helly_ept(Graph(0))
     k34 = Graph(7, [(a, b) for a in range(3) for b in range(3, 7)])
-    with pytest.raises(BoundExceededError, match="graph has 12"):
+    with pytest.raises(BoundExceededError, match="graph has more than 9"):
         is_helly_ept(k34)
 
 
@@ -202,11 +212,13 @@ def test_scan_gets_what_the_atom_test_left(monkeypatch):
         budgets.append(budget_secs)
 
     monkeypatch.setattr(recognition, "is_helly_ept", record)
-    # each call reads the clock once before and once after the atom test
+    # each call reads the clock once before the atom test and once after
+    # the pendant filter; C6 with a pendant vertex has two separating
+    # cliques, so the scan decides it
     clock = iter([100.0, 101.5, 200.0, 203.0])
     monkeypatch.setattr(recognition, "time", SimpleNamespace(monotonic=lambda: next(clock)))
     for _ in range(2):
-        assert not cheapest_representation(cycle_graph(6), budget_secs=2.5).helly_ept
+        assert not cheapest_representation(C6_PENDANT, budget_secs=2.5).helly_ept
     assert budgets == [1.0, 0.0]
 
 
@@ -218,6 +230,87 @@ def test_atom_test_names_the_failing_atom():
     assert not result.helly_ept and result.obstruction == (0, 1, 2, 3, 4, 5)
     # S3 passes the atom test, so only the exhaustive search rules it out
     assert cheapest_representation(S3_GRAPH) == RecognitionResult(False, None, None)
+
+
+@pytest.mark.parametrize("n", [10, 50, 2000])
+def test_cycle_answered_by_its_star(monkeypatch, n):
+    # no maximal clique of C_n separates it, so its star answers at any n
+    # and the scan's 9-clique bound never applies
+    monkeypatch.setattr(recognition, "oracle_membership", refuse("oracle_membership"))
+    g = cycle_graph(n)
+    spent = [0.0]
+
+    def timed_atoms(g):
+        start = time.perf_counter()
+        try:
+            return atoms(g)
+        finally:
+            spent[0] += time.perf_counter() - start
+
+    monkeypatch.setattr(recognition, "atoms", timed_atoms)
+    start = time.perf_counter()
+    result = cheapest_representation(g)
+    total = time.perf_counter() - start
+    assert result.helly_ept and result.h == n
+    rep = result.certificate
+    assert max_host_degree(rep) == n and rep.tree.n == n + 1 and rep.tree.degree(0) == n
+    assert verify(rep, g) == (True, None)
+    start = time.perf_counter()
+    assert is_helly(rep) == (True, None)
+    assert time.perf_counter() - start < 1.0
+    if n == 2000:
+        # all but the decomposition is near-linear
+        assert total < 1.5 * spent[0]
+
+
+def test_catalog_gates_answered_by_their_star(monkeypatch):
+    # every gate is one atom with no separating clique, so even those
+    # with 10 or more cliques get h = k and a degree-k star
+    monkeypatch.setattr(recognition, "oracle_membership", refuse("oracle_membership"))
+    past_bound = 0
+    for recipe in enumerate_gates(12).values():
+        gate = build_gate(recipe)
+        k = recipe.clique_count()
+        result = cheapest_representation(gate.graph)
+        assert result.helly_ept and result.h == k, recipe
+        assert max_host_degree(result.certificate) == k
+        assert verify(result.certificate, gate.graph) == (True, None)
+        assert is_helly(result.certificate) == (True, None)
+        past_bound += k > 9
+    assert past_bound == 57
+
+
+def test_pendant_filter(monkeypatch):
+    monkeypatch.setattr(recognition, "oracle_membership", refuse("oracle_membership"))
+    assert cheapest_representation(A0808) == RecognitionResult(False, None, None)
+    # a C10 glued at vertex 5 makes 16 cliques past the scan's bound, and
+    # vertex 1's three cliques still separate nothing
+    ring = [5, *range(7, 16)]
+    glued = Graph(16, list(A0808.edges) + [(ring[i - 1], ring[i]) for i in range(10)])
+    assert len(enumerate_maximal_cliques(glued)) == 16
+    assert all(recognition._is_line_like(atom) for atom, _ in atoms(glued))
+    assert cheapest_representation(glued) == RecognitionResult(False, None, None)
+
+
+def test_separating_cliques_match_a_search_per_clique():
+    # the atom count filter against removing each clique and searching
+    rng = random.Random(20261018)
+    graphs = [C6_PENDANT, A0808, TWO_C5S, W09]
+    graphs += [g for n in range(4, 8) for g in small_graph_corpus(n, connected_only=True)]
+    for _ in range(300):
+        n = rng.randint(4, 12)
+        g = Graph(n, [e for e in itertools.combinations(range(n), 2) if rng.random() < 0.3])
+        if is_connected(g):
+            graphs.append(g)
+    seen = Counter()
+    for g in graphs:
+        cliques = enumerate_maximal_cliques(g)
+        expected = [
+            not is_connected(induced_subgraph(g, set(range(g.n)) - set(c))[0]) for c in cliques
+        ]
+        assert recognition._separating(g, cliques, atoms(g)) == expected, g
+        seen.update(expected)
+    assert seen[True] >= 100 and seen[False] >= 100
 
 
 def test_atom_test_decides_before_listing_cliques(monkeypatch):

@@ -25,6 +25,7 @@ from eptkit.representation import (
     classify_clique,
     clique_of_claw,
     clique_of_edge,
+    clique_star,
     clique_witnesses,
     edge_intersection_graph,
     find_claw_violation,
@@ -244,6 +245,44 @@ def test_clique_witnesses_match_reference():
         with_claws += bool(claws)
         with_points += None in (w for _, w in expected)
     assert with_claws >= 100 and with_points >= 100
+
+
+def test_wide_star_claws_match_reference():
+    # stars with up to 9 spokes, most paths through the centre, so many
+    # claws share ends; the covered-pair triangles against every triple
+    rng = random.Random(20261018)
+    claws = 0
+    for _ in range(400):
+        k = rng.randint(3, 9)
+        paths = []
+        for _ in range(rng.randint(3, 14)):
+            a, b = rng.sample(range(1, k + 1), 2)
+            paths.append((a, 0, b) if rng.random() < 0.8 else (0, a))
+        rep = EptRepresentation(HostTree(k + 1, [(0, i) for i in range(1, k + 1)]), tuple(paths))
+        expected = reference_clique_witnesses(rep)
+        assert clique_witnesses(rep) == expected, rep
+        assert find_claw_violation(rep) == reference_claw_violation(rep), rep
+        claws += sum(isinstance(w, ClawClique) for _, w in expected)
+    assert claws >= 300
+
+
+def test_clique_star():
+    # a C6 with a pendant triangle on edge 0 1: vertex 6 lies in one clique
+    g = Graph(7, list(cycle_graph(6).edges) + [(0, 6), (1, 6)])
+    cliques = enumerate_maximal_cliques(g)
+    rep = clique_star(g.n, cliques)
+    assert rep.paths[6] == (0, cliques.index((0, 1, 6)) + 1)
+    assert verify(rep, g) == (True, None)
+    assert is_helly(rep) == (True, None)
+    with pytest.raises(ValueError, match="vertex 0 lies in 3 maximal cliques, not 1 or 2"):
+        clique_star(4, [(0, 1), (0, 2), (0, 3)])
+    # a wide star: the claw scan lists covered-pair triangles, not every
+    # triple of the 1000 spokes
+    c1000 = cycle_graph(1000)
+    rep = clique_star(c1000.n, enumerate_maximal_cliques(c1000))
+    start = time.perf_counter()
+    assert is_helly(rep) == (True, None)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_find_pie():
