@@ -40,8 +40,15 @@ a node on vertex set V is the first candidate of g, in (size, tuple)
 order, that lies in V and separates g[V].
 
 Cost: MCS-M takes O(n(n + m)) time and yields at most n - 1
-candidates; each node scans them, with one O(n + m) component search
-per candidate inside V. Nothing is exponential.
+candidates. Each node scans them from just after its parent's S*, with
+one O(n + m) component search per candidate inside V. The scan may
+skip the earlier ones: by induction, a candidate T before S* in the
+parent's scan either lies outside V or does not separate g[V]. It
+separates no child g[S* + C] either. T containing S* would come after
+S*. Otherwise S* - T is a non-empty clique, and each x in C - T has a
+path to it in g[V] - T that stays in C until it first meets S*, so
+g[S* + C] - T is connected. S* separates no child, as C is connected.
+Nothing is exponential.
 """
 
 from __future__ import annotations
@@ -141,17 +148,19 @@ def _clique_minimal_separators(g: Graph) -> list[VertexSet]:
 
 
 def _first_split(
-    g: Graph, separators: list[VertexSet], vertices: VertexSet
-) -> tuple[VertexSet, list[VertexSet]] | None:
-    """The first of `separators` inside `vertices` that disconnects
-    g[vertices], with the parts of the remainder."""
+    g: Graph, separators: list[VertexSet], vertices: VertexSet, start: int = 0
+) -> tuple[int, VertexSet, list[VertexSet]] | None:
+    """The first of `separators`, from index `start`, inside `vertices`
+    that disconnects g[vertices], with its index and the parts of the
+    remainder."""
     inside = set(vertices)
-    for sep in separators:
+    for i in range(start, len(separators)):
+        sep = separators[i]
         if inside.issuperset(sep):
             sub, mapping = induced_subgraph(g, inside.difference(sep))
             comps = connected_components(sub)
             if len(comps) >= 2:
-                return sep, [tuple(mapping[i] for i in comp) for comp in comps]
+                return i, sep, [tuple(mapping[x] for x in comp) for comp in comps]
     return None
 
 
@@ -160,7 +169,8 @@ def find_clique_separator(g: Graph) -> tuple[VertexSet, list[VertexSet]] | None:
     of the remainder; lexicographic tie-break. None when g is an atom."""
     if g.n == 0 or not is_connected(g):
         raise ValueError("input graph must be connected")
-    return _first_split(g, _clique_minimal_separators(g), tuple(range(g.n)))
+    split = _first_split(g, _clique_minimal_separators(g), tuple(range(g.n)))
+    return None if split is None else split[1:]
 
 
 def decomposition_tree(g: Graph) -> CliqueDecomposition:
@@ -170,20 +180,22 @@ def decomposition_tree(g: Graph) -> CliqueDecomposition:
         raise ValueError("input graph must be connected")
     separators = _clique_minimal_separators(g)
     preorder = []  # (vertices, split) per node
-    stack = [tuple(range(g.n))]
+    stack = [(tuple(range(g.n)), 0)]  # (vertices, first candidate to try)
     while stack:
-        vertices = stack.pop()
-        split = _first_split(g, separators, vertices)
+        vertices, start = stack.pop()
+        split = _first_split(g, separators, vertices, start)
         preorder.append((vertices, split))
         if split is not None:
-            stack.extend(tuple(sorted(split[0] + part)) for part in reversed(split[1]))
+            i, sep, parts = split
+            stack.extend((tuple(sorted(sep + part)), i + 1) for part in reversed(parts))
     # reverse preorder builds children first, the first child on top of `built`
     built: list[SeparatorNode | AtomLeaf] = []
     for vertices, split in reversed(preorder):
         if split is None:
             built.append(AtomLeaf(vertices, induced_subgraph(g, vertices)[0]))
         else:
-            built.append(SeparatorNode(split[0], tuple(built.pop() for _ in split[1])))
+            _, sep, parts = split
+            built.append(SeparatorNode(sep, tuple(built.pop() for _ in parts)))
     return CliqueDecomposition(g, built.pop())
 
 

@@ -18,10 +18,15 @@ one spoke per maximal clique, which star_representation reads off the
 gate's clique list: each vertex's path joins the spokes of its two.
 clique_star builds that star for any graph whose vertices each lie in
 one or two maximal cliques.
+
+Every reader here works from two indexes a representation builds once:
+K_e for each tree edge, and for each path the neighbour pair it covers
+at each node it passes through.
 """
 
 from __future__ import annotations
 
+import itertools
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from functools import cached_property
@@ -115,6 +120,24 @@ class EptRepresentation:
     def path_edge_sets(self) -> tuple[frozenset[Edge], ...]:
         return tuple(_path_edges(p) for p in self.paths)
 
+    @cached_property
+    def _edge_holders(self) -> dict[Edge, VertexSet]:
+        """K_e for every tree edge, in sorted edge order."""
+        holders: dict[Edge, list[int]] = {e: [] for e in self.tree.edges}
+        for v, s in enumerate(self.path_edge_sets):
+            for e in s:
+                holders[e].append(v)
+        return {e: tuple(held) for e, held in holders.items()}
+
+    @cached_property
+    def _turns(self) -> tuple[dict[int, tuple[int, int]], ...]:
+        """For each vertex, every node its path passes through, with the
+        two neighbours (lower first) the path covers there."""
+        return tuple(
+            {c: (a, b) if a < b else (b, a) for a, c, b in zip(p, p[1:], p[2:])}
+            for p in self.paths
+        )
+
 
 @dataclass(frozen=True)
 class EdgeClique:
@@ -148,16 +171,13 @@ class MultipieWitness:
 
 
 def edge_intersection_graph(rep: EptRepresentation) -> Graph:
-    """Graph on the path indices, adjacent iff paths share a tree edge."""
-    sets = rep.path_edge_sets
-    n = len(sets)
-    edges = [
-        (u, v)
-        for u in range(n)
-        for v in range(u + 1, n)
-        if sets[u] & sets[v]
-    ]
-    return Graph(n, edges)
+    """Graph on the path indices, adjacent iff paths share a tree edge:
+    the pairs inside each K_e."""
+    return Graph(len(rep.paths), {
+        pair
+        for held in rep._edge_holders.values()
+        for pair in itertools.combinations(held, 2)
+    })
 
 
 def verify(rep: EptRepresentation, g: Graph) -> tuple[bool, str | None]:
@@ -167,16 +187,14 @@ def verify(rep: EptRepresentation, g: Graph) -> tuple[bool, str | None]:
         raise ValueError(
             f"representation has {len(rep.paths)} paths, graph has {g.n} vertices"
         )
-    sets = rep.path_edge_sets
-    for u in range(g.n):
-        for v in range(u + 1, g.n):
-            shared = sets[u] & sets[v]
-            if g.has_edge(u, v) and not shared:
-                return False, f"vertices {u} and {v}: adjacent but paths share no tree edge"
-            if not g.has_edge(u, v) and shared:
-                e = min(shared)
-                return False, f"vertices {u} and {v}: non-adjacent but paths share tree edge {e}"
-    return True, None
+    wrong = edge_intersection_graph(rep).edges ^ g.edges
+    if not wrong:
+        return True, None
+    u, v = min(wrong)
+    if g.has_edge(u, v):
+        return False, f"vertices {u} and {v}: adjacent but paths share no tree edge"
+    e = min(rep.path_edge_sets[u] & rep.path_edge_sets[v])
+    return False, f"vertices {u} and {v}: non-adjacent but paths share tree edge {e}"
 
 
 def max_host_degree(rep: EptRepresentation) -> int:
@@ -186,10 +204,10 @@ def max_host_degree(rep: EptRepresentation) -> int:
 def clique_of_edge(rep: EptRepresentation, e: Edge) -> VertexSet:
     """K_e: the vertices whose paths contain tree edge e."""
     a, b = e
-    key = (a, b) if a < b else (b, a)
-    if key not in rep.tree.edges:
+    held = rep._edge_holders.get((a, b) if a < b else (b, a))
+    if held is None:
         raise ValueError(f"edge {e} not in host tree")
-    return tuple(v for v, s in enumerate(rep.path_edge_sets) if key in s)
+    return held
 
 
 def clique_of_claw(
@@ -206,7 +224,7 @@ def clique_of_claw(
         if center not in (a, b):
             raise ValueError(f"spoke {e} does not touch center {center}")
         key = (a, b) if a < b else (b, a)
-        if key not in rep.tree.edges:
+        if key not in rep._edge_holders:
             raise ValueError(f"spoke {e} not in host tree")
         norm.append(key)
     if len(set(norm)) != 3:
@@ -218,17 +236,6 @@ def clique_of_claw(
     )
 
 
-def _claw_pair_at(rep: EptRepresentation, v: int, center: int) -> tuple[int, int] | None:
-    """The two tree neighbors of center covered by v's path as it passes
-    through, or None when the path misses center or stops there."""
-    path = rep.paths[v]
-    if center not in path[1:-1]:
-        return None
-    i = path.index(center)
-    a, b = path[i - 1], path[i + 1]
-    return (a, b) if a < b else (b, a)
-
-
 def _covered_claws(
     rep: EptRepresentation, vertices
 ) -> Iterator[tuple[ClawClique, list[list[int]]]]:
@@ -238,9 +245,7 @@ def _covered_claws(
     of `vertices`. Together they are K_Y within `vertices`."""
     through: dict[int, dict[tuple[int, int], list[int]]] = {}
     for v in vertices:
-        path = rep.paths[v]
-        for a, center, b in zip(path, path[1:], path[2:]):
-            pair = (a, b) if a < b else (b, a)
+        for center, pair in rep._turns[v].items():
             through.setdefault(center, {}).setdefault(pair, []).append(v)
     for center, covered in sorted(through.items()):
         # the claws are the triangles x < y < z of the graph of covered
@@ -306,14 +311,10 @@ def clique_witnesses(
     spoke, the one the covered pairs share, and c, maximal, would equal
     that spoke's K_e.
     """
-    holders: dict[Edge, list[int]] = {e: [] for e in rep.tree.edges}
-    for v, s in enumerate(rep.path_edge_sets):
-        for e in s:
-            holders[e].append(v)
     candidates: dict[VertexSet, EdgeClique | ClawClique | None] = {}
-    for e, held in holders.items():
+    for e, held in rep._edge_holders.items():
         if held:
-            candidates.setdefault(tuple(held), EdgeClique(e))
+            candidates.setdefault(held, EdgeClique(e))
     for claw, held in _covered_claws(rep, range(len(rep.paths))):
         candidates.setdefault(tuple(sorted(held[0] + held[1] + held[2])), claw)
     for v, path in enumerate(rep.paths):
@@ -351,23 +352,21 @@ def is_helly(rep: EptRepresentation) -> tuple[bool, VertexSet | None]:
 def find_pie(rep: EptRepresentation, cycle: VertexSet) -> PieWitness:
     """Pie witness for a chordless cycle, given in cyclic vertex order.
 
-    Scans candidate centers ascending; the spoke order is forced by the
-    consecutive path intersections once a center is fixed.
+    Scans the centers cycle[0]'s path passes through, ascending; the
+    spoke order is forced by the consecutive path intersections once a
+    center is fixed.
     """
     k = len(cycle)
     if k < 4:
         raise ValueError("a pie needs a cycle of length at least 4")
-    g = edge_intersection_graph(rep)
-    for i, v in enumerate(cycle):
-        for j in range(i + 1, k):
-            adjacent = g.has_edge(v, cycle[j])
-            consecutive = j == i + 1 or (i == 0 and j == k - 1)
-            if adjacent != consecutive:
-                raise ValueError("cycle argument is not a chordless cycle in the derived graph")
-    for center in range(rep.tree.n):
-        if rep.tree.degree(center) < k:
-            continue
-        ends = [set(_claw_pair_at(rep, v, center) or ()) for v in cycle]
+    inside = set(cycle)
+    ring = {(a, b) if a < b else (b, a) for a, b in zip(cycle, [*cycle[1:], cycle[0]])}
+    among = {e for e in edge_intersection_graph(rep).edges if inside.issuperset(e)}
+    if len(inside) != k or among != ring:
+        raise ValueError("cycle argument is not a chordless cycle in the derived graph")
+    turns = rep._turns
+    for center in sorted(turns[cycle[0]]):
+        ends = [set(turns[v].get(center, ())) for v in cycle]
         if any(len(a) != 2 for a in ends):
             continue
         shared = [ends[i] & ends[(i + 1) % k] for i in range(k)]
@@ -390,22 +389,25 @@ def find_multipie(
     A valid witness satisfies: every member path covers exactly two of
     the k spoke ends; no two members cover the same pair; every spoke
     end is covered by at least two members; no three members form a
-    claw. Scans candidate centers ascending; the spoke set is forced to
-    be the union of the members' covered neighbor pairs. is_gate checks
-    the gate, so above 12 vertices this raises BoundExceededError.
+    claw. Scans the centers the first member's path passes through,
+    ascending; the spoke set is forced to be the union of the members'
+    covered neighbor pairs. is_gate checks the gate, so above 12
+    vertices this raises BoundExceededError.
     """
+    members = tuple(sorted(gate_vertices))
+    for a, b in zip(members, members[1:]):
+        if a == b:
+            raise ValueError(f"vertex {a} appears twice in the gate vertices")
     g = edge_intersection_graph(rep)
     sub, _ = induced_subgraph(g, gate_vertices)
     recipe = is_gate(sub)
     if recipe is None or recipe.clique_count() != k:
         raise ValueError(f"vertices {gate_vertices} do not induce a {k}-gate")
-    members = tuple(sorted(gate_vertices))
     if find_claw_violation(rep, members) is not None:
         raise RuntimeError("no multipie found: broken representation or bad gate")
-    for center in range(rep.tree.n):
-        if rep.tree.degree(center) < k:
-            continue
-        pairs = {v: _claw_pair_at(rep, v, center) for v in members}
+    turns = rep._turns
+    for center in sorted(turns[members[0]]):
+        pairs = {v: turns[v].get(center) for v in members}
         if None in pairs.values():
             continue
         spoke_set = {q for pair in pairs.values() for q in pair}
@@ -497,10 +499,8 @@ def representation_to_dot(rep: EptRepresentation) -> str:
     lines = ["graph host {"]
     for q in range(rep.tree.n):
         lines.append(f"  t{q} [label=\"{q}\"];")
-    for a, b in rep.tree.edges:
-        users = ",".join(
-            str(v) for v, s in enumerate(rep.path_edge_sets) if (a, b) in s
-        )
+    for (a, b), held in rep._edge_holders.items():
+        users = ",".join(map(str, held))
         label = f" [label=\"{users}\"]" if users else ""
         lines.append(f"  t{a} -- t{b}{label};")
     lines.append("}")

@@ -4,7 +4,8 @@ every step, brute-force clique separators,
 line-likeness checked on the clique graph itself, and the induced-gate
 search and two-clique test without bitmask filtering, the orbits and
 group of a set of vertex permutations, and a representation's maximal
-cliques and claws found by brute force.
+cliques and claws found by brute force, its derived graph, edge cliques
+and verification read off every pair of paths.
 
 All are independent of the library's routes. The labeled trees feed a
 brute-force search that cross-checks the oracle's shape scan; the
@@ -18,7 +19,10 @@ derived graph and try every claw at every node, the route the library
 replaced by reading the candidates off the host tree; its claws come
 from every triple of spoke ends, where the library lists the triangles
 of the covered pairs. The clique order is the quadratic rescan the
-heap in oracle._clique_order replaced.
+heap in oracle._clique_order replaced. The derived graph and
+verification intersect every pair of paths, and each K_e scans every
+path, where the library reads both off its index of the paths that use
+each tree edge.
 """
 
 import heapq
@@ -29,6 +33,7 @@ from eptkit.decomposition import AtomLeaf, CliqueDecomposition, SeparatorNode
 from eptkit.gates import GateRecipe, enumerate_gates
 from eptkit.graphs import (
     BoundExceededError,
+    Edge,
     Graph,
     VertexSet,
     canonical_form,
@@ -239,6 +244,44 @@ def _spoke_sets(rep: EptRepresentation) -> list[set[frozenset[int]]]:
     return [{frozenset(step) for step in zip(p, p[1:])} for p in rep.paths]
 
 
+def reference_derived_graph(rep: EptRepresentation) -> Graph:
+    """The graph on the paths, adjacent iff two paths share a tree edge,
+    by intersecting every pair."""
+    sets = _spoke_sets(rep)
+    return Graph(len(sets), [
+        (u, v) for u, v in itertools.combinations(range(len(sets)), 2) if sets[u] & sets[v]
+    ])
+
+
+def reference_edge_cliques(rep: EptRepresentation) -> dict[Edge, VertexSet]:
+    """K_e for every tree edge, in sorted edge order, by scanning every
+    path for it."""
+    sets = _spoke_sets(rep)
+    return {
+        (a, b): tuple(v for v in range(len(sets)) if frozenset((a, b)) in sets[v])
+        for a, b in rep.tree.edges
+    }
+
+
+def reference_verify(rep: EptRepresentation, g: Graph) -> tuple[bool, str | None]:
+    """Whether the representation derives exactly g; reports the first
+    discrepancy in vertex order otherwise."""
+    if len(rep.paths) != g.n:
+        raise ValueError(
+            f"representation has {len(rep.paths)} paths, graph has {g.n} vertices"
+        )
+    sets = rep.path_edge_sets
+    for u in range(g.n):
+        for v in range(u + 1, g.n):
+            shared = sets[u] & sets[v]
+            if g.has_edge(u, v) and not shared:
+                return False, f"vertices {u} and {v}: adjacent but paths share no tree edge"
+            if not g.has_edge(u, v) and shared:
+                e = min(shared)
+                return False, f"vertices {u} and {v}: non-adjacent but paths share tree edge {e}"
+    return True, None
+
+
 def reference_clique_witnesses(
     rep: EptRepresentation,
 ) -> list[tuple[VertexSet, EdgeClique | ClawClique | None]]:
@@ -249,15 +292,11 @@ def reference_clique_witnesses(
     K_e and K_Y are read off the paths' edge sets."""
     sets = _spoke_sets(rep)
     n = len(sets)
-    derived = Graph(n, [
-        (u, v) for u, v in itertools.combinations(range(n), 2) if sets[u] & sets[v]
-    ])
     edge_of: dict[VertexSet, EdgeClique] = {}
-    for a, b in rep.tree.edges:
-        k_e = tuple(v for v in range(n) if frozenset((a, b)) in sets[v])
-        edge_of.setdefault(k_e, EdgeClique((a, b)))
+    for e, k_e in reference_edge_cliques(rep).items():
+        edge_of.setdefault(k_e, EdgeClique(e))
     out = []
-    for c in enumerate_maximal_cliques(derived):
+    for c in enumerate_maximal_cliques(reference_derived_graph(rep)):
         witness = edge_of.get(c)
         if witness is None and len(rep.paths[c[0]]) > 1:
             witness = next(

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import time
 
 import pytest
 
@@ -200,6 +201,19 @@ def test_atoms_of_path_deeper_than_recursion_limit():
     # without recursion
     got = atoms(path_graph(900))
     assert [vs for _, vs in got] == [(i, i + 1) for i in range(899)]
+
+
+def test_atoms_of_cycle_with_pendants():
+    # C_400 with a pendant at every cycle vertex: 401 atoms. Each node
+    # resumes the candidate scan after its parent's separator, so the
+    # tree is not cubic in the number of atoms
+    n = 400
+    g = Graph(2 * n, list(cycle_graph(n).edges) + [(i, n + i) for i in range(n)])
+    start = time.perf_counter()
+    got = atoms(g)
+    assert time.perf_counter() - start < 5.0
+    assert len(got) == n + 1
+    assert sorted(vs for _, vs in got) == sorted([(i, n + i) for i in range(n)] + [tuple(range(n))])
 
 
 def clique_tree(rng: random.Random, n_target: int) -> Graph:

@@ -39,7 +39,13 @@ from eptkit.representation import (
     star_representation,
     verify,
 )
-from reference import reference_claw_violation, reference_clique_witnesses
+from reference import (
+    reference_claw_violation,
+    reference_clique_witnesses,
+    reference_derived_graph,
+    reference_edge_cliques,
+    reference_verify,
+)
 
 # branching tree on six triangle-ish paths: three triangles hang off a
 # central claw clique, and the claw clique is not an edge clique
@@ -266,6 +272,56 @@ def test_wide_star_claws_match_reference():
     assert claws >= 300
 
 
+def test_edge_index_readers_match_pairwise_reference():
+    # verify, the derived graph, K_e and the DOT labels, read off the
+    # index of the paths that use each tree edge, against every pair of
+    # paths and every path per edge. Each representation is checked
+    # against its derived graph, that graph with one seeded pair
+    # toggled, and its complement, where every pair is a discrepancy
+    rng = random.Random(20261018)
+    reps = [random_representation(rng) for _ in range(1000)]
+    reps += [star_representation(build_gate(r)) for r in enumerate_gates(12).values()]
+    kinds = set()
+    for rep in reps:
+        derived = reference_derived_graph(rep)
+        assert edge_intersection_graph(rep) == derived, rep
+        n = derived.n
+        pairs = set(itertools.combinations(range(n), 2))
+        targets = [derived, Graph(n, pairs - derived.edges)]
+        if n >= 2:
+            targets.append(Graph(n, derived.edges ^ {tuple(sorted(rng.sample(range(n), 2)))}))
+        for g in targets:
+            got = verify(rep, g)
+            assert got == reference_verify(rep, g), rep
+            kinds.add(got[1] and got[1].split(": ")[1].split()[0])
+        k_e = reference_edge_cliques(rep)
+        assert {e: clique_of_edge(rep, e) for e in rep.tree.edges} == k_e
+        edge_lines = [
+            f"  t{a} -- t{b}" + (f' [label="{",".join(map(str, held))}"]' if held else "") + ";"
+            for (a, b), held in k_e.items()
+        ]
+        assert [x for x in representation_to_dot(rep).splitlines() if " -- " in x] == edge_lines
+    assert kinds == {None, "adjacent", "non-adjacent"}
+
+
+def test_edge_index_readers_on_a_wide_star():
+    # C_2000's star certificate: no reader intersects every pair of
+    # paths or scans every path per tree edge
+    g = cycle_graph(2000)
+    cliques = enumerate_maximal_cliques(g)
+    checks = {
+        "verify": lambda rep: verify(rep, g) == (True, None),
+        "edge_intersection_graph": lambda rep: edge_intersection_graph(rep) == g,
+        "representation_to_dot": lambda rep: representation_to_dot(rep).count(" -- ") == 2000,
+        "find_pie": lambda rep: find_pie(rep, tuple(range(2000))).center == 0,
+    }
+    for name, check in checks.items():
+        rep = clique_star(g.n, cliques)  # each reader builds the index afresh
+        start = time.perf_counter()
+        assert check(rep), name
+        assert time.perf_counter() - start < 0.25, name
+
+
 def test_clique_star():
     # a C6 with a pendant triangle on edge 0 1: vertex 6 lies in one clique
     g = Graph(7, list(cycle_graph(6).edges) + [(0, 6), (1, 6)])
@@ -358,6 +414,9 @@ def test_find_multipie_rejects_non_gates():
         find_multipie(rep, (0, 1, 2, 3), 4)
     with pytest.raises(ValueError, match="do not induce"):
         find_multipie(rep, (0, 1, 2, 3, 4), 4)
+    # the induced subgraph drops the repeat, so it would pass as a gate
+    with pytest.raises(ValueError, match="vertex 0 appears twice"):
+        find_multipie(rep, (0, 0, 1, 2, 3, 4), 5)
 
 
 def test_every_pie_is_a_multipie():
