@@ -313,7 +313,11 @@ def _wl_colors(g: Graph) -> list[int]:
         colors = new
 
 
-@functools.lru_cache(maxsize=262144)
+# Each entry keeps its key Graph alive: 5-6 KB for a sparse 12-vertex
+# graph and about 23 KB for K_16 (tracemalloc), so 32 768 entries hold
+# at most about 0.75 GB. The whole test suite in one process peaks at
+# 24 378 entries, and a gates12 benchmark run uses under 2 000.
+@functools.lru_cache(maxsize=32768)
 def canonical_labeling(g: Graph) -> tuple[bytes, VertexSet]:
     """Canonical form plus one vertex order that realizes it.
 
@@ -322,6 +326,9 @@ def canonical_labeling(g: Graph) -> tuple[bytes, VertexSet]:
     candidates, branch-and-bound keeps only orders whose next adjacency
     row is maximal, and interchangeable twin vertices are collapsed.
     Two graphs get equal forms exactly when they are isomorphic.
+
+    Each node of the search costs O(n), though the number of nodes is
+    exponential in the worst case.
     """
     return _canonical_search(g, None)
 
@@ -356,6 +363,27 @@ def _canonical_search(g: Graph, automorphisms: list[VertexSet] | None) -> tuple[
     The walk ends at a maximal leaf the search reached, which is the
     image of best_order under a found map. So every automorphism is a
     product of the found ones.
+
+    Each node costs O(n). Every unplaced vertex carries its key: its
+    adjacency row to the placed prefix, first placed vertex highest,
+    above the inverted refinement color. Placing w appends each row's
+    bit for w, and the node's next row is the maximal key's. The bits
+    so far are one int, compared by a shift with the same-length prefix
+    of the best leaf.
+
+    Twins are collapsed by class, computed once per graph. Being twins,
+    N(u) - v = N(v) - u, is an equivalence relation: it is reflexive
+    and symmetric, and for u ~ v and v ~ w with u, v, w distinct, true
+    and false twins cannot mix. If u is adjacent to v, then u is in
+    N(v) - w = N(w) - v, and then w is in N(u) - v = N(v) - u, so all
+    three are adjacent. If u is not adjacent to v, neither is w to u
+    (else u would be in N(w) - v = N(v) - w), nor v to w (else w would
+    be in N(v) - u = N(u) - v), so none are adjacent. Either way v is in
+    N(u) exactly when it is in N(w), and every other vertex is in N(u),
+    N(v) and N(w) alike, so N(u) - w = N(w) - u. Testing each branch
+    vertex against the representatives kept so far therefore finds the
+    first branch vertex of its class, which is what the class table
+    gives at once.
     """
     n = g.n
     if n > CANONICAL_VERTEX_BOUND:
@@ -369,59 +397,67 @@ def _canonical_search(g: Graph, automorphisms: list[VertexSet] | None) -> tuple[
     for u, v in g.edges:
         adj_mask[u] |= 1 << v
         adj_mask[v] |= 1 << u
+    twin_class = list(range(n))
+    for v in range(n):
+        for u in range(v):
+            if twin_class[u] == u and adj_mask[v] & ~(1 << u) == adj_mask[u] & ~(1 << v):
+                twin_class[v] = u
+                break
+    # a key is row << shift | low: the larger of two keys has the larger
+    # row, or the same row and the smaller color. Placing v turns u's
+    # key k into (2 * row + bit) << shift | low = 2 * k + lift[v][u].
+    shift = max(colors).bit_length()
+    low = [(1 << shift) - 1 - c for c in colors]
+    lift = [[((adj_mask[v] >> u & 1) << shift) - low[u] for u in range(n)] for v in range(n)]
+    total = n * (n - 1) // 2
 
-    best_bits: list[int] | None = None
-    best_order: list[int] | None = None
+    best = -1  # below every bit string
+    best_order: list[int] = []
     # leaves with bits equal to the best, and collapsed twin pairs
     equal_leaves: list[list[int]] = []
     swaps: set[tuple[int, int]] = set()
 
-    def pattern(mask: int, order: list[int]) -> int:
-        pat = 0
-        for w in order:
-            pat = (pat << 1) | (mask >> w & 1)
-        return pat
-
-    def search(order: list[int], placed: int, bits: list[int]) -> None:
-        nonlocal best_bits, best_order
-        depth = len(order)
-        if depth == n:
-            if best_bits is None or bits > best_bits:
-                best_bits = list(bits)
+    def search(order: list[int], rest: list[int], keys: list[int], bits: int) -> None:
+        nonlocal best, best_order
+        if not rest:
+            if bits > best:
+                best = bits
                 best_order = list(order)
                 equal_leaves.clear()
-            elif automorphisms is not None and bits == best_bits:
+            elif automorphisms is not None and bits == best:
                 equal_leaves.append(list(order))
             return
-        cands = []
-        for v in range(n):
-            if not placed >> v & 1:
-                cands.append((pattern(adj_mask[v], order), -colors[v], v))
-        top = max(c[:2] for c in cands)
-        branch = [v for p, c, v in cands if (p, c) == top]
-        # keep one representative per group of interchangeable twins
-        reps: list[int] = []
-        for v in branch:
-            twin = next(
-                (u for u in reps if adj_mask[v] & ~(1 << u) == adj_mask[u] & ~(1 << v)),
-                None,
-            )
-            if twin is None:
-                reps.append(v)
-            elif automorphisms is not None:
-                swaps.add((twin, v))
-        seg = [top[0] >> (depth - 1 - i) & 1 for i in range(depth)]
-        bits.extend(seg)
+        top = max(keys)
+        # positions in rest of the branch vertices kept: the first of
+        # each twin class
+        first = keys.index(top)
+        reps = [first]
+        if keys.count(top) > 1:
+            firsts: dict[int, int] = {}
+            reps.clear()
+            for i in range(first, len(rest)):
+                if keys[i] == top:
+                    v = rest[i]
+                    twin = firsts.setdefault(twin_class[v], v)
+                    if twin == v:
+                        reps.append(i)
+                    elif automorphisms is not None:
+                        swaps.add((twin, v))
+        depth = len(order)
+        bits = bits << depth | top >> shift
         # prune only when strictly below the current best prefix
-        if best_bits is None or bits >= best_bits[: len(bits)]:
-            for v in reps:
-                order.append(v)
-                search(order, placed | (1 << v), bits)
-                order.pop()
-        del bits[len(bits) - len(seg):]
+        if bits < best >> (total - depth * (depth + 1) // 2):
+            return
+        for i in reps:
+            v = rest[i]
+            step = lift[v]
+            child_keys = [key + key + step[u] for u, key in zip(rest, keys)]
+            del child_keys[i]
+            order.append(v)
+            search(order, rest[:i] + rest[i + 1 :], child_keys, bits)
+            order.pop()
 
-    search([], 0, [])
-    assert best_bits is not None and best_order is not None
+    search([], list(range(n)), low, 0)
     if automorphisms is not None:
         for leaf in equal_leaves:
             image = [0] * n
@@ -432,11 +468,7 @@ def _canonical_search(g: Graph, automorphisms: list[VertexSet] | None) -> tuple[
             image = list(range(n))
             image[u], image[v] = v, u
             automorphisms.append(tuple(image))
-    value = 0
-    for b in best_bits:
-        value = (value << 1) | b
-    nbits = n * (n - 1) // 2
-    form = bytes([n]) + value.to_bytes((nbits + 7) // 8 or 1, "big")
+    form = bytes([n]) + best.to_bytes((total + 7) // 8 or 1, "big")
     return form, tuple(best_order)
 
 

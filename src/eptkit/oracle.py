@@ -225,6 +225,8 @@ def tree_shapes(m: int) -> tuple[TreeShape, ...]:
     are as trees rooted at their centres, since every isomorphism maps
     centre to centre, and AHU codes decide rooted isomorphism.
     """
+    if m < 0:
+        raise ValueError("edge count must be non-negative")
     if m == 0:
         return (TreeShape(Graph(1)),)
     intern: dict = {}

@@ -22,7 +22,10 @@ of the covered pairs. The clique order is the quadratic rescan the
 heap in oracle._clique_order replaced. The derived graph and
 verification intersect every pair of paths, and each K_e scans every
 path, where the library reads both off its index of the paths that use
-each tree edge.
+each tree edge. The canonical search rebuilds every candidate's
+adjacency row and tests twins pairwise at every node, where the library
+extends the rows by one bit per placed vertex and reads twin classes
+computed once per graph.
 """
 
 import heapq
@@ -32,6 +35,7 @@ from collections.abc import Iterator
 from eptkit.decomposition import AtomLeaf, CliqueDecomposition, SeparatorNode
 from eptkit.gates import GateRecipe, enumerate_gates
 from eptkit.graphs import (
+    CANONICAL_VERTEX_BOUND,
     BoundExceededError,
     Edge,
     Graph,
@@ -41,6 +45,7 @@ from eptkit.graphs import (
     enumerate_maximal_cliques,
     induced_subgraph,
     is_connected,
+    _wl_colors,
 )
 from eptkit.oracle import CLIQUE_BOUND, oracle_membership
 from eptkit.representation import ClawClique, EdgeClique, EptRepresentation, HostTree
@@ -238,6 +243,102 @@ def generated_group(n: int, perms) -> set[VertexSet]:
                 group.add(y)
                 todo.append(y)
     return group
+
+
+def reference_canonical_search(
+    g: Graph, automorphisms: list[VertexSet] | None
+) -> tuple[bytes, VertexSet]:
+    """graphs._canonical_search with O(n * depth) work per node: the
+    same search tree walked in the same order, but every candidate's
+    adjacency row to the placed prefix is rebuilt bit by bit at every
+    node, the bits are a list, and each branch vertex is tested for
+    twinship against every representative kept so far. Forms, orders
+    and automorphism generators must agree with the library's.
+
+    When automorphisms is a list, it also receives the generating set
+    of Aut(g) that graphs._canonical_search describes and proves.
+    """
+    n = g.n
+    if n > CANONICAL_VERTEX_BOUND:
+        raise BoundExceededError(
+            f"canonical form limited to {CANONICAL_VERTEX_BOUND} vertices, got {n}"
+        )
+    if n == 0:
+        return bytes([0]), ()
+    colors = _wl_colors(g)
+    adj_mask = [0] * n
+    for u, v in g.edges:
+        adj_mask[u] |= 1 << v
+        adj_mask[v] |= 1 << u
+
+    best_bits: list[int] | None = None
+    best_order: list[int] | None = None
+    # leaves with bits equal to the best, and collapsed twin pairs
+    equal_leaves: list[list[int]] = []
+    swaps: set[tuple[int, int]] = set()
+
+    def pattern(mask: int, order: list[int]) -> int:
+        pat = 0
+        for w in order:
+            pat = (pat << 1) | (mask >> w & 1)
+        return pat
+
+    def search(order: list[int], placed: int, bits: list[int]) -> None:
+        nonlocal best_bits, best_order
+        depth = len(order)
+        if depth == n:
+            if best_bits is None or bits > best_bits:
+                best_bits = list(bits)
+                best_order = list(order)
+                equal_leaves.clear()
+            elif automorphisms is not None and bits == best_bits:
+                equal_leaves.append(list(order))
+            return
+        cands = []
+        for v in range(n):
+            if not placed >> v & 1:
+                cands.append((pattern(adj_mask[v], order), -colors[v], v))
+        top = max(c[:2] for c in cands)
+        branch = [v for p, c, v in cands if (p, c) == top]
+        # keep one representative per group of interchangeable twins
+        reps: list[int] = []
+        for v in branch:
+            twin = next(
+                (u for u in reps if adj_mask[v] & ~(1 << u) == adj_mask[u] & ~(1 << v)),
+                None,
+            )
+            if twin is None:
+                reps.append(v)
+            elif automorphisms is not None:
+                swaps.add((twin, v))
+        seg = [top[0] >> (depth - 1 - i) & 1 for i in range(depth)]
+        bits.extend(seg)
+        # prune only when strictly below the current best prefix
+        if best_bits is None or bits >= best_bits[: len(bits)]:
+            for v in reps:
+                order.append(v)
+                search(order, placed | (1 << v), bits)
+                order.pop()
+        del bits[len(bits) - len(seg):]
+
+    search([], 0, [])
+    assert best_bits is not None and best_order is not None
+    if automorphisms is not None:
+        for leaf in equal_leaves:
+            image = [0] * n
+            for b, v in zip(best_order, leaf):
+                image[b] = v
+            automorphisms.append(tuple(image))
+        for u, v in sorted(swaps):
+            image = list(range(n))
+            image[u], image[v] = v, u
+            automorphisms.append(tuple(image))
+    value = 0
+    for b in best_bits:
+        value = (value << 1) | b
+    nbits = n * (n - 1) // 2
+    form = bytes([n]) + value.to_bytes((nbits + 7) // 8 or 1, "big")
+    return form, tuple(best_order)
 
 
 def _spoke_sets(rep: EptRepresentation) -> list[set[frozenset[int]]]:

@@ -29,8 +29,14 @@ from eptkit.graphs import (
     parse_graph,
     path_graph,
 )
-from eptkit.oracle import small_graph_corpus
-from reference import generated_group, is_automorphism, vertex_orbits
+from eptkit.gates import build_gate, enumerate_gates
+from eptkit.oracle import small_graph_corpus, tree_shapes
+from reference import (
+    generated_group,
+    is_automorphism,
+    reference_canonical_search,
+    vertex_orbits,
+)
 
 
 def brute_cliques(g: Graph) -> list[tuple[int, ...]]:
@@ -282,6 +288,35 @@ def test_automorphism_generators_match_brute_force():
 def test_collecting_automorphisms_leaves_the_labeling_alone():
     for g in [C4, K23, complete_graph(5), Graph(4), cycle_graph(6)]:
         assert _canonical_search(g, []) == canonical_labeling(g)
+
+
+def test_canonical_search_matches_reference():
+    # one search tree walked in one order: forms, orders and generator
+    # tuples are the reference's, byte for byte
+    rng = random.Random(20261019)
+
+    def shuffled(g: Graph) -> Graph:
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        return relabeled(g, perm)
+
+    corpus = [g for n in range(8) for g in small_graph_corpus(n)]
+    gates = [build_gate(recipe).graph for recipe in enumerate_gates(12).values()]
+    trees = [s.graph for m in range(1, 10) for s in tree_shapes(m)]
+    random_graphs = []
+    for _ in range(2000):
+        n = rng.randint(1, 16)
+        p = rng.random()
+        pairs = itertools.combinations(range(n), 2)
+        random_graphs.append(Graph(n, [e for e in pairs if rng.random() < p]))
+    assert len(gates) == 203
+    cases = corpus + [shuffled(g) for g in corpus + gates] + trees + random_graphs
+    for g in cases:
+        got: list = []
+        want: list = []
+        labeling = _canonical_search(g, got)
+        assert labeling == reference_canonical_search(g, want), g.edges
+        assert got == want, g.edges
 
 
 def test_isomorphism_matches_brute_force():

@@ -82,6 +82,13 @@ def test_tree_shapes_counts():
     assert degrees[0] == 2 and degrees[-1] == 6
 
 
+def test_tree_shapes_refuses_negative_edge_count():
+    # refused at once, not after recursing down past the Python stack
+    for m in (-1, -5000):
+        with pytest.raises(ValueError, match="edge count must be non-negative"):
+            tree_shapes(m)
+
+
 def brute_orbit_representatives(shape, automorphisms, fixed=None):
     """Mask of the lowest-index edge in each orbit of the edge
     permutations that fix edge `fixed` (all of them when None)."""
