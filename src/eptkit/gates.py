@@ -24,7 +24,7 @@ from .graphs import (
     BoundExceededError,
     Graph,
     VertexSet,
-    _automorphism_generators,
+    _canonical_search,
     _orbit_representatives,
     canonical_form,
     cycle_graph,
@@ -204,36 +204,42 @@ def _catalog(max_vertices: int) -> dict[bytes, GateRecipe]:
     whose candidates were canonicalized first, length for length, so
     each of the skipped pair's candidates would find its form already
     cataloged and be dropped.
+
+    One canonical search per candidate gives both its form and, for a
+    gate that is queued, its automorphism generators.
     """
     catalog: dict[bytes, GateRecipe] = {}
-    queue: deque[LabeledGate] = deque()
+    queue: deque[tuple[LabeledGate, tuple[VertexSet, ...]]] = deque()
     for base in range(4, max_vertices + 1):
         gate = build_gate(GateRecipe(base))
-        form = canonical_form(gate.graph)
+        form, _, generators = _canonical_search(gate.graph)
         if form not in catalog:
             catalog[form] = gate.recipe
-            queue.append(gate)
+            queue.append((gate, generators))
     while queue:
-        gate = queue.popleft()
+        gate, generators = queue.popleft()
         budget = max_vertices - gate.graph.n
         if budget < 2:
             continue
-        for a, b in _pair_orbit_representatives(gate):
+        for a, b in _pair_orbit_representatives(gate, generators):
             for length in range(2, budget + 1):
                 step = ExtensionStep(a, b, length)
                 graph, cliques = _extend(gate.graph, gate.cliques, step)
-                form = canonical_form(graph)
+                form, _, graph_generators = _canonical_search(graph)
                 if form in catalog:
                     continue
                 recipe = GateRecipe(gate.recipe.base, gate.recipe.steps + (step,))
                 catalog[form] = recipe
-                queue.append(LabeledGate(graph, cliques, recipe))
+                queue.append((LabeledGate(graph, cliques, recipe), graph_generators))
     return catalog
 
 
-def _pair_orbit_representatives(gate: LabeledGate) -> list[tuple[int, int]]:
+def _pair_orbit_representatives(
+    gate: LabeledGate, generators: tuple[VertexSet, ...]
+) -> list[tuple[int, int]]:
     """The first disjoint clique pair (a, b), a < b, of each orbit of
-    Aut(gate.graph) on such pairs, in lexicographic order."""
+    Aut(gate.graph), which the generators generate, on such pairs, in
+    lexicographic order."""
     cliques = gate.cliques
     k = len(cliques)
     index = {c: i for i, c in enumerate(cliques)}
@@ -253,13 +259,15 @@ def _pair_orbit_representatives(gate: LabeledGate) -> list[tuple[int, int]]:
         for b in range(a + 1, k)
         if not set(cliques[a]) & set(cliques[b])
     ]
-    return _orbit_representatives(pairs, [move(p) for p in _automorphism_generators(gate.graph)])
+    return _orbit_representatives(pairs, [move(p) for p in generators])
 
 
 def enumerate_gates(max_vertices: int = CATALOG_VERTEX_BOUND) -> dict[bytes, GateRecipe]:
     """Catalog of every gate with at most max_vertices vertices, keyed
     by canonical form. Breadth-first over recipes with canonical
     dedup, so construction order is deterministic."""
+    if max_vertices < 0:
+        raise ValueError("vertex count must be non-negative")
     if max_vertices > CATALOG_VERTEX_BOUND:
         raise BoundExceededError(
             f"gate catalog limited to {CATALOG_VERTEX_BOUND} vertices, asked for {max_vertices}"
@@ -329,11 +337,13 @@ def contains_gate_ge(g: Graph, h: int) -> tuple[VertexSet, GateRecipe] | None:
             f"gate search limited to {CATALOG_VERTEX_BOUND} vertices, got {g.n}"
         )
     adj = _adjacency_masks(g)
+    bits = [1 << v for v in range(g.n)]
     for size in range(max(4, h + 1), g.n + 1):
-        for subset in itertools.combinations(range(g.n), size):
-            ok, cliques = _two_clique_split(adj, sum(1 << v for v in subset))
+        for combo in itertools.combinations(bits, size):
+            ok, cliques = _two_clique_split(adj, sum(combo))
             if not ok or cliques <= h:
                 continue
+            subset = [bit.bit_length() - 1 for bit in combo]
             sub, mapping = induced_subgraph(g, subset)
             recipe = is_gate(sub)
             if recipe is not None:

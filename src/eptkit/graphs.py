@@ -324,52 +324,85 @@ def canonical_labeling(g: Graph) -> tuple[bytes, VertexSet]:
     The form is the maximal adjacency bitstring over an
     isomorphism-invariant family of orders: refinement colors narrow the
     candidates, branch-and-bound keeps only orders whose next adjacency
-    row is maximal, and interchangeable twin vertices are collapsed.
-    Two graphs get equal forms exactly when they are isomorphic.
+    row is maximal, interchangeable twin vertices are collapsed, and
+    automorphisms found on the way prune subtrees that are images of
+    ones already searched. Two graphs get equal forms exactly when they
+    are isomorphic.
 
     Each node of the search costs O(n), though the number of nodes is
     exponential in the worst case.
     """
-    return _canonical_search(g, None)
+    form, order, _ = _canonical_search(g)
+    return form, order
 
 
 def _automorphism_generators(g: Graph) -> tuple[VertexSet, ...]:
     """Permutations that generate Aut(g), each as the tuple of images
-    of 0..n-1 (see _canonical_search). Not cached."""
-    found: list[VertexSet] = []
-    _canonical_search(g, found)
-    return tuple(found)
+    of 0..n-1 (see _canonical_search). Pruning by orbits keeps them
+    few: at most 3 for a cycle and at most 6 for a cataloged gate,
+    where one per automorphism would be 2n - 1 for C_n. Not cached."""
+    return _canonical_search(g)[2]
 
 
-def _canonical_search(g: Graph, automorphisms: list[VertexSet] | None) -> tuple[bytes, VertexSet]:
-    """canonical_labeling's search. When automorphisms is a list, it
-    also receives a generating set of Aut(g): the map best_order[i] ->
-    order[i] for each leaf order whose bits equal the best, and the
-    transposition of each pair of twins the search collapses.
+def _canonical_search(g: Graph) -> tuple[bytes, VertexSet, tuple[VertexSet, ...]]:
+    """canonical_labeling's search, plus a generating set of Aut(g):
+    the map best_order[i] -> order[i] for each leaf order whose bits
+    equal the best seen so far, and the transposition of each vertex
+    with the first vertex of its twin class.
 
     Each of them is an automorphism: two orders with equal bits give
     equal adjacency matrices, and swapping twins u and v (adjacency
-    equal apart from each other) keeps every edge. They generate
-    Aut(g). Without the twin collapse the tree of orders is mapped onto
-    itself by every automorphism, since the candidates at a node are
-    chosen by adjacency to the placed vertices and by refinement colors,
-    both invariant; so the leaves with the maximal bits are exactly the
-    images of best_order, one per automorphism. The pruning never cuts
-    them, as it cuts only prefixes strictly below the best one seen,
-    which is at most the maximal one. Take such a leaf and walk down
-    from the root: where the next vertex v was collapsed into a twin u
-    the search kept, apply the transposition (u v), which fixes the
-    placed prefix and turns the leaf into a maximal leaf through u.
-    The walk ends at a maximal leaf the search reached, which is the
-    image of best_order under a found map. So every automorphism is a
-    product of the found ones.
+    equal apart from each other) keeps every edge. The transpositions
+    of a class with its first vertex generate every transposition
+    inside the class.
 
-    Each node costs O(n). Every unplaced vertex carries its key: its
-    adjacency row to the placed prefix, first placed vertex highest,
-    above the inverted refinement color. Placing w appends each row's
-    bit for w, and the node's next row is the maximal key's. The bits
-    so far are one int, compared by a shift with the same-length prefix
-    of the best leaf.
+    Call T the tree of orders without the twin collapse. Its candidates
+    at a node are chosen by adjacency to the placed vertices and by
+    refinement colors, both invariant, so every automorphism maps T
+    onto itself and keeps the bits of each leaf. The search walks T',
+    the tree with the collapse, children in vertex order, so it meets
+    leaves in the lexicographic order of their vertex sequences. Call L
+    the first maximal leaf of T'. The search cuts T' in three ways:
+    - bound: a prefix strictly below the best seen, never a prefix of
+      a maximal leaf;
+    - orbit: before its second or later child v, a node p takes the
+      found automorphisms that fix p pointwise and the transpositions
+      of unplaced twins, and skips v if the group they generate maps a
+      lower vertex onto v. The orbits are recomputed by union-find only
+      when an automorphism has turned up since p last did;
+    - jump: a leaf M with the best bits, those of the leaf B, gives
+      the map b with b(B) = M. If B and M part at node p, B through c
+      and M through v, then c < v, as B was met first, and b fixes p;
+      the search drops the rest of the subtree of v and goes on at p.
+
+    Walk-down: take a maximal leaf N of T that the search did not
+    reach, p the deepest node on its path that the search entered,
+    and x the next vertex of N. Then p is not cut by the bound, x is a
+    candidate of p, and one of these maps N to a lexicographically
+    smaller maximal leaf of T by a product of the generators:
+    - x was collapsed into a lower twin u: the transposition (u x);
+    - x was skipped by orbit: s^-1, for a product s of generators that
+      fixes p and maps a lower vertex onto x;
+    - x was dropped by a jump to a node p' above p, from v' to c' < v':
+      b^-1, which fixes p' and maps v' to c'.
+    Repeated, the walk ends at a maximal leaf the search reached.
+
+    So L is never below a skipped child or a dropped subtree, whose
+    lower twin or earlier sibling holds an image of it: from L the walk
+    would end at a reached maximal leaf of T' met before L. The search
+    reaches L, every leaf met before L has smaller bits, and the form
+    and order are those of the search without orbit pruning and jumps.
+    The generators generate Aut(g): for an automorphism a, the walk
+    turns a(L) by a product h into a reached maximal leaf R. R is L, or
+    it came after L and gave the map b with b(L) = R. Both are orders
+    of all n vertices, so h a = b and a = h^-1 b.
+
+    Each node costs O(n), apart from the orbits. Every unplaced vertex
+    carries its key: its adjacency row to the placed prefix, first
+    placed vertex highest, above the inverted refinement color. Placing
+    w appends each row's bit for w, and the node's next row is the
+    maximal key's. The bits so far are one int, compared by a shift
+    with the same-length prefix of the best leaf.
 
     Twins are collapsed by class, computed once per graph. Being twins,
     N(u) - v = N(v) - u, is an equivalence relation: it is reflexive
@@ -391,7 +424,7 @@ def _canonical_search(g: Graph, automorphisms: list[VertexSet] | None) -> tuple[
             f"canonical form limited to {CANONICAL_VERTEX_BOUND} vertices, got {n}"
         )
     if n == 0:
-        return bytes([0]), ()
+        return bytes([0]), (), ()
     colors = _wl_colors(g)
     adj_mask = [0] * n
     for u, v in g.edges:
@@ -413,20 +446,60 @@ def _canonical_search(g: Graph, automorphisms: list[VertexSet] | None) -> tuple[
 
     best = -1  # below every bit string
     best_order: list[int] = []
-    # leaves with bits equal to the best, and collapsed twin pairs
-    equal_leaves: list[list[int]] = []
-    swaps: set[tuple[int, int]] = set()
+    # automorphisms from the leaves, each with the mask of the vertices
+    # it fixes
+    found: list[tuple[VertexSet, int]] = []
 
-    def search(order: list[int], rest: list[int], keys: list[int], bits: int) -> None:
+    def orbit_roots(order: list[int]) -> list[int]:
+        """The lowest vertex of each vertex's orbit under the found
+        automorphisms that fix every placed vertex and the
+        transpositions of unplaced twins."""
+        placed = 0
+        for v in order:
+            placed |= 1 << v
+        root = list(range(n))
+        firsts: dict[int, int] = {}
+        for v in range(n):
+            if not placed >> v & 1:
+                root[v] = firsts.setdefault(twin_class[v], v)
+        for image, fixed in found:
+            if placed & ~fixed:
+                continue
+            for v, w in enumerate(image):
+                while root[v] != v:
+                    v = root[v]
+                while root[w] != w:
+                    w = root[w]
+                if v != w:
+                    root[max(v, w)] = min(v, w)
+        # every root link points to a lower vertex, so one pass upwards
+        # leaves each vertex linked to its root
+        for v in range(n):
+            root[v] = root[root[v]]
+        return root
+
+    def search(order: list[int], rest: list[int], keys: list[int], bits: int) -> int:
+        """Search below the node order; returns the depth of the node
+        whose loop goes on, n for the caller's own."""
         nonlocal best, best_order
         if not rest:
             if bits > best:
                 best = bits
                 best_order = list(order)
-                equal_leaves.clear()
-            elif automorphisms is not None and bits == best:
-                equal_leaves.append(list(order))
-            return
+            elif bits == best:
+                image = [0] * n
+                fixed = 0
+                for b, v in zip(best_order, order):
+                    image[b] = v
+                    if b == v:
+                        fixed |= 1 << v
+                found.append((tuple(image), fixed))
+                # jump back to the node where the two leaves part
+                d = 0
+                while best_order[d] == order[d]:
+                    d += 1
+                return d
+            return n
         top = max(keys)
         # positions in rest of the branch vertices kept: the first of
         # each twin class
@@ -436,40 +509,43 @@ def _canonical_search(g: Graph, automorphisms: list[VertexSet] | None) -> tuple[
             firsts: dict[int, int] = {}
             reps.clear()
             for i in range(first, len(rest)):
-                if keys[i] == top:
-                    v = rest[i]
-                    twin = firsts.setdefault(twin_class[v], v)
-                    if twin == v:
-                        reps.append(i)
-                    elif automorphisms is not None:
-                        swaps.add((twin, v))
+                if keys[i] == top and firsts.setdefault(twin_class[rest[i]], i) == i:
+                    reps.append(i)
         depth = len(order)
         bits = bits << depth | top >> shift
         # prune only when strictly below the current best prefix
         if bits < best >> (total - depth * (depth + 1) // 2):
-            return
+            return n
+        known = 0  # len(found) when root was last computed
         for i in reps:
             v = rest[i]
+            if i != first and found:
+                if known != len(found):
+                    known = len(found)
+                    root = orbit_roots(order)
+                # a lower vertex's subtree holds an image of v's
+                if root[v] < v:
+                    continue
             step = lift[v]
             child_keys = [key + key + step[u] for u, key in zip(rest, keys)]
             del child_keys[i]
             order.append(v)
-            search(order, rest[:i] + rest[i + 1 :], child_keys, bits)
+            resume = search(order, rest[:i] + rest[i + 1 :], child_keys, bits)
             order.pop()
+            if resume < depth:
+                return resume
+        return n
 
     search([], list(range(n)), low, 0)
-    if automorphisms is not None:
-        for leaf in equal_leaves:
-            image = [0] * n
-            for b, v in zip(best_order, leaf):
-                image[b] = v
-            automorphisms.append(tuple(image))
-        for u, v in sorted(swaps):
-            image = list(range(n))
-            image[u], image[v] = v, u
-            automorphisms.append(tuple(image))
     form = bytes([n]) + best.to_bytes((total + 7) // 8 or 1, "big")
-    return form, tuple(best_order)
+    generators = [image for image, _ in found]
+    image = list(range(n))
+    for v, u in enumerate(twin_class):
+        if u != v:
+            image[u], image[v] = v, u
+            generators.append(tuple(image))
+            image[u], image[v] = u, v
+    return form, tuple(best_order), tuple(generators)
 
 
 def _orbit_representatives(items: Iterable, moves: list) -> list:

@@ -46,7 +46,7 @@ from .graphs import (
     BoundExceededError,
     Graph,
     VertexSet,
-    _automorphism_generators,
+    _canonical_search,
     _maximal_cliques,
     _orbit_representatives,
     canonical_form,
@@ -397,8 +397,10 @@ def oracle_membership(g: Graph, *, budget_secs: float | None = None) -> EptRepre
 
 
 @functools.lru_cache(maxsize=16)
-def _corpus_exact(n: int) -> tuple[Graph, ...]:
-    """small_graph_corpus(n) before the connectivity filter.
+def _corpus_exact(n: int) -> tuple[tuple[Graph, tuple[VertexSet, ...]], ...]:
+    """small_graph_corpus(n) before the connectivity filter, each graph
+    with generators of its automorphism group from the canonical search
+    that also gave its form.
 
     Each graph on n - 1 vertices grows a vertex n - 1 joined to the
     vertices of a neighbourhood mask, masks in ascending order; the
@@ -413,7 +415,7 @@ def _corpus_exact(n: int) -> tuple[Graph, ...]:
     if n == 0:
         return ()
     if n == 1:
-        return (Graph(1),)
+        return ((Graph(1), ()),)
 
     def move(image: VertexSet):
         def apply(mask: int) -> int:
@@ -421,17 +423,17 @@ def _corpus_exact(n: int) -> tuple[Graph, ...]:
 
         return apply
 
-    out: dict[bytes, Graph] = {}
-    for g in _corpus_exact(n - 1):
+    out: dict[bytes, tuple[Graph, tuple[VertexSet, ...]]] = {}
+    for g, generators in _corpus_exact(n - 1):
         base = list(g.edges)
-        moves = [move(image) for image in _automorphism_generators(g)]
+        moves = [move(image) for image in generators]
         for mask in _orbit_representatives(range(1 << (n - 1)), moves):
             edges = base + [(i, n - 1) for i in range(n - 1) if mask >> i & 1]
             h = Graph(n, edges)
-            form = canonical_form(h)
+            form, _, h_generators = _canonical_search(h)
             if form not in out:
-                out[form] = h
-    return tuple(g for _, g in sorted(out.items()))
+                out[form] = (h, h_generators)
+    return tuple(entry for _, entry in sorted(out.items()))
 
 
 def small_graph_corpus(n: int, connected_only: bool = False) -> tuple[Graph, ...]:
@@ -443,7 +445,7 @@ def small_graph_corpus(n: int, connected_only: bool = False) -> tuple[Graph, ...
         raise BoundExceededError(
             f"corpus limited to {CORPUS_VERTEX_BOUND} vertices, asked for {n}"
         )
-    graphs = _corpus_exact(n)
+    graphs = tuple(g for g, _ in _corpus_exact(n))
     if connected_only:
         graphs = tuple(g for g in graphs if is_connected(g))
     return graphs

@@ -2,10 +2,11 @@
 host degree over bijection trees, the scan's clique order rescanned at
 every step, brute-force clique separators,
 line-likeness checked on the clique graph itself, and the induced-gate
-search and two-clique test without bitmask filtering, the orbits and
-group of a set of vertex permutations, and a representation's maximal
-cliques and claws found by brute force, its derived graph, edge cliques
-and verification read off every pair of paths.
+search and two-clique test without bitmask filtering, the orbits,
+group and group order of a set of vertex permutations, and a
+representation's maximal cliques and claws found by brute force, its
+derived graph, edge cliques and verification read off every pair of
+paths.
 
 All are independent of the library's routes. The labeled trees feed a
 brute-force search that cross-checks the oracle's shape scan; the
@@ -23,9 +24,10 @@ heap in oracle._clique_order replaced. The derived graph and
 verification intersect every pair of paths, and each K_e scans every
 path, where the library reads both off its index of the paths that use
 each tree edge. The canonical search rebuilds every candidate's
-adjacency row and tests twins pairwise at every node, where the library
-extends the rows by one bit per placed vertex and reads twin classes
-computed once per graph.
+adjacency row and tests twins pairwise at every node, and it keeps one
+generator per maximal leaf, where the library extends the rows by one
+bit per placed vertex, reads twin classes computed once per graph and
+prunes subtrees by the orbits of the automorphisms it has found.
 """
 
 import heapq
@@ -245,6 +247,62 @@ def generated_group(n: int, perms) -> set[VertexSet]:
     return group
 
 
+def group_order(n: int, perms) -> int:
+    """The order of the group the permutations of 0..n-1 generate, by
+    Schreier-Sims in Knuth's incremental form, on the base 0, 1, .., n-1.
+
+    Level k keeps the generators added there, all fixing 0..k-1, and a
+    transversal: for each point j of k's orbit under them, the inverse
+    of one element of the level's group mapping k to j. The order is
+    the product of the orbit sizes. generated_group lists every
+    element, which S_16 rules out.
+    """
+    identity = tuple(range(n))
+    gens: list[list[VertexSet]] = [[] for _ in range(n)]
+    inverses = [{k: identity} for k in range(n)]
+
+    def mul(p, q):  # q first, then p
+        return tuple(p[x] for x in q)
+
+    def inverse(p):
+        r = [0] * n
+        for x, y in enumerate(p):
+            r[y] = x
+        return tuple(r)
+
+    def member(k: int, p) -> bool:
+        for level in range(k, n):
+            u_inv = inverses[level].get(p[level])
+            if u_inv is None:
+                return False
+            p = mul(u_inv, p)
+        return True
+
+    def add(k: int, p) -> None:
+        if member(k, p):
+            return
+        gens[k].append(p)
+        for u_inv in list(inverses[k].values()):
+            extend(k, mul(p, inverse(u_inv)))
+
+    def extend(k: int, t) -> None:
+        u_inv = inverses[k].get(t[k])
+        if u_inv is None:
+            inverses[k][t[k]] = inverse(t)
+            for s in gens[k]:
+                extend(k, mul(s, t))
+        else:
+            # u^-1 t fixes 0..k
+            add(k + 1, mul(u_inv, t))
+
+    for p in perms:
+        add(0, tuple(p))
+    order = 1
+    for level in inverses:
+        order *= len(level)
+    return order
+
+
 def reference_canonical_search(
     g: Graph, automorphisms: list[VertexSet] | None
 ) -> tuple[bytes, VertexSet]:
@@ -252,11 +310,14 @@ def reference_canonical_search(
     same search tree walked in the same order, but every candidate's
     adjacency row to the placed prefix is rebuilt bit by bit at every
     node, the bits are a list, and each branch vertex is tested for
-    twinship against every representative kept so far. Forms, orders
-    and automorphism generators must agree with the library's.
+    twinship against every representative kept so far, and no subtree
+    is pruned by orbit. Forms and orders must agree with the library's,
+    and the generators must generate the same group.
 
-    When automorphisms is a list, it also receives the generating set
-    of Aut(g) that graphs._canonical_search describes and proves.
+    When automorphisms is a list, it also receives a generating set of
+    Aut(g): the map best_order[i] -> order[i] for every leaf whose bits
+    equal the maximal ones, which is one per automorphism, and the
+    transposition of each pair of twins the search collapses.
     """
     n = g.n
     if n > CANONICAL_VERTEX_BOUND:

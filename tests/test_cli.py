@@ -392,6 +392,13 @@ def test_corpus_over_bound(capsys):
     assert code == 3 and "7 vertices" in err
 
 
+def test_negative_vertex_counts_are_input_errors(capsys):
+    for args in [("catalog", "--max", "-1"), ("corpus", "--n", "-1")]:
+        code, out, err = run(capsys, *args)
+        assert code == 2 and out == "", args
+        assert "vertex count must be non-negative" in err, args
+
+
 def test_input_errors(capsys, tmp_path):
     code, _, err = run(capsys, "recognize", str(tmp_path / "missing.txt"))
     assert code == 2 and "error:" in err

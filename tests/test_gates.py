@@ -131,6 +131,12 @@ def test_catalog_is_consistent():
         enumerate_gates(13)
 
 
+def test_catalog_refuses_negative_vertex_count():
+    assert enumerate_gates(0) == {}
+    with pytest.raises(ValueError, match="vertex count must be non-negative"):
+        enumerate_gates(-1)
+
+
 def test_is_gate():
     assert is_gate(cycle_graph(7)) == GateRecipe(7)
     gate = build_gate(GateRecipe(4, (ExtensionStep(0, 3, 2),)))

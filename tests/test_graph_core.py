@@ -33,6 +33,7 @@ from eptkit.gates import build_gate, enumerate_gates
 from eptkit.oracle import small_graph_corpus, tree_shapes
 from reference import (
     generated_group,
+    group_order,
     is_automorphism,
     reference_canonical_search,
     vertex_orbits,
@@ -287,12 +288,15 @@ def test_automorphism_generators_match_brute_force():
 
 def test_collecting_automorphisms_leaves_the_labeling_alone():
     for g in [C4, K23, complete_graph(5), Graph(4), cycle_graph(6)]:
-        assert _canonical_search(g, []) == canonical_labeling(g)
+        assert _canonical_search(g)[:2] == canonical_labeling(g)
 
 
 def test_canonical_search_matches_reference():
-    # one search tree walked in one order: forms, orders and generator
-    # tuples are the reference's, byte for byte
+    # one search tree walked in one order: forms and orders are the
+    # reference's, byte for byte. The reference keeps one generator per
+    # maximal leaf, the library prunes by orbit, so the two generator
+    # tuples differ but must generate the same group: both lie in
+    # Aut(g), so equal orders mean equal groups
     rng = random.Random(20261019)
 
     def shuffled(g: Graph) -> Graph:
@@ -312,11 +316,59 @@ def test_canonical_search_matches_reference():
     assert len(gates) == 203
     cases = corpus + [shuffled(g) for g in corpus + gates] + trees + random_graphs
     for g in cases:
-        got: list = []
         want: list = []
-        labeling = _canonical_search(g, got)
-        assert labeling == reference_canonical_search(g, want), g.edges
-        assert got == want, g.edges
+        form, order, got = _canonical_search(g)
+        assert (form, order) == reference_canonical_search(g, want), g.edges
+        assert all(is_automorphism(g, image) for image in got), g.edges
+        assert group_order(g.n, got) == group_order(g.n, want), g.edges
+        assert vertex_orbits(g.n, got) == vertex_orbits(g.n, want), g.edges
+
+
+def _square_grid_graph(n: int, step) -> Graph:
+    """Z_n x Z_n, vertex (a, b) numbered a * n + b, with (a, b) joined
+    to (a + da, b + db) for each offset (da, db) in step."""
+    edges = set()
+    for a, b in itertools.product(range(n), repeat=2):
+        for da, db in step:
+            u, v = a * n + b, (a + da) % n * n + (b + db) % n
+            if u != v:
+                edges.add((min(u, v), max(u, v)))
+    return Graph(n * n, edges)
+
+
+def test_orbit_pruning_keeps_generators_few():
+    # one generator per automorphism would be 2n - 1 for C_n and
+    # 2^8 * 8! for eight disjoint edges
+    for n in range(4, 17):
+        assert len(_automorphism_generators(cycle_graph(n))) <= 3, n
+    eight_k2 = Graph(16, [(2 * i, 2 * i + 1) for i in range(8)])
+    generators = _automorphism_generators(eight_k2)
+    assert len(generators) <= 16
+    assert group_order(16, generators) == 2**8 * 40320
+
+
+def test_automorphism_group_orders_of_symmetric_graphs():
+    petersen = Graph(
+        10,
+        [(i, (i + 1) % 5) for i in range(5)]
+        + [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+        + [(i, i + 5) for i in range(5)],
+    )
+    q4 = Graph(16, [(v, v ^ 1 << b) for v in range(16) for b in range(4) if v < v ^ 1 << b])
+    shrikhande = _square_grid_graph(4, [(0, 1), (1, 0), (1, 1)])
+    rook = _square_grid_graph(4, [(0, d) for d in (1, 2, 3)] + [(d, 0) for d in (1, 2, 3)])
+    three_c5 = Graph(15, [(5 * c + i, 5 * c + (i + 1) % 5) for c in range(3) for i in range(5)])
+    for g, order in [
+        (petersen, 120),
+        (q4, 384),
+        (shrikhande, 192),
+        (rook, 1152),
+        (three_c5, 6000),
+    ]:
+        generators = _automorphism_generators(g)
+        assert all(is_automorphism(g, image) for image in generators), g.edges
+        assert group_order(g.n, generators) == order, g.edges
+        assert len(generated_group(g.n, generators)) == order, g.edges
 
 
 def test_isomorphism_matches_brute_force():
