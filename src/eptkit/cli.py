@@ -3,7 +3,7 @@
 Subcommands: recognize, cheapest, atoms, gen-gate, catalog, oracle,
 verify-rep, corpus. Outputs are plain line-oriented text (DOT where
 offered is additive). Exit codes: 0 success or member, 1 non-member or
-failed check, 2 input error, 3 bound or budget exceeded.
+failed check, 2 input error, 3 bound or budget exceeded, 141 closed pipe.
 
 Disconnected inputs to recognize/cheapest are handled per connected
 component with the maximum degree reported; the library pipeline
@@ -13,6 +13,7 @@ itself requires connected graphs, so this is flagged on stderr.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 from pathlib import Path
@@ -36,6 +37,7 @@ EXIT_OK = 0
 EXIT_NO = 1
 EXIT_INPUT = 2
 EXIT_BOUND = 3
+EXIT_PIPE = 141  # what a shell reports for a process ended by SIGPIPE
 
 
 def _read_graph(path: str) -> Graph:
@@ -157,16 +159,16 @@ def _cmd_catalog(args) -> int:
     if out_dir:
         out_dir.mkdir(parents=True, exist_ok=True)
     for i, recipe in enumerate(catalog.values()):
-        gate = gates.build_gate(recipe)
         steps = " ".join(
             f"{s.clique_a},{s.clique_b},{s.path_len}" for s in recipe.steps
         )
         suffix = f" extend {steps}" if steps else ""
         print(
-            f"gate {i}: n={gate.graph.n} k={recipe.clique_count()}"
+            f"gate {i}: n={recipe.vertex_count()} k={recipe.clique_count()}"
             f" base {recipe.base}{suffix}"
         )
         if out_dir:
+            gate = gates.build_gate(recipe)
             path = out_dir / f"gate_{i:03d}.txt"
             path.write_text(
                 graph_to_text(gate.graph, comments=_gate_comments(recipe, gate.cliques))
@@ -286,7 +288,13 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.run(args)
+        code = args.run(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader is gone: what is flushed at exit goes to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
     except BudgetExhaustedError:
         print("budget-exhausted")
         return EXIT_BOUND

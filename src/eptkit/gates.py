@@ -283,7 +283,7 @@ def is_gate(g: Graph) -> GateRecipe | None:
         )
     if g.n < 4 or not is_connected(g):
         return None
-    if not _two_clique_split(_adjacency_masks(g), (1 << g.n) - 1)[0]:
+    if not check_two_clique_property(g)[0]:
         return None
     return _catalog(CATALOG_VERTEX_BOUND).get(canonical_form(g))
 

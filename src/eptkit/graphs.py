@@ -336,14 +336,6 @@ def canonical_labeling(g: Graph) -> tuple[bytes, VertexSet]:
     return form, order
 
 
-def _automorphism_generators(g: Graph) -> tuple[VertexSet, ...]:
-    """Permutations that generate Aut(g), each as the tuple of images
-    of 0..n-1 (see _canonical_search). Pruning by orbits keeps them
-    few: at most 3 for a cycle and at most 6 for a cataloged gate,
-    where one per automorphism would be 2n - 1 for C_n. Not cached."""
-    return _canonical_search(g)[2]
-
-
 def _canonical_search(g: Graph) -> tuple[bytes, VertexSet, tuple[VertexSet, ...]]:
     """canonical_labeling's search, plus a generating set of Aut(g):
     the map best_order[i] -> order[i] for each leaf order whose bits

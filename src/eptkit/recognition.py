@@ -28,6 +28,7 @@ import time
 from dataclasses import dataclass
 
 from .decomposition import atoms
+from .gates import _two_clique_split
 from .graphs import (
     Graph,
     VertexSet,
@@ -120,30 +121,25 @@ def is_helly_ept(g: Graph, budget_secs: float | None = None) -> EptRepresentatio
     return oracle_membership(g, budget_secs=budget_secs)
 
 
-def _is_line_like(atom: Graph) -> bool:
-    """Whether an atom is complete or line-like, read off its
-    neighbourhoods without listing its maximal cliques.
+def _atom_clique_count(atom: Graph) -> int | None:
+    """1 for a complete atom, its clique count for a line-like one and
+    None for any other, from gates._two_clique_split on the true-twin
+    quotient (a vertex per class of equal closed neighbourhoods).
 
-    For a vertex v, let U be the vertices of N(v) adjacent to all the
-    rest of N(v), and R = N(v) - U. The maximal cliques holding v are
-    v + U + D for the maximal cliques D of R, or v + U when R is empty.
-    No vertex of R is adjacent to all the rest of R, or it would be
-    adjacent to all of U too and lie in U. So R is not one clique, and
-    two maximal cliques covering R share no vertex and have no edge
-    between their differences, which would lie in a third. Hence v lies
-    in at most two maximal cliques exactly when R is empty or two
-    disjoint cliques with no edge between them, that is when the closed
-    neighbourhoods in R of R's vertices are two disjoint sets. A
-    complete atom passes, as every R is empty.
+    True twins lie in the same maximal cliques, so the quotient's
+    maximal cliques match the atom's one to one; a complete atom is one
+    class. In an atom A that is not complete, no vertex v lies in one
+    maximal clique C only, or C - v would separate v from the rest of
+    A. If every vertex lies in at most two, v in C1 and C2, any other u
+    in C1 & C2 has N[u] = C1 + C2 = N[v] and is v's twin. So in the
+    quotient v's two cliques meet only in v: the two-clique property.
+    Conversely, that property lifts back to A with the same count.
 
     Line-like means every vertex lies in exactly two maximal cliques,
     and H is 2-connected and triangle-free, where H has one node per
-    clique and one edge per distinct clique pair held by a vertex (so
-    true twins share an edge). In an atom A that is not complete it is
-    enough that no vertex lies in three cliques; the rest follows
-    because A is connected and has no clique separator:
-    - a vertex v in one clique C only: C - v would separate v from the
-      rest of A, which is not empty as A is not complete;
+    clique and one edge per distinct clique pair held by a vertex. In
+    an atom A that is not complete it is enough that no vertex lies in
+    three cliques, as A is connected and has no clique separator:
     - a triangle C1 C2 C3 in H: the vertices held by its three pairs
       form a clique, so they lie in one maximal clique, yet each lies
       in only two of C1, C2, C3 and in no other;
@@ -154,13 +150,14 @@ def _is_line_like(atom: Graph) -> bool:
       A - C has vertices in two components of H - C with no edge
       between them, and the clique C would separate A.
     """
-    adj = atom._adj
-    for near in adj:
-        rest = {u for u in near if len(adj[u] & near) < len(near) - 1}
-        closed = {frozenset(adj[w] & rest | {w}) for w in rest}
-        if closed and (len(closed) != 2 or sum(map(len, closed)) != len(rest)):
-            return False
-    return True
+    index: dict[frozenset[int], int] = {}
+    label = [index.setdefault(near | {v}, len(index)) for v, near in enumerate(atom._adj)]
+    if len(index) == 1:
+        return 1
+    # a set of classes, not a sum over vertices: two twins would carry a bit
+    adj = [sum(1 << c for c in {label[u] for u in closed} - {i}) for i, closed in enumerate(index)]
+    ok, count = _two_clique_split(adj, (1 << len(adj)) - 1)
+    return count if ok else None
 
 
 def _separating(
@@ -246,17 +243,17 @@ def cheapest_representation(g: Graph, budget_secs: float | None = None) -> Recog
     atoms.
 
     The atom test. Every atom of a Helly EPT graph is complete or
-    line-like (_is_line_like). An atom A is an induced subgraph, so it
-    is Helly EPT, and it is connected with no clique separator. Take
-    A's normal form from the oracle: a host tree whose edges are A's
-    maximal cliques, each C = K_e for one edge e, with every vertex's
-    path made of the edges of its cliques. Suppose A is not complete
-    and a vertex's path has three or more edges. The clique K_e of a
-    middle edge e separates the vertices whose paths lie wholly on
-    either side of e, since paths on opposite sides share no edge.
-    Both sides are non-empty: the neighbouring edges' cliques differ
-    from K_e, so each holds a vertex whose path stops before e. So no
-    vertex lies in three of A's cliques, and A is line-like.
+    line-like (_atom_clique_count). An atom A is an induced subgraph,
+    so it is Helly EPT, and it is connected with no clique separator.
+    Take A's normal form from the oracle: a host tree whose edges are
+    A's maximal cliques, each C = K_e for one edge e, with every
+    vertex's path made of the edges of its cliques. Suppose A is not
+    complete and a vertex's path has three or more edges. The clique
+    K_e of a middle edge e separates the vertices whose paths lie
+    wholly on either side of e, since paths on opposite sides share no
+    edge. Both sides are non-empty: the neighbouring edges' cliques
+    differ from K_e, so each holds a vertex whose path stops before e.
+    So no vertex lies in three of A's cliques, and A is line-like.
     A chordal graph passes without being decomposed: every atom is an
     induced chordal graph with no clique separator, and a non-complete
     connected chordal graph has one (Dirac 1961), so every atom is
@@ -304,9 +301,9 @@ def cheapest_representation(g: Graph, budget_secs: float | None = None) -> Recog
     if not is_chordal(g):
         pieces = atoms(g)
         for atom, vertices in pieces:
-            if not _is_line_like(atom):
+            if (count := _atom_clique_count(atom)) is None:
                 return RecognitionResult(False, None, None, obstruction=vertices)
-            k = max(k, len(enumerate_maximal_cliques(atom)))
+            k = max(k, count)
         answer = _pendant_answer(g, pieces, k)
         if answer is not None:
             return answer

@@ -4,6 +4,9 @@ and the names the benchmark tracer wraps."""
 import ast
 import importlib
 import io
+import os
+import subprocess
+import sys
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -22,6 +25,7 @@ from eptkit.graphs import (
 )
 from eptkit.recognition import RecognitionResult
 from eptkit.representation import (
+    clique_star,
     is_helly,
     max_host_degree,
     parse_representation,
@@ -243,6 +247,45 @@ def test_catalog(capsys, tmp_path):
     ]
     assert parse_graph(files[0].read_text()) == cycle_graph(4)
     assert parse_graph(files[3].read_text()).n == 6
+
+
+def test_catalog_prints_from_recipes(capsys, monkeypatch):
+    # gates are built only to write their files; the catalog, which
+    # builds its base cycles, is filled first
+    cli.gates.enumerate_gates(8)
+
+    def refuse(recipe):
+        raise AssertionError("build_gate called")
+
+    monkeypatch.setattr(cli.gates, "build_gate", refuse)
+    code, out, _ = run(capsys, "catalog", "--max", "8")
+    assert code == 0
+    lines = out.splitlines()
+    assert len(lines) == 11
+    assert lines[9] == "gate 9: n=8 k=6 base 4 extend 0,3,2 0,3,2"
+
+
+def test_closed_pipe_exits_141_quietly(tmp_path):
+    # the reader takes one line and closes the pipe while most of the
+    # 150 KB listing, more than a pipe holds, is still to be written
+    n = 4000
+    g = cycle_graph(n)
+    (tmp_path / "g.txt").write_text(graph_to_text(g))
+    (tmp_path / "rep.txt").write_text(representation_to_text(clique_star(n, sorted(g.edges))))
+    src = str(Path(cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "eptkit.cli", "verify-rep", "g.txt", "rep.txt"],
+        cwd=tmp_path,
+        env=env,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.readline() == b"ok helly=true degree=4000\n"
+    proc.stdout.close()
+    assert proc.wait(timeout=60) == 141
+    assert proc.stderr.read() == b""
+    proc.stderr.close()
 
 
 def test_catalog_over_bound(capsys):

@@ -34,7 +34,7 @@ from eptkit.recognition import (
     is_interval,
 )
 from eptkit.representation import is_helly, max_host_degree, verify
-from reference import oracle_min_h
+from reference import oracle_min_h, reference_is_line_like
 
 S3_GRAPH = Graph(6, [
     (2, 3), (3, 5), (2, 5), (0, 2), (0, 3), (1, 3), (1, 5), (2, 4), (4, 5),
@@ -288,7 +288,7 @@ def test_pendant_filter(monkeypatch):
     ring = [5, *range(7, 16)]
     glued = Graph(16, list(A0808.edges) + [(ring[i - 1], ring[i]) for i in range(10)])
     assert len(enumerate_maximal_cliques(glued)) == 16
-    assert all(recognition._is_line_like(atom) for atom, _ in atoms(glued))
+    assert all(recognition._atom_clique_count(atom) is not None for atom, _ in atoms(glued))
     assert cheapest_representation(glued) == RecognitionResult(False, None, None)
 
 
@@ -324,6 +324,74 @@ def test_atom_test_decides_before_listing_cliques(monkeypatch):
     assert time.perf_counter() - start < 1.0
 
 
+def twin_blow_up(g: Graph, sizes: list[int]) -> Graph:
+    """g with each vertex v replaced by a clique of sizes[v] true twins."""
+    start = list(itertools.accumulate([0, *sizes]))
+    edges = [
+        (start[v] + i, start[v] + j)
+        for v in range(g.n)
+        for i, j in itertools.combinations(range(sizes[v]), 2)
+    ]
+    edges += [
+        (start[u] + i, start[v] + j)
+        for u, v in g.edges
+        for i in range(sizes[u])
+        for j in range(sizes[v])
+    ]
+    return Graph(start[-1], edges)
+
+
+def test_atom_clique_count_matches_reference():
+    # complete, or line-like on the clique graph with Bron-Kerbosch's
+    # count, on every atom of the corpus, of random graphs and of twin
+    # blow-ups, whose true twins random graphs rarely make
+    rng = random.Random(20261019)
+    graphs = [g for n in range(1, 8) for g in small_graph_corpus(n, connected_only=True)]
+    for _ in range(1500):
+        n = rng.randint(4, 13)
+        p = rng.choice((0.2, 0.35, 0.5))
+        g = Graph(n, [e for e in itertools.combinations(range(n), 2) if rng.random() < p])
+        if is_connected(g):
+            graphs.append(g)
+    base = small_graph_corpus(6, connected_only=True)
+    for _ in range(200):
+        g = rng.choice(base)
+        graphs.append(twin_blow_up(g, [rng.randint(1, 3) for _ in range(g.n)]))
+    seen = Counter()
+    for g in graphs:
+        for atom, _ in atoms(g):
+            cliques = len(enumerate_maximal_cliques(atom))
+            want = cliques if cliques == 1 or reference_is_line_like(atom) else None
+            assert recognition._atom_clique_count(atom) == want, atom.edges
+            kind = "complete" if want == 1 else "neither" if want is None else "line-like"
+            twins = len({atom.neighbors(v) | {v} for v in range(atom.n)}) < atom.n
+            seen[kind, twins] += 1
+    assert seen == {
+        ("complete", False): 1,
+        ("complete", True): 4229,
+        ("line-like", False): 276,
+        ("line-like", True): 231,
+        ("neither", False): 854,
+        ("neither", True): 168,
+    }
+
+
+def test_route_lists_no_atom_cliques(monkeypatch):
+    # k comes from the atom test, so only _pendant_answer lists cliques,
+    # once, for g itself
+    calls = []
+
+    def counted(g):
+        calls.append(g)
+        return enumerate_maximal_cliques(g)
+
+    monkeypatch.setattr(recognition, "enumerate_maximal_cliques", counted)
+    assert len(atoms(C6_PENDANT)) == 2
+    result = cheapest_representation(C6_PENDANT)
+    assert result.helly_ept and result.h == 6
+    assert calls == [C6_PENDANT]
+
+
 def test_passing_atoms_have_one_clique_or_four():
     # so a non-chordal graph that passes the atom test has k >= 4, and
     # cheapest_representation's k == 1 branch covers every k <= 3
@@ -335,9 +403,10 @@ def test_passing_atoms_have_one_clique_or_four():
                 continue
             counts = []
             for atom, _ in atoms(g):
-                if not recognition._is_line_like(atom):
+                count = recognition._atom_clique_count(atom)
+                if count is None:
                     break
-                counts.append(len(enumerate_maximal_cliques(atom)))
+                counts.append(count)
             else:
                 passing += 1
                 assert all(k == 1 or k >= 4 for k in counts)
