@@ -1,5 +1,6 @@
 """Host-tree path representations: verification, cliques, pies, stars."""
 
+import gc
 import itertools
 import random
 import time
@@ -317,6 +318,9 @@ def test_edge_index_readers_on_a_wide_star():
     }
     for name, check in checks.items():
         rep = clique_star(g.n, cliques)  # each reader builds the index afresh
+        # time the reader alone: a full collection over what earlier tests
+        # keep alive (the canonical-form cache) takes about 0.2 s by itself
+        gc.collect()
         start = time.perf_counter()
         assert check(rep), name
         assert time.perf_counter() - start < 0.25, name
