@@ -24,6 +24,7 @@ from .graphs import (
     BoundExceededError,
     Graph,
     VertexSet,
+    _adjacency_masks,
     _canonical_search,
     _orbit_representatives,
     canonical_form,
@@ -127,10 +128,6 @@ def build_gate(recipe: GateRecipe) -> LabeledGate:
     if tuple(enumerate_maximal_cliques(graph)) != cliques:
         raise RuntimeError("derived clique list disagrees with enumeration")
     return LabeledGate(graph, cliques, recipe)
-
-
-def _adjacency_masks(g: Graph) -> list[int]:
-    return [sum(1 << w for w in g.neighbors(v)) for v in range(g.n)]
 
 
 def _two_clique_split(adj: list[int], mask: int) -> tuple[bool, int]:
@@ -306,10 +303,10 @@ def rewire_gate(gate: LabeledGate, v: int, t: int) -> LabeledGate:
         raise BoundExceededError(
             f"gate lookup limited to {CATALOG_VERTEX_BOUND} vertices, rewiring gives {g.n - 1 + t}"
         )
-    holding = [set(c) for c in gate.cliques if v in c]
+    holding = [c for c in gate.cliques if v in c]
     if len(holding) != 2:
         raise ValueError(f"vertex {v} is not in exactly two cliques")
-    c1, c2 = sorted((tuple(sorted(c)) for c in holding))
+    c1, c2 = holding
     keep = [u for u in range(g.n) if u != v]
     pos = {u: i for i, u in enumerate(keep)}
     first = len(keep)

@@ -34,7 +34,7 @@ class BoundExceededError(ValueError):
 class Graph:
     """Immutable simple undirected graph on vertices 0..n-1."""
 
-    __slots__ = ("n", "edges", "_adj", "_hash")
+    __slots__ = ("n", "edges", "_adj")
 
     def __init__(self, n: int, edges: Iterable[Edge] = ()):
         if n < 0:
@@ -64,7 +64,6 @@ class Graph:
             adj[u].add(v)
             adj[v].add(u)
         self._adj = tuple(frozenset(s) for s in adj)
-        self._hash = hash((n, edges))
 
     def neighbors(self, v: int) -> frozenset[int]:
         return self._adj[v]
@@ -84,7 +83,8 @@ class Graph:
         return self.n == other.n and self.edges == other.edges
 
     def __hash__(self) -> int:
-        return self._hash
+        # a frozenset keeps its hash once computed
+        return hash((self.n, self.edges))
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={len(self.edges)})"
@@ -226,6 +226,15 @@ def _maximal_cliques(g: Graph) -> Iterator[VertexSet]:
             yield tuple(sorted(r + [v]))
 
 
+def _adjacency_masks(g: Graph) -> list[int]:
+    """Each vertex's neighbours as a bitmask, bit w for neighbour w."""
+    masks = [0] * g.n
+    for u, v in g.edges:
+        masks[u] |= 1 << v
+        masks[v] |= 1 << u
+    return masks
+
+
 def connected_components(g: Graph) -> list[VertexSet]:
     """Components as sorted vertex tuples, ordered by smallest member."""
     seen = [False] * g.n
@@ -313,10 +322,14 @@ def _wl_colors(g: Graph) -> list[int]:
         colors = new
 
 
-# Each entry keeps its key Graph alive: 5-6 KB for a sparse 12-vertex
-# graph and about 23 KB for K_16 (tracemalloc), so 32 768 entries hold
-# at most about 0.75 GB. The whole test suite in one process peaks at
-# 24 378 entries, and a gates12 benchmark run uses under 2 000.
+# The hits are lookups of the same labelled graph: find_multipie
+# re-checks each gate that gates12 rebuilds from its recipe every pass,
+# and the test suite makes 27 253 hits in 46 976 calls. Each entry keeps
+# its key Graph alive: 5-6 KB for a sparse 12-vertex graph and about
+# 23 KB for K_16 (tracemalloc), so a full cache holds about 0.75 GB at
+# most. After the test suite the process holds 332 000 GC-tracked
+# objects and a full collection takes 0.18 s; without the cache, 88 000
+# and 0.06 s.
 @functools.lru_cache(maxsize=32768)
 def canonical_labeling(g: Graph) -> tuple[bytes, VertexSet]:
     """Canonical form plus one vertex order that realizes it.
@@ -418,10 +431,7 @@ def _canonical_search(g: Graph) -> tuple[bytes, VertexSet, tuple[VertexSet, ...]
     if n == 0:
         return bytes([0]), (), ()
     colors = _wl_colors(g)
-    adj_mask = [0] * n
-    for u, v in g.edges:
-        adj_mask[u] |= 1 << v
-        adj_mask[v] |= 1 << u
+    adj_mask = _adjacency_masks(g)
     twin_class = list(range(n))
     for v in range(n):
         for u in range(v):

@@ -46,6 +46,7 @@ from .graphs import (
     BoundExceededError,
     Graph,
     VertexSet,
+    _adjacency_masks,
     _canonical_search,
     _maximal_cliques,
     _orbit_representatives,
@@ -283,25 +284,12 @@ def _clique_order(cliques: Sequence[VertexSet]) -> list[int]:
     return order
 
 
-class _Deadline:
-    __slots__ = ("at", "ticks")
-
-    def __init__(self, budget_secs: float):
-        self.at = time.monotonic() + budget_secs
-        self.ticks = 0
-
-    def check(self) -> None:
-        self.ticks += 1
-        if self.ticks & 1023 == 0 and time.monotonic() > self.at:
-            raise BudgetExhaustedError("representation search budget exhausted")
-
-
 def _assign_cliques(
     shape: TreeShape,
     cliques: list[VertexSet],
     order: list[int],
     adj_self: list[int],
-    deadline: _Deadline,
+    deadline: float,
 ) -> list[int] | None:
     """Backtracking bijection cliques -> tree edges; returns the span
     mask per graph vertex on success, each a key of shape.paths.
@@ -343,7 +331,8 @@ def _assign_cliques(
         return True
 
     def search(i: int, used: int, spans: list[int], covered: list[int]) -> list[int] | None:
-        deadline.check()
+        if time.monotonic() > deadline:
+            raise BudgetExhaustedError("representation search budget exhausted")
         if i == len(order):
             return spans
         if i == 0:
@@ -381,13 +370,9 @@ def oracle_membership(g: Graph, *, budget_secs: float | None = None) -> EptRepre
         raise BoundExceededError(
             f"oracle limited to {CLIQUE_BOUND} cliques, graph has more than {CLIQUE_BOUND}"
         )
-    if m == 0:
-        return EptRepresentation(HostTree(1, ()), ())
-    deadline = _Deadline(budget_secs)
+    deadline = time.monotonic() + budget_secs
     order = _clique_order(cliques)
-    adj_self = [
-        (1 << v) | sum(1 << w for w in g.neighbors(v)) for v in range(g.n)
-    ]
+    adj_self = [mask | 1 << v for v, mask in enumerate(_adjacency_masks(g))]
     for shape in tree_shapes(m):
         spans = _assign_cliques(shape, cliques, order, adj_self, deadline)
         if spans is not None:

@@ -177,8 +177,6 @@ def _separating(
     needs no test, and otherwise only the cliques holding a vertex of
     two atoms get one, in O(n + m) each.
     """
-    if len(pieces) == 1:
-        return [False] * len(cliques)
     atom_count = [0] * g.n
     for _, vertices in pieces:
         for v in vertices:

@@ -267,8 +267,13 @@ def find_claw_violation(
 ) -> tuple[ClawClique, tuple[int, int, int]] | None:
     """Three paths forming a claw: a degree-3 star of the tree whose
     three spoke pairs are each covered by one of the paths. Returns the
-    claw and the covering vertices, or None. Scans centers ascending."""
-    vertices = range(len(rep.paths)) if subset is None else subset
+    claw and the covering vertices, or None. Scans centers ascending.
+    Raises ValueError for a vertex of subset that has no path."""
+    n = len(rep.paths)
+    vertices = range(n) if subset is None else tuple(subset)
+    for v in vertices:
+        if not 0 <= v < n:
+            raise ValueError(f"vertex {v} out of range for {n} paths")
     for claw, held in _covered_claws(rep, vertices):
         return claw, tuple(h[0] for h in held)
     return None
@@ -519,11 +524,14 @@ def clique_star(n: int, cliques: Sequence[VertexSet]) -> EptRepresentation:
     would form a clique, which would have to lie in a third clique of
     one of them. So no claw is covered, and every maximal clique of the
     derived graph is one spoke's K_e. Raises ValueError for the first
-    vertex in no clique or in more than two.
+    clique vertex outside 0..n-1, then for the first vertex in no
+    clique or in more than two.
     """
     spokes: list[list[int]] = [[] for _ in range(n)]
     for i, c in enumerate(cliques, start=1):
         for v in c:
+            if not 0 <= v < n:
+                raise ValueError(f"clique {tuple(c)} holds vertex {v}, out of range for n={n}")
             spokes[v].append(i)
     for v, ends in enumerate(spokes):
         if not 1 <= len(ends) <= 2:

@@ -6,6 +6,7 @@ search and two-clique test without bitmask filtering, the orbits,
 group and group order of a set of vertex permutations, and a
 representation's maximal cliques and claws found by brute force, its
 derived graph, edge cliques and verification read off every pair of
+paths, and the four multipie conditions re-derived from a witness's raw
 paths.
 
 All are independent of the library's routes. The labeled trees feed a
@@ -495,3 +496,29 @@ def reference_claw_violation(
         if None not in covering:
             return claw, covering
     return None
+
+
+def check_multipie_conditions(rep, witness, k):
+    """Re-derive all four multipie conditions from the raw paths."""
+    center = witness.center
+    spoke_ends = witness.spoke_ends
+    assert len(spoke_ends) == k
+    assert set(spoke_ends) <= set(rep.tree.neighbors(center))
+    pairs = []
+    for v, pair in witness.members:
+        on_path = set(rep.paths[v]) & set(spoke_ends)
+        # condition 1: exactly two spoke ends per member path
+        assert on_path == set(pair) and len(on_path) == 2
+        pairs.append(tuple(sorted(pair)))
+    # condition 2: all covered pairs distinct
+    assert len(set(pairs)) == len(pairs)
+    # condition 3: every spoke edge lies in at least two member paths
+    for q in spoke_ends:
+        assert sum(q in p for p in pairs) >= 2
+    # condition 4: no three member paths form a claw, i.e. pairwise
+    # intersecting with empty common intersection
+    sets = {v: rep.path_edge_sets[v] for v, _ in witness.members}
+    for a, b, c in itertools.combinations(sets, 3):
+        pairwise = sets[a] & sets[b] and sets[a] & sets[c] and sets[b] & sets[c]
+        if pairwise:
+            assert sets[a] & sets[b] & sets[c]

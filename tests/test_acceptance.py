@@ -8,7 +8,6 @@ re-justified by the bound inside the fixture.
 """
 
 import hashlib
-import itertools
 import random
 import time
 from collections import Counter
@@ -56,7 +55,7 @@ from eptkit.representation import (
     star_representation,
     verify,
 )
-from reference import oracle_min_h
+from reference import check_multipie_conditions, oracle_min_h
 
 MEMBERSHIP_BUDGET_SECS = 600.0
 
@@ -99,25 +98,6 @@ def helly_corpus(corpus7):
     assert excluded == 11
     assert len(members) == 587
     return members
-
-
-def check_multipie_conditions(rep, witness, k):
-    center = witness.center
-    spoke_ends = witness.spoke_ends
-    assert len(spoke_ends) == k
-    assert set(spoke_ends) <= set(rep.tree.neighbors(center))
-    pairs = []
-    for v, pair in witness.members:
-        on_path = set(rep.paths[v]) & set(spoke_ends)
-        assert on_path == set(pair) and len(on_path) == 2
-        pairs.append(tuple(sorted(pair)))
-    assert len(set(pairs)) == len(pairs)
-    for q in spoke_ends:
-        assert sum(q in p for p in pairs) >= 2
-    sets = {v: rep.path_edge_sets[v] for v, _ in witness.members}
-    for a, b, c in itertools.combinations(sets, 3):
-        if sets[a] & sets[b] and sets[a] & sets[c] and sets[b] & sets[c]:
-            assert sets[a] & sets[b] & sets[c]
 
 
 def test_criterion_1_gate_round_trip():

@@ -25,6 +25,7 @@ from eptkit.oracle import (
     small_graph_corpus,
     tree_shapes,
 )
+from eptkit.recognition import cheapest_representation
 from eptkit.representation import (
     EdgeClique,
     classify_clique,
@@ -162,7 +163,9 @@ def test_shape_paths_match_brute_force():
      "9 8\n0 1\n0 2\n0 6\n0 8\n1 3\n1 5\n1 7\n2 4\n"
      "0 : 2 0 1 3\n1 : 5 1 7\n2 : 6 0 8\n3 : 2 4\n4 : 3 1 5\n5 : 6 0 1 7\n"
      "6 : 4 2 0 8\n"),
-], ids=["c6", "c8", "two-c5s", "gate5", "corpus7-m8"])
+    # no cliques: the scan on tree_shapes(0) accepts the one-vertex tree
+    (Graph(0), "1 0\n"),
+], ids=["c6", "c8", "two-c5s", "gate5", "corpus7-m8", "empty"])
 def test_first_assignment_certificates_pinned(g, text):
     # orbit pruning skips only placements equivalent to one tried
     # earlier, so the scan keeps returning the first assignment
@@ -368,6 +371,15 @@ def test_earlier_calls_do_not_answer_later_ones():
     assert oracle_membership(TWO_C5S) is not None
     with pytest.raises(BudgetExhaustedError):
         oracle_membership(TWO_C5S, budget_secs=1e-9)
+
+
+def test_zero_budget_exhausts_the_scan_at_its_first_node():
+    # the scan reads the clock at every node, so a zero budget runs out
+    # before the first placement, however small the search
+    with pytest.raises(BudgetExhaustedError):
+        oracle_membership(cycle_graph(5), budget_secs=0.0)
+    with pytest.raises(BudgetExhaustedError):
+        cheapest_representation(path_graph(4), budget_secs=0.0)
 
 
 def test_oracle_rejects_bad_budget():

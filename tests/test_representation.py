@@ -41,6 +41,7 @@ from eptkit.representation import (
     verify,
 )
 from reference import (
+    check_multipie_conditions,
     reference_claw_violation,
     reference_clique_witnesses,
     reference_derived_graph,
@@ -159,6 +160,11 @@ def test_find_claw_violation():
     assert not (sets[0] & sets[1] & sets[2])
     assert find_claw_violation(c5_pie()) is None
     assert find_claw_violation(S3_REP, subset=(0, 1, 4)) is None
+    # subset vertices are checked, not read as list indices: -1 would
+    # stand for vertex 5, whose path completes the claw with 2 and 3
+    for bad in (-1, 6):
+        with pytest.raises(ValueError, match=f"vertex {bad} out of range for 6 paths"):
+            find_claw_violation(S3_REP, subset=(2, 3, bad))
 
 
 def test_classify_clique():
@@ -336,6 +342,12 @@ def test_clique_star():
     assert is_helly(rep) == (True, None)
     with pytest.raises(ValueError, match="vertex 0 lies in 3 maximal cliques, not 1 or 2"):
         clique_star(4, [(0, 1), (0, 2), (0, 3)])
+    # clique vertices are checked, not read as list indices: -5 would
+    # stand for vertex 0 and 5 would overrun
+    with pytest.raises(ValueError, match=r"clique \(4, -5\) holds vertex -5, out of range for n=5"):
+        clique_star(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, -5)])
+    with pytest.raises(ValueError, match=r"clique \(0, 5\) holds vertex 5, out of range for n=3"):
+        clique_star(3, [(0, 5)])
     # a wide star: the claw scan lists covered-pair triangles, not every
     # triple of the 1000 spokes
     c1000 = cycle_graph(1000)
@@ -384,32 +396,6 @@ def test_find_multipie():
     witness = find_multipie(rep, tuple(range(6)), 5)
     assert isinstance(witness, MultipieWitness)
     check_multipie_conditions(rep, witness, 5)
-
-
-def check_multipie_conditions(rep, witness, k):
-    """Re-derive all four multipie conditions from the raw paths."""
-    center = witness.center
-    spoke_ends = witness.spoke_ends
-    assert len(spoke_ends) == k
-    assert set(spoke_ends) <= set(rep.tree.neighbors(center))
-    pairs = []
-    for v, pair in witness.members:
-        on_path = set(rep.paths[v]) & set(spoke_ends)
-        # condition 1: exactly two spoke ends per member path
-        assert on_path == set(pair) and len(on_path) == 2
-        pairs.append(tuple(sorted(pair)))
-    # condition 2: all covered pairs distinct
-    assert len(set(pairs)) == len(pairs)
-    # condition 3: every spoke edge lies in at least two member paths
-    for q in spoke_ends:
-        assert sum(q in p for p in pairs) >= 2
-    # condition 4: no three member paths form a claw, i.e. pairwise
-    # intersecting with empty common intersection
-    sets = {v: rep.path_edge_sets[v] for v, _ in witness.members}
-    for a, b, c in itertools.combinations(sets, 3):
-        pairwise = sets[a] & sets[b] and sets[a] & sets[c] and sets[b] & sets[c]
-        if pairwise:
-            assert sets[a] & sets[b] & sets[c]
 
 
 def test_find_multipie_rejects_non_gates():
