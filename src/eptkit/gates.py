@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from .graphs import (
     PARSE_VERTEX_BOUND,
     BoundExceededError,
+    Edge,
     Graph,
     VertexSet,
     _adjacency_masks,
@@ -73,10 +74,11 @@ class LabeledGate:
     recipe: GateRecipe
 
 
-def _extend(
-    graph: Graph, cliques: tuple[VertexSet, ...], step: ExtensionStep
-) -> tuple[Graph, tuple[VertexSet, ...]]:
-    """Apply one extension step; returns the new graph and the
+def _step(
+    n: int, cliques: tuple[VertexSet, ...], step: ExtensionStep
+) -> tuple[list[Edge], tuple[VertexSet, ...]]:
+    """One extension step on a gate with n vertices and this sorted
+    clique list: the edges it adds, each (u, v) with u < v, and the
     re-derived sorted clique list."""
     k = len(cliques)
     for idx in (step.clique_a, step.clique_b):
@@ -90,27 +92,33 @@ def _extend(
         raise ValueError(
             f"cliques {cliques[step.clique_a]} and {cliques[step.clique_b]} are not disjoint"
         )
-    n0 = graph.n
-    fresh = list(range(n0, n0 + step.path_len))
-    edges = set(graph.edges)
-    edges.update((fresh[i], fresh[i + 1]) for i in range(step.path_len - 1))
-    edges.update((u, fresh[0]) for u in a)
-    edges.update((u, fresh[-1]) for u in b)
-    new_graph = Graph(n0 + step.path_len, edges)
+    fresh = list(range(n, n + step.path_len))
+    added = [(fresh[i], fresh[i + 1]) for i in range(step.path_len - 1)]
+    added.extend((u, fresh[0]) for u in a)
+    added.extend((u, fresh[-1]) for u in b)
     derived = [c for i, c in enumerate(cliques) if i not in (step.clique_a, step.clique_b)]
-    derived.extend(
-        tuple(sorted((fresh[i], fresh[i + 1]))) for i in range(step.path_len - 1)
-    )
+    derived.extend((fresh[i], fresh[i + 1]) for i in range(step.path_len - 1))
     derived.append(tuple(sorted(a | {fresh[0]})))
     derived.append(tuple(sorted(b | {fresh[-1]})))
-    return new_graph, tuple(sorted(derived))
+    return added, tuple(sorted(derived))
+
+
+def _extend(
+    graph: Graph, cliques: tuple[VertexSet, ...], step: ExtensionStep
+) -> tuple[Graph, tuple[VertexSet, ...]]:
+    """Apply one extension step; returns the new graph and the
+    re-derived sorted clique list."""
+    added, derived = _step(graph.n, cliques, step)
+    return Graph._from_checked(graph.n + step.path_len, graph.edges.union(added)), derived
 
 
 def build_gate(recipe: GateRecipe) -> LabeledGate:
     """Replay a recipe into a concrete labeled gate. Vertices are
     numbered in construction order: 0..base-1 around the cycle, then
     each step's path vertices in path order. A recipe for more than
-    PARSE_VERTEX_BOUND vertices is refused before anything is built."""
+    PARSE_VERTEX_BOUND vertices is refused before anything is built.
+    The steps add edges and re-derive cliques, and the graph is built
+    once, at the end."""
     if recipe.base < 4:
         raise ValueError("gate base cycle needs at least 4 vertices")
     # checked up front so that vertex_count() cannot be pulled under the
@@ -121,10 +129,15 @@ def build_gate(recipe: GateRecipe) -> LabeledGate:
         raise BoundExceededError(
             f"gate limited to {PARSE_VERTEX_BOUND} vertices, recipe has {recipe.vertex_count()}"
         )
-    graph = cycle_graph(recipe.base)
-    cliques = tuple(enumerate_maximal_cliques(graph))
+    base = cycle_graph(recipe.base)
+    cliques = tuple(enumerate_maximal_cliques(base))
+    edges = set(base.edges)
+    n = base.n
     for step in recipe.steps:
-        graph, cliques = _extend(graph, cliques, step)
+        added, cliques = _step(n, cliques, step)
+        edges.update(added)
+        n += step.path_len
+    graph = Graph._from_checked(n, frozenset(edges))
     if tuple(enumerate_maximal_cliques(graph)) != cliques:
         raise RuntimeError("derived clique list disagrees with enumeration")
     return LabeledGate(graph, cliques, recipe)

@@ -1,24 +1,30 @@
 """The decision pipeline: Helly EPT membership and the minimum host
 degree.
 
-cheapest_representation decides membership in up to three steps.
+cheapest_representation decides membership in up to four steps.
 First the atom test: a graph one of whose clique-separator atoms is
 neither complete nor line-like is no member, and that atom is the
-witness. A chordal graph passes without being decomposed (is_chordal),
-since all its atoms are complete. Then, for a non-chordal graph, the
-internal-edge lemma (_pendant_answer): a maximal clique that separates
-nothing is a leaf edge of every normal form, so a vertex in three such
-cliques rules g out, and a graph with no separating maximal clique is
-a member exactly when its star is, at any clique count. Every other
-graph goes to the oracle's exhaustive bijection-tree search, which
-also yields the certificate. is_helly_ept is that search alone, the
-reference the tests compare with. For a member, h rests on the
-certificate and the atoms (see cheapest_representation). is_interval
-and has_asteroidal_triple are standalone tests off that route; the
-tests use them as its independent reference. The independent
-characterization says non-membership at degree h is equivalent to an
-induced gate with more than h cliques (gates.contains_gate_ge); the
-tests compare both routes.
+witness. A chordal graph passes without being decomposed: the
+maximum-cardinality search that finds it chordal (_chordal_cliques)
+also lists its maximal cliques and a clique tree, and all its atoms
+are complete. Then, for a non-chordal graph, the internal-edge lemma
+(_pendant_answer): a maximal clique that separates nothing is a leaf
+edge of every normal form, so a vertex in three such cliques rules g
+out, and a graph with no separating maximal clique is a member exactly
+when its star is, at any clique count. Then the side test, on chordal
+and non-chordal graphs alike (_side_cycle): at a maximal clique K, two
+components of g - K whose attachments in K meet lie on opposite sides
+of K's host edge unless one lies beyond the other, and an odd cycle of
+such pairs rules g out, named by a SideWitness, at any clique count.
+Every other graph goes to the oracle's exhaustive bijection-tree
+search, which also yields the certificate. is_helly_ept is that search
+alone, the reference the tests compare with. For a member, h rests on
+the certificate and the atoms (see cheapest_representation).
+is_interval and has_asteroidal_triple are standalone tests off that
+route; the tests use them as its independent reference. The
+independent characterization says non-membership at degree h is
+equivalent to an induced gate with more than h cliques
+(gates.contains_gate_ge); the tests compare both routes.
 """
 
 from __future__ import annotations
@@ -32,6 +38,7 @@ from .gates import _two_clique_split
 from .graphs import (
     Graph,
     VertexSet,
+    _adjacency_masks,
     connected_components,
     enumerate_maximal_cliques,
     induced_subgraph,
@@ -42,51 +49,110 @@ from .representation import EptRepresentation, clique_star, max_host_degree
 
 
 @dataclass(frozen=True)
+class SideWitness:
+    """An odd cycle of components of g - clique, each forced to the
+    other side of the clique's host edge from the next, and the last
+    from the first (_side_witness). attachments[i] is the set of the
+    clique's vertices with a neighbour in components[i]."""
+
+    clique: VertexSet
+    components: tuple[VertexSet, ...]
+    attachments: tuple[VertexSet, ...]
+
+
+@dataclass(frozen=True)
 class RecognitionResult:
     """Outcome of cheapest_representation. When helly_ept, h is the
     minimum host degree (at least 2) and certificate, when attached,
     is a verified Helly representation of that degree or lower. When
     not, obstruction, when attached, is the vertex set in g of an atom
-    that is neither complete nor line-like. Without it, either a vertex
-    lies in three maximal cliques that separate nothing (the pendant
-    filter in _pendant_answer) or the exhaustive search ruled g out."""
+    that is neither complete nor line-like, and side_witness, when
+    attached, is an odd cycle of components at a separating maximal
+    clique. Without either, a vertex lies in three maximal cliques that
+    separate nothing (the pendant filter in _pendant_answer) or the
+    exhaustive search ruled g out."""
 
     helly_ept: bool
     h: int | None
     certificate: EptRepresentation | None
     obstruction: VertexSet | None = None
+    side_witness: SideWitness | None = None
 
 
-def is_chordal(g: Graph) -> bool:
-    """Maximum-cardinality search plus perfect-elimination check, in
-    O(n + m): unvisited vertices wait in buckets by weight."""
+def _chordal_cliques(g: Graph) -> tuple[list[VertexSet], list[int]] | None:
+    """The maximal cliques of a chordal g, listed as
+    enumerate_maximal_cliques lists them, and a clique forest on them,
+    one tree per component of g: parent[i] is the index of clique i's
+    parent, -1 at a root. None when g is not chordal. One
+    maximum-cardinality search, in O(n + m) before the sort: unvisited
+    vertices wait in buckets by weight.
+
+    The search visits v_1..v_n, and N_i is the set of v_i's neighbours
+    visited before it, of size w_i. g is chordal exactly when, for u
+    the latest visited vertex of N_i, N_i - u lies in N(u) for every i:
+    the reversed visit order is then a perfect elimination ordering
+    (Tarjan & Yannakakis 1984). For a chordal g, N_i + v_i is a maximal
+    clique exactly when i = n or w_(i+1) <= w_i, and each of these
+    i < n starts a new clique at v_(i+1). Its parent is the clique that
+    was growing when the latest visited vertex of N_(i+1) was visited,
+    and their intersection is N_(i+1), empty where a new component
+    starts (Blair & Peyton 1993).
+    """
     n = g.n
-    weight = [0] * n
+    adj = g._adj
     buckets: list[set[int]] = [set(range(n))] + [set() for _ in range(n)]
+    weight = [0] * n
+    visited_at = [-1] * n
+    grown_in = [0] * n  # the clique that was growing when v was visited
     top = 0
-    visited = [False] * n
-    visit: list[int] = []
-    for _ in range(n):
+    found: list[list[int]] = []
+    parents: list[int] = []
+    prev: list[int] = []  # N_(i-1) + v_(i-1)
+    for i in range(n):
         while not buckets[top]:
             top -= 1
         v = buckets[top].pop()
-        visited[v] = True
-        visit.append(v)
-        for u in g.neighbors(v):
-            if not visited[u]:
-                buckets[weight[u]].remove(u)
-                weight[u] += 1
-                buckets[weight[u]].add(u)
+        visited_at[v] = i
+        earlier = []
+        latest = last = -1
+        for u in adj[v]:
+            at = visited_at[u]
+            if at < 0:
+                w = weight[u]
+                buckets[w].remove(u)
+                buckets[w + 1].add(u)
+                weight[u] = w + 1
+            else:
+                earlier.append(u)
+                if at > latest:
+                    latest, last = at, u
+        if earlier:
+            near = adj[last]
+            for u in earlier:
+                if u != last and u not in near:
+                    return None
+        if not prev or len(earlier) < len(prev):
+            if prev:
+                found.append(prev)
+            parents.append(grown_in[last] if earlier else -1)
+        grown_in[v] = len(parents) - 1
+        earlier.append(v)
+        prev = earlier
         top += 1  # a step raises the maximum weight by at most one
-    peo = visit[::-1]
-    pos = {v: i for i, v in enumerate(peo)}
-    for v in peo:
-        later = [u for u in g.neighbors(v) if pos[u] > pos[v]]
-        if later:
-            u = min(later, key=lambda w: pos[w])
-            if any(w != u and not g.has_edge(u, w) for w in later):
-                return False
-    return True
+    if prev:
+        found.append(prev)
+    cliques = [tuple(sorted(c)) for c in found]
+    order = sorted(range(len(cliques)), key=cliques.__getitem__)
+    rank = [0] * len(order)
+    for r, i in enumerate(order):
+        rank[i] = r
+    return [cliques[i] for i in order], [-1 if parents[i] < 0 else rank[parents[i]] for i in order]
+
+
+def is_chordal(g: Graph) -> bool:
+    """Whether g has no chordless cycle of length 4 or more
+    (_chordal_cliques)."""
+    return _chordal_cliques(g) is not None
 
 
 def has_asteroidal_triple(g: Graph) -> bool:
@@ -160,11 +226,44 @@ def _atom_clique_count(atom: Graph) -> int | None:
     return count if ok else None
 
 
-def _separating(
-    g: Graph, cliques: list[VertexSet], pieces: list[tuple[Graph, VertexSet]]
-) -> list[bool]:
-    """Whether each maximal clique separates the connected graph g,
-    whose atoms are `pieces`.
+Split = list[tuple[int, int]]  # components of g - K with their attachments, as masks
+
+
+def _mask(vertices: VertexSet) -> int:
+    return sum(1 << v for v in vertices)
+
+
+def _members(mask: int) -> VertexSet:
+    return tuple(v for v in range(mask.bit_length()) if mask >> v & 1)
+
+
+def _components(adj: list[int], rest: int) -> Split:
+    """The components of the subgraph on the vertex mask `rest`, in
+    order of their lowest vertices, each with the mask of its
+    neighbours outside `rest`."""
+    split = []
+    while rest:
+        part = rest & -rest
+        rest ^= part
+        reach = adj[part.bit_length() - 1]
+        frontier = reach & rest
+        while frontier:
+            rest ^= frontier
+            part |= frontier
+            while frontier:
+                low = frontier & -frontier
+                frontier ^= low
+                reach |= adj[low.bit_length() - 1]
+            frontier = reach & rest
+        split.append((part, reach & ~part))
+    return split
+
+
+def _separating(g: Graph, masks: list[int], pieces: list[tuple[Graph, VertexSet]]) -> list[Split]:
+    """The components of g - C, with their attachments (_components),
+    for each maximal clique C, as a mask, of the connected g whose atoms
+    are `pieces`; [] for a clique that cannot separate g. C separates g
+    exactly when g - C has two components or more.
 
     A clique C that separates g holds a vertex lying in two atoms. Take
     a and b in different components of g - C, and S a minimal subset of
@@ -174,26 +273,219 @@ def _separating(
     split keeps its separator in every part. An atom holding both sx
     and sy would be split by its part of S, a complete set separating x
     from y inside it, so s lies in two atoms. A single atom therefore
-    needs no test, and otherwise only the cliques holding a vertex of
+    needs no search, and otherwise only the cliques holding a vertex of
     two atoms get one, in O(n + m) each.
     """
     atom_count = [0] * g.n
     for _, vertices in pieces:
         for v in vertices:
             atom_count[v] += 1
-    return [
-        any(atom_count[v] > 1 for v in c)
-        and not is_connected(induced_subgraph(g, set(range(g.n)).difference(c))[0])
-        for c in cliques
-    ]
+    shared = sum(1 << v for v, count in enumerate(atom_count) if count > 1)
+    adj = _adjacency_masks(g)
+    rest = (1 << g.n) - 1
+    return [_components(adj, rest & ~c) if c & shared else [] for c in masks]
+
+
+def _odd_cycle(links: list[list[int]]) -> list[int] | None:
+    """An odd cycle of the graph with these adjacency lists, its nodes
+    in cycle order, or None when the graph is bipartite. Breadth-first
+    2-colouring: an edge inside one colour joins two nodes at one depth,
+    and their paths up to their first common ancestor close an odd
+    cycle."""
+    depth = [-1] * len(links)
+    parent = [-1] * len(links)
+    for root in range(len(links)):
+        if depth[root] >= 0:
+            continue
+        depth[root] = 0
+        queue = [root]
+        for u in queue:
+            for w in links[u]:
+                if depth[w] < 0:
+                    depth[w] = depth[u] + 1
+                    parent[w] = u
+                    queue.append(w)
+                elif depth[w] == depth[u]:
+                    up, down = [u], [w]
+                    while up[-1] != down[-1]:
+                        up.append(parent[up[-1]])
+                        down.append(parent[down[-1]])
+                    return up + down[-2::-1]
+    return None
+
+
+def _side_cycle(sides: list[tuple[int, set[int]]]) -> list[int] | None:
+    """The side test at a maximal clique K: an odd cycle, as indices in
+    cycle order, of components of g - K that each lie on the other side
+    of K's host edge from the next, and the last from the first; None
+    when there is none. sides[i] describes the component C_i: A_i, the
+    vertices of K with a neighbour in C_i, and the traces L & K of the
+    maximal cliques L that meet C_i and K, as masks.
+
+    Let Q_i be the set of maximal cliques meeting C_i. A clique L other
+    than K has a vertex outside K, and those lie in one C_i, so L is in
+    exactly one Q_i, and L & K lies in A_i. Say C_j lies beyond C_i
+    when A_j lies in A_i and in one clique of Q_i.
+
+    The lemma. Take a normal form (oracle.py) of a member g, and let e
+    be K's edge. The paths of C_i's vertices avoid e and those of
+    adjacent vertices share an edge, so Q_i, the edges they cover, is a
+    subtree on one side of e. Suppose C_i and C_j lie on one side and v
+    is in A_i and A_j. v's path P holds e, an edge of Q_i and one of
+    Q_j. A path meets a subtree in a subpath, and Q_i and Q_j share no
+    edge; say P meets Q_i first, going out from e, and f is P's first
+    edge in Q_j, z its end nearer e. The edge of P before f ends at z
+    and is not in Q_j, so the subtree Q_j lies beyond z, away from e.
+    The path of any u in A_j holds e and an edge of Q_j, so it holds
+    every edge of P from e to z, among them P's edges in Q_i. So u is
+    in A_i, and any clique of Q_i on P holds all of A_j: C_j lies
+    beyond C_i.
+
+    So when A_i and A_j meet and neither of C_i and C_j lies beyond the
+    other, they lie on opposite sides of e, and in a member this
+    relation is 2-coloured by the two sides. An odd cycle rules g out.
+    A component with one attachment x relates to none: if x is in A_j,
+    a clique of Q_j holds x, so C_i lies beyond C_j. So callers may
+    leave such components out, and traces of one vertex with them.
+
+    Components with equal A_i and equal traces relate alike to every
+    other component. When a trace holds A_i, no two of them relate and
+    one stands for all; otherwise every two of them relate, and three
+    stand for all. That bounds the pairs tested by the distinct sides.
+    """
+    kept = []
+    copies: dict[tuple[int, frozenset[int]], int] = {}
+    for i, (attach, traces) in enumerate(sides):
+        key = (attach, frozenset(traces))
+        copies[key] = copies.get(key, 0) + 1
+        if copies[key] <= (1 if any(not attach & ~t for t in traces) else 3):
+            kept.append(i)
+
+    def beyond(i: int, j: int) -> bool:
+        a = sides[j][0]
+        return not a & ~sides[i][0] and any(not a & ~t for t in sides[i][1])
+
+    links: list[list[int]] = [[] for _ in kept]
+    for x, i in enumerate(kept):
+        for y in range(x):
+            j = kept[y]
+            if sides[i][0] & sides[j][0] and not beyond(i, j) and not beyond(j, i):
+                links[x].append(y)
+                links[y].append(x)
+    cycle = _odd_cycle(links)
+    return None if cycle is None else [kept[x] for x in cycle]
+
+
+def _witness(clique: int, split: Split) -> SideWitness:
+    return SideWitness(
+        _members(clique),
+        tuple(_members(part) for part, _ in split),
+        tuple(_members(attach) for _, attach in split),
+    )
+
+
+def _side_witness(masks: list[int], splits: list[Split]) -> SideWitness | None:
+    """The first maximal clique K, in the order of `masks`, at which the
+    side test (_side_cycle) finds an odd cycle, with that cycle; None
+    when there is none. splits[k] holds the components of g - K with
+    their attachments (_separating); fewer than three with two
+    attachments or more hold no cycle."""
+    for k, split in enumerate(splits):
+        split = [(part, attach) for part, attach in split if attach & (attach - 1)]
+        if len(split) < 3:
+            continue
+        clique = masks[k]
+        owner = {}
+        for i, (part, _) in enumerate(split):
+            rest = part
+            while rest:
+                low = rest & -rest
+                owner[low] = i
+                rest ^= low
+        traces: list[set[int]] = [set() for _ in split]
+        for c in masks:
+            trace = c & clique
+            if trace & (trace - 1):
+                out = c & ~clique
+                if out & -out in owner:
+                    traces[owner[out & -out]].add(trace)
+        cycle = _side_cycle([(attach, traces[i]) for i, (_, attach) in enumerate(split)])
+        if cycle is not None:
+            return _witness(clique, [split[i] for i in cycle])
+    return None
+
+
+def _chordal_side_witness(
+    g: Graph, cliques: list[VertexSet], parent: list[int]
+) -> SideWitness | None:
+    """_side_witness for a connected chordal g, its maximal cliques and
+    its clique tree T (_chordal_cliques), read off the separators of T
+    without searching g - K.
+
+    Delete from T every edge whose separator, the intersection of its
+    two cliques, lies in K; that isolates K. The cliques holding a
+    vertex v outside K form a subtree of T whose edges all hold v, so
+    they stay together, and an edge of g - K lies in a clique with both
+    its ends. So the subtrees left other than K match the components
+    C_i of g - K, each made of the cliques Q_i meeting its component.
+    Each subtree hangs from one deleted edge, the first on its path to
+    K, whose far clique R lies on the path from any clique L of Q_i to
+    K. By the clique-intersection property L & K lies in R, and R & K
+    lies in the separator S. So A_i is S, and R holds it: C_j lies
+    beyond C_i exactly when A_j lies in A_i.
+
+    So the side test at K is on the separators inside K: two of them
+    relate when they meet and neither holds the other. Equal ones never
+    relate, nor do those of one vertex, so each clique K takes the
+    distinct separators of two vertices or more that lie in it, found
+    through each separator's vertex in the fewest cliques.
+    """
+    masks = [_mask(c) for c in cliques]
+    edge_of: dict[int, int] = {}  # a separator -> a clique whose edge to its parent has it
+    for i, p in enumerate(parent):
+        if p >= 0:
+            sep = masks[i] & masks[p]
+            if sep & (sep - 1):
+                edge_of.setdefault(sep, i)
+    if len(edge_of) < 3:
+        return None
+    holding: list[list[int]] = [[] for _ in range(g.n)]
+    for i, c in enumerate(cliques):
+        for v in c:
+            holding[v].append(i)
+    inside: list[list[int]] = [[] for _ in cliques]
+    for sep, i in edge_of.items():
+        rarest = min((v for v in cliques[i] if sep >> v & 1), key=lambda v: len(holding[v]))
+        for k in holding[rarest]:
+            if not sep & ~masks[k]:
+                inside[k].append(sep)
+    for k, seps in enumerate(inside):
+        if len(seps) < 3:
+            continue
+        cycle = _side_cycle([(sep, {sep}) for sep in seps])
+        if cycle is None:
+            continue
+        above = {k}  # K and its ancestors: an edge from one of them to its parent has K below it
+        i = k
+        while parent[i] >= 0:
+            i = parent[i]
+            above.add(i)
+        split = _components(_adjacency_masks(g), (1 << g.n) - 1 & ~masks[k])
+        chosen = []
+        for x in cycle:
+            i = edge_of[seps[x]]
+            far = masks[parent[i] if i in above else i] & ~masks[k]
+            chosen.append(next(c for c in split if c[0] & far))
+        return _witness(masks[k], chosen)
+    return None
 
 
 def _pendant_answer(
     g: Graph, pieces: list[tuple[Graph, VertexSet]], k: int
 ) -> RecognitionResult | None:
     """The answer for a non-chordal g whose atoms `pieces` passed the
-    atom test with k the largest atom clique count, when the maximal
-    cliques that separate nothing decide it; None when the scan must.
+    atom test with k the largest atom clique count, when its maximal
+    cliques decide it; None when the scan must.
 
     The internal-edge lemma. In a normal form (oracle.py: a host tree
     whose edges are g's maximal cliques, each vertex's path made of the
@@ -219,18 +511,23 @@ def _pendant_answer(
     star is the only bijection tree, with spoke i + 1 taken by the i-th
     clique of that order. h is k as always; the star, of degree m, the
     clique count, is attached only when m <= k.
+
+    Otherwise the side test (_side_witness) runs on the components that
+    _separating found, and an odd cycle answers no at any clique count.
     """
     cliques = enumerate_maximal_cliques(g)
-    separating = _separating(g, cliques, pieces)
+    masks = [_mask(c) for c in cliques]
+    splits = _separating(g, masks, pieces)
     leaf_count = [0] * g.n
-    for c, sep in zip(cliques, separating):
-        if not sep:
+    for c, split in zip(cliques, splits):
+        if len(split) < 2:
             for v in c:
                 leaf_count[v] += 1
     if max(leaf_count) > 2:
         return RecognitionResult(False, None, None)
-    if any(separating):
-        return None
+    if any(len(split) > 1 for split in splits):
+        witness = _side_witness(masks, splits)
+        return None if witness is None else RecognitionResult(False, None, None, side_witness=witness)
     star = clique_star(g.n, [cliques[i] for i in _clique_order(cliques)])
     return RecognitionResult(True, k, star if len(cliques) <= k else None)
 
@@ -278,11 +575,16 @@ def cheapest_representation(g: Graph, budget_secs: float | None = None) -> Recog
 
     A non-chordal g that passes the atom test goes to _pendant_answer,
     which answers it without the scan when a vertex lies in three
-    maximal cliques that separate nothing, or when no maximal clique
-    separates g; only the rest reach the scan and its clique bound.
-    Chordal inputs skip this step: their answers come from the scan,
-    and a chordal graph with no separating maximal clique has at most
-    two, as every inner node of a clique tree separates.
+    maximal cliques that separate nothing, when no maximal clique
+    separates g, or when the side test finds an odd cycle; only the
+    rest reach the scan and its clique bound. Chordal inputs skip the
+    pendant filter, as a chordal graph with no separating maximal
+    clique has at most two (every inner node of a clique tree
+    separates), but not the side test, which reads them off the clique
+    tree of the search that found them chordal (_chordal_side_witness).
+    It needs four cliques, K and one per component of an odd cycle, and
+    runs only on a connected g: a clique forest of two trees means two
+    components, which is_helly_ept refuses.
 
     The certificate is omitted when its tree's degree exceeds h, as on
     a K8 with five cliques attached (h = 3, while every bijection tree
@@ -290,13 +592,20 @@ def cheapest_representation(g: Graph, budget_secs: float | None = None) -> Recog
 
     The budget is resolved and checked first, so a NaN or negative one
     is a ValueError on every route. It runs from the start of the call:
-    the scan gets what the atom test and the pendant filter left, none
-    when they took it all.
+    the scan gets what the atom test, the pendant filter and the side
+    test left, none when they took it all.
     """
     budget_secs = resolve_budget_secs(budget_secs)
     start = time.monotonic()
     k = 1
-    if not is_chordal(g):
+    chordal = _chordal_cliques(g)
+    if chordal is not None:
+        cliques, parent = chordal
+        if len(cliques) >= 4 and parent.count(-1) == 1:
+            witness = _chordal_side_witness(g, cliques, parent)
+            if witness is not None:
+                return RecognitionResult(False, None, None, side_witness=witness)
+    else:
         pieces = atoms(g)
         for atom, vertices in pieces:
             if (count := _atom_clique_count(atom)) is None:

@@ -6,8 +6,8 @@ search and two-clique test without bitmask filtering, the orbits,
 group and group order of a set of vertex permutations, and a
 representation's maximal cliques and claws found by brute force, its
 derived graph, edge cliques and verification read off every pair of
-paths, and the four multipie conditions re-derived from a witness's raw
-paths.
+paths, the four multipie conditions re-derived from a witness's raw
+paths, and a side-test witness re-derived from the graph.
 
 All are independent of the library's routes. The labeled trees feed a
 brute-force search that cross-checks the oracle's shape scan; the
@@ -28,7 +28,10 @@ each tree edge. The canonical search rebuilds every candidate's
 adjacency row and tests twins pairwise at every node, and it keeps one
 generator per maximal leaf, where the library extends the rows by one
 bit per placed vertex, reads twin classes computed once per graph and
-prunes subtrees by the orbits of the automorphisms it has found.
+prunes subtrees by the orbits of the automorphisms it has found. The
+side-test check recomputes the components of g - K, their attachments
+and the cliques meeting them as vertex sets, where the library reads
+them off bitmasks or a clique tree.
 """
 
 import heapq
@@ -522,3 +525,36 @@ def check_multipie_conditions(rep, witness, k):
         pairwise = sets[a] & sets[b] and sets[a] & sets[c] and sets[b] & sets[c]
         if pairwise:
             assert sets[a] & sets[b] & sets[c]
+
+
+def check_side_witness(g: Graph, witness) -> None:
+    """Re-derive a SideWitness from g: K is a maximal clique, the
+    components form an odd cycle of distinct components of g - K with
+    the stated attachments, and each two consecutive ones, the last and
+    the first included, have meeting attachments while neither lies
+    beyond the other (A_j inside A_i and inside one maximal clique that
+    meets C_i)."""
+    cliques = [set(c) for c in enumerate_maximal_cliques(g)]
+    k = set(witness.clique)
+    assert k in cliques
+    sub, mapping = induced_subgraph(g, [v for v in range(g.n) if v not in k])
+    parts = {tuple(sorted(mapping[v] for v in comp)) for comp in connected_components(sub)}
+    cycle = witness.components
+    assert len(cycle) % 2 == 1 and len(cycle) >= 3
+    assert len(set(cycle)) == len(cycle) and set(cycle) <= parts
+    assert len(witness.attachments) == len(cycle)
+    attach = []
+    holders = []
+    for comp, stated in zip(cycle, witness.attachments):
+        a = {x for x in k if any(g.has_edge(x, v) for v in comp)}
+        assert tuple(sorted(a)) == tuple(stated)
+        attach.append(a)
+        holders.append([c for c in cliques if c & set(comp)])
+
+    def beyond(i: int, j: int) -> bool:
+        return attach[j] <= attach[i] and any(attach[j] <= c for c in holders[i])
+
+    for i in range(len(cycle)):
+        j = (i + 1) % len(cycle)
+        assert attach[i] & attach[j]
+        assert not beyond(i, j) and not beyond(j, i)

@@ -55,7 +55,7 @@ from eptkit.representation import (
     star_representation,
     verify,
 )
-from reference import check_multipie_conditions, oracle_min_h
+from reference import check_multipie_conditions, check_side_witness, oracle_min_h
 
 MEMBERSHIP_BUDGET_SECS = 600.0
 
@@ -242,6 +242,30 @@ def test_atom_test_on_whole_corpus(corpus7, helly_corpus):
     # 385 of 398 in-cap non-members fail the atom test; all 11 excluded
     # graphs do, so they get a witness instead of BoundExceededError
     assert counts == {(True, True): 385, (True, False): 13, (False, True): 11}
+
+
+def test_side_test_on_whole_corpus(corpus7, helly_corpus):
+    # no member is rejected by the side test, and every in-cap non-member
+    # that passes the atom test and the pendant filter is, as given and
+    # relabelled, with a witness that checks on its own
+    members = {g for g, _ in helly_corpus}
+    rng = random.Random(20261019)
+    counts = Counter()
+    for g in corpus7:
+        if len(enumerate_maximal_cliques(g)) > 9:
+            continue
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        for h in (g, Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])):
+            result = cheapest_representation(h)
+            if result.side_witness is not None:
+                assert g not in members, graph_to_text(g)
+                check_side_witness(h, result.side_witness)
+                counts["chordal" if is_chordal(g) else "not chordal"] += 1
+            elif not result.helly_ept:
+                counts["other"] += 1
+    # 385 atom-test rejections and one pendant-filter rejection, twice
+    assert counts == {"chordal": 22, "not chordal": 2, "other": 772}
 
 
 # sha256 over the repr of each generated family, in generation order;

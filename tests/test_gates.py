@@ -1,6 +1,7 @@
 """Gate construction, catalog and detection, with the bitmask-filtered
 gate search checked against the unfiltered reference."""
 
+import gc
 import itertools
 import random
 import time
@@ -84,6 +85,29 @@ def test_build_gate_checks_vertex_count_first():
     # a negative path length cannot pull the count under the bound
     with pytest.raises(ValueError, match="path length"):
         build_gate(GateRecipe(PARSE_VERTEX_BOUND + 1, (ExtensionStep(0, 2, -5),)))
+
+
+def test_long_recipe_builds_the_graph_once():
+    # each step extends the first disjoint clique pair by a 2-path; a
+    # Graph per step made this 3.7 s at 200 steps, quadratic in the steps
+    steps = []
+    gate = build_gate(GateRecipe(4))
+    cliques = gate.cliques
+    for i in range(200):
+        a, b = next(
+            (a, b)
+            for a, b in itertools.combinations(range(len(cliques)), 2)
+            if not set(cliques[a]) & set(cliques[b])
+        )
+        steps.append(ExtensionStep(a, b, 2))
+        cliques = gates._step(4 + 2 * i, cliques, steps[-1])[1]
+    recipe = GateRecipe(4, tuple(steps))
+    gc.collect()
+    start = time.perf_counter()
+    gate = build_gate(recipe)
+    assert time.perf_counter() - start < 0.5
+    assert gate.graph.n == 404 and gate.cliques == cliques
+    assert len(gate.cliques) == recipe.clique_count() == 204
 
 
 def test_two_clique_property():

@@ -26,6 +26,7 @@ from eptkit.gates import build_gate, contains_gate_ge, enumerate_gates
 from eptkit.oracle import small_graph_corpus
 from eptkit.recognition import (
     RecognitionResult,
+    SideWitness,
     cheapest_representation,
     has_asteroidal_triple,
     helly_h_membership,
@@ -228,8 +229,12 @@ def test_atom_test_names_the_failing_atom():
     g = Graph(8, list(WHEEL5.edges) + [(0, 6), (6, 7), (7, 1)])
     result = cheapest_representation(g)
     assert not result.helly_ept and result.obstruction == (0, 1, 2, 3, 4, 5)
-    # S3 passes the atom test, so only the exhaustive search rules it out
-    assert cheapest_representation(S3_GRAPH) == RecognitionResult(False, None, None)
+    # S3 passes the atom test; the side test rules it out at its middle
+    # triangle, whose three ears pairwise share a vertex
+    assert cheapest_representation(S3_GRAPH) == RecognitionResult(
+        False, None, None,
+        side_witness=SideWitness((2, 3, 5), ((0,), (1,), (4,)), ((2, 3), (3, 5), (2, 5))),
+    )
 
 
 @pytest.mark.parametrize("n", [10, 50, 2000])
@@ -308,7 +313,8 @@ def test_separating_cliques_match_a_search_per_clique():
         expected = [
             not is_connected(induced_subgraph(g, set(range(g.n)) - set(c))[0]) for c in cliques
         ]
-        assert recognition._separating(g, cliques, atoms(g)) == expected, g
+        splits = recognition._separating(g, [recognition._mask(c) for c in cliques], atoms(g))
+        assert [len(split) > 1 for split in splits] == expected, g
         seen.update(expected)
     assert seen[True] >= 100 and seen[False] >= 100
 
