@@ -347,33 +347,19 @@ def _side_cycle(sides: list[tuple[int, set[int]]]) -> list[int] | None:
     A component with one attachment x relates to none: if x is in A_j,
     a clique of Q_j holds x, so C_i lies beyond C_j. So callers may
     leave such components out, and traces of one vertex with them.
-
-    Components with equal A_i and equal traces relate alike to every
-    other component. When a trace holds A_i, no two of them relate and
-    one stands for all; otherwise every two of them relate, and three
-    stand for all. That bounds the pairs tested by the distinct sides.
     """
-    kept = []
-    copies: dict[tuple[int, frozenset[int]], int] = {}
-    for i, (attach, traces) in enumerate(sides):
-        key = (attach, frozenset(traces))
-        copies[key] = copies.get(key, 0) + 1
-        if copies[key] <= (1 if any(not attach & ~t for t in traces) else 3):
-            kept.append(i)
 
     def beyond(i: int, j: int) -> bool:
         a = sides[j][0]
         return not a & ~sides[i][0] and any(not a & ~t for t in sides[i][1])
 
-    links: list[list[int]] = [[] for _ in kept]
-    for x, i in enumerate(kept):
-        for y in range(x):
-            j = kept[y]
+    links: list[list[int]] = [[] for _ in sides]
+    for i in range(len(sides)):
+        for j in range(i):
             if sides[i][0] & sides[j][0] and not beyond(i, j) and not beyond(j, i):
-                links[x].append(y)
-                links[y].append(x)
-    cycle = _odd_cycle(links)
-    return None if cycle is None else [kept[x] for x in cycle]
+                links[i].append(j)
+                links[j].append(i)
+    return _odd_cycle(links)
 
 
 def _witness(clique: int, split: Split) -> SideWitness:

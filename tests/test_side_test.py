@@ -12,6 +12,7 @@ import pytest
 from eptkit import recognition
 from eptkit.cli import main
 from eptkit.graphs import (
+    BoundExceededError,
     Graph,
     _adjacency_masks,
     connected_components,
@@ -153,6 +154,23 @@ def test_recognize_hung_s3(capsys, tmp_path):
     p.write_text(graph_to_text(hung_s3(40)))
     assert main(["recognize", str(p)]) == 1
     assert capsys.readouterr().out == "not-helly-ept\n"
+
+
+def test_large_chordal_inputs_skip_the_search(monkeypatch):
+    # the chordal route reads the side test off the clique tree: a search
+    # of g - K at each of these graphs' 2 000 cliques took seconds, where
+    # the scan refuses them at once
+    for name in ("_components", "_side_witness", "enumerate_maximal_cliques"):
+        monkeypatch.setattr(recognition, name, refuse(name))
+    rng = random.Random(20261021)
+    n = 2000
+    tree = Graph(n, [(rng.randrange(v), v) for v in range(1, n)])
+    star = Graph(n + 1, [(0, v) for v in range(1, n + 1)])
+    book = Graph(n + 2, [(0, 1)] + [(u, v) for v in range(2, n + 2) for u in (0, 1)])
+    square = Graph(n, [(u, v) for u in range(n) for v in (u + 1, u + 2) if v < n])
+    for g in (tree, star, book, square):
+        with pytest.raises(BoundExceededError):
+            cheapest_representation(g)
 
 
 def test_side_test_on_wide_chordal():
