@@ -41,8 +41,9 @@ order, that lies in V and separates g[V].
 
 Cost: MCS-M takes O(n(n + m)) time and yields at most n - 1
 candidates. Each node scans them from just after its parent's S*, with
-one O(n + m) component search per candidate inside V. The scan may
-skip the earlier ones: by induction, a candidate T before S* in the
+one component search on vertex masks per candidate inside V: O(n)
+operations on n-bit masks. Only an atom gets an induced Graph. The scan
+may skip the earlier ones: by induction, a candidate T before S* in the
 parent's scan either lies outside V or does not separate g[V]. It
 separates no child g[S* + C] either. T containing S* would come after
 S*. Otherwise S* - T is a non-empty clique, and each x in C - T has a
@@ -58,7 +59,10 @@ from dataclasses import dataclass
 from .graphs import (
     Graph,
     VertexSet,
-    connected_components,
+    _adjacency_masks,
+    _components,
+    _mask,
+    _members,
     induced_subgraph,
     is_connected,
 )
@@ -148,19 +152,18 @@ def _clique_minimal_separators(g: Graph) -> list[VertexSet]:
 
 
 def _first_split(
-    g: Graph, separators: list[VertexSet], vertices: VertexSet, start: int = 0
-) -> tuple[int, VertexSet, list[VertexSet]] | None:
-    """The first of `separators`, from index `start`, inside `vertices`
-    that disconnects g[vertices], with its index and the parts of the
-    remainder."""
-    inside = set(vertices)
+    adj: list[int], separators: list[int], vertices: int, start: int = 0
+) -> tuple[int, list[int]] | None:
+    """The index of the first of `separators`, from index `start`,
+    inside `vertices` that disconnects g[vertices], with the parts of
+    the remainder. Vertex sets are masks, and adj holds g's
+    _adjacency_masks."""
     for i in range(start, len(separators)):
         sep = separators[i]
-        if inside.issuperset(sep):
-            sub, mapping = induced_subgraph(g, inside.difference(sep))
-            comps = connected_components(sub)
-            if len(comps) >= 2:
-                return i, sep, [tuple(mapping[x] for x in comp) for comp in comps]
+        if not sep & ~vertices:
+            parts = _components(adj, vertices & ~sep)
+            if len(parts) >= 2:
+                return i, [part for part, _ in parts]
     return None
 
 
@@ -169,8 +172,9 @@ def find_clique_separator(g: Graph) -> tuple[VertexSet, list[VertexSet]] | None:
     of the remainder; lexicographic tie-break. None when g is an atom."""
     if g.n == 0 or not is_connected(g):
         raise ValueError("input graph must be connected")
-    split = _first_split(g, _clique_minimal_separators(g), tuple(range(g.n)))
-    return None if split is None else split[1:]
+    separators = _clique_minimal_separators(g)
+    split = _first_split(_adjacency_masks(g), [_mask(s) for s in separators], (1 << g.n) - 1)
+    return None if split is None else (separators[split[0]], [_members(p) for p in split[1]])
 
 
 def decomposition_tree(g: Graph) -> CliqueDecomposition:
@@ -179,23 +183,26 @@ def decomposition_tree(g: Graph) -> CliqueDecomposition:
     if g.n == 0 or not is_connected(g):
         raise ValueError("input graph must be connected")
     separators = _clique_minimal_separators(g)
-    preorder = []  # (vertices, split) per node
-    stack = [(tuple(range(g.n)), 0)]  # (vertices, first candidate to try)
+    masks = [_mask(sep) for sep in separators]
+    adj = _adjacency_masks(g)
+    preorder = []  # (vertex mask, split) per node
+    stack = [((1 << g.n) - 1, 0)]  # (vertex mask, first candidate to try)
     while stack:
         vertices, start = stack.pop()
-        split = _first_split(g, separators, vertices, start)
+        split = _first_split(adj, masks, vertices, start)
         preorder.append((vertices, split))
         if split is not None:
-            i, sep, parts = split
-            stack.extend((tuple(sorted(sep + part)), i + 1) for part in reversed(parts))
+            i, parts = split
+            stack.extend((masks[i] | part, i + 1) for part in reversed(parts))
     # reverse preorder builds children first, the first child on top of `built`
     built: list[SeparatorNode | AtomLeaf] = []
     for vertices, split in reversed(preorder):
         if split is None:
-            built.append(AtomLeaf(vertices, induced_subgraph(g, vertices)[0]))
+            atom, members = induced_subgraph(g, _members(vertices))
+            built.append(AtomLeaf(members, atom))
         else:
-            _, sep, parts = split
-            built.append(SeparatorNode(sep, tuple(built.pop() for _ in parts)))
+            i, parts = split
+            built.append(SeparatorNode(separators[i], tuple(built.pop() for _ in parts)))
     return CliqueDecomposition(g, built.pop())
 
 

@@ -235,6 +235,36 @@ def _adjacency_masks(g: Graph) -> list[int]:
     return masks
 
 
+def _mask(vertices: Iterable[int]) -> int:
+    return sum(1 << v for v in vertices)
+
+
+def _members(mask: int) -> VertexSet:
+    return tuple(v for v in range(mask.bit_length()) if mask >> v & 1)
+
+
+def _components(adj: list[int], rest: int) -> list[tuple[int, int]]:
+    """The components of the subgraph on the vertex mask `rest`, in
+    order of their lowest vertices, each with the mask of its
+    neighbours outside `rest`; adj holds _adjacency_masks."""
+    split = []
+    while rest:
+        part = rest & -rest
+        rest ^= part
+        reach = adj[part.bit_length() - 1]
+        frontier = reach & rest
+        while frontier:
+            rest ^= frontier
+            part |= frontier
+            while frontier:
+                low = frontier & -frontier
+                frontier ^= low
+                reach |= adj[low.bit_length() - 1]
+            frontier = reach & rest
+        split.append((part, reach & ~part))
+    return split
+
+
 def connected_components(g: Graph) -> list[VertexSet]:
     """Components as sorted vertex tuples, ordered by smallest member."""
     seen = [False] * g.n
@@ -261,14 +291,16 @@ def is_connected(g: Graph) -> bool:
 
 
 def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, VertexSet]:
-    """Induced subgraph plus the index map (new index -> old vertex)."""
+    """Induced subgraph plus the index map (new index -> old vertex),
+    from the kept vertices' neighbours rather than all of g's edges."""
     vs = sorted(set(vertices))
     for v in vs:
         if not 0 <= v < g.n:
             raise ValueError(f"vertex {v} out of range for n={g.n}")
     pos = {v: i for i, v in enumerate(vs)}
-    edges = [(pos[u], pos[v]) for u, v in g.edges if u in pos and v in pos]
-    return Graph(len(vs), edges), tuple(vs)
+    # vs is sorted, so w > v keeps each edge once with its ends in order
+    edges = frozenset((i, pos[w]) for i, v in enumerate(vs) for w in g._adj[v] if w > v and w in pos)
+    return Graph._from_checked(len(vs), edges), tuple(vs)
 
 
 def find_chordless_cycle_ge(g: Graph, len_min: int = 4) -> VertexSet | None:

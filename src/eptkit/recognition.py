@@ -39,9 +39,10 @@ from .graphs import (
     Graph,
     VertexSet,
     _adjacency_masks,
-    connected_components,
+    _components,
+    _mask,
+    _members,
     enumerate_maximal_cliques,
-    induced_subgraph,
     is_connected,
 )
 from .oracle import _clique_order, oracle_membership, resolve_budget_secs
@@ -159,13 +160,14 @@ def has_asteroidal_triple(g: Graph) -> bool:
     """Three pairwise non-adjacent vertices, each pair joined by a path
     avoiding the third's closed neighborhood: each two share a component
     of g - N[c] for the third vertex c, labelled once per vertex."""
+    adj = _adjacency_masks(g)
     label = []  # label[c][v]: v's component of g - N[c], -1 inside N[c]
     for c in range(g.n):
-        closed = g.neighbors(c) | {c}
-        sub, mapping = induced_subgraph(g, (v for v in range(g.n) if v not in closed))
-        comps = enumerate(connected_components(sub))
-        where = {mapping[v]: i for i, comp in comps for v in comp}
-        label.append([where.get(v, -1) for v in range(g.n)])
+        where = [-1] * g.n
+        for i, (part, _) in enumerate(_components(adj, (1 << g.n) - 1 & ~adj[c] & ~(1 << c))):
+            for v in _members(part):
+                where[v] = i
+        label.append(where)
     return any(
         label[c][a] == label[c][b] != -1
         and label[b][a] == label[b][c] != -1
@@ -229,36 +231,6 @@ def _atom_clique_count(atom: Graph) -> int | None:
 Split = list[tuple[int, int]]  # components of g - K with their attachments, as masks
 
 
-def _mask(vertices: VertexSet) -> int:
-    return sum(1 << v for v in vertices)
-
-
-def _members(mask: int) -> VertexSet:
-    return tuple(v for v in range(mask.bit_length()) if mask >> v & 1)
-
-
-def _components(adj: list[int], rest: int) -> Split:
-    """The components of the subgraph on the vertex mask `rest`, in
-    order of their lowest vertices, each with the mask of its
-    neighbours outside `rest`."""
-    split = []
-    while rest:
-        part = rest & -rest
-        rest ^= part
-        reach = adj[part.bit_length() - 1]
-        frontier = reach & rest
-        while frontier:
-            rest ^= frontier
-            part |= frontier
-            while frontier:
-                low = frontier & -frontier
-                frontier ^= low
-                reach |= adj[low.bit_length() - 1]
-            frontier = reach & rest
-        split.append((part, reach & ~part))
-    return split
-
-
 def _separating(g: Graph, masks: list[int], pieces: list[tuple[Graph, VertexSet]]) -> list[Split]:
     """The components of g - C, with their attachments (_components),
     for each maximal clique C, as a mask, of the connected g whose atoms
@@ -276,11 +248,11 @@ def _separating(g: Graph, masks: list[int], pieces: list[tuple[Graph, VertexSet]
     needs no search, and otherwise only the cliques holding a vertex of
     two atoms get one, in O(n + m) each.
     """
-    atom_count = [0] * g.n
+    seen = shared = 0  # vertices in one atom or more, and in two or more
     for _, vertices in pieces:
-        for v in vertices:
-            atom_count[v] += 1
-    shared = sum(1 << v for v, count in enumerate(atom_count) if count > 1)
+        piece = _mask(vertices)
+        shared |= seen & piece
+        seen |= piece
     adj = _adjacency_masks(g)
     rest = (1 << g.n) - 1
     return [_components(adj, rest & ~c) if c & shared else [] for c in masks]
@@ -381,20 +353,15 @@ def _side_witness(masks: list[int], splits: list[Split]) -> SideWitness | None:
         if len(split) < 3:
             continue
         clique = masks[k]
-        owner = {}
-        for i, (part, _) in enumerate(split):
-            rest = part
-            while rest:
-                low = rest & -rest
-                owner[low] = i
-                rest ^= low
         traces: list[set[int]] = [set() for _ in split]
         for c in masks:
             trace = c & clique
             if trace & (trace - 1):
-                out = c & ~clique
-                if out & -out in owner:
-                    traces[owner[out & -out]].add(trace)
+                # c - K is complete, so it lies in one component of g - K
+                for i, (part, _) in enumerate(split):
+                    if c & part:
+                        traces[i].add(trace)
+                        break
         cycle = _side_cycle([(attach, traces[i]) for i, (_, attach) in enumerate(split)])
         if cycle is not None:
             return _witness(clique, [split[i] for i in cycle])
@@ -424,7 +391,9 @@ def _chordal_side_witness(
     relate when they meet and neither holds the other. Equal ones never
     relate, nor do those of one vertex, so each clique K takes the
     distinct separators of two vertices or more that lie in it, found
-    through each separator's vertex in the fewest cliques.
+    through each separator's vertex in the fewest cliques. A cycle's
+    witness takes, for each separator S on it, the first component of
+    g - K whose attachment set is S.
     """
     masks = [_mask(c) for c in cliques]
     edge_of: dict[int, int] = {}  # a separator -> a clique whose edge to its parent has it
@@ -451,18 +420,8 @@ def _chordal_side_witness(
         cycle = _side_cycle([(sep, {sep}) for sep in seps])
         if cycle is None:
             continue
-        above = {k}  # K and its ancestors: an edge from one of them to its parent has K below it
-        i = k
-        while parent[i] >= 0:
-            i = parent[i]
-            above.add(i)
         split = _components(_adjacency_masks(g), (1 << g.n) - 1 & ~masks[k])
-        chosen = []
-        for x in cycle:
-            i = edge_of[seps[x]]
-            far = masks[parent[i] if i in above else i] & ~masks[k]
-            chosen.append(next(c for c in split if c[0] & far))
-        return _witness(masks[k], chosen)
+        return _witness(masks[k], [next(c for c in split if c[1] == seps[x]) for x in cycle])
     return None
 
 

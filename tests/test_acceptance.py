@@ -7,6 +7,7 @@ clique budget and are excluded from membership scans; the exclusion is
 re-justified by the bound inside the fixture.
 """
 
+import gc
 import hashlib
 import random
 import time
@@ -195,6 +196,7 @@ def test_criterion_7_negative_instance():
     # exhaustive search runs inside the timed window for any labeling
     perm = [4, 0, 5, 1, 3, 2]
     shuffled = Graph(6, [(perm[u], perm[v]) for u, v in S3_GRAPH.edges])
+    gc.collect()
     start = time.perf_counter()
     assert is_helly_ept(shuffled) is None
     assert time.perf_counter() - start < 1.0

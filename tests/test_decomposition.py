@@ -6,6 +6,7 @@ import time
 
 import pytest
 
+from eptkit import decomposition
 from eptkit.decomposition import (
     AtomLeaf,
     SeparatorNode,
@@ -214,6 +215,26 @@ def test_atoms_of_cycle_with_pendants():
     assert time.perf_counter() - start < 5.0
     assert len(got) == n + 1
     assert sorted(vs for _, vs in got) == sorted([(i, n + i) for i in range(n)] + [tuple(range(n))])
+
+
+def test_one_induced_subgraph_per_atom(monkeypatch):
+    # candidates are tried on vertex masks: only an atom builds a Graph
+    calls = []
+
+    def counted(g, vertices):
+        calls.append(None)
+        return induced_subgraph(g, vertices)
+
+    monkeypatch.setattr(decomposition, "induced_subgraph", counted)
+    n = 600
+    pendants = Graph(2 * n, list(cycle_graph(n).edges) + [(i, n + i) for i in range(n)])
+    graphs = [pendants] + [g for k in range(1, 8) for g in small_graph_corpus(k, connected_only=True)]
+    atom_counts = []
+    for g in graphs:
+        calls.clear()
+        atom_counts.append(len(decomposition_tree(g).leaves()))
+        assert len(calls) == atom_counts[-1], g
+    assert atom_counts[0] == n + 1
 
 
 def clique_tree(rng: random.Random, n_target: int) -> Graph:

@@ -209,6 +209,7 @@ def test_rewire_beyond_catalog_bound():
 def test_rewire_refuses_before_building():
     # a billion-vertex path would take minutes and gigabytes to build
     c4 = build_gate(GateRecipe(4))
+    gc.collect()
     start = time.perf_counter()
     with pytest.raises(BoundExceededError, match="12 vertices"):
         rewire_gate(c4, 0, 10**9)

@@ -213,8 +213,20 @@ def test_induced_subgraph():
     sub, mapping = induced_subgraph(g, [1, 2, 4])
     assert mapping == (1, 2, 4)
     assert sub == Graph(3, [(0, 1)])
-    with pytest.raises(ValueError):
-        induced_subgraph(g, [7])
+    for bad in ([7], [2, 5, 1], [-1, 3], [4, 4, 9]):
+        with pytest.raises(ValueError, match="out of range for n=5"):
+            induced_subgraph(g, bad)
+    # against filtering all of g's edges, on vertices given unsorted and
+    # repeated
+    rng = random.Random(20261019)
+    for _ in range(500):
+        n = rng.randint(0, 20)
+        g = Graph(n, [e for e in itertools.combinations(range(n), 2) if rng.random() < 0.3])
+        kept = [rng.randrange(n) for _ in range(rng.randint(0, 2 * n))] if n else []
+        sub, mapping = induced_subgraph(g, kept)
+        assert mapping == tuple(sorted(set(kept)))
+        pos = {v: i for i, v in enumerate(mapping)}
+        assert sub == Graph(len(mapping), [(pos[u], pos[v]) for u, v in g.edges if u in pos and v in pos])
 
 
 def test_chordless_cycles():

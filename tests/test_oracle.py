@@ -1,5 +1,6 @@
 """Exhaustive representation oracle: trees, shapes, membership, corpus."""
 
+import gc
 import itertools
 import random
 import time
@@ -346,6 +347,7 @@ def test_clique_listing_stops_past_the_bound():
     # K_{3x12}, the complement of 12 disjoint triangles, has 3^12 maximal
     # cliques; the oracle refuses it at the tenth, whatever its budget
     g = Graph(36, [(u, v) for u, v in itertools.combinations(range(36), 2) if u // 3 != v // 3])
+    gc.collect()
     start = time.perf_counter()
     with pytest.raises(BoundExceededError, match="more than 9"):
         oracle_membership(g, budget_secs=60.0)

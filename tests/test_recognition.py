@@ -1,6 +1,7 @@
 """Recognition pipeline: interval, membership, the atom test and its
 route, atom formula, crosscheck."""
 
+import gc
 import itertools
 import random
 import time
@@ -253,6 +254,7 @@ def test_cycle_answered_by_its_star(monkeypatch, n):
             spent[0] += time.perf_counter() - start
 
     monkeypatch.setattr(recognition, "atoms", timed_atoms)
+    gc.collect()
     start = time.perf_counter()
     result = cheapest_representation(g)
     total = time.perf_counter() - start
@@ -260,6 +262,7 @@ def test_cycle_answered_by_its_star(monkeypatch, n):
     rep = result.certificate
     assert max_host_degree(rep) == n and rep.tree.n == n + 1 and rep.tree.degree(0) == n
     assert verify(rep, g) == (True, None)
+    gc.collect()
     start = time.perf_counter()
     assert is_helly(rep) == (True, None)
     assert time.perf_counter() - start < 1.0
@@ -324,6 +327,7 @@ def test_atom_test_decides_before_listing_cliques(monkeypatch):
     # with 3^20 maximal cliques; each neighbourhood is a K_{3x19}
     monkeypatch.setattr(recognition, "enumerate_maximal_cliques", refuse("enumerate_maximal_cliques"))
     g = Graph(60, [(u, v) for u, v in itertools.combinations(range(60), 2) if u // 3 != v // 3])
+    gc.collect()
     start = time.perf_counter()
     result = cheapest_representation(g, budget_secs=0.1)
     assert result == RecognitionResult(False, None, None, obstruction=tuple(range(60)))

@@ -352,6 +352,7 @@ def test_clique_star():
     # triple of the 1000 spokes
     c1000 = cycle_graph(1000)
     rep = clique_star(c1000.n, enumerate_maximal_cliques(c1000))
+    gc.collect()
     start = time.perf_counter()
     assert is_helly(rep) == (True, None)
     assert time.perf_counter() - start < 1.0
@@ -490,6 +491,7 @@ def test_find_multipie_beyond_catalog_bound():
     random.Random(13).shuffle(perm)
     gate = relabeled_gate(build_gate(GateRecipe(13)), perm)
     rep = star_representation(gate)
+    gc.collect()
     start = time.perf_counter()
     with pytest.raises(BoundExceededError, match="12 vertices"):
         find_multipie(rep, tuple(range(13)), 13)

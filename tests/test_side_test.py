@@ -22,7 +22,7 @@ from eptkit.graphs import (
     is_connected,
 )
 from eptkit.oracle import small_graph_corpus
-from eptkit.recognition import RecognitionResult, cheapest_representation, is_helly_ept
+from eptkit.recognition import RecognitionResult, SideWitness, cheapest_representation, is_helly_ept
 from reference import check_side_witness
 from test_recognition import S3_GRAPH, refuse
 
@@ -109,6 +109,20 @@ def test_clique_reader_matches_enumeration():
             holding = [i for i, c in enumerate(cliques) if v in c]
             assert sum(v in cliques[parent[i]] for i in holding if parent[i] >= 0) == len(holding) - 1
     assert chordal >= 1500
+
+
+def test_chordal_witness_takes_the_first_component_per_attachment():
+    # components (1,) and (2, 3, 7) of g - K both attach at {0, 5}, and
+    # the witness names the first of them
+    g = edge_list(12, (
+        "0-1 0-2 0-3 0-4 0-5 0-6 0-7 0-8 0-9 0-10 0-11 1-5 2-3 2-5 2-7 3-5 3-7"
+        " 4-5 4-6 4-8 4-10 4-11 5-7 5-10 5-11 6-8 9-10 9-11 10-11"
+    ))
+    witness = side_test(g)
+    check_side_witness(g, witness)
+    assert witness == SideWitness(
+        (0, 4, 5, 10, 11), ((6, 8), (1,), (9,)), ((0, 4), (0, 5), (0, 10, 11))
+    )
 
 
 def test_disconnected_chordal_input_still_raises():
