@@ -54,7 +54,7 @@ Nothing is exponential.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .graphs import (
     Graph,
@@ -68,24 +68,21 @@ from .graphs import (
 )
 
 
-@dataclass(frozen=True)
-class AtomLeaf:
+class AtomLeaf(NamedTuple):
     """A decomposition leaf: `vertices` index the original graph."""
 
     vertices: VertexSet
     graph: Graph
 
 
-@dataclass(frozen=True)
-class SeparatorNode:
+class SeparatorNode(NamedTuple):
     """An internal node: a complete set splitting the subproblem."""
 
     separator: VertexSet
     children: tuple["SeparatorNode | AtomLeaf", ...]
 
 
-@dataclass(frozen=True)
-class CliqueDecomposition:
+class CliqueDecomposition(NamedTuple):
     graph: Graph
     root: SeparatorNode | AtomLeaf
 

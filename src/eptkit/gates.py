@@ -17,7 +17,7 @@ from __future__ import annotations
 import functools
 import itertools
 from collections import deque
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .graphs import (
     PARSE_VERTEX_BOUND,
@@ -38,8 +38,7 @@ from .graphs import (
 CATALOG_VERTEX_BOUND = 12
 
 
-@dataclass(frozen=True)
-class ExtensionStep:
+class ExtensionStep(NamedTuple):
     """One extension: clique indices into the current clique list plus
     the length of the attached path."""
 
@@ -48,8 +47,7 @@ class ExtensionStep:
     path_len: int
 
 
-@dataclass(frozen=True)
-class GateRecipe:
+class GateRecipe(NamedTuple):
     """Replayable construction record: base cycle length plus steps."""
 
     base: int
@@ -62,8 +60,7 @@ class GateRecipe:
         return self.base + sum(s.path_len for s in self.steps)
 
 
-@dataclass(frozen=True)
-class LabeledGate:
+class LabeledGate(NamedTuple):
     """A gate graph together with its sorted maximal clique list and the
     recipe it was cataloged under. The recipe describes the construction
     of an isomorphic copy; for gates built by build_gate the labeling

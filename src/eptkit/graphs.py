@@ -240,7 +240,12 @@ def _mask(vertices: Iterable[int]) -> int:
 
 
 def _members(mask: int) -> VertexSet:
-    return tuple(v for v in range(mask.bit_length()) if mask >> v & 1)
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
 
 
 def _components(adj: list[int], rest: int) -> list[tuple[int, int]]:

@@ -50,7 +50,6 @@ from .graphs import (
     _canonical_search,
     _maximal_cliques,
     _orbit_representatives,
-    canonical_form,
     is_connected,
 )
 from .representation import EptRepresentation, HostTree, TreePath
@@ -90,27 +89,32 @@ class TreeShape:
 
     def __init__(self, graph: Graph):
         self.graph = graph
-        self.n = graph.n
+        n = self.n = graph.n
         self.edges = tuple(sorted(graph.edges))
         self.m = len(self.edges)
-        self.max_degree = max((graph.degree(v) for v in range(graph.n)), default=0)
-        index = {e: i for i, e in enumerate(self.edges)}
+        # links[u]: (w, bit of the edge uw) for each neighbour w of u
+        links: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+        for j, (a, b) in enumerate(self.edges):
+            links[a].append((b, 1 << j))
+            links[b].append((a, 1 << j))
+        self.max_degree = max(map(len, links), default=0)
         # path_mask[a][b]: edge-index mask of the tree path from a to b
-        self.path_mask = [[0] * self.n for _ in range(self.n)]
+        self.path_mask: list[list[int]] = []
         self.paths: dict[int, TreePath] = {}
-        for root in range(self.n):
+        for root in range(n):
+            row = [0] * n
             seq = {root: (root,)}
             stack = [root]
             while stack:
                 u = stack.pop()
-                for w in graph.neighbors(u):
+                for w, bit in links[u]:
                     if w not in seq:
                         seq[w] = seq[u] + (w,)
-                        e = index[(u, w) if u < w else (w, u)]
-                        self.path_mask[root][w] = self.path_mask[root][u] | 1 << e
-                        if root < w:
-                            self.paths[self.path_mask[root][w]] = seq[w]
+                        row[w] = row[u] | bit
                         stack.append(w)
+            self.path_mask.append(row)
+            for w in range(root + 1, n):
+                self.paths[row[w]] = seq[w]
         self._orbit_masks: tuple[int, dict[int, int]] | None = None
 
     def orbit_masks(self) -> tuple[int, dict[int, int]]:
@@ -173,24 +177,34 @@ def _ahu_codes(
     return code
 
 
+def _orbits(
+    adj: list[list[int]], parent: list[int], order: list[int], mark: int = -1
+) -> list[int]:
+    """Orbit ids of the vertices of a centred subdivision
+    (_centred_subdivision) under its automorphisms that fix vertex
+    mark, from one AHU pass. Every automorphism fixes the root, so two
+    vertices lie in one orbit exactly when their AHU codes agree and
+    their parents lie in one orbit."""
+    code = _ahu_codes(adj, parent, order, {}, mark)
+    orbit = [0] * len(adj)
+    orbit_ids: dict[tuple[int, int], int] = {}
+    for u in order[1:]:
+        orbit[u] = orbit_ids.setdefault((orbit[parent[u]], code[u]), len(orbit_ids) + 1)
+    return orbit
+
+
 def _edge_orbit_masks(shape: TreeShape) -> tuple[int, dict[int, int]]:
     """TreeShape.orbit_masks, computed.
 
     The automorphisms of the shape are those of its subdivision rooted
     at the centre (_centred_subdivision), and those fixing edge r are
-    the ones that also fix r's midpoint when it is labelled. Two
-    vertices lie in one orbit exactly when their AHU codes agree and
-    their parents lie in one orbit.
+    the ones that also fix r's midpoint when it is labelled (_orbits).
     """
     n = shape.n
     adj, parent, order = _centred_subdivision(n, shape.edges)
 
     def representatives(mark: int) -> int:
-        code = _ahu_codes(adj, parent, order, {}, mark)
-        orbit = [0] * len(adj)
-        orbit_ids: dict[tuple[int, int], int] = {}
-        for u in order[1:]:
-            orbit[u] = orbit_ids.setdefault((orbit[parent[u]], code[u]), len(orbit_ids) + 1)
+        orbit = _orbits(adj, parent, order, mark)
         first: dict[int, int] = {}
         mask = 0
         for j in range(shape.m):
@@ -225,6 +239,15 @@ def tree_shapes(m: int) -> tuple[TreeShape, ...]:
     them share a midpoint. Subdivisions are isomorphic exactly when they
     are as trees rooted at their centres, since every isomorphism maps
     centre to centre, and AHU codes decide rooted isomorphism.
+
+    The leaf is hung only from the lowest vertex of each vertex orbit of
+    the parent shape (_orbits). An automorphism of the parent mapping v
+    to a lower u, extended by fixing the new leaf, maps the tree hung
+    from v onto the one hung from u, which was met first, so a skipped
+    hang is never the first of its class.
+
+    The sort computes canonical forms with _canonical_search, so the
+    shapes' graphs stay out of canonical_labeling's cache.
     """
     if m < 0:
         raise ValueError("edge count must be non-negative")
@@ -233,14 +256,18 @@ def tree_shapes(m: int) -> tuple[TreeShape, ...]:
     intern: dict = {}
     grown: dict[int, TreeShape] = {}
     for shape in tree_shapes(m - 1):
+        orbit = _orbits(*_centred_subdivision(shape.n, shape.edges))
+        first: dict[int, int] = {}
         for v in range(shape.n):
+            if first.setdefault(orbit[v], v) != v:
+                continue
             edges = shape.edges + ((v, shape.n),)
             adj, parent, order = _centred_subdivision(shape.n + 1, edges)
             code = _ahu_codes(adj, parent, order, intern)[order[0]]
             if code not in grown:
                 grown[code] = TreeShape(Graph(shape.n + 1, edges))
     return tuple(
-        sorted(grown.values(), key=lambda s: (s.max_degree, canonical_form(s.graph)))
+        sorted(grown.values(), key=lambda s: (s.max_degree, _canonical_search(s.graph)[0]))
     )
 
 

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .decomposition import atoms
 from .gates import _two_clique_split
@@ -49,8 +49,7 @@ from .oracle import _clique_order, oracle_membership, resolve_budget_secs
 from .representation import EptRepresentation, clique_star, max_host_degree
 
 
-@dataclass(frozen=True)
-class SideWitness:
+class SideWitness(NamedTuple):
     """An odd cycle of components of g - clique, each forced to the
     other side of the clique's host edge from the next, and the last
     from the first (_side_witness). attachments[i] is the set of the
@@ -61,8 +60,7 @@ class SideWitness:
     attachments: tuple[VertexSet, ...]
 
 
-@dataclass(frozen=True)
-class RecognitionResult:
+class RecognitionResult(NamedTuple):
     """Outcome of cheapest_representation. When helly_ept, h is the
     minimum host degree (at least 2) and certificate, when attached,
     is a verified Helly representation of that degree or lower. When
@@ -347,24 +345,42 @@ def _side_witness(masks: list[int], splits: list[Split]) -> SideWitness | None:
     side test (_side_cycle) finds an odd cycle, with that cycle; None
     when there is none. splits[k] holds the components of g - K with
     their attachments (_separating); fewer than three with two
-    attachments or more hold no cycle."""
+    attachments or more hold no cycle.
+
+    Only the first three components of each class of twins, equal in
+    attachments and traces, go to _side_cycle. Twins relate alike to
+    every other component, and to each other exactly when no trace
+    holds their attachments, so a class is a clique or an independent
+    set of the relation. Dropping one of two members of an independent
+    set with equal neighbours keeps a 2-colouring, and three members of
+    a clique close a triangle, so the cap keeps every odd cycle's
+    existence, and r twins enter the pair tests as three at most."""
     for k, split in enumerate(splits):
         split = [(part, attach) for part, attach in split if attach & (attach - 1)]
         if len(split) < 3:
             continue
         clique = masks[k]
+        where: dict[int, int] = {}  # vertex -> its component's index in split
+        for i, (part, _) in enumerate(split):
+            for v in _members(part):
+                where[v] = i
         traces: list[set[int]] = [set() for _ in split]
         for c in masks:
             trace = c & clique
-            if trace & (trace - 1):
+            if trace & (trace - 1) and c != clique:
                 # c - K is complete, so it lies in one component of g - K
-                for i, (part, _) in enumerate(split):
-                    if c & part:
-                        traces[i].add(trace)
-                        break
-        cycle = _side_cycle([(attach, traces[i]) for i, (_, attach) in enumerate(split)])
+                outside = c & ~clique
+                traces[where[(outside & -outside).bit_length() - 1]].add(trace)
+        twins: dict[tuple[int, frozenset[int]], int] = {}
+        kept = []
+        for i, (_, attach) in enumerate(split):
+            key = (attach, frozenset(traces[i]))
+            twins[key] = twins.get(key, 0) + 1
+            if twins[key] <= 3:
+                kept.append(i)
+        cycle = _side_cycle([(split[i][1], traces[i]) for i in kept])
         if cycle is not None:
-            return _witness(clique, [split[i] for i in cycle])
+            return _witness(clique, [split[kept[x]] for x in cycle])
     return None
 
 

@@ -28,8 +28,8 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 from .gates import LabeledGate, is_gate
 from .graphs import (
@@ -90,9 +90,9 @@ def _path_edges(path: TreePath) -> frozenset[Edge]:
     )
 
 
-@dataclass(frozen=True)
 class EptRepresentation:
-    """Paths in a host tree, indexed by graph vertex.
+    """Paths in a host tree, indexed by graph vertex, validated at
+    construction and immutable after it. Equal when tree and paths are.
 
     A path is a tree-vertex sequence; a single-vertex path has no edges
     and represents an isolated vertex.
@@ -101,20 +101,40 @@ class EptRepresentation:
     tree: HostTree
     paths: tuple[TreePath, ...]
 
-    def __post_init__(self) -> None:
-        for v, path in enumerate(self.paths):
+    def __init__(self, tree: HostTree, paths: tuple[TreePath, ...]) -> None:
+        for v, path in enumerate(paths):
             if not path:
                 raise ValueError(f"path of vertex {v} is empty")
             if len(set(path)) != len(path):
                 raise ValueError(f"path of vertex {v} repeats a tree vertex")
             for q in path:
-                if not 0 <= q < self.tree.n:
+                if not 0 <= q < tree.n:
                     raise ValueError(f"path of vertex {v} leaves the tree: {q}")
             for a, b in zip(path, path[1:]):
-                if not self.tree.has_edge(a, b):
+                if not tree.has_edge(a, b):
                     raise ValueError(
                         f"path of vertex {v} uses non-edge ({a}, {b})"
                     )
+        # __setattr__ refuses every assignment; the cached properties
+        # below write to __dict__ as well
+        self.__dict__.update(tree=tree, paths=paths)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.tree == other.tree and self.paths == other.paths
+
+    def __hash__(self) -> int:
+        return hash((self.tree, self.paths))
+
+    def __repr__(self) -> str:
+        return f"EptRepresentation(tree={self.tree!r}, paths={self.paths!r})"
 
     @cached_property
     def path_edge_sets(self) -> tuple[frozenset[Edge], ...]:
@@ -139,19 +159,16 @@ class EptRepresentation:
         )
 
 
-@dataclass(frozen=True)
-class EdgeClique:
+class EdgeClique(NamedTuple):
     edge: Edge
 
 
-@dataclass(frozen=True)
-class ClawClique:
+class ClawClique(NamedTuple):
     center: int
     ends: tuple[int, int, int]
 
 
-@dataclass(frozen=True)
-class PieWitness:
+class PieWitness(NamedTuple):
     """Star at center with spoke ends q_1..q_k; the path of cycle[i]
     covers the spokes to spoke_ends[i] and spoke_ends[i+1], cyclically."""
 
@@ -160,8 +177,7 @@ class PieWitness:
     cycle: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class MultipieWitness:
+class MultipieWitness(NamedTuple):
     """Star at center with k spoke ends; members pairs each graph vertex
     with the two spoke ends its path covers."""
 

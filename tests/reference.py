@@ -31,9 +31,14 @@ bit per placed vertex, reads twin classes computed once per graph and
 prunes subtrees by the orbits of the automorphisms it has found. The
 side-test check recomputes the components of g - K, their attachments
 and the cliques meeting them as vertex sets, where the library reads
-them off bitmasks or a clique tree.
+them off bitmasks or a clique tree. The tree shapes hang a leaf from
+every vertex of every smaller shape and walk neighbour sets through an
+edge-index dict for their path tables, where the library hangs leaves
+only at vertex-orbit representatives and reads (neighbour, edge bit)
+lists; they are sorted by the cached canonical forms.
 """
 
+import functools
 import heapq
 import itertools
 from collections.abc import Iterator
@@ -53,8 +58,8 @@ from eptkit.graphs import (
     is_connected,
     _wl_colors,
 )
-from eptkit.oracle import CLIQUE_BOUND, oracle_membership
-from eptkit.representation import ClawClique, EdgeClique, EptRepresentation, HostTree
+from eptkit.oracle import CLIQUE_BOUND, _ahu_codes, _centred_subdivision, oracle_membership
+from eptkit.representation import ClawClique, EdgeClique, EptRepresentation, HostTree, TreePath
 
 
 def _prufer_decode(seq: tuple[int, ...], n: int) -> list[tuple[int, int]]:
@@ -104,6 +109,83 @@ def enumerate_trees(m: int, max_degree: int | None = None) -> Iterator[HostTree]
             counts[v] -= 1
 
     return emit([])
+
+
+class ReferenceTreeShape:
+    """oracle.TreeShape's tables and orbit masks, built by a depth-first
+    walk from every root over the graph's neighbour sets, with one AHU
+    pass per orbit mask."""
+
+    def __init__(self, graph: Graph):
+        self.graph = graph
+        self.n = graph.n
+        self.edges = tuple(sorted(graph.edges))
+        self.m = len(self.edges)
+        self.max_degree = max((graph.degree(v) for v in range(graph.n)), default=0)
+        index = {e: i for i, e in enumerate(self.edges)}
+        # path_mask[a][b]: edge-index mask of the tree path from a to b
+        self.path_mask = [[0] * self.n for _ in range(self.n)]
+        self.paths: dict[int, TreePath] = {}
+        for root in range(self.n):
+            seq = {root: (root,)}
+            stack = [root]
+            while stack:
+                u = stack.pop()
+                for w in graph.neighbors(u):
+                    if w not in seq:
+                        seq[w] = seq[u] + (w,)
+                        e = index[(u, w) if u < w else (w, u)]
+                        self.path_mask[root][w] = self.path_mask[root][u] | 1 << e
+                        if root < w:
+                            self.paths[self.path_mask[root][w]] = seq[w]
+                        stack.append(w)
+
+    def orbit_masks(self) -> tuple[int, dict[int, int]]:
+        n = self.n
+        adj, parent, order = _centred_subdivision(n, self.edges)
+
+        def representatives(mark: int) -> int:
+            code = _ahu_codes(adj, parent, order, {}, mark)
+            orbit = [0] * len(adj)
+            orbit_ids: dict[tuple[int, int], int] = {}
+            for u in order[1:]:
+                orbit[u] = orbit_ids.setdefault((orbit[parent[u]], code[u]), len(orbit_ids) + 1)
+            first: dict[int, int] = {}
+            mask = 0
+            for j in range(self.m):
+                if first.setdefault(orbit[n + j], j) == j:
+                    mask |= 1 << j
+            return mask
+
+        level0 = representatives(-1)
+        level1 = {}
+        rest = level0
+        while rest:
+            r = (rest & -rest).bit_length() - 1
+            rest &= rest - 1
+            level1[r] = representatives(n + r) & ~(1 << r)
+        return level0, level1
+
+
+@functools.lru_cache(maxsize=16)
+def reference_tree_shapes(m: int) -> tuple[ReferenceTreeShape, ...]:
+    """oracle.tree_shapes by hanging a new leaf from every vertex of
+    every shape with m - 1 edges, keeping the first tree of each class
+    of AHU codes, sorted by (max degree, canonical form)."""
+    if m == 0:
+        return (ReferenceTreeShape(Graph(1)),)
+    intern: dict = {}
+    grown: dict[int, ReferenceTreeShape] = {}
+    for shape in reference_tree_shapes(m - 1):
+        for v in range(shape.n):
+            edges = shape.edges + ((v, shape.n),)
+            adj, parent, order = _centred_subdivision(shape.n + 1, edges)
+            code = _ahu_codes(adj, parent, order, intern)[order[0]]
+            if code not in grown:
+                grown[code] = ReferenceTreeShape(Graph(shape.n + 1, edges))
+    return tuple(
+        sorted(grown.values(), key=lambda s: (s.max_degree, canonical_form(s.graph)))
+    )
 
 
 def oracle_min_h(g: Graph, budget_secs: float | None = None) -> int | None:

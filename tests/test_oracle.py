@@ -13,6 +13,7 @@ from eptkit.graphs import (
     BoundExceededError,
     Graph,
     canonical_form,
+    canonical_labeling,
     complete_graph,
     cycle_graph,
     enumerate_maximal_cliques,
@@ -34,7 +35,7 @@ from eptkit.representation import (
     representation_to_text,
     verify,
 )
-from reference import enumerate_trees, oracle_min_h, reference_clique_order
+from reference import enumerate_trees, oracle_min_h, reference_clique_order, reference_tree_shapes
 
 TWO_C5S = Graph(8, [
     (0, 1), (1, 2), (2, 3), (3, 4), (0, 4),
@@ -89,6 +90,28 @@ def test_tree_shapes_refuses_negative_edge_count():
     for m in (-1, -5000):
         with pytest.raises(ValueError, match="edge count must be non-negative"):
             tree_shapes(m)
+
+
+def test_tree_shapes_match_the_generator_hanging_every_leaf():
+    # hanging leaves only at vertex-orbit representatives keeps every
+    # shape, its labelling and its place; the tables built from
+    # (neighbour, edge bit) lists match those of a neighbour-set walk
+    for m in range(11):
+        got, want = tree_shapes(m), reference_tree_shapes(m)
+        assert [s.edges for s in got] == [r.edges for r in want], m
+        for s, r in zip(got, want):
+            assert s.max_degree == r.max_degree, s.edges
+            assert s.path_mask == r.path_mask, s.edges
+            assert s.paths == r.paths, s.edges
+            assert s.orbit_masks() == r.orbit_masks(), s.edges
+
+
+def test_tree_shapes_stay_out_of_the_canonical_cache():
+    # the sort reads canonical forms without caching the shapes' graphs
+    tree_shapes.cache_clear()
+    canonical_labeling.cache_clear()
+    tree_shapes(9)
+    assert canonical_labeling.cache_info().currsize == 0
 
 
 def brute_orbit_representatives(shape, automorphisms, fixed=None):

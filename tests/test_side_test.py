@@ -3,8 +3,10 @@ starts from on chordal graphs, its soundness against the scan, the
 graphs it must reject and the ones it cannot, and its witnesses
 checked independently."""
 
+import gc
 import itertools
 import random
+import time
 from pathlib import Path
 
 import pytest
@@ -76,6 +78,17 @@ def hung_s3(n: int) -> Graph:
     """C_n with an S3 hung from vertex 0 by one edge to S3's vertex 0."""
     edges = list(cycle_graph(n).edges) + [(u + n, v + n) for u, v in S3_GRAPH.edges]
     return Graph(n + 6, edges + [(0, n)])
+
+
+def k8_with_ears(r: int) -> Graph:
+    """K_8 with r ears on its edge {0, 1}, each a vertex adjacent to 0
+    and 1, and a C_5 through vertex 2. At every ear's clique the other
+    ears are r - 1 twin components of g - K."""
+    edges = list(itertools.combinations(range(8), 2))
+    edges += [(x, 8 + i) for i in range(r) for x in (0, 1)]
+    ring = [2] + [8 + r + i for i in range(4)]
+    edges += [(ring[i], ring[(i + 1) % 5]) for i in range(5)]
+    return Graph(8 + r + 4, edges)
 
 
 def random_graph(rng: random.Random, n: int, p: float) -> Graph:
@@ -223,3 +236,31 @@ def test_side_test_sound_on_random_graphs():
             check_side_witness(g, witness)
             assert is_helly_ept(g) is None, g.edges
     assert (rejected, chordal) == (29, 249)
+
+
+def test_side_test_on_many_twin_ears():
+    # r twin components at each of r cliques: capping each twin class at
+    # three keeps the side test near O(r^2) in all, where testing every
+    # pair cost O(r^3) (29 s at r = 400). No odd cycle, so the scan's
+    # clique bound answers
+    g = k8_with_ears(400)
+    gc.collect()
+    start = time.perf_counter()
+    with pytest.raises(BoundExceededError):
+        cheapest_representation(g)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_twin_cap_keeps_a_triangle_of_twins():
+    # K_4 with five paths 0-x-y-1: at K_4 the five path components are
+    # twins, no clique meeting one holds both 0 and 1, so they pairwise
+    # relate; the first three close the witness's triangle
+    edges = list(itertools.combinations(range(4), 2))
+    for i in range(5):
+        x, y = 4 + 2 * i, 5 + 2 * i
+        edges += [(0, x), (x, y), (y, 1)]
+    g = Graph(14, edges)
+    witness = searched_side_test(g)
+    assert witness.clique == (0, 1, 2, 3)
+    assert sorted(witness.components) == [(4, 5), (6, 7), (8, 9)]
+    check_side_witness(g, witness)
