@@ -27,6 +27,7 @@ from .graphs import (
     VertexSet,
     _adjacency_masks,
     _canonical_search,
+    _members,
     _orbit_representatives,
     canonical_form,
     cycle_graph,
@@ -331,6 +332,31 @@ def rewire_gate(gate: LabeledGate, v: int, t: int) -> LabeledGate:
     return LabeledGate(rewired, tuple(enumerate_maximal_cliques(rewired)), recipe)
 
 
+def _clique_count(adj: list[int], limit: int) -> int:
+    """The number of maximal cliques of the graph with adjacency masks
+    adj, or limit when it has more: Bron-Kerbosch on masks, pivoting on
+    the lowest vertex of P + X. The gate search needs only this count;
+    on the connected graphs of 4 to 7 vertices, counting on masks takes
+    a quarter of the time that listing the cliques as tuples does."""
+    count = 0
+    stack = [((1 << len(adj)) - 1, 0)] if adj else []
+    while stack and count < limit:
+        p, x = stack.pop()
+        if not p:
+            count += not x
+            continue
+        pivot = p | x
+        todo = p & ~adj[(pivot & -pivot).bit_length() - 1]
+        while todo:
+            v = todo & -todo
+            todo ^= v
+            near = adj[v.bit_length() - 1]
+            stack.append((p & near, x & near))
+            p ^= v
+            x |= v
+    return count
+
+
 def contains_gate_ge(g: Graph, h: int) -> tuple[VertexSet, GateRecipe] | None:
     """First induced k-gate with k > h, scanning vertex subsets by size
     then lexicographic order. None when no such gate is induced.
@@ -338,20 +364,49 @@ def contains_gate_ge(g: Graph, h: int) -> tuple[VertexSet, GateRecipe] | None:
     A subset is looked up in the catalog only when every vertex lies in
     exactly two of its maximal cliques, meeting only in that vertex, and
     it has more than h cliques (_two_clique_split). Every k-gate with
-    k > h passes, so the subsets skipped hold no hit."""
+    k > h passes, so the subsets skipped hold no hit.
+
+    g's maximal cliques bound the subsets worth testing. Let Q be a
+    maximal clique of G[S] for a subset S. Q lies in a maximal clique C
+    of g, and C & S is a clique of G[S] holding Q, so C & S = Q; thus
+    distinct Qs come from distinct Cs. When S passes the two-clique
+    test, no Q is a single vertex (that vertex would be isolated), so S
+    has at most as many cliques as g has maximal cliques keeping two or
+    more vertices in S. Hence:
+    - when g has at most h maximal cliques, no subset is a hit;
+    - when g has exactly h + 1, a hit keeps two vertices of every one
+      of them, so it holds both ends of each 2-vertex maximal clique.
+    The search counts g's maximal cliques up to h + 2 (_clique_count),
+    then fixes those ends and combines the other vertices. Two
+    sets of one size compare lexicographically by the least element of
+    their symmetric difference, which the fixed vertices never join, so
+    the (size, lex) order is kept."""
     if g.n > CATALOG_VERTEX_BOUND:
         raise BoundExceededError(
             f"gate search limited to {CATALOG_VERTEX_BOUND} vertices, got {g.n}"
         )
+    low = max(4, h + 1)
+    if low > g.n:
+        return None
     adj = _adjacency_masks(g)
-    bits = [1 << v for v in range(g.n)]
-    for size in range(max(4, h + 1), g.n + 1):
-        for combo in itertools.combinations(bits, size):
-            ok, cliques = _two_clique_split(adj, sum(combo))
+    k = _clique_count(adj, max(0, h + 2))
+    if k <= h:
+        return None
+    pinned = 0
+    if k == h + 1:
+        # the edges in no triangle are g's 2-vertex maximal cliques
+        for u, w in g.edges:
+            if not adj[u] & adj[w]:
+                pinned |= 1 << u | 1 << w
+    free = [1 << v for v in range(g.n) if not pinned >> v & 1]
+    width = g.n - len(free)
+    for size in range(max(low, width), g.n + 1):
+        for combo in itertools.combinations(free, size - width):
+            mask = sum(combo, pinned)
+            ok, cliques = _two_clique_split(adj, mask)
             if not ok or cliques <= h:
                 continue
-            subset = [bit.bit_length() - 1 for bit in combo]
-            sub, mapping = induced_subgraph(g, subset)
+            sub, mapping = induced_subgraph(g, _members(mask))
             recipe = is_gate(sub)
             if recipe is not None:
                 return mapping, recipe

@@ -28,6 +28,7 @@ from eptkit.graphs import (
     complete_graph,
     cycle_graph,
     enumerate_maximal_cliques,
+    induced_subgraph,
     isomorphism,
     path_graph,
 )
@@ -254,13 +255,17 @@ def test_contains_gate_threshold():
     assert contains_gate_ge(gate.graph, 5) is None
 
 
+def relabeled(rng, n, edges):
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return Graph(n, [(perm[u], perm[v]) for u, v in edges])
+
+
 def relabeled_catalog():
     rng = random.Random(20261018)
     for recipe in enumerate_gates().values():
         g = build_gate(recipe).graph
-        perm = list(range(g.n))
-        rng.shuffle(perm)
-        yield recipe, Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+        yield recipe, relabeled(rng, g.n, g.edges)
 
 
 def connected_corpus():
@@ -299,3 +304,104 @@ def test_gate_search_canonicalizes_only_two_clique_subsets(monkeypatch):
     assert witness is not None and witness[1].clique_count() == k
     assert contains_gate_ge(g, k) is None
     assert is_gate(complete_graph(4)) is None
+
+
+def test_contains_gate_ge_early_exits_match_reference():
+    # h below 4 cliques, at k - 1 (every 2-vertex clique fixed) and at k
+    for h in range(-3, 4):
+        hit = contains_gate_ge(cycle_graph(5), h)
+        assert hit == reference_contains_gate_ge(cycle_graph(5), h)
+        assert hit == ((0, 1, 2, 3, 4), GateRecipe(5)), h
+    for g in (Graph(0), Graph(3), complete_graph(4)):
+        for h in (-1, 0, 3):
+            assert contains_gate_ge(g, h) is None
+            assert reference_contains_gate_ge(g, h) is None
+    # 6 vertices in 5 two-vertex cliques at h = 4: none is left to combine
+    star = Graph(6, [(0, v) for v in range(1, 6)])
+    for g in (path_graph(6), star):
+        assert contains_gate_ge(g, 4) is None
+        assert reference_contains_gate_ge(g, 4) is None
+
+
+def test_contains_gate_ge_matches_reference_on_8_to_12_vertices():
+    rng = random.Random(20261019)
+    cases = []
+    for _ in range(40):
+        n = rng.randint(8, 12)
+        p = rng.choice((0.25, 0.35, 0.5))
+        cases.append(Graph(n, [e for e in itertools.combinations(range(n), 2) if rng.random() < p]))
+    recipes = list(enumerate_gates().values())
+    # a pendant vertex adds a 2-vertex clique, so the k - 1 query fixes it
+    for recipe in rng.sample([r for r in recipes if 7 <= r.vertex_count() <= 11], 16):
+        g = build_gate(recipe).graph
+        cases.append(relabeled(rng, g.n + 1, [*g.edges, (rng.randrange(g.n), g.n)]))
+    for recipe in rng.sample([r for r in recipes if 8 <= r.vertex_count() <= 12], 16):
+        g = build_gate(recipe).graph
+        chords = [e for e in itertools.combinations(range(g.n), 2) if e not in g.edges]
+        cases.append(relabeled(rng, g.n, [*g.edges, rng.choice(chords)]))
+    hits = 0
+    for g in cases:
+        k = len(enumerate_maximal_cliques(g))
+        for h in (k - 2, k - 1, k):
+            hit = contains_gate_ge(g, h)
+            assert hit == reference_contains_gate_ge(g, h), (g.n, sorted(g.edges), h)
+            hits += hit is not None
+    assert hits >= 16
+
+
+def test_subset_cliques_come_from_distinct_cliques_of_g():
+    # the lemma that bounds contains_gate_ge: each maximal clique of G[S]
+    # is C & S for a maximal clique C of g, a different C for each
+    rng = random.Random(26)
+    for _ in range(300):
+        n = rng.randint(1, 10)
+        g = Graph(n, [e for e in itertools.combinations(range(n), 2) if rng.random() < 0.4])
+        whole = [set(c) for c in enumerate_maximal_cliques(g)]
+        s = set(rng.sample(range(n), rng.randint(1, n)))
+        sub, mapping = induced_subgraph(g, s)
+        used = []
+        for q in enumerate_maximal_cliques(sub):
+            q = {mapping[i] for i in q}
+            sources = [i for i, c in enumerate(whole) if c & s == q]
+            assert sources, (n, sorted(g.edges), s, q)
+            used.append(sources[0])
+        assert len(set(used)) == len(used)
+        if reference_two_clique_property(sub)[0]:
+            assert len(used) <= sum(len(c & s) >= 2 for c in whole)
+
+
+def test_clique_count_matches_enumeration():
+    rng = random.Random(2026)
+    for _ in range(200):
+        n = rng.randint(0, 12)
+        g = Graph(n, [e for e in itertools.combinations(range(n), 2) if rng.random() < 0.5])
+        k = len(enumerate_maximal_cliques(g))
+        adj = [sum(1 << w for w in g.neighbors(v)) for v in range(n)]
+        for limit in range(k + 2):
+            assert gates._clique_count(adj, limit) == min(k, limit), (sorted(g.edges), limit)
+
+
+def test_gate_search_work_is_bounded_by_the_clique_count(monkeypatch):
+    calls = Counter()
+    real_split, real_form = gates._two_clique_split, gates.canonical_form
+
+    def split(adj, mask):
+        calls["split"] += 1
+        return real_split(adj, mask)
+
+    def form(g):
+        calls["form"] += 1
+        return real_form(g)
+
+    monkeypatch.setattr(gates, "_two_clique_split", split)
+    monkeypatch.setattr(gates, "canonical_form", form)
+    queries = 0
+    for recipe, g in relabeled_catalog():
+        k = recipe.clique_count()
+        assert contains_gate_ge(g, k) is None
+        assert calls == Counter(), recipe
+        assert contains_gate_ge(g, k - 1)[1].clique_count() == k
+        queries += calls["split"]
+        calls.clear()
+    # combining every vertex, both queries together take 37 276
+    assert queries <= 2000
