@@ -9,14 +9,19 @@ tuple; call it S*.
 
 Candidates come from MCS-M (Berry, Blair, Heggernes & Peyton 2004), as
 in Berry, Pogorelcnik & Simonet (2010). MCS-M numbers the vertices from
-n down to 1, each time choosing the unnumbered vertex of maximum
-weight, lowest index first. After v is chosen, every unnumbered u gets
+n down to 1, each time choosing an unnumbered vertex of maximum
+weight; unnumbered vertices wait in buckets by weight, and any vertex
+of the top bucket will do. After v is chosen, every unnumbered u gets
 +1 weight and a fill edge uv when some path from v to u runs only
 through unnumbered vertices of weight below u's. The result H is a
-minimal triangulation of g. A chosen vertex whose weight is at most the
-previous one's is a generator, and the sets madj(x) of generators x
-(x's H-neighbours numbered before x) are the minimal separators of H.
-Those complete in g are the clique minimal separators of g.
+minimal triangulation of g, whichever vertex each step chose. A chosen
+vertex whose weight is at most the previous one's is a generator, and
+the sets madj(x) of generators x (x's H-neighbours numbered before x)
+are the minimal separators of H. Those complete in g are the clique
+minimal separators of g. A clique minimal separator of g is a minimal
+separator of every minimal triangulation of g (Berry, Pogorelcnik &
+Simonet 2010), so the list, sorted and without repeats, is the same
+under every tie-break.
 
 Why the minimum of those sets is S*:
 - Every proper subset of S* is complete and comes earlier in the
@@ -39,22 +44,29 @@ clique minimal separator of P and, by induction, of g. Hence the S* of
 a node on vertex set V is the first candidate of g, in (size, tuple)
 order, that lies in V and separates g[V].
 
-Cost: MCS-M takes O(n(n + m)) time and yields at most n - 1
-candidates. Each node scans them from just after its parent's S*, with
-one component search on vertex masks per candidate inside V: O(n)
-operations on n-bit masks. Only an atom gets an induced Graph. The scan
-may skip the earlier ones: by induction, a candidate T before S* in the
+Cost: MCS-M takes O(n(n + m)) time, one search of the unnumbered
+vertices per step, and yields at most n - 1 candidates; taking a vertex
+from the top weight bucket costs O(1), and the completeness test reads
+adjacency masks. Each node scans the candidates from just after its
+parent's S*, with one component search on vertex masks per candidate
+inside V: O(n) operations on n-bit masks. The scan may skip the
+earlier ones: by induction, a candidate T before S* in the
 parent's scan either lies outside V or does not separate g[V]. It
 separates no child g[S* + C] either. T containing S* would come after
 S*. Otherwise S* - T is a non-empty clique, and each x in C - T has a
 path to it in g[V] - T that stays in C until it first meets S*, so
 g[S* + C] - T is connected. S* separates no child, as C is connected.
+The split loop yields the atoms as vertex masks (_atom_masks), which
+is all recognition's atom test reads; only decomposition_tree, and so
+atoms, builds an induced Graph per atom. _atom_masks takes a deadline,
+which MCS-M checks at every step and the split loop at every node.
 Nothing is exponential.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple
+import math
+from typing import Iterator, NamedTuple
 
 from .graphs import (
     Graph,
@@ -64,8 +76,8 @@ from .graphs import (
     _mask,
     _members,
     induced_subgraph,
-    is_connected,
 )
+from .oracle import _check_deadline
 
 
 class AtomLeaf(NamedTuple):
@@ -98,54 +110,66 @@ class CliqueDecomposition(NamedTuple):
         return out
 
 
-def _clique_minimal_separators(g: Graph) -> list[VertexSet]:
+def _clique_minimal_separators(
+    g: Graph, adj: list[int], deadline: float = math.inf
+) -> list[VertexSet]:
     """Clique minimal separators of a connected graph, each sorted,
     ordered by (size, tuple): the complete madj sets of MCS-M
-    generators."""
+    generators. adj holds g's _adjacency_masks, for the completeness
+    test; the fill search walks g's adjacency sets. Raises
+    BudgetExhaustedError once the monotonic clock passes deadline."""
     n = g.n
-    adj = g._adj
+    near = g._adj
     weight = [0] * n
-    madj: list[list[int]] = [[] for _ in range(n)]
-    unnumbered = list(range(n))
-    numbered = [False] * n
-    found: set[VertexSet] = set()
+    madj = [0] * n  # masks
+    # unnumbered vertices wait in buckets by weight
+    waiting: list[set[int]] = [set(range(n))] + [set() for _ in range(n)]
+    # the step that last reached a vertex, n once it is numbered
+    stamp = [-1] * n
+    found: set[int] = set()
     previous = -1
-    for _ in range(n):
-        v = max(unnumbered, key=lambda u: (weight[u], -u))
-        unnumbered.remove(v)
-        numbered[v] = True
-        if weight[v] <= previous:
-            sep = frozenset(madj[v])
-            if all(sep - {u} <= adj[u] for u in sep):
-                found.add(tuple(sorted(sep)))
-        previous = weight[v]
+    top = 0
+    for step in range(n):
+        _check_deadline(deadline)
+        while not waiting[top]:
+            top -= 1
+        v = waiting[top].pop()
+        stamp[v] = n
+        if top <= previous:
+            sep = madj[v]
+            if all(not sep & ~adj[u] & ~(1 << u) for u in _members(sep)):
+                found.add(sep)
+        previous = top
         # bucket j holds reached vertices whose paths from v have
         # interior weights at most j; they extend paths at level j.
         # No unnumbered vertex outweighs v.
-        reached = [False] * n
-        buckets: list[list[int]] = [[] for _ in range(weight[v] + 1)]
+        buckets: list[list[int]] = [[] for _ in range(top + 1)]
         raised = []
-        for u in adj[v]:
-            if not numbered[u]:
-                reached[u] = True
+        for u in near[v]:
+            if stamp[u] < step:
+                stamp[u] = step
                 buckets[weight[u]].append(u)
                 raised.append(u)
         for level, bucket in enumerate(buckets):
             while bucket:
                 y = bucket.pop()
-                for z in adj[y]:
-                    if numbered[z] or reached[z]:
+                for z in near[y]:
+                    if stamp[z] >= step:
                         continue
-                    reached[z] = True
+                    stamp[z] = step
                     if weight[z] > level:
                         buckets[weight[z]].append(z)
                         raised.append(z)
                     else:
                         bucket.append(z)
         for u in raised:
-            weight[u] += 1
-            madj[u].append(v)
-    return sorted(found, key=lambda s: (len(s), s))
+            w = weight[u]
+            waiting[w].remove(u)
+            waiting[w + 1].add(u)
+            weight[u] = w + 1
+            madj[u] |= 1 << v
+        top += 1  # a step raises the maximum weight by at most one
+    return sorted(map(_members, found), key=lambda s: (len(s), s))
 
 
 def _first_split(
@@ -164,33 +188,61 @@ def _first_split(
     return None
 
 
+def _require_connected(adj: list[int]) -> None:
+    """Refuse the graph with adjacency masks adj unless it has exactly
+    one component."""
+    if len(_components(adj, (1 << len(adj)) - 1)) != 1:
+        raise ValueError("input graph must be connected")
+
+
 def find_clique_separator(g: Graph) -> tuple[VertexSet, list[VertexSet]] | None:
     """Smallest complete separator of a connected graph, with the parts
     of the remainder; lexicographic tie-break. None when g is an atom."""
-    if g.n == 0 or not is_connected(g):
-        raise ValueError("input graph must be connected")
-    separators = _clique_minimal_separators(g)
-    split = _first_split(_adjacency_masks(g), [_mask(s) for s in separators], (1 << g.n) - 1)
+    adj = _adjacency_masks(g)
+    _require_connected(adj)
+    separators = _clique_minimal_separators(g, adj)
+    split = _first_split(adj, [_mask(s) for s in separators], (1 << g.n) - 1)
     return None if split is None else (separators[split[0]], [_members(p) for p in split[1]])
 
 
-def decomposition_tree(g: Graph) -> CliqueDecomposition:
-    """Recursive decomposition; each part keeps the separator vertices.
-    Built without recursion: a path's tree is n - 2 levels deep."""
-    if g.n == 0 or not is_connected(g):
-        raise ValueError("input graph must be connected")
-    separators = _clique_minimal_separators(g)
-    masks = [_mask(sep) for sep in separators]
-    adj = _adjacency_masks(g)
-    preorder = []  # (vertex mask, split) per node
-    stack = [((1 << g.n) - 1, 0)]  # (vertex mask, first candidate to try)
+def _preorder(
+    adj: list[int], masks: list[int], deadline: float = math.inf
+) -> Iterator[tuple[int, tuple[int, list[int]] | None]]:
+    """The nodes of the decomposition tree of the connected graph with
+    adjacency masks adj, in preorder, as (vertex mask, split): split is
+    _first_split's answer over the candidate masks, None at an atom.
+    Built without recursion, as a path's tree is n - 2 levels deep.
+    Raises BudgetExhaustedError once the monotonic clock passes
+    deadline."""
+    stack = [((1 << len(adj)) - 1, 0)]  # (vertex mask, first candidate to try)
     while stack:
+        _check_deadline(deadline)
         vertices, start = stack.pop()
         split = _first_split(adj, masks, vertices, start)
-        preorder.append((vertices, split))
+        yield vertices, split
         if split is not None:
             i, parts = split
             stack.extend((masks[i] | part, i + 1) for part in reversed(parts))
+
+
+def _atom_masks(g: Graph, adj: list[int], deadline: float) -> Iterator[int]:
+    """The atoms of g, in the order of atoms(g), as vertex masks, with
+    no induced Graph built; adj holds g's _adjacency_masks. Raises
+    ValueError for a disconnected g and BudgetExhaustedError once the
+    monotonic clock passes deadline."""
+    _require_connected(adj)
+    masks = [_mask(sep) for sep in _clique_minimal_separators(g, adj, deadline)]
+    for vertices, split in _preorder(adj, masks, deadline):
+        if split is None:
+            yield vertices
+
+
+def decomposition_tree(g: Graph) -> CliqueDecomposition:
+    """Recursive decomposition; each part keeps the separator vertices."""
+    adj = _adjacency_masks(g)
+    _require_connected(adj)
+    separators = _clique_minimal_separators(g, adj)
+    preorder = list(_preorder(adj, [_mask(sep) for sep in separators]))
     # reverse preorder builds children first, the first child on top of `built`
     built: list[SeparatorNode | AtomLeaf] = []
     for vertices, split in reversed(preorder):

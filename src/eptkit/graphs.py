@@ -188,42 +188,53 @@ def enumerate_maximal_cliques(g: Graph) -> list[VertexSet]:
 
 
 def _maximal_cliques(g: Graph) -> Iterator[VertexSet]:
-    """Every maximal clique, sorted, as Bron-Kerbosch finds it, so a
-    caller that needs only the first few can stop early.
+    """Every maximal clique, sorted, as Bron-Kerbosch finds it
+    (_clique_masks), so a caller that needs only the first few can stop
+    early."""
+    return map(_members, _clique_masks(_adjacency_masks(g)))
 
-    Bron-Kerbosch with pivoting, on its own stack rather than Python's;
-    the pivot is the lowest-index vertex maximizing candidate coverage.
+
+def _clique_masks(adj: list[int]) -> Iterator[int]:
+    """Every maximal clique of the graph with adjacency masks adj, as a
+    vertex mask, as Bron-Kerbosch finds it.
+
+    Bron-Kerbosch with pivoting on vertex masks, on its own stack rather
+    than Python's; the pivot is the lowest-index vertex of P + X
+    maximizing its neighbours in P, and branches go lowest vertex first.
     """
-    if g.n == 0:
+    if not adj:
         return
-    adj = g._adj
 
-    def frame(r: list[int], p: set[int], x: set[int]):
+    def frame(r: int, p: int, x: int) -> list[int]:
         # no vertex of p covers itself, so none covers more than cap
-        cap = len(p) if x else len(p) - 1
+        cap = p.bit_count() - (not x)
         pivot = best = -1
-        for u in sorted(p | x):
-            c = len(p & adj[u])
+        rest = p | x
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            u = low.bit_length() - 1
+            c = (p & adj[u]).bit_count()
             if c > best:
                 best, pivot = c, u
                 if c == cap:
                     break
-        return r, p, x, iter(sorted(p - adj[pivot]))
+        return [r, p, x, p & ~adj[pivot]]
 
-    stack = [frame([], set(range(g.n)), set())]
+    stack = [frame(0, (1 << len(adj)) - 1, 0)]
     while stack:
-        r, p, x, branch = stack[-1]
-        v = next(branch, None)
-        if v is None:
+        top = stack[-1]
+        r, p, x, branch = top
+        if not branch:
             stack.pop()
             continue
-        child_p, child_x = p & adj[v], x & adj[v]
-        p.remove(v)
-        x.add(v)
-        if child_p:
-            stack.append(frame(r + [v], child_p, child_x))
-        elif not child_x:
-            yield tuple(sorted(r + [v]))
+        v = branch & -branch
+        near = adj[v.bit_length() - 1]
+        top[1:] = p ^ v, x | v, branch ^ v
+        if p & near:
+            stack.append(frame(r | v, p & near, x & near))
+        elif not x & near:
+            yield r | v
 
 
 def _adjacency_masks(g: Graph) -> list[int]:

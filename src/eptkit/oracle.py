@@ -74,6 +74,13 @@ def resolve_budget_secs(budget_secs: float | None) -> float:
     return budget_secs
 
 
+def _check_deadline(deadline: float) -> None:
+    """Raise BudgetExhaustedError once the monotonic clock has passed
+    deadline; the steps before the scan call it as they go."""
+    if time.monotonic() > deadline:
+        raise BudgetExhaustedError("budget exhausted before the scan")
+
+
 class TreeShape:
     """One unlabeled host-tree shape, pinned as a labeled representative
     with precomputed edge-index masks for the assignment search.

@@ -7,7 +7,10 @@ neither complete nor line-like is no member, and that atom is the
 witness. A chordal graph passes without being decomposed: the
 maximum-cardinality search that finds it chordal (_chordal_cliques)
 also lists its maximal cliques and a clique tree, and all its atoms
-are complete. Then, for a non-chordal graph, the internal-edge lemma
+are complete. Nor is a graph that the two-clique test and a 2-connected
+clique graph show to be one atom (_one_atom_count); every other
+non-chordal graph is decomposed on vertex masks (decomposition.
+_atom_masks). Then, for a non-chordal graph, the internal-edge lemma
 (_pendant_answer): a maximal clique that separates nothing is a leaf
 edge of every normal form, so a vertex in three such cliques rules g
 out, and a graph with no separating maximal clique is a member exactly
@@ -33,7 +36,7 @@ import itertools
 import time
 from typing import NamedTuple
 
-from .decomposition import atoms
+from .decomposition import _atom_masks
 from .gates import _two_clique_split
 from .graphs import (
     Graph,
@@ -45,7 +48,7 @@ from .graphs import (
     enumerate_maximal_cliques,
     is_connected,
 )
-from .oracle import _clique_order, oracle_membership, resolve_budget_secs
+from .oracle import _check_deadline, _clique_order, oracle_membership, resolve_budget_secs
 from .representation import EptRepresentation, clique_star, max_host_degree
 
 
@@ -187,10 +190,30 @@ def is_helly_ept(g: Graph, budget_secs: float | None = None) -> EptRepresentatio
     return oracle_membership(g, budget_secs=budget_secs)
 
 
-def _atom_clique_count(atom: Graph) -> int | None:
+def _twin_representatives(adj: list[int], vertices: int) -> int:
+    """The lowest vertex of each class of true twins (equal closed
+    neighbourhoods) of g[vertices], as a mask, for the graph g with
+    adjacency masks adj. Twins of one class have the same neighbours in
+    every other class, so the subgraph these induce is the twin
+    quotient, with a vertex per class."""
+    reps = 0
+    seen: set[int] = set()  # closed neighbourhoods met so far
+    rest = vertices
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        closed = adj[low.bit_length() - 1] & vertices | low
+        if closed not in seen:
+            seen.add(closed)
+            reps |= low
+    return reps
+
+
+def _atom_clique_count(adj: list[int], atom: int) -> int | None:
     """1 for a complete atom, its clique count for a line-like one and
-    None for any other, from gates._two_clique_split on the true-twin
-    quotient (a vertex per class of equal closed neighbourhoods).
+    None for any other, for the atom g[atom] of the graph g with
+    adjacency masks adj, from gates._two_clique_split on the true-twin
+    quotient (_twin_representatives).
 
     True twins lie in the same maximal cliques, so the quotient's
     maximal cliques match the atom's one to one; a complete atom is one
@@ -216,24 +239,94 @@ def _atom_clique_count(atom: Graph) -> int | None:
       A - C has vertices in two components of H - C with no edge
       between them, and the clique C would separate A.
     """
-    index: dict[frozenset[int], int] = {}
-    label = [index.setdefault(near | {v}, len(index)) for v, near in enumerate(atom._adj)]
-    if len(index) == 1:
+    reps = _twin_representatives(adj, atom)
+    if not reps & (reps - 1):
         return 1
-    # a set of classes, not a sum over vertices: two twins would carry a bit
-    adj = [sum(1 << c for c in {label[u] for u in closed} - {i}) for i, closed in enumerate(index)]
-    ok, count = _two_clique_split(adj, (1 << len(adj)) - 1)
+    ok, count = _two_clique_split(adj, reps)
     return count if ok else None
+
+
+def _biconnected(links: list[list[int]]) -> bool:
+    """Whether the simple graph with these adjacency lists is connected
+    and has no cut node, on two nodes or more: one depth-first search
+    from node 0 with low points (Hopcroft & Tarjan 1973). Node 0 is a
+    cut node when the search leaves a node unreached after its first
+    child, any other node when a child's subtree has no edge to above
+    it."""
+    depth = [-1] * len(links)
+    low = [0] * len(links)
+    depth[0] = 0
+    stack = [(0, -1, iter(links[0]))]
+    while stack:
+        u, parent, branch = stack[-1]
+        w = next(branch, None)
+        if w is None:
+            stack.pop()
+            if parent == 0:
+                return -1 not in depth
+            if low[u] >= depth[parent]:
+                return False
+            low[parent] = min(low[parent], low[u])
+        elif depth[w] < 0:
+            depth[w] = low[w] = depth[u] + 1
+            stack.append((w, u, iter(links[w])))
+        elif w != parent:
+            low[u] = min(low[u], depth[w])
+    return False
+
+
+def _one_atom_count(adj: list[int]) -> int | None:
+    """The clique count of the graph g with adjacency masks adj when g
+    is one atom that passes the atom test, found without decomposing
+    it; None when this test cannot tell.
+
+    Say the two-clique test passes on g's twin quotient
+    (_atom_clique_count), and H, a node per maximal clique and an edge
+    per vertex joining its two cliques, is 2-connected. Then g has no
+    clique separator. True twins lie in the same maximal cliques, so
+    every vertex of g lies in exactly two, and g has the same H. A
+    complete set S lies in a maximal clique C0. Each other maximal
+    clique C keeps C - C0, not empty, in g - S, and C - S is complete.
+    An H-edge CD with C, D other than C0 is a vertex in C and D only,
+    so outside S, and it joins C - S to D - S. H - C0 is connected, so
+    the sets C - S for C other than C0 lie in one component of g - S.
+    Every vertex outside S lies in one of them, being in two cliques,
+    so g - S is connected. With S empty, g is connected. So g is its
+    own only atom, and the atom test on it is the two-clique test that
+    passed, with its clique count.
+
+    H is read off the quotient: the cliques of a vertex are the two
+    parts of its neighbourhood that the two-clique test found, and two
+    of them meet only in that vertex, so H has no parallel edges."""
+    reps = _twin_representatives(adj, (1 << len(adj)) - 1)
+    ok, count = _two_clique_split(adj, reps)
+    if not ok:
+        return None
+    index: dict[int, int] = {}  # a clique of the quotient -> its node of H
+    links: list[list[int]] = []
+    for v in _members(reps):
+        nbrs = adj[v] & reps
+        x = nbrs & -nbrs
+        side = adj[x.bit_length() - 1] & nbrs | x
+        a, b = (index.setdefault(part | 1 << v, len(index)) for part in (side, nbrs & ~side))
+        links += [[] for _ in range(len(index) - len(links))]
+        links[a].append(b)
+        links[b].append(a)
+    return count if _biconnected(links) else None
 
 
 Split = list[tuple[int, int]]  # components of g - K with their attachments, as masks
 
 
-def _separating(g: Graph, masks: list[int], pieces: list[tuple[Graph, VertexSet]]) -> list[Split]:
+def _separating(
+    adj: list[int], masks: list[int], pieces: list[int], deadline: float
+) -> list[Split]:
     """The components of g - C, with their attachments (_components),
-    for each maximal clique C, as a mask, of the connected g whose atoms
-    are `pieces`; [] for a clique that cannot separate g. C separates g
-    exactly when g - C has two components or more.
+    for each maximal clique C, as a mask, of the connected g with
+    adjacency masks adj whose atoms, as masks, are `pieces`; [] for a
+    clique that cannot separate g. C separates g exactly when g - C has
+    two components or more. Raises BudgetExhaustedError once the
+    monotonic clock passes deadline.
 
     A clique C that separates g holds a vertex lying in two atoms. Take
     a and b in different components of g - C, and S a minimal subset of
@@ -247,13 +340,18 @@ def _separating(g: Graph, masks: list[int], pieces: list[tuple[Graph, VertexSet]
     two atoms get one, in O(n + m) each.
     """
     seen = shared = 0  # vertices in one atom or more, and in two or more
-    for _, vertices in pieces:
-        piece = _mask(vertices)
+    for piece in pieces:
         shared |= seen & piece
         seen |= piece
-    adj = _adjacency_masks(g)
-    rest = (1 << g.n) - 1
-    return [_components(adj, rest & ~c) if c & shared else [] for c in masks]
+    rest = (1 << len(adj)) - 1
+    splits: list[Split] = []
+    for c in masks:
+        if c & shared:
+            _check_deadline(deadline)
+            splits.append(_components(adj, rest & ~c))
+        else:
+            splits.append([])
+    return splits
 
 
 def _odd_cycle(links: list[list[int]]) -> list[int] | None:
@@ -340,12 +438,15 @@ def _witness(clique: int, split: Split) -> SideWitness:
     )
 
 
-def _side_witness(masks: list[int], splits: list[Split]) -> SideWitness | None:
+def _side_witness(
+    masks: list[int], splits: list[Split], deadline: float
+) -> SideWitness | None:
     """The first maximal clique K, in the order of `masks`, at which the
     side test (_side_cycle) finds an odd cycle, with that cycle; None
     when there is none. splits[k] holds the components of g - K with
     their attachments (_separating); fewer than three with two
-    attachments or more hold no cycle.
+    attachments or more hold no cycle. Raises BudgetExhaustedError once
+    the monotonic clock passes deadline.
 
     Only the first three components of each class of twins, equal in
     attachments and traces, go to _side_cycle. Twins relate alike to
@@ -359,6 +460,7 @@ def _side_witness(masks: list[int], splits: list[Split]) -> SideWitness | None:
         split = [(part, attach) for part, attach in split if attach & (attach - 1)]
         if len(split) < 3:
             continue
+        _check_deadline(deadline)
         clique = masks[k]
         where: dict[int, int] = {}  # vertex -> its component's index in split
         for i, (part, _) in enumerate(split):
@@ -442,11 +544,13 @@ def _chordal_side_witness(
 
 
 def _pendant_answer(
-    g: Graph, pieces: list[tuple[Graph, VertexSet]], k: int
+    g: Graph, adj: list[int], pieces: list[int], k: int, deadline: float
 ) -> RecognitionResult | None:
-    """The answer for a non-chordal g whose atoms `pieces` passed the
-    atom test with k the largest atom clique count, when its maximal
-    cliques decide it; None when the scan must.
+    """The answer for a non-chordal g, with adjacency masks adj, whose
+    atoms, as masks, `pieces` passed the atom test with k the largest
+    atom clique count, when its maximal cliques decide it; None when
+    the scan must. _separating and _side_witness raise
+    BudgetExhaustedError once the monotonic clock passes deadline.
 
     The internal-edge lemma. In a normal form (oracle.py: a host tree
     whose edges are g's maximal cliques, each vertex's path made of the
@@ -478,7 +582,7 @@ def _pendant_answer(
     """
     cliques = enumerate_maximal_cliques(g)
     masks = [_mask(c) for c in cliques]
-    splits = _separating(g, masks, pieces)
+    splits = _separating(adj, masks, pieces, deadline)
     leaf_count = [0] * g.n
     for c, split in zip(cliques, splits):
         if len(split) < 2:
@@ -487,7 +591,7 @@ def _pendant_answer(
     if max(leaf_count) > 2:
         return RecognitionResult(False, None, None)
     if any(len(split) > 1 for split in splits):
-        witness = _side_witness(masks, splits)
+        witness = _side_witness(masks, splits, deadline)
         return None if witness is None else RecognitionResult(False, None, None, side_witness=witness)
     star = clique_star(g.n, [cliques[i] for i in _clique_order(cliques)])
     return RecognitionResult(True, k, star if len(cliques) <= k else None)
@@ -513,8 +617,10 @@ def cheapest_representation(g: Graph, budget_secs: float | None = None) -> Recog
     A chordal graph passes without being decomposed: every atom is an
     induced chordal graph with no clique separator, and a non-complete
     connected chordal graph has one (Dirac 1961), so every atom is
-    complete. The first failing atom, in decomposition order, is the
-    obstruction. Disconnected inputs are refused by atoms or, when
+    complete. Nor is a non-chordal graph that _one_atom_count shows to
+    be one atom, whose atom test is then the two-clique test it passed.
+    The first failing atom, in decomposition order, is the
+    obstruction. Disconnected inputs are refused by _atom_masks or, when
     chordal, by is_helly_ept, with the same ValueError.
 
     With k the maximum clique count over g's atoms (1 for a chordal
@@ -553,11 +659,13 @@ def cheapest_representation(g: Graph, budget_secs: float | None = None) -> Recog
 
     The budget is resolved and checked first, so a NaN or negative one
     is a ValueError on every route. It runs from the start of the call:
-    the scan gets what the atom test, the pendant filter and the side
-    test left, none when they took it all.
+    MCS-M, the split loop, _separating and _side_witness raise
+    BudgetExhaustedError once it has run out, and the scan gets what
+    they left.
     """
     budget_secs = resolve_budget_secs(budget_secs)
     start = time.monotonic()
+    deadline = start + budget_secs
     k = 1
     chordal = _chordal_cliques(g)
     if chordal is not None:
@@ -567,12 +675,18 @@ def cheapest_representation(g: Graph, budget_secs: float | None = None) -> Recog
             if witness is not None:
                 return RecognitionResult(False, None, None, side_witness=witness)
     else:
-        pieces = atoms(g)
-        for atom, vertices in pieces:
-            if (count := _atom_clique_count(atom)) is None:
-                return RecognitionResult(False, None, None, obstruction=vertices)
-            k = max(k, count)
-        answer = _pendant_answer(g, pieces, k)
+        adj = _adjacency_masks(g)
+        count = _one_atom_count(adj)
+        if count is not None:
+            k, pieces = count, [(1 << g.n) - 1]
+        else:
+            pieces = []
+            for atom in _atom_masks(g, adj, deadline):
+                if (count := _atom_clique_count(adj, atom)) is None:
+                    return RecognitionResult(False, None, None, obstruction=_members(atom))
+                k = max(k, count)
+                pieces.append(atom)
+        answer = _pendant_answer(g, adj, pieces, k, deadline)
         if answer is not None:
             return answer
     rep = is_helly_ept(g, max(0.0, budget_secs - (time.monotonic() - start)))

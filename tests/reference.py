@@ -7,7 +7,9 @@ group and group order of a set of vertex permutations, and a
 representation's maximal cliques and claws found by brute force, its
 derived graph, edge cliques and verification read off every pair of
 paths, the four multipie conditions re-derived from a witness's raw
-paths, and a side-test witness re-derived from the graph.
+paths, a side-test witness re-derived from the graph, and the
+set-based Bron-Kerbosch and MCS-M the library ran before it moved to
+vertex masks and weight buckets.
 
 All are independent of the library's routes. The labeled trees feed a
 brute-force search that cross-checks the oracle's shape scan; the
@@ -35,7 +37,11 @@ them off bitmasks or a clique tree. The tree shapes hang a leaf from
 every vertex of every smaller shape and walk neighbour sets through an
 edge-index dict for their path tables, where the library hangs leaves
 only at vertex-orbit representatives and reads (neighbour, edge bit)
-lists; they are sorted by the cached canonical forms.
+lists; they are sorted by the cached canonical forms. The set-based
+Bron-Kerbosch sorts P + X and P - N(pivot) in every frame, where the
+library walks the bits of masks, and the set-based MCS-M takes the
+lowest vertex of maximum weight by a scan of every unnumbered vertex,
+where the library pops any vertex of the top weight bucket.
 """
 
 import functools
@@ -255,6 +261,95 @@ def reference_decomposition_tree(g: Graph) -> CliqueDecomposition:
         return SeparatorNode(sep_orig, children)
 
     return CliqueDecomposition(g, build(tuple(range(g.n))))
+
+
+def reference_maximal_cliques(g: Graph) -> Iterator[VertexSet]:
+    """Every maximal clique, sorted, as Bron-Kerbosch finds it, so a
+    caller that needs only the first few can stop early.
+
+    Bron-Kerbosch with pivoting, on its own stack rather than Python's;
+    the pivot is the lowest-index vertex maximizing candidate coverage.
+    """
+    if g.n == 0:
+        return
+    adj = g._adj
+
+    def frame(r: list[int], p: set[int], x: set[int]):
+        # no vertex of p covers itself, so none covers more than cap
+        cap = len(p) if x else len(p) - 1
+        pivot = best = -1
+        for u in sorted(p | x):
+            c = len(p & adj[u])
+            if c > best:
+                best, pivot = c, u
+                if c == cap:
+                    break
+        return r, p, x, iter(sorted(p - adj[pivot]))
+
+    stack = [frame([], set(range(g.n)), set())]
+    while stack:
+        r, p, x, branch = stack[-1]
+        v = next(branch, None)
+        if v is None:
+            stack.pop()
+            continue
+        child_p, child_x = p & adj[v], x & adj[v]
+        p.remove(v)
+        x.add(v)
+        if child_p:
+            stack.append(frame(r + [v], child_p, child_x))
+        elif not child_x:
+            yield tuple(sorted(r + [v]))
+
+
+def reference_clique_minimal_separators(g: Graph) -> list[VertexSet]:
+    """Clique minimal separators of a connected graph, each sorted,
+    ordered by (size, tuple): the complete madj sets of MCS-M
+    generators."""
+    n = g.n
+    adj = g._adj
+    weight = [0] * n
+    madj: list[list[int]] = [[] for _ in range(n)]
+    unnumbered = list(range(n))
+    numbered = [False] * n
+    found: set[VertexSet] = set()
+    previous = -1
+    for _ in range(n):
+        v = max(unnumbered, key=lambda u: (weight[u], -u))
+        unnumbered.remove(v)
+        numbered[v] = True
+        if weight[v] <= previous:
+            sep = frozenset(madj[v])
+            if all(sep - {u} <= adj[u] for u in sep):
+                found.add(tuple(sorted(sep)))
+        previous = weight[v]
+        # bucket j holds reached vertices whose paths from v have
+        # interior weights at most j; they extend paths at level j.
+        # No unnumbered vertex outweighs v.
+        reached = [False] * n
+        buckets: list[list[int]] = [[] for _ in range(weight[v] + 1)]
+        raised = []
+        for u in adj[v]:
+            if not numbered[u]:
+                reached[u] = True
+                buckets[weight[u]].append(u)
+                raised.append(u)
+        for level, bucket in enumerate(buckets):
+            while bucket:
+                y = bucket.pop()
+                for z in adj[y]:
+                    if numbered[z] or reached[z]:
+                        continue
+                    reached[z] = True
+                    if weight[z] > level:
+                        buckets[weight[z]].append(z)
+                        raised.append(z)
+                    else:
+                        bucket.append(z)
+        for u in raised:
+            weight[u] += 1
+            madj[u].append(v)
+    return sorted(found, key=lambda s: (len(s), s))
 
 
 def reference_is_line_like(g: Graph) -> bool:

@@ -1,0 +1,207 @@
+"""The route before the scan on vertex masks, against the set-based
+Bron-Kerbosch and MCS-M it replaced (tests/reference.py): clique
+listing, clique counts, clique minimal separators, the decomposition
+and cheapest_representation's answers."""
+
+import itertools
+import math
+import random
+from pathlib import Path
+
+import pytest
+
+from eptkit import decomposition, gates, oracle, recognition
+from eptkit.decomposition import AtomLeaf, SeparatorNode, CliqueDecomposition, tree_to_text
+from eptkit.graphs import (
+    BoundExceededError,
+    Graph,
+    _adjacency_masks,
+    _mask,
+    _maximal_cliques,
+    connected_components,
+    cycle_graph,
+    induced_subgraph,
+    is_connected,
+)
+from eptkit.oracle import BudgetExhaustedError, small_graph_corpus
+from eptkit.recognition import cheapest_representation
+from reference import reference_clique_minimal_separators, reference_maximal_cliques
+
+DATA = Path(__file__).resolve().parents[1] / "perfbench" / "data"
+
+
+def perfbench_graphs(name: str) -> list[Graph]:
+    """The graphs of perfbench/data/<name>.txt, in file order."""
+    out = []
+    for line in (DATA / f"{name}.txt").read_text().splitlines():
+        if not line.startswith("#"):
+            _, n, _, *edges = line.split()
+            out.append(Graph(int(n), [tuple(map(int, e.split("-"))) for e in edges]))
+    return out
+
+
+def relabeled(g: Graph, rng: random.Random) -> Graph:
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+
+
+def corpus() -> list[Graph]:
+    """Every graph on up to 7 vertices, connected or not, then each
+    relabelled once."""
+    rng = random.Random(20261019)
+    given = [g for n in range(1, 8) for g in small_graph_corpus(n)]
+    return given + [relabeled(g, rng) for g in given]
+
+
+def random_graphs() -> list[Graph]:
+    """2 000 seeded G(n, p) graphs, n from 1 to 16."""
+    rng = random.Random(20261020)
+    out = []
+    for _ in range(2000):
+        n = rng.randint(1, 16)
+        p = rng.choice((0.15, 0.3, 0.5, 0.7))
+        out.append(Graph(n, [e for e in itertools.combinations(range(n), 2) if rng.random() < p]))
+    return out
+
+
+def large_shapes() -> list[Graph]:
+    """C_2000, C_1000 with every vertex doubled by a true twin, C_600
+    with a pendant at every vertex and C_5 with 2 000 pendants at one
+    vertex."""
+    n = 1000
+    twins = Graph(2 * n, [(2 * i, 2 * i + 1) for i in range(n)] + [
+        (2 * i + a, 2 * ((i + 1) % n) + b) for i in range(n) for a in (0, 1) for b in (0, 1)
+    ])
+    n = 600
+    pendants = Graph(2 * n, list(cycle_graph(n).edges) + [(i, n + i) for i in range(n)])
+    hub = Graph(2005, list(cycle_graph(5).edges) + [(0, 5 + i) for i in range(2000)])
+    return [cycle_graph(2000), twins, pendants, hub]
+
+
+@pytest.fixture(scope="module")
+def families() -> dict[str, list[Graph]]:
+    return {
+        "corpus": corpus(),
+        "wide-chordal": perfbench_graphs("wide_chordal"),
+        "random": random_graphs(),
+        "large": large_shapes(),
+    }
+
+
+def test_clique_listing_matches_reference(families):
+    # the same cliques in the same order, so a caller stopping early
+    # sees the same prefix
+    for graphs in families.values():
+        for g in graphs:
+            assert list(_maximal_cliques(g)) == list(reference_maximal_cliques(g)), g.edges
+
+
+def test_clique_count_matches_reference_at_every_limit(families):
+    # on the large shapes, with 1 000 to 2 005 cliques, a sample of
+    # limits around the ends and the middle
+    for name, graphs in families.items():
+        for g in graphs:
+            k = sum(1 for _ in reference_maximal_cliques(g))
+            limits = range(k + 2) if name != "large" else (0, 1, 2, k // 2, k - 1, k, k + 1)
+            adj = _adjacency_masks(g)
+            assert [gates._clique_count(adj, limit) for limit in limits] == [
+                min(k, limit) for limit in limits
+            ], g.edges
+
+
+def test_clique_minimal_separators_match_reference(families):
+    # the bucket tie-break numbers vertices in another order, yet lists
+    # the same separators
+    for graphs in families.values():
+        for g in graphs:
+            if g.n and is_connected(g):
+                got = decomposition._clique_minimal_separators(g, _adjacency_masks(g))
+                assert got == reference_clique_minimal_separators(g), g.edges
+
+
+def rebuilt_tree(g: Graph) -> CliqueDecomposition:
+    """The decomposition tree that splits every node at the first clique
+    minimal separator of its own induced subgraph, from the set-based
+    MCS-M run on that subgraph, with the parts in order of their lowest
+    vertices."""
+
+    def build(vertices: tuple[int, ...]) -> SeparatorNode | AtomLeaf:
+        sub, mapping = induced_subgraph(g, vertices)
+        separators = reference_clique_minimal_separators(sub)
+        if not separators:
+            return AtomLeaf(vertices, sub)
+        sep = separators[0]
+        rest, back = induced_subgraph(sub, [v for v in range(sub.n) if v not in sep])
+        children = tuple(
+            build(tuple(sorted(mapping[v] for v in sep + tuple(back[u] for u in part))))
+            for part in connected_components(rest)
+        )
+        return SeparatorNode(tuple(mapping[v] for v in sep), children)
+
+    return CliqueDecomposition(g, build(tuple(range(g.n))))
+
+
+def test_decomposition_matches_reference(families):
+    # each node of the library's tree resumes its parent's candidate
+    # list; the rebuilt tree runs MCS-M afresh at every node
+    for name in ("corpus", "wide-chordal", "random"):
+        for g in families[name]:
+            if g.n and is_connected(g):
+                assert tree_to_text(decomposition.decomposition_tree(g)) == tree_to_text(
+                    rebuilt_tree(g)
+                ), g.edges
+
+
+def test_atom_masks_are_the_public_atoms(families):
+    # of the large shapes, the two with many atoms
+    for name, graphs in families.items():
+        for g in graphs[2:] if name == "large" else graphs:
+            if g.n and is_connected(g):
+                adj = _adjacency_masks(g)
+                leaves = decomposition.decomposition_tree(g).leaves()
+                assert list(decomposition._atom_masks(g, adj, math.inf)) == [
+                    _mask(leaf.vertices) for leaf in leaves
+                ], g.edges
+
+
+def outcome(g: Graph):
+    try:
+        return cheapest_representation(g)
+    except (ValueError, BoundExceededError, BudgetExhaustedError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def test_route_matches_reference_route(families, monkeypatch):
+    # the reference route decomposes every graph with the set-based
+    # MCS-M and lists cliques with the set-based Bron-Kerbosch. Both
+    # routes share each graph's one scan, so the comparison is of the
+    # steps before it
+    scans: dict = {}
+    real_scan = recognition.is_helly_ept
+
+    def shared_scan(g, budget_secs):
+        if g not in scans:
+            try:
+                scans[g] = real_scan(g, 60.0)
+            except (BoundExceededError, BudgetExhaustedError) as exc:
+                scans[g] = exc
+        if isinstance(scans[g], Exception):
+            raise scans[g]
+        return scans[g]
+
+    monkeypatch.setattr(recognition, "is_helly_ept", shared_scan)
+    graphs = families["corpus"] + families["wide-chordal"] + families["random"]
+    got = [outcome(g) for g in graphs]
+    monkeypatch.setattr(recognition, "_one_atom_count", lambda adj: None)
+    monkeypatch.setattr(
+        decomposition, "_clique_minimal_separators",
+        lambda g, adj, deadline=math.inf: reference_clique_minimal_separators(g),
+    )
+    monkeypatch.setattr(
+        recognition, "enumerate_maximal_cliques", lambda g: sorted(reference_maximal_cliques(g))
+    )
+    monkeypatch.setattr(oracle, "_maximal_cliques", reference_maximal_cliques)
+    want = [outcome(g) for g in graphs]
+    for g, a, b in zip(graphs, got, want):
+        assert repr(a) == repr(b), g.edges

@@ -3,14 +3,16 @@ route, atom formula, crosscheck."""
 
 import gc
 import itertools
+import math
 import random
 import time
 from collections import Counter
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
-from eptkit import recognition
+from eptkit import decomposition, oracle, recognition
 from eptkit.decomposition import atoms
 from eptkit.graphs import (
     BoundExceededError,
@@ -24,7 +26,7 @@ from eptkit.graphs import (
     path_graph,
 )
 from eptkit.gates import build_gate, contains_gate_ge, enumerate_gates
-from eptkit.oracle import small_graph_corpus
+from eptkit.oracle import BudgetExhaustedError, small_graph_corpus
 from eptkit.recognition import (
     RecognitionResult,
     SideWitness,
@@ -66,6 +68,18 @@ A0808 = Graph(7, [
     (0, 1), (0, 4), (1, 2), (1, 3), (1, 4), (1, 6), (2, 3), (3, 4), (3, 5), (4, 5), (5, 6),
 ])
 WHEEL5 = Graph(6, [(i, (i + 1) % 5) for i in range(5)] + [(i, 5) for i in range(5)])
+
+
+def load_corpus7() -> list[Graph]:
+    """perfbench's corpus7: the 996 connected graphs on up to 7
+    vertices, as the networkx atlas labels them."""
+    out = []
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "corpus7.txt"
+    for line in path.read_text().splitlines():
+        if not line.startswith("#"):
+            _, n, _, *edges = line.split()
+            out.append(Graph(int(n), [tuple(map(int, e.split("-"))) for e in edges]))
+    return out
 
 
 def brute_interval(g: Graph) -> bool:
@@ -202,7 +216,7 @@ def test_atom_test_answers_without_the_scan(monkeypatch):
 
 
 def test_chordal_input_skips_the_decomposition(monkeypatch):
-    monkeypatch.setattr(recognition, "atoms", refuse("atoms"))
+    monkeypatch.setattr(recognition, "_atom_masks", refuse("_atom_masks"))
     result = cheapest_representation(W09)
     assert result.helly_ept and result.h == 3
 
@@ -214,14 +228,22 @@ def test_scan_gets_what_the_atom_test_left(monkeypatch):
         budgets.append(budget_secs)
 
     monkeypatch.setattr(recognition, "is_helly_ept", record)
-    # each call reads the clock once before the atom test and once after
-    # the pendant filter; C6 with a pendant vertex has two separating
-    # cliques, so the scan decides it
-    clock = iter([100.0, 101.5, 200.0, 203.0])
-    monkeypatch.setattr(recognition, "time", SimpleNamespace(monotonic=lambda: next(clock)))
-    for _ in range(2):
-        assert not cheapest_representation(C6_PENDANT, budget_secs=2.5).helly_ept
-    assert budgets == [1.0, 0.0]
+    # the route and its deadline checks (oracle._check_deadline) read one
+    # clock: its first reading starts the budget, and every later one
+    # says what the steps before the scan have spent. C6 with a pendant
+    # vertex has two separating cliques, so the scan decides it
+    for begin, spent in ((100.0, 1.5), (200.0, 3.0)):
+        readings = itertools.chain([begin], itertools.repeat(begin + spent))
+        clock = SimpleNamespace(monotonic=lambda: next(readings))
+        monkeypatch.setattr(recognition, "time", clock)
+        monkeypatch.setattr(oracle, "time", clock)
+        if spent < 2.5:
+            assert not cheapest_representation(C6_PENDANT, budget_secs=2.5).helly_ept
+        else:
+            # out of time before the scan: the decomposition stops
+            with pytest.raises(BudgetExhaustedError):
+                cheapest_representation(C6_PENDANT, budget_secs=2.5)
+    assert budgets == [1.0]
 
 
 def test_atom_test_names_the_failing_atom():
@@ -241,19 +263,12 @@ def test_atom_test_names_the_failing_atom():
 @pytest.mark.parametrize("n", [10, 50, 2000])
 def test_cycle_answered_by_its_star(monkeypatch, n):
     # no maximal clique of C_n separates it, so its star answers at any n
-    # and the scan's 9-clique bound never applies
+    # and the scan's 9-clique bound never applies; C_n is one atom by the
+    # two-clique test and its 2-connected clique graph, so the route
+    # never decomposes it and is near-linear throughout
     monkeypatch.setattr(recognition, "oracle_membership", refuse("oracle_membership"))
+    monkeypatch.setattr(recognition, "_atom_masks", refuse("_atom_masks"))
     g = cycle_graph(n)
-    spent = [0.0]
-
-    def timed_atoms(g):
-        start = time.perf_counter()
-        try:
-            return atoms(g)
-        finally:
-            spent[0] += time.perf_counter() - start
-
-    monkeypatch.setattr(recognition, "atoms", timed_atoms)
     gc.collect()
     start = time.perf_counter()
     result = cheapest_representation(g)
@@ -266,9 +281,138 @@ def test_cycle_answered_by_its_star(monkeypatch, n):
     start = time.perf_counter()
     assert is_helly(rep) == (True, None)
     assert time.perf_counter() - start < 1.0
-    if n == 2000:
-        # all but the decomposition is near-linear
-        assert total < 1.5 * spent[0]
+    assert total < 1.0
+
+
+def line_graph(edges: list[tuple[int, int]]) -> Graph:
+    """A vertex per edge, two adjacent when their edges share an end."""
+    return Graph(len(edges), [
+        (i, j) for (i, e), (j, f) in itertools.combinations(enumerate(edges), 2) if set(e) & set(f)
+    ])
+
+
+def doubled_cycle(n: int) -> Graph:
+    """C_n with every vertex doubled by a true twin: vertices 2i and
+    2i + 1."""
+    return Graph(2 * n, [(2 * i, 2 * i + 1) for i in range(n)] + [
+        (2 * i + a, 2 * ((i + 1) % n) + b) for i in range(n) for a in (0, 1) for b in (0, 1)
+    ])
+
+
+@pytest.mark.parametrize("g", [cycle_graph(4), cycle_graph(5), cycle_graph(4000),
+                               doubled_cycle(4), doubled_cycle(5), doubled_cycle(1000)])
+def test_one_atom_skips_the_decomposition(monkeypatch, g):
+    # the two-clique test on the twin quotient and a 2-connected clique
+    # graph make g one atom, so a large cycle answers within a small
+    # budget, which MCS-M on it alone would overrun
+    monkeypatch.setattr(
+        decomposition, "_clique_minimal_separators", refuse("_clique_minimal_separators")
+    )
+    monkeypatch.setattr(recognition, "oracle_membership", refuse("oracle_membership"))
+    result = cheapest_representation(g, budget_secs=0.5)
+    n = len(enumerate_maximal_cliques(g))
+    assert result.helly_ept and result.h == n
+    assert verify(result.certificate, g) == (True, None)
+
+
+def test_one_atom_count_matches_the_decomposition():
+    # for a connected graph that is not complete, the test is exact: one
+    # atom that passes the atom test is one whose clique graph is
+    # 2-connected (_atom_clique_count), so no such graph is missed
+    rng = random.Random(20261021)
+    graphs = [g for n in range(1, 8) for g in small_graph_corpus(n)]
+    for _ in range(1000):
+        n = rng.randint(4, 14)
+        p = rng.choice((0.2, 0.35, 0.5))
+        graphs.append(Graph(n, [e for e in itertools.combinations(range(n), 2) if rng.random() < p]))
+    base = small_graph_corpus(6, connected_only=True)
+    for _ in range(300):
+        g = rng.choice(base)
+        graphs.append(twin_blow_up(g, [rng.randint(1, 3) for _ in range(g.n)]))
+    graphs += [cycle_graph(n) for n in range(4, 12)] + [doubled_cycle(n) for n in range(4, 8)]
+    # line graphs of triangle-free graphs pass the two-clique test, and
+    # their clique graph is the graph itself: two C_4 at a node, C_4 and
+    # C_5 at a node and two C_4 joined by an edge have cut nodes; K_{2,3}
+    # and the 3-cube are 2-connected
+    for edges in (
+        [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4), (4, 5), (5, 6), (6, 0)],
+        [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4), (4, 5), (5, 6), (6, 7), (7, 0)],
+        [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4), (4, 5), (5, 6), (6, 7), (7, 4)],
+        [(a, b) for a in range(2) for b in range(2, 5)],
+        [(a, a ^ 1 << i) for a in range(8) for i in range(3) if a < a ^ 1 << i],
+    ):
+        graphs.append(line_graph(edges))
+    seen = Counter()
+    for g in graphs:
+        adj = recognition._adjacency_masks(g)
+        got = recognition._one_atom_count(adj)
+        if not is_connected(g) or len(g.edges) == g.n * (g.n - 1) // 2:
+            assert got is None, g.edges
+            continue
+        pieces = atoms(g)
+        want = None
+        if len(pieces) == 1:
+            want = recognition._atom_clique_count(adj, (1 << g.n) - 1)
+        assert got == want, g.edges
+        seen[want is not None] += 1
+    assert seen[True] >= 50 and seen[False] >= 1000
+    assert [recognition._one_atom_count(recognition._adjacency_masks(g)) for g in graphs[-5:]] == [
+        None, None, None, 5, 8,
+    ]
+
+
+def cycle_with_pendants(n: int, t: int) -> Graph:
+    """C_n with t pendant vertices at vertex 0."""
+    return Graph(n + t, list(cycle_graph(n).edges) + [(0, n + i) for i in range(t)])
+
+
+@pytest.mark.parametrize("g", [cycle_with_pendants(5, 2000), cycle_with_pendants(5, 9995),
+                               cycle_with_pendants(4000, 1)])
+def test_deadline_reaches_the_steps_before_the_scan(g):
+    # C_5 with 2 000 or 9 995 pendants, up to the parse bound: every
+    # clique {0, p} holds a vertex of two atoms, so _separating would
+    # search g minus each of them. C_4000 with a pendant is not one atom,
+    # and MCS-M on it alone takes seconds
+    gc.collect()
+    start = time.perf_counter()
+    with pytest.raises(BudgetExhaustedError):
+        cheapest_representation(g, budget_secs=0.1)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_steps_before_the_scan_check_the_deadline():
+    # MCS-M, the split loop, _separating and _side_witness each raise on
+    # a deadline already past, where without one they answer
+    past = time.monotonic() - 1.0
+    adj = recognition._adjacency_masks(C6_PENDANT)
+    separators = [recognition._mask(s) for s in decomposition._clique_minimal_separators(C6_PENDANT, adj)]
+    with pytest.raises(BudgetExhaustedError):
+        decomposition._clique_minimal_separators(C6_PENDANT, adj, past)
+    with pytest.raises(BudgetExhaustedError):
+        next(decomposition._preorder(adj, separators, past))
+    assert len(list(decomposition._preorder(adj, separators))) == 3
+    # S3's middle triangle has three ears, each attached to two of its
+    # vertices; S3 is chordal, so its atoms are its maximal cliques
+    adj = recognition._adjacency_masks(S3_GRAPH)
+    cliques = [recognition._mask(c) for c in enumerate_maximal_cliques(S3_GRAPH)]
+    with pytest.raises(BudgetExhaustedError):
+        recognition._separating(adj, cliques, cliques, past)
+    splits = recognition._separating(adj, cliques, cliques, math.inf)
+    with pytest.raises(BudgetExhaustedError):
+        recognition._side_witness(cliques, splits, past)
+    assert recognition._side_witness(cliques, splits, math.inf).clique == (2, 3, 5)
+
+
+def test_route_builds_no_atom_graph(monkeypatch):
+    # the atom test reads the atoms as vertex masks, on corpus7's
+    # non-chordal inputs; only the public decomposition builds a Graph
+    # per atom
+    monkeypatch.setattr(decomposition, "induced_subgraph", refuse("induced_subgraph"))
+    monkeypatch.setattr(recognition, "is_helly_ept", lambda g, budget_secs: None)
+    graphs = [g for g in load_corpus7() if not is_chordal(g)]
+    assert len(graphs) == 642
+    for g in graphs:
+        cheapest_representation(g)
 
 
 def test_catalog_gates_answered_by_their_star(monkeypatch):
@@ -296,7 +440,11 @@ def test_pendant_filter(monkeypatch):
     ring = [5, *range(7, 16)]
     glued = Graph(16, list(A0808.edges) + [(ring[i - 1], ring[i]) for i in range(10)])
     assert len(enumerate_maximal_cliques(glued)) == 16
-    assert all(recognition._atom_clique_count(atom) is not None for atom, _ in atoms(glued))
+    adj = recognition._adjacency_masks(glued)
+    assert all(
+        recognition._atom_clique_count(adj, recognition._mask(vertices)) is not None
+        for _, vertices in atoms(glued)
+    )
     assert cheapest_representation(glued) == RecognitionResult(False, None, None)
 
 
@@ -316,7 +464,12 @@ def test_separating_cliques_match_a_search_per_clique():
         expected = [
             not is_connected(induced_subgraph(g, set(range(g.n)) - set(c))[0]) for c in cliques
         ]
-        splits = recognition._separating(g, [recognition._mask(c) for c in cliques], atoms(g))
+        splits = recognition._separating(
+            recognition._adjacency_masks(g),
+            [recognition._mask(c) for c in cliques],
+            [recognition._mask(vertices) for _, vertices in atoms(g)],
+            math.inf,
+        )
         assert [len(split) > 1 for split in splits] == expected, g
         seen.update(expected)
     assert seen[True] >= 100 and seen[False] >= 100
@@ -369,10 +522,12 @@ def test_atom_clique_count_matches_reference():
         graphs.append(twin_blow_up(g, [rng.randint(1, 3) for _ in range(g.n)]))
     seen = Counter()
     for g in graphs:
-        for atom, _ in atoms(g):
+        adj = recognition._adjacency_masks(g)
+        for atom, vertices in atoms(g):
             cliques = len(enumerate_maximal_cliques(atom))
             want = cliques if cliques == 1 or reference_is_line_like(atom) else None
-            assert recognition._atom_clique_count(atom) == want, atom.edges
+            got = recognition._atom_clique_count(adj, recognition._mask(vertices))
+            assert got == want, atom.edges
             kind = "complete" if want == 1 else "neither" if want is None else "line-like"
             twins = len({atom.neighbors(v) | {v} for v in range(atom.n)}) < atom.n
             seen[kind, twins] += 1
@@ -412,8 +567,9 @@ def test_passing_atoms_have_one_clique_or_four():
                 chordal += 1
                 continue
             counts = []
-            for atom, _ in atoms(g):
-                count = recognition._atom_clique_count(atom)
+            adj = recognition._adjacency_masks(g)
+            for _, vertices in atoms(g):
+                count = recognition._atom_clique_count(adj, recognition._mask(vertices))
                 if count is None:
                     break
                 counts.append(count)

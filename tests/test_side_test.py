@@ -5,6 +5,7 @@ checked independently."""
 
 import gc
 import itertools
+import math
 import random
 import time
 from pathlib import Path
@@ -71,7 +72,8 @@ def searched_side_test(g: Graph):
     masks = [recognition._mask(c) for c in enumerate_maximal_cliques(g)]
     adj = _adjacency_masks(g)
     rest = (1 << g.n) - 1
-    return recognition._side_witness(masks, [recognition._components(adj, rest & ~m) for m in masks])
+    splits = [recognition._components(adj, rest & ~m) for m in masks]
+    return recognition._side_witness(masks, splits, math.inf)
 
 
 def hung_s3(n: int) -> Graph:
