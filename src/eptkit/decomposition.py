@@ -58,9 +58,10 @@ path to it in g[V] - T that stays in C until it first meets S*, so
 g[S* + C] - T is connected. S* separates no child, as C is connected.
 The split loop yields the atoms as vertex masks (_atom_masks), which
 is all recognition's atom test reads; only decomposition_tree, and so
-atoms, builds an induced Graph per atom. _atom_masks takes a deadline,
-which MCS-M checks at every step and the split loop at every node.
-Nothing is exponential.
+atoms, builds an induced Graph per atom. recognition runs MCS-M once
+(_separator_masks) and hands its list to both the split loop and its
+separator table. Both take a deadline, which MCS-M checks at every
+step and the split loop at every node. Nothing is exponential.
 """
 
 from __future__ import annotations
@@ -225,14 +226,21 @@ def _preorder(
             stack.extend((masks[i] | part, i + 1) for part in reversed(parts))
 
 
-def _atom_masks(g: Graph, adj: list[int], deadline: float) -> Iterator[int]:
-    """The atoms of g, in the order of atoms(g), as vertex masks, with
-    no induced Graph built; adj holds g's _adjacency_masks. Raises
+def _separator_masks(g: Graph, adj: list[int], deadline: float) -> list[int]:
+    """The clique minimal separators of g, as masks, in the order of
+    _clique_minimal_separators; adj holds g's _adjacency_masks. Raises
     ValueError for a disconnected g and BudgetExhaustedError once the
     monotonic clock passes deadline."""
     _require_connected(adj)
-    masks = [_mask(sep) for sep in _clique_minimal_separators(g, adj, deadline)]
-    for vertices, split in _preorder(adj, masks, deadline):
+    return [_mask(sep) for sep in _clique_minimal_separators(g, adj, deadline)]
+
+
+def _atom_masks(adj: list[int], separators: list[int], deadline: float) -> Iterator[int]:
+    """The atoms of the connected graph with adjacency masks adj, in the
+    order of atoms(g), as vertex masks, with no induced Graph built;
+    separators are its _separator_masks. Raises BudgetExhaustedError
+    once the monotonic clock passes deadline."""
+    for vertices, split in _preorder(adj, separators, deadline):
         if split is None:
             yield vertices
 

@@ -10,15 +10,12 @@ also lists its maximal cliques and a clique tree, and all its atoms
 are complete. Nor is a graph that the two-clique test and a 2-connected
 clique graph show to be one atom (_one_atom_count); every other
 non-chordal graph is decomposed on vertex masks (decomposition.
-_atom_masks). Then, for a non-chordal graph, the internal-edge lemma
-(_pendant_answer): a maximal clique that separates nothing is a leaf
-edge of every normal form, so a vertex in three such cliques rules g
-out, and a graph with no separating maximal clique is a member exactly
-when its star is, at any clique count. Then the side test, on chordal
-and non-chordal graphs alike (_side_cycle): at a maximal clique K, two
-components of g - K whose attachments in K meet lie on opposite sides
-of K's host edge unless one lies beyond the other, and an odd cycle of
-such pairs rules g out, named by a SideWitness, at any clique count.
+_atom_masks). Then, for a non-chordal graph, the pendant filter and
+the star (_pendant_answer), and for every graph the side test
+(_side_witness), which names its odd cycle of components in a
+SideWitness. Both answer at any clique count, and both read one table
+of what hangs off each maximal clique, built from the clique minimal
+separators (_separator_table) or the clique tree (_clique_tree_table).
 Every other graph goes to the oracle's exhaustive bijection-tree
 search, which also yields the certificate. is_helly_ept is that search
 alone, the reference the tests compare with. For a member, h rests on
@@ -36,7 +33,7 @@ import itertools
 import time
 from typing import NamedTuple
 
-from .decomposition import _atom_masks
+from .decomposition import _atom_masks, _separator_masks
 from .gates import _two_clique_split
 from .graphs import (
     Graph,
@@ -315,43 +312,127 @@ def _one_atom_count(adj: list[int]) -> int | None:
     return count if _biconnected(links) else None
 
 
-Split = list[tuple[int, int]]  # components of g - K with their attachments, as masks
+# A row of the separator table: a clique minimal separator S and the
+# full components of g - S in classes of equal traces, with the first
+# four of each by lowest vertex. A table lists at each maximal clique K
+# the rows inside K, each with the component of g - S holding K - S (0
+# when K = S), as vertex masks.
+Row = tuple[int, list[tuple[frozenset[int], list[int]]]]
 
 
-def _separating(
-    adj: list[int], masks: list[int], pieces: list[int], deadline: float
-) -> list[Split]:
-    """The components of g - C, with their attachments (_components),
-    for each maximal clique C, as a mask, of the connected g with
-    adjacency masks adj whose atoms, as masks, are `pieces`; [] for a
-    clique that cannot separate g. C separates g exactly when g - C has
-    two components or more. Raises BudgetExhaustedError once the
-    monotonic clock passes deadline.
+def _holding(n: int, masks: list[int]) -> list[list[int]]:
+    """For each of n vertices, the indices of the cliques holding it."""
+    holding: list[list[int]] = [[] for _ in range(n)]
+    for k, c in enumerate(masks):
+        for v in _members(c):
+            holding[v].append(k)
+    return holding
 
-    A clique C that separates g holds a vertex lying in two atoms. Take
-    a and b in different components of g - C, and S a minimal subset of
-    C separating them: it is complete, and not empty as g is connected.
-    By minimality each s in S has a neighbour x in a's component of
-    g - S and a neighbour y in b's. The atoms cover every edge, as each
-    split keeps its separator in every part. An atom holding both sx
-    and sy would be split by its part of S, a complete set separating x
-    from y inside it, so s lies in two atoms. A single atom therefore
-    needs no search, and otherwise only the cliques holding a vertex of
-    two atoms get one, in O(n + m) each.
+
+def _separator_table(
+    adj: list[int], masks: list[int], separators: list[int], deadline: float
+) -> tuple[list[bool], list[list[tuple[Row, int]]]]:
+    """Whether each maximal clique separates the connected g, and the
+    table, for adjacency masks adj, maximal cliques `masks` and clique
+    minimal separators `separators` (decomposition._separator_masks).
+    The traces of a component D of g - S are the sets L & S of two
+    vertices or more, L a maximal clique meeting D; a separator of one
+    vertex has no classes. Raises BudgetExhaustedError once the clock
+    passes deadline, checked once per separator.
+
+    F1: the components of g - K come from the separators inside K. Let
+    D be one with attachments A = N(D) other than K. K - A is not empty
+    and complete to A, so it lies in a full component of g - A other
+    than D, and two full components make A a clique minimal separator.
+    Conversely a full component of g - S that misses K, for S inside K,
+    is a component of g - K attached at S. So the components of g - K
+    are the full components of g - S missing K, all but the one holding
+    K - S, each listed once under its attachments, and at most one more,
+    attached to all of K: two would make K a separator, listing them.
+    The other components of g - S all miss K, so each is listed, under
+    S or its own attachments. So the leftover is what the components
+    holding K - S share outside K, and it gets a row of its own at K. A
+    clique L meeting D lies in D + S, so L & K = L & S: D's traces, and
+    so its twin class, are the same at every K holding S.
+
+    F2: a maximal clique C separates g exactly when some separator S
+    inside C leaves two components of g - S not inside C; only the one
+    holding C - S can be, when it is C - S. If: the clique C - S lies in
+    one of them at most, so the other, D, misses C; N(D) lies in C, so D
+    is a component of g - C, cut from the first one's part outside C.
+    Only if: take a and b in different components of g - C, and S a
+    minimal subset of C separating them, a clique minimal separator; a
+    and b lie outside C in different components of g - S.
     """
-    seen = shared = 0  # vertices in one atom or more, and in two or more
-    for piece in pieces:
-        shared |= seen & piece
-        seen |= piece
-    rest = (1 << len(adj)) - 1
-    splits: list[Split] = []
-    for c in masks:
-        if c & shared:
-            _check_deadline(deadline)
-            splits.append(_components(adj, rest & ~c))
-        else:
-            splits.append([])
-    return splits
+    everything = (1 << len(adj)) - 1
+    holding = _holding(len(adj), masks)
+    separating = [False] * len(masks)
+    table: list[list[tuple[Row, int]]] = [[] for _ in masks]
+    for sep in separators:
+        _check_deadline(deadline)
+        split = _components(adj, everything & ~sep)
+        row: Row = (sep, [])
+        # a clique holding two vertices of sep holds one but the most held
+        by_use = sorted(_members(sep), key=lambda v: len(holding[v]))
+        outs = {k: masks[k] & ~sep for v in by_use[:-1] or by_use for k in holding[v]}
+        wanted = sum({out & -out for out in outs.values()})
+        where = {v: i for i, (part, _) in enumerate(split) for v in _members(part & wanted)}
+        traces: list[set[int]] = [set() for _ in split]
+        for k, out in outs.items():
+            meet, i = masks[k] & sep, where.get((out & -out).bit_length() - 1)
+            if meet == sep:
+                home = 0 if i is None else split[i][0]
+                table[k].append((row, home))
+                separating[k] |= len(split) > 2 or home != out or not home
+            if i is not None and meet & (meet - 1):
+                traces[i].add(meet)
+        classes: dict[frozenset[int], list[int]] = {}
+        for i, (part, attach) in enumerate(split):
+            if attach == sep and sep & (sep - 1):
+                classes.setdefault(frozenset(traces[i]), []).append(part)
+        row[1].extend((key, parts[:4]) for key, parts in classes.items())
+    for k, clique in enumerate(masks):
+        rest = everything & ~clique
+        for _, home in table[k]:
+            rest &= home
+        if rest:
+            by_use = sorted(_members(clique), key=lambda v: len(holding[v]))
+            meets = {masks[j] & clique for v in by_use[:-1] for j in holding[v] if masks[j] & rest}
+            traces_left = frozenset(t for t in meets if t & (t - 1))
+            table[k].append(((clique, [(traces_left, [rest])]), 0))
+    return separating, table
+
+
+def _clique_tree_table(n: int, masks: list[int], parent: list[int]) -> list[list[tuple[Row, int]]]:
+    """The table of a connected chordal g on n vertices for the side
+    test, read off its clique tree T (parent, _chordal_cliques).
+
+    Delete from T every edge whose separator, the intersection of its
+    two cliques, lies in K; that isolates K. The cliques holding a
+    vertex v outside K form a subtree of T whose edges all hold v, so
+    they stay together, and an edge of g - K lies in a clique with both
+    its ends. So the subtrees left other than K match the components
+    C_i of g - K, each made of the cliques Q_i meeting its component.
+    Each subtree hangs from one deleted edge, the first on its path to
+    K, whose far clique R lies on the path from any clique L of Q_i to
+    K. By the clique-intersection property L & K lies in R, and R & K
+    lies in the separator S. So A_i is S, and R holds it: C_j lies
+    beyond C_i exactly when A_j lies in A_i, and no component is
+    attached to all of K. Equal separators never relate, nor do those
+    of one vertex, so each distinct one of two vertices or more inside
+    K is one class, traces {S}, with one component given as 0: the
+    first component of g - K attached at S. No row holds a home (-1).
+    """
+    edges = (masks[i] & masks[p] for i, p in enumerate(parent) if p >= 0)
+    seps = dict.fromkeys(sep for sep in edges if sep & (sep - 1))  # in order, without repeats
+    holding = _holding(n, masks)
+    table: list[list[tuple[Row, int]]] = [[] for _ in masks]
+    for sep in seps:
+        row = (sep, [(frozenset((sep,)), [0])])
+        for k in holding[min(_members(sep), key=lambda v: len(holding[v]))]:
+            if not sep & ~masks[k]:
+                table[k].append((row, -1))
+    return table
 
 
 def _odd_cycle(links: list[list[int]]) -> list[int] | None:
@@ -430,127 +511,53 @@ def _side_cycle(sides: list[tuple[int, set[int]]]) -> list[int] | None:
     return _odd_cycle(links)
 
 
-def _witness(clique: int, split: Split) -> SideWitness:
-    return SideWitness(
-        _members(clique),
-        tuple(_members(part) for part, _ in split),
-        tuple(_members(attach) for _, attach in split),
-    )
-
-
 def _side_witness(
-    masks: list[int], splits: list[Split], deadline: float
+    g: Graph, masks: list[int], table: list[list[tuple[Row, int]]], deadline: float
 ) -> SideWitness | None:
-    """The first maximal clique K, in the order of `masks`, at which the
-    side test (_side_cycle) finds an odd cycle, with that cycle; None
-    when there is none. splits[k] holds the components of g - K with
-    their attachments (_separating); fewer than three with two
-    attachments or more hold no cycle. Raises BudgetExhaustedError once
-    the monotonic clock passes deadline.
+    """The first maximal clique K of the connected g, in the order of
+    `masks`, at which the side test (_side_cycle) finds an odd cycle,
+    with that cycle; None when there is none. The table gives the
+    components of g - K (F1 in _separator_table): the full components
+    of g - S but the one holding K - S, for each separator S of two
+    vertices or more inside K, and the leftover. They go in order of
+    lowest vertex, as a search of g - K lists them; fewer than three
+    hold no cycle. Raises BudgetExhaustedError past deadline.
 
-    Only the first three components of each class of twins, equal in
-    attachments and traces, go to _side_cycle. Twins relate alike to
-    every other component, and to each other exactly when no trace
-    holds their attachments, so a class is a clique or an independent
-    set of the relation. Dropping one of two members of an independent
-    set with equal neighbours keeps a 2-colouring, and three members of
-    a clique close a triangle, so the cap keeps every odd cycle's
-    existence, and r twins enter the pair tests as three at most."""
-    for k, split in enumerate(splits):
-        split = [(part, attach) for part, attach in split if attach & (attach - 1)]
-        if len(split) < 3:
+    Only the first three of each class of twins, equal in attachments
+    and traces, go to _side_cycle. Twins relate alike to every other
+    component, and to each other exactly when no trace holds their
+    attachments: a class is a clique or an independent set of the
+    relation. Dropping one of two members of an independent set with
+    equal neighbours keeps a 2-colouring, and three members of a clique
+    close a triangle, so the cap keeps every odd cycle's existence, and
+    r twins cost O(1) at each of r cliques."""
+    for k, clique in enumerate(masks):
+        sides = []
+        for (attach, twins), home in table[k]:
+            for traces, parts in twins:
+                sides += [(part, attach, traces) for part in parts if part != home][:3]
+        if len(sides) < 3:
             continue
         _check_deadline(deadline)
-        clique = masks[k]
-        where: dict[int, int] = {}  # vertex -> its component's index in split
-        for i, (part, _) in enumerate(split):
-            for v in _members(part):
-                where[v] = i
-        traces: list[set[int]] = [set() for _ in split]
-        for c in masks:
-            trace = c & clique
-            if trace & (trace - 1) and c != clique:
-                # c - K is complete, so it lies in one component of g - K
-                outside = c & ~clique
-                traces[where[(outside & -outside).bit_length() - 1]].add(trace)
-        twins: dict[tuple[int, frozenset[int]], int] = {}
-        kept = []
-        for i, (_, attach) in enumerate(split):
-            key = (attach, frozenset(traces[i]))
-            twins[key] = twins.get(key, 0) + 1
-            if twins[key] <= 3:
-                kept.append(i)
-        cycle = _side_cycle([(split[i][1], traces[i]) for i in kept])
+        sides.sort(key=lambda side: side[0] & -side[0])
+        cycle = _side_cycle([(attach, traces) for _, attach, traces in sides])
         if cycle is not None:
-            return _witness(clique, [split[kept[x]] for x in cycle])
-    return None
-
-
-def _chordal_side_witness(
-    g: Graph, cliques: list[VertexSet], parent: list[int]
-) -> SideWitness | None:
-    """_side_witness for a connected chordal g, its maximal cliques and
-    its clique tree T (_chordal_cliques), read off the separators of T
-    without searching g - K.
-
-    Delete from T every edge whose separator, the intersection of its
-    two cliques, lies in K; that isolates K. The cliques holding a
-    vertex v outside K form a subtree of T whose edges all hold v, so
-    they stay together, and an edge of g - K lies in a clique with both
-    its ends. So the subtrees left other than K match the components
-    C_i of g - K, each made of the cliques Q_i meeting its component.
-    Each subtree hangs from one deleted edge, the first on its path to
-    K, whose far clique R lies on the path from any clique L of Q_i to
-    K. By the clique-intersection property L & K lies in R, and R & K
-    lies in the separator S. So A_i is S, and R holds it: C_j lies
-    beyond C_i exactly when A_j lies in A_i.
-
-    So the side test at K is on the separators inside K: two of them
-    relate when they meet and neither holds the other. Equal ones never
-    relate, nor do those of one vertex, so each clique K takes the
-    distinct separators of two vertices or more that lie in it, found
-    through each separator's vertex in the fewest cliques. A cycle's
-    witness takes, for each separator S on it, the first component of
-    g - K whose attachment set is S.
-    """
-    masks = [_mask(c) for c in cliques]
-    edge_of: dict[int, int] = {}  # a separator -> a clique whose edge to its parent has it
-    for i, p in enumerate(parent):
-        if p >= 0:
-            sep = masks[i] & masks[p]
-            if sep & (sep - 1):
-                edge_of.setdefault(sep, i)
-    if len(edge_of) < 3:
-        return None
-    holding: list[list[int]] = [[] for _ in range(g.n)]
-    for i, c in enumerate(cliques):
-        for v in c:
-            holding[v].append(i)
-    inside: list[list[int]] = [[] for _ in cliques]
-    for sep, i in edge_of.items():
-        rarest = min((v for v in cliques[i] if sep >> v & 1), key=lambda v: len(holding[v]))
-        for k in holding[rarest]:
-            if not sep & ~masks[k]:
-                inside[k].append(sep)
-    for k, seps in enumerate(inside):
-        if len(seps) < 3:
-            continue
-        cycle = _side_cycle([(sep, {sep}) for sep in seps])
-        if cycle is None:
-            continue
-        split = _components(_adjacency_masks(g), (1 << g.n) - 1 & ~masks[k])
-        return _witness(masks[k], [next(c for c in split if c[1] == seps[x]) for x in cycle])
+            on_cycle = [sides[x] for x in cycle]
+            split = _components(_adjacency_masks(g), (1 << g.n) - 1 & ~clique)
+            parts = [part or next(p for p, a in split if a == attach) for part, attach, _ in on_cycle]
+            attached = tuple(_members(attach) for _, attach, _ in on_cycle)
+            return SideWitness(_members(clique), tuple(map(_members, parts)), attached)
     return None
 
 
 def _pendant_answer(
-    g: Graph, adj: list[int], pieces: list[int], k: int, deadline: float
+    g: Graph, adj: list[int], separators: list[int], k: int, deadline: float
 ) -> RecognitionResult | None:
-    """The answer for a non-chordal g, with adjacency masks adj, whose
-    atoms, as masks, `pieces` passed the atom test with k the largest
-    atom clique count, when its maximal cliques decide it; None when
-    the scan must. _separating and _side_witness raise
-    BudgetExhaustedError once the monotonic clock passes deadline.
+    """The answer for a non-chordal g, with adjacency masks adj and
+    clique minimal separators as masks, whose atoms passed the atom
+    test with k the largest atom clique count, when its maximal cliques
+    decide it; None when the scan must. Raises BudgetExhaustedError
+    once the monotonic clock passes deadline.
 
     The internal-edge lemma. In a normal form (oracle.py: a host tree
     whose edges are g's maximal cliques, each vertex's path made of the
@@ -561,6 +568,7 @@ def _pendant_answer(
     in g between the two such vertices, one per side, passes a vertex
     whose path crosses e, that is a vertex of K_e. Hence a maximal
     clique that separates nothing is a leaf edge of every normal form.
+    The separator table tells which cliques separate g (F2).
 
     The pendant filter. A path in a tree holds at most two leaf edges,
     its end edges, so in a member no vertex lies in three maximal
@@ -577,21 +585,19 @@ def _pendant_answer(
     clique of that order. h is k as always; the star, of degree m, the
     clique count, is attached only when m <= k.
 
-    Otherwise the side test (_side_witness) runs on the components that
-    _separating found, and an odd cycle answers no at any clique count.
+    Otherwise an odd cycle of the side test (_side_witness), on the
+    same table, answers no at any clique count.
     """
     cliques = enumerate_maximal_cliques(g)
     masks = [_mask(c) for c in cliques]
-    splits = _separating(adj, masks, pieces, deadline)
+    separating, table = _separator_table(adj, masks, separators, deadline)
     leaf_count = [0] * g.n
-    for c, split in zip(cliques, splits):
-        if len(split) < 2:
-            for v in c:
-                leaf_count[v] += 1
+    for v in (v for c, cuts in zip(cliques, separating) if not cuts for v in c):
+        leaf_count[v] += 1
     if max(leaf_count) > 2:
         return RecognitionResult(False, None, None)
-    if any(len(split) > 1 for split in splits):
-        witness = _side_witness(masks, splits, deadline)
+    if any(separating):
+        witness = _side_witness(g, masks, table, deadline)
         return None if witness is None else RecognitionResult(False, None, None, side_witness=witness)
     star = clique_star(g.n, [cliques[i] for i in _clique_order(cliques)])
     return RecognitionResult(True, k, star if len(cliques) <= k else None)
@@ -640,18 +646,15 @@ def cheapest_representation(g: Graph, budget_secs: float | None = None) -> Recog
       graph's clique path (Gilmore & Hoffman 1964) is a bijection tree;
     - so the certificate lies on a path exactly when g is interval.
 
-    A non-chordal g that passes the atom test goes to _pendant_answer,
-    which answers it without the scan when a vertex lies in three
-    maximal cliques that separate nothing, when no maximal clique
-    separates g, or when the side test finds an odd cycle; only the
-    rest reach the scan and its clique bound. Chordal inputs skip the
-    pendant filter, as a chordal graph with no separating maximal
-    clique has at most two (every inner node of a clique tree
-    separates), but not the side test, which reads them off the clique
-    tree of the search that found them chordal (_chordal_side_witness).
-    It needs four cliques, K and one per component of an odd cycle, and
-    runs only on a connected g: a clique forest of two trees means two
-    components, which is_helly_ept refuses.
+    A non-chordal g that passes the atom test goes to _pendant_answer;
+    only what it leaves reaches the scan and its clique bound. Chordal
+    inputs skip the pendant filter, as a chordal graph with no
+    separating maximal clique has at most two (every inner node of a
+    clique tree separates), but not the side test, on the clique tree
+    of the search that found them chordal (_clique_tree_table). It
+    needs four cliques, K and one per component of an odd cycle, and a
+    connected g: a clique forest of two trees means two components,
+    which is_helly_ept refuses.
 
     The certificate is omitted when its tree's degree exceeds h, as on
     a K8 with five cliques attached (h = 3, while every bijection tree
@@ -659,9 +662,9 @@ def cheapest_representation(g: Graph, budget_secs: float | None = None) -> Recog
 
     The budget is resolved and checked first, so a NaN or negative one
     is a ValueError on every route. It runs from the start of the call:
-    MCS-M, the split loop, _separating and _side_witness raise
-    BudgetExhaustedError once it has run out, and the scan gets what
-    they left.
+    MCS-M, which runs once for the split loop and the table, the split
+    loop, the table and the side test raise BudgetExhaustedError once
+    it has run out, and the scan gets what they left.
     """
     budget_secs = resolve_budget_secs(budget_secs)
     start = time.monotonic()
@@ -671,31 +674,27 @@ def cheapest_representation(g: Graph, budget_secs: float | None = None) -> Recog
     if chordal is not None:
         cliques, parent = chordal
         if len(cliques) >= 4 and parent.count(-1) == 1:
-            witness = _chordal_side_witness(g, cliques, parent)
+            masks = [_mask(c) for c in cliques]
+            witness = _side_witness(g, masks, _clique_tree_table(g.n, masks, parent), deadline)
             if witness is not None:
                 return RecognitionResult(False, None, None, side_witness=witness)
     else:
         adj = _adjacency_masks(g)
-        count = _one_atom_count(adj)
-        if count is not None:
-            k, pieces = count, [(1 << g.n) - 1]
-        else:
-            pieces = []
-            for atom in _atom_masks(g, adj, deadline):
+        k = _one_atom_count(adj)
+        separators = []  # one atom has no clique separator
+        if k is None:
+            k, separators = 1, _separator_masks(g, adj, deadline)
+            for atom in _atom_masks(adj, separators, deadline):
                 if (count := _atom_clique_count(adj, atom)) is None:
                     return RecognitionResult(False, None, None, obstruction=_members(atom))
                 k = max(k, count)
-                pieces.append(atom)
-        answer = _pendant_answer(g, adj, pieces, k, deadline)
+        answer = _pendant_answer(g, adj, separators, k, deadline)
         if answer is not None:
             return answer
     rep = is_helly_ept(g, max(0.0, budget_secs - (time.monotonic() - start)))
     if rep is None:
         return RecognitionResult(False, None, None)
-    if k == 1:
-        h = 2 if max_host_degree(rep) <= 2 else 3
-    else:
-        h = k
+    h = k if k > 1 else 2 if max_host_degree(rep) <= 2 else 3
     cert = rep if max_host_degree(rep) <= h else None
     return RecognitionResult(True, h, cert)
 

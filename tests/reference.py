@@ -7,9 +7,10 @@ group and group order of a set of vertex permutations, and a
 representation's maximal cliques and claws found by brute force, its
 derived graph, edge cliques and verification read off every pair of
 paths, the four multipie conditions re-derived from a witness's raw
-paths, a side-test witness re-derived from the graph, and the
-set-based Bron-Kerbosch and MCS-M the library ran before it moved to
-vertex masks and weight buckets.
+paths, a side-test witness re-derived from the graph, the side test
+and the separating cliques on a component search of g - K at every
+maximal clique K, and the set-based Bron-Kerbosch and MCS-M the
+library ran before it moved to vertex masks and weight buckets.
 
 All are independent of the library's routes. The labeled trees feed a
 brute-force search that cross-checks the oracle's shape scan; the
@@ -33,7 +34,10 @@ bit per placed vertex, reads twin classes computed once per graph and
 prunes subtrees by the orbits of the automorphisms it has found. The
 side-test check recomputes the components of g - K, their attachments
 and the cliques meeting them as vertex sets, where the library reads
-them off bitmasks or a clique tree. The tree shapes hang a leaf from
+them off bitmasks or a clique tree. The searched side test and
+separating cliques are the route the library ran before its separator
+table: one search of g - K per maximal clique K, where the library
+reads every g - K off one search per clique minimal separator. The tree shapes hang a leaf from
 every vertex of every smaller shape and walk neighbour sets through an
 edge-index dict for their path tables, where the library hangs leaves
 only at vertex-orbit representatives and reads (neighbour, edge bit)
@@ -47,6 +51,8 @@ where the library pops any vertex of the top weight bucket.
 import functools
 import heapq
 import itertools
+import math
+from collections import Counter
 from collections.abc import Iterator
 
 from eptkit.decomposition import AtomLeaf, CliqueDecomposition, SeparatorNode
@@ -57,6 +63,10 @@ from eptkit.graphs import (
     Edge,
     Graph,
     VertexSet,
+    _adjacency_masks,
+    _components,
+    _mask,
+    _members,
     canonical_form,
     connected_components,
     enumerate_maximal_cliques,
@@ -64,7 +74,14 @@ from eptkit.graphs import (
     is_connected,
     _wl_colors,
 )
-from eptkit.oracle import CLIQUE_BOUND, _ahu_codes, _centred_subdivision, oracle_membership
+from eptkit.oracle import (
+    CLIQUE_BOUND,
+    _ahu_codes,
+    _centred_subdivision,
+    _check_deadline,
+    oracle_membership,
+)
+from eptkit.recognition import SideWitness, _side_cycle
 from eptkit.representation import ClawClique, EdgeClique, EptRepresentation, HostTree, TreePath
 
 
@@ -735,3 +752,83 @@ def check_side_witness(g: Graph, witness) -> None:
         j = (i + 1) % len(cycle)
         assert attach[i] & attach[j]
         assert not beyond(i, j) and not beyond(j, i)
+
+
+def separating_splits(
+    adj: list[int], masks: list[int], pieces: list[int], deadline: float = math.inf
+) -> list[list[tuple[int, int]]]:
+    """The components of g - C, with their attachments, for each maximal
+    clique C, as a mask, of the connected g with adjacency masks adj
+    whose atoms, as masks, are `pieces`; [] for a clique that cannot
+    separate g. C separates g exactly when g - C has two components or
+    more. Raises BudgetExhaustedError once the monotonic clock passes
+    deadline.
+
+    A clique C that separates g holds a vertex lying in two atoms. Take
+    a and b in different components of g - C, and S a minimal subset of
+    C separating them: it is complete, and not empty as g is connected.
+    By minimality each s in S has a neighbour x in a's component of
+    g - S and a neighbour y in b's. The atoms cover every edge, as each
+    split keeps its separator in every part. An atom holding both sx
+    and sy would be split by its part of S, a complete set separating x
+    from y inside it, so s lies in two atoms. So only the cliques
+    holding a vertex of two atoms get a search."""
+    seen = shared = 0  # vertices in one atom or more, and in two or more
+    for piece in pieces:
+        shared |= seen & piece
+        seen |= piece
+    rest = (1 << len(adj)) - 1
+    splits: list[list[tuple[int, int]]] = []
+    for c in masks:
+        if c & shared:
+            _check_deadline(deadline)
+            splits.append(_components(adj, rest & ~c))
+        else:
+            splits.append([])
+    return splits
+
+
+def capped_sides(masks: list[int], clique: int, split: list[tuple[int, int]]):
+    """The components of g - K that the side test at the maximal clique
+    K (clique) takes, from split, the components of g - K with their
+    attachments: those with two attachments or more, each as (part,
+    attachments, traces), the first three of each class of equal
+    attachments and traces, in order of lowest vertex. masks are g's
+    maximal cliques, and the traces of a component are the sets L & K
+    of two vertices or more for the cliques L other than K meeting it."""
+    split = [(part, attach) for part, attach in split if attach & (attach - 1)]
+    traces: list[set[int]] = [set() for _ in split]
+    for c in masks:
+        trace = c & clique
+        if trace & (trace - 1) and c != clique:
+            for i, (part, _) in enumerate(split):
+                if c & part:
+                    traces[i].add(trace)
+    seen: Counter = Counter()
+    sides = []
+    for (part, attach), found in zip(split, traces):
+        key = (attach, frozenset(found))
+        seen[key] += 1
+        if seen[key] <= 3:
+            sides.append((part, attach, frozenset(found)))
+    return sides
+
+
+def searched_side_test(g: Graph) -> SideWitness | None:
+    """The side test (recognition._side_cycle) at every maximal clique K
+    of a connected g, in enumerate_maximal_cliques order, on a component
+    search of g - K at each, with at most three twins per class
+    (capped_sides): the first odd cycle's witness, or None."""
+    cliques = [_mask(c) for c in enumerate_maximal_cliques(g)]
+    adj = _adjacency_masks(g)
+    for clique in cliques:
+        sides = capped_sides(cliques, clique, _components(adj, (1 << g.n) - 1 & ~clique))
+        cycle = _side_cycle([(attach, traces) for _, attach, traces in sides]) if len(sides) > 2 else None
+        if cycle is not None:
+            on_cycle = [sides[x] for x in cycle]
+            return SideWitness(
+                _members(clique),
+                tuple(_members(part) for part, _, _ in on_cycle),
+                tuple(_members(attach) for _, attach, _ in on_cycle),
+            )
+    return None

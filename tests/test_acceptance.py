@@ -9,13 +9,15 @@ re-justified by the bound inside the fixture.
 
 import gc
 import hashlib
+import math
 import random
 import time
 from collections import Counter
 
 import pytest
 
-from eptkit.decomposition import atoms
+from eptkit import recognition
+from eptkit.decomposition import _separator_masks, atoms
 from eptkit.gates import (
     GateRecipe,
     build_gate,
@@ -27,6 +29,9 @@ from eptkit.gates import (
 )
 from eptkit.graphs import (
     Graph,
+    _adjacency_masks,
+    _components,
+    _mask,
     canonical_form,
     cycle_graph,
     enumerate_maximal_cliques,
@@ -57,6 +62,7 @@ from eptkit.representation import (
     verify,
 )
 from reference import check_multipie_conditions, check_side_witness, oracle_min_h
+from test_side_test import wide_chordal
 
 MEMBERSHIP_BUDGET_SECS = 600.0
 
@@ -268,6 +274,53 @@ def test_side_test_on_whole_corpus(corpus7, helly_corpus):
                 counts["other"] += 1
     # 385 atom-test rejections and one pendant-filter rejection, twice
     assert counts == {"chordal": 22, "not chordal": 2, "other": 772}
+
+
+def test_scan_members_keep_the_pruning_facts(corpus7, helly_corpus, monkeypatch):
+    # two facts a pruned scan would rest on, on every member of corpus7
+    # and wide-chordal that reaches the scan, against the scan's own
+    # certificate: each maximal clique that the separator table says
+    # separates nothing is a leaf edge of the certificate tree (the
+    # internal-edge lemma, recognition._pendant_answer), and the tree of
+    # a non-chordal member has maximum degree at least the route's h = k
+    reps = dict(helly_corpus)
+    reached = {}
+
+    def scan(g, budget_secs):
+        reached[g] = reps[g] if g in reps else is_helly_ept(g, budget_secs)
+        return reached[g]
+
+    monkeypatch.setattr(recognition, "is_helly_ept", scan)
+    counts = Counter()
+    for g in [g for g in corpus7 if len(enumerate_maximal_cliques(g)) <= 9] + [
+        g for _, g in wide_chordal()
+    ]:
+        reached.clear()
+        result = cheapest_representation(g)
+        rep = reached.get(g)
+        if rep is None:
+            continue
+        adj = _adjacency_masks(g)
+        cliques = enumerate_maximal_cliques(g)
+        masks = [_mask(c) for c in cliques]
+        separating, _ = recognition._separator_table(
+            adj, masks, _separator_masks(g, adj, math.inf), math.inf
+        )
+        # the facts rest on the search, not on the table
+        everything = (1 << g.n) - 1
+        assert separating == [len(_components(adj, everything & ~m)) > 1 for m in masks]
+        edge_of = {held: e for e, held in rep._edge_holders.items()}
+        for clique, cuts in zip(cliques, separating):
+            u, v = edge_of[clique]
+            if not cuts:
+                assert min(rep.tree.degree(u), rep.tree.degree(v)) == 1, graph_to_text(g)
+                counts["leaf"] += 1
+        chordal = is_chordal(g)
+        if not chordal:
+            assert max_host_degree(rep) >= result.h, graph_to_text(g)
+        counts["chordal" if chordal else "not chordal"] += 1
+    # 343 chordal and 191 non-chordal corpus7 members, 21 wide-chordal
+    assert counts == {"chordal": 364, "not chordal": 191, "leaf": 1213}
 
 
 # sha256 over the repr of each generated family, in generation order;

@@ -160,7 +160,8 @@ def test_atom_masks_are_the_public_atoms(families):
             if g.n and is_connected(g):
                 adj = _adjacency_masks(g)
                 leaves = decomposition.decomposition_tree(g).leaves()
-                assert list(decomposition._atom_masks(g, adj, math.inf)) == [
+                separators = decomposition._separator_masks(g, adj, math.inf)
+                assert list(decomposition._atom_masks(adj, separators, math.inf)) == [
                     _mask(leaf.vertices) for leaf in leaves
                 ], g.edges
 

@@ -38,7 +38,7 @@ from eptkit.recognition import (
     is_interval,
 )
 from eptkit.representation import is_helly, max_host_degree, verify
-from reference import oracle_min_h, reference_is_line_like
+from reference import oracle_min_h, reference_is_line_like, separating_splits
 
 S3_GRAPH = Graph(6, [
     (2, 3), (3, 5), (2, 5), (0, 2), (0, 3), (1, 3), (1, 5), (2, 4), (4, 5),
@@ -366,13 +366,10 @@ def cycle_with_pendants(n: int, t: int) -> Graph:
     return Graph(n + t, list(cycle_graph(n).edges) + [(0, n + i) for i in range(t)])
 
 
-@pytest.mark.parametrize("g", [cycle_with_pendants(5, 2000), cycle_with_pendants(5, 9995),
-                               cycle_with_pendants(4000, 1)])
-def test_deadline_reaches_the_steps_before_the_scan(g):
-    # C_5 with 2 000 or 9 995 pendants, up to the parse bound: every
-    # clique {0, p} holds a vertex of two atoms, so _separating would
-    # search g minus each of them. C_4000 with a pendant is not one atom,
-    # and MCS-M on it alone takes seconds
+def test_deadline_reaches_the_steps_before_the_scan():
+    # C_4000 with a pendant is not one atom, and MCS-M on it alone takes
+    # seconds, so the budget stops it
+    g = cycle_with_pendants(4000, 1)
     gc.collect()
     start = time.perf_counter()
     with pytest.raises(BudgetExhaustedError):
@@ -380,27 +377,47 @@ def test_deadline_reaches_the_steps_before_the_scan(g):
     assert time.perf_counter() - start < 1.0
 
 
+@pytest.mark.parametrize("t, bound", [(2000, 1.0), (9995, 2.0)])
+def test_hub_inputs_reach_the_clique_bound(t, bound):
+    # C_5 with t pendants, up to the parse bound: every clique {0, p}
+    # holds vertex 0, the one clique minimal separator, so the separator
+    # table searches g - {0} once, where a search of g minus each clique
+    # took 4.4 s at t = 2 000. The route runs to the scan's clique bound
+    # at the default budget (about 0.05 s, and 0.35-0.55 s at t = 9 995,
+    # on 2 CPUs)
+    g = cycle_with_pendants(5, t)
+    gc.collect()
+    start = time.perf_counter()
+    with pytest.raises(BoundExceededError):
+        cheapest_representation(g)
+    assert time.perf_counter() - start < bound
+
+
 def test_steps_before_the_scan_check_the_deadline():
-    # MCS-M, the split loop, _separating and _side_witness each raise on
-    # a deadline already past, where without one they answer
+    # MCS-M, the split loop, the separator table and the side test each
+    # raise on a deadline already past, where without one they answer
     past = time.monotonic() - 1.0
     adj = recognition._adjacency_masks(C6_PENDANT)
-    separators = [recognition._mask(s) for s in decomposition._clique_minimal_separators(C6_PENDANT, adj)]
+    separators = decomposition._separator_masks(C6_PENDANT, adj, math.inf)
     with pytest.raises(BudgetExhaustedError):
         decomposition._clique_minimal_separators(C6_PENDANT, adj, past)
     with pytest.raises(BudgetExhaustedError):
         next(decomposition._preorder(adj, separators, past))
     assert len(list(decomposition._preorder(adj, separators))) == 3
+    cliques = [recognition._mask(c) for c in enumerate_maximal_cliques(C6_PENDANT)]
+    with pytest.raises(BudgetExhaustedError):
+        recognition._separator_table(adj, cliques, separators, past)
+    separating, _ = recognition._separator_table(adj, cliques, separators, math.inf)
+    assert separating == [True, True, False, False, False, False, False]
     # S3's middle triangle has three ears, each attached to two of its
-    # vertices; S3 is chordal, so its atoms are its maximal cliques
+    # vertices: the separators {2, 3}, {2, 5} and {3, 5}
     adj = recognition._adjacency_masks(S3_GRAPH)
     cliques = [recognition._mask(c) for c in enumerate_maximal_cliques(S3_GRAPH)]
+    separators = decomposition._separator_masks(S3_GRAPH, adj, math.inf)
+    _, table = recognition._separator_table(adj, cliques, separators, math.inf)
     with pytest.raises(BudgetExhaustedError):
-        recognition._separating(adj, cliques, cliques, past)
-    splits = recognition._separating(adj, cliques, cliques, math.inf)
-    with pytest.raises(BudgetExhaustedError):
-        recognition._side_witness(cliques, splits, past)
-    assert recognition._side_witness(cliques, splits, math.inf).clique == (2, 3, 5)
+        recognition._side_witness(S3_GRAPH, cliques, table, past)
+    assert recognition._side_witness(S3_GRAPH, cliques, table, math.inf).clique == (2, 3, 5)
 
 
 def test_route_builds_no_atom_graph(monkeypatch):
@@ -449,7 +466,8 @@ def test_pendant_filter(monkeypatch):
 
 
 def test_separating_cliques_match_a_search_per_clique():
-    # the atom count filter against removing each clique and searching
+    # the separator table (F2) and the search per clique it replaced,
+    # against removing each clique and searching
     rng = random.Random(20261018)
     graphs = [C6_PENDANT, A0808, TWO_C5S, W09]
     graphs += [g for n in range(4, 8) for g in small_graph_corpus(n, connected_only=True)]
@@ -464,12 +482,13 @@ def test_separating_cliques_match_a_search_per_clique():
         expected = [
             not is_connected(induced_subgraph(g, set(range(g.n)) - set(c))[0]) for c in cliques
         ]
-        splits = recognition._separating(
-            recognition._adjacency_masks(g),
-            [recognition._mask(c) for c in cliques],
-            [recognition._mask(vertices) for _, vertices in atoms(g)],
-            math.inf,
-        )
+        adj = recognition._adjacency_masks(g)
+        masks = [recognition._mask(c) for c in cliques]
+        separators = decomposition._separator_masks(g, adj, math.inf)
+        separating, _ = recognition._separator_table(adj, masks, separators, math.inf)
+        assert separating == expected, g
+        pieces = [recognition._mask(vertices) for _, vertices in atoms(g)]
+        splits = separating_splits(adj, masks, pieces)
         assert [len(split) > 1 for split in splits] == expected, g
         seen.update(expected)
     assert seen[True] >= 100 and seen[False] >= 100

@@ -8,16 +8,18 @@ import itertools
 import math
 import random
 import time
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from eptkit import recognition
+from eptkit import decomposition, recognition
 from eptkit.cli import main
 from eptkit.graphs import (
     BoundExceededError,
     Graph,
     _adjacency_masks,
+    _components,
     connected_components,
     cycle_graph,
     enumerate_maximal_cliques,
@@ -26,7 +28,7 @@ from eptkit.graphs import (
 )
 from eptkit.oracle import small_graph_corpus
 from eptkit.recognition import RecognitionResult, SideWitness, cheapest_representation, is_helly_ept
-from reference import check_side_witness
+from reference import capped_sides, check_side_witness, searched_side_test
 from test_recognition import S3_GRAPH, refuse
 
 DATA = Path(__file__).resolve().parents[1] / "perfbench" / "data"
@@ -58,22 +60,25 @@ MINIMAL_7 = [
 ]
 
 
-def side_test(g: Graph):
-    """The side test on a connected g at every maximal clique, whatever
-    route g would take: on the clique tree for a chordal g, else on a
-    search of g - K for each clique K."""
+def side_table(g: Graph) -> tuple[list[int], list]:
+    """The maximal cliques of a connected g, as masks, and the separator
+    table the route reads: off the clique tree for a chordal g, else off
+    MCS-M's clique minimal separators, whatever route g would take."""
     found = recognition._chordal_cliques(g)
     if found is not None:
-        return recognition._chordal_side_witness(g, *found)
-    return searched_side_test(g)
-
-
-def searched_side_test(g: Graph):
-    masks = [recognition._mask(c) for c in enumerate_maximal_cliques(g)]
+        masks = [recognition._mask(c) for c in found[0]]
+        return masks, recognition._clique_tree_table(g.n, masks, found[1])
     adj = _adjacency_masks(g)
-    rest = (1 << g.n) - 1
-    splits = [recognition._components(adj, rest & ~m) for m in masks]
-    return recognition._side_witness(masks, splits, math.inf)
+    masks = [recognition._mask(c) for c in enumerate_maximal_cliques(g)]
+    separators = decomposition._separator_masks(g, adj, math.inf)
+    return masks, recognition._separator_table(adj, masks, separators, math.inf)[1]
+
+
+def side_test(g: Graph):
+    """The side test on a connected g at every maximal clique, on the
+    table of side_table."""
+    masks, table = side_table(g)
+    return recognition._side_witness(g, masks, table, math.inf)
 
 
 def hung_s3(n: int) -> Graph:
@@ -188,8 +193,8 @@ def test_recognize_hung_s3(capsys, tmp_path):
 def test_large_chordal_inputs_skip_the_search(monkeypatch):
     # the chordal route reads the side test off the clique tree: a search
     # of g - K at each of these graphs' 2 000 cliques took seconds, where
-    # the scan refuses them at once
-    for name in ("_components", "_side_witness", "enumerate_maximal_cliques"):
+    # the scan refuses them at once; no search per separator either
+    for name in ("_components", "_separator_table", "enumerate_maximal_cliques"):
         monkeypatch.setattr(recognition, name, refuse(name))
     rng = random.Random(20261021)
     n = 2000
@@ -241,16 +246,19 @@ def test_side_test_sound_on_random_graphs():
 
 
 def test_side_test_on_many_twin_ears():
-    # r twin components at each of r cliques: capping each twin class at
-    # three keeps the side test near O(r^2) in all, where testing every
-    # pair cost O(r^3) (29 s at r = 400). No odd cycle, so the scan's
-    # clique bound answers
-    g = k8_with_ears(400)
-    gc.collect()
-    start = time.perf_counter()
-    with pytest.raises(BoundExceededError):
-        cheapest_representation(g)
-    assert time.perf_counter() - start < 1.0
+    # r twin components at each of r cliques: the table finds the twin
+    # classes once, at their separator {0, 1}, and each clique reads at
+    # most three per class, so the side test is near O(r) in all, where
+    # testing every pair cost O(r^3) (29 s at r = 400) and indexing every
+    # component at every clique O(r^2) (4.0 s at r = 1 000). No odd
+    # cycle, so the scan's clique bound answers
+    for r in (400, 1000):
+        g = k8_with_ears(r)
+        gc.collect()
+        start = time.perf_counter()
+        with pytest.raises(BoundExceededError):
+            cheapest_representation(g)
+        assert time.perf_counter() - start < 1.0, r
 
 
 def test_twin_cap_keeps_a_triangle_of_twins():
@@ -266,3 +274,84 @@ def test_twin_cap_keeps_a_triangle_of_twins():
     assert witness.clique == (0, 1, 2, 3)
     assert sorted(witness.components) == [(4, 5), (6, 7), (8, 9)]
     check_side_witness(g, witness)
+
+
+def table_sides(rows) -> list:
+    """The components of g - K that the side test reads off the table's
+    rows at K, as in recognition._side_witness: the first three of each
+    class but the one holding K - S, in order of lowest vertex."""
+    sides = []
+    for (attach, twins), home in rows:
+        for traces, parts in twins:
+            sides += [(part, attach, traces) for part in parts if part != home][:3]
+    return sorted(sides, key=lambda side: side[0] & -side[0])
+
+
+def test_table_matches_a_search_per_clique():
+    # on the connected graphs of 4 to 7 vertices and seeded random graphs
+    # of 8 to 16, at every maximal clique K: F1 lists the components of
+    # g - K by their attachments, with the leftover; the table hands the
+    # side test what a search of g - K gives it; and F2's "K separates"
+    # is the search's answer
+    rng = random.Random(20261025)
+    graphs = [g for n in range(4, 8) for g in small_graph_corpus(n, connected_only=True)]
+    while len(graphs) < 2500:
+        g = random_graph(rng, rng.randint(8, 16), rng.choice((0.15, 0.25, 0.35)))
+        if is_connected(g):
+            graphs.append(g)
+    seen = Counter()
+    for g in graphs:
+        adj = _adjacency_masks(g)
+        everything = (1 << g.n) - 1
+        masks = [recognition._mask(c) for c in enumerate_maximal_cliques(g)]
+        separators = decomposition._separator_masks(g, adj, math.inf)
+        separating, table = recognition._separator_table(adj, masks, separators, math.inf)
+        below = {s: _components(adj, everything & ~s) for s in separators}
+        for k, clique in enumerate(masks):
+            split = _components(adj, everything & ~clique)
+            listed = Counter(
+                s for s in separators if not s & ~clique
+                for part, attach in below[s] if attach == s and not part & clique
+            )
+            leftover = [attach for _, attach in split if attach == clique and clique not in below]
+            assert Counter(attach for _, attach in split) == listed + Counter(leftover), g.edges
+            assert len(leftover) <= 1
+            assert table_sides(table[k]) == capped_sides(masks, clique, split), g.edges
+            assert separating[k] == (len(split) > 1), g.edges
+            seen["leftover" if leftover else "none", separating[k]] += 1
+    assert min(seen.values()) >= 1000, seen
+
+
+def test_clique_tree_table_matches_a_search_per_clique():
+    # on chordal graphs the clique tree gives each separator of two
+    # vertices or more inside K once, for all the components of g - K
+    # that a search attaches there
+    rng = random.Random(20261026)
+    graphs = [g for _, g in wide_chordal()]
+    graphs += [g for n in range(4, 8) for g in small_graph_corpus(n, connected_only=True)]
+    while len(graphs) < 2500:
+        n = rng.randint(6, 16)
+        # each new vertex sees part of an earlier clique, so it is
+        # simplicial when added and the graph is chordal
+        edges, cliques = [], [[0]]
+        for v in range(1, n):
+            base = rng.choice(cliques)
+            seen = rng.sample(base, rng.randint(1, len(base)))
+            edges += [(w, v) for w in seen]
+            cliques.append(seen + [v])
+        graphs.append(Graph(n, edges))
+    tested = 0
+    for g in graphs:
+        found = recognition._chordal_cliques(g)
+        if found is None:
+            continue
+        tested += 1
+        masks = [recognition._mask(c) for c in found[0]]
+        table = recognition._clique_tree_table(g.n, masks, found[1])
+        adj = _adjacency_masks(g)
+        for k, clique in enumerate(masks):
+            split = _components(adj, (1 << g.n) - 1 & ~clique)
+            wanted = {attach for _, attach in split if attach & (attach - 1)}
+            got = [attach for _, attach, _ in table_sides(table[k])]
+            assert sorted(got) == sorted(wanted), g.edges
+    assert tested >= 1800
