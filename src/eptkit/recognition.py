@@ -351,9 +351,11 @@ def _separator_table(
     attached to all of K: two would make K a separator, listing them.
     The other components of g - S all miss K, so each is listed, under
     S or its own attachments. So the leftover is what the components
-    holding K - S share outside K, and it gets a row of its own at K. A
-    clique L meeting D lies in D + S, so L & K = L & S: D's traces, and
-    so its twin class, are the same at every K holding S.
+    holding K - S share outside K. It gets a row of its own at each K
+    that separates g (F2); at any other K, g - K is one component at
+    most, too few for the side test. A clique L meeting D lies in
+    D + S, so L & K = L & S: D's traces, and so its twin class, are the
+    same at every K holding S.
 
     F2: a maximal clique C separates g exactly when some separator S
     inside C leaves two components of g - S not inside C; only the one
@@ -364,10 +366,12 @@ def _separator_table(
     minimal subset of C separating them, a clique minimal separator; a
     and b lie outside C in different components of g - S.
     """
-    everything = (1 << len(adj)) - 1
-    holding = _holding(len(adj), masks)
     separating = [False] * len(masks)
     table: list[list[tuple[Row, int]]] = [[] for _ in masks]
+    if not separators:  # one atom: no clique separates g, and no row is read
+        return separating, table
+    everything = (1 << len(adj)) - 1
+    holding = _holding(len(adj), masks)
     for sep in separators:
         _check_deadline(deadline)
         split = _components(adj, everything & ~sep)
@@ -392,6 +396,8 @@ def _separator_table(
                 classes.setdefault(frozenset(traces[i]), []).append(part)
         row[1].extend((key, parts[:4]) for key, parts in classes.items())
     for k, clique in enumerate(masks):
+        if not separating[k]:
+            continue  # no leftover row: g - K is connected (F2)
         rest = everything & ~clique
         for _, home in table[k]:
             rest &= home
@@ -422,11 +428,15 @@ def _clique_tree_table(n: int, masks: list[int], parent: list[int]) -> list[list
     of one vertex, so each distinct one of two vertices or more inside
     K is one class, traces {S}, with one component given as 0: the
     first component of g - K attached at S. No row holds a home (-1).
+    An odd cycle needs three classes, so with fewer distinct separators
+    the table is left empty.
     """
     edges = (masks[i] & masks[p] for i, p in enumerate(parent) if p >= 0)
     seps = dict.fromkeys(sep for sep in edges if sep & (sep - 1))  # in order, without repeats
-    holding = _holding(n, masks)
     table: list[list[tuple[Row, int]]] = [[] for _ in masks]
+    if len(seps) < 3:
+        return table
+    holding = _holding(n, masks)
     for sep in seps:
         row = (sep, [(frozenset((sep,)), [0])])
         for k in holding[min(_members(sep), key=lambda v: len(holding[v]))]:
@@ -543,8 +553,10 @@ def _side_witness(
         cycle = _side_cycle([(attach, traces) for _, attach, traces in sides])
         if cycle is not None:
             on_cycle = [sides[x] for x in cycle]
-            split = _components(_adjacency_masks(g), (1 << g.n) - 1 & ~clique)
-            parts = [part or next(p for p, a in split if a == attach) for part, attach, _ in on_cycle]
+            parts = [part for part, _, _ in on_cycle]
+            if not all(parts):  # a clique-tree table names no component
+                split = _components(_adjacency_masks(g), (1 << g.n) - 1 & ~clique)
+                parts = [part or next(p for p, a in split if a == attach) for part, attach, _ in on_cycle]
             attached = tuple(_members(attach) for _, attach, _ in on_cycle)
             return SideWitness(_members(clique), tuple(map(_members, parts)), attached)
     return None
@@ -592,8 +604,10 @@ def _pendant_answer(
     masks = [_mask(c) for c in cliques]
     separating, table = _separator_table(adj, masks, separators, deadline)
     leaf_count = [0] * g.n
-    for v in (v for c, cuts in zip(cliques, separating) if not cuts for v in c):
-        leaf_count[v] += 1
+    for c, cuts in zip(cliques, separating):
+        if not cuts:
+            for v in c:
+                leaf_count[v] += 1
     if max(leaf_count) > 2:
         return RecognitionResult(False, None, None)
     if any(separating):
@@ -694,7 +708,10 @@ def cheapest_representation(g: Graph, budget_secs: float | None = None) -> Recog
     rep = is_helly_ept(g, max(0.0, budget_secs - (time.monotonic() - start)))
     if rep is None:
         return RecognitionResult(False, None, None)
-    h = k if k > 1 else 2 if max_host_degree(rep) <= 2 else 3
+    if k == 1:
+        h = 2 if max_host_degree(rep) <= 2 else 3
+    else:
+        h = k
     cert = rep if max_host_degree(rep) <= h else None
     return RecognitionResult(True, h, cert)
 

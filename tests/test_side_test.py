@@ -270,7 +270,8 @@ def test_twin_cap_keeps_a_triangle_of_twins():
         x, y = 4 + 2 * i, 5 + 2 * i
         edges += [(0, x), (x, y), (y, 1)]
     g = Graph(14, edges)
-    witness = searched_side_test(g)
+    witness = side_test(g)
+    assert witness == searched_side_test(g)
     assert witness.clique == (0, 1, 2, 3)
     assert sorted(witness.components) == [(4, 5), (6, 7), (8, 9)]
     check_side_witness(g, witness)
@@ -290,9 +291,9 @@ def table_sides(rows) -> list:
 def test_table_matches_a_search_per_clique():
     # on the connected graphs of 4 to 7 vertices and seeded random graphs
     # of 8 to 16, at every maximal clique K: F1 lists the components of
-    # g - K by their attachments, with the leftover; the table hands the
-    # side test what a search of g - K gives it; and F2's "K separates"
-    # is the search's answer
+    # g - K by their attachments, with the leftover; at a K that
+    # separates g, the table hands the side test what a search of g - K
+    # gives it; and F2's "K separates" is the search's answer
     rng = random.Random(20261025)
     graphs = [g for n in range(4, 8) for g in small_graph_corpus(n, connected_only=True)]
     while len(graphs) < 2500:
@@ -316,7 +317,11 @@ def test_table_matches_a_search_per_clique():
             leftover = [attach for _, attach in split if attach == clique and clique not in below]
             assert Counter(attach for _, attach in split) == listed + Counter(leftover), g.edges
             assert len(leftover) <= 1
-            assert table_sides(table[k]) == capped_sides(masks, clique, split), g.edges
+            sides = capped_sides(masks, clique, split)
+            if separating[k]:
+                assert table_sides(table[k]) == sides, g.edges
+            else:  # no leftover row, and one component at most
+                assert table_sides(table[k]) in (sides, []) and len(sides) <= 1, g.edges
             assert separating[k] == (len(split) > 1), g.edges
             seen["leftover" if leftover else "none", separating[k]] += 1
     assert min(seen.values()) >= 1000, seen
@@ -325,12 +330,14 @@ def test_table_matches_a_search_per_clique():
 def test_clique_tree_table_matches_a_search_per_clique():
     # on chordal graphs the clique tree gives each separator of two
     # vertices or more inside K once, for all the components of g - K
-    # that a search attaches there
+    # that a search attaches there; with fewer than three such separators
+    # in all, no odd cycle fits and the table is empty
     rng = random.Random(20261026)
     graphs = [g for _, g in wide_chordal()]
     graphs += [g for n in range(4, 8) for g in small_graph_corpus(n, connected_only=True)]
-    while len(graphs) < 2500:
-        n = rng.randint(6, 16)
+    while len(graphs) < 4000:
+        # the larger ones have three separators or more more often
+        n = rng.randint(6, 16) if len(graphs) < 2500 else rng.randint(17, 30)
         # each new vertex sees part of an earlier clique, so it is
         # simplicial when added and the graph is chordal
         edges, cliques = [], [[0]]
@@ -340,18 +347,21 @@ def test_clique_tree_table_matches_a_search_per_clique():
             edges += [(w, v) for w in seen]
             cliques.append(seen + [v])
         graphs.append(Graph(n, edges))
-    tested = 0
+    tested = Counter()
     for g in graphs:
         found = recognition._chordal_cliques(g)
         if found is None:
             continue
-        tested += 1
         masks = [recognition._mask(c) for c in found[0]]
         table = recognition._clique_tree_table(g.n, masks, found[1])
         adj = _adjacency_masks(g)
-        for k, clique in enumerate(masks):
+        wanted = []
+        for clique in masks:
             split = _components(adj, (1 << g.n) - 1 & ~clique)
-            wanted = {attach for _, attach in split if attach & (attach - 1)}
-            got = [attach for _, attach, _ in table_sides(table[k])]
-            assert sorted(got) == sorted(wanted), g.edges
-    assert tested >= 1800
+            wanted.append({attach for _, attach in split if attach & (attach - 1)})
+        full = len(set().union(*wanted)) >= 3
+        tested[full] += 1
+        for rows, attached in zip(table, wanted):
+            got = [attach for _, attach, _ in table_sides(rows)]
+            assert sorted(got) == (sorted(attached) if full else []), g.edges
+    assert tested[True] >= 1000 and tested[False] >= 1000, tested
