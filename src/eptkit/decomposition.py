@@ -47,21 +47,50 @@ order, that lies in V and separates g[V].
 Cost: MCS-M takes O(n(n + m)) time, one search of the unnumbered
 vertices per step, and yields at most n - 1 candidates; taking a vertex
 from the top weight bucket costs O(1), and the completeness test reads
-adjacency masks. Each node scans the candidates from just after its
-parent's S*, with one component search on vertex masks per candidate
-inside V: O(n) operations on n-bit masks. The scan may skip the
-earlier ones: by induction, a candidate T before S* in the
-parent's scan either lies outside V or does not separate g[V]. It
-separates no child g[S* + C] either. T containing S* would come after
-S*. Otherwise S* - T is a non-empty clique, and each x in C - T has a
-path to it in g[V] - T that stays in C until it first meets S*, so
-g[S* + C] - T is connected. S* separates no child, as C is connected.
+adjacency masks. Then one component search of g - S per candidate S,
+O(n) operations on n-bit masks, lists the components of g - S with
+their attachments (_separator_splits). The split loop and
+recognition's separator table both read that one list; neither
+searches again. Each node scans the candidates from just after its
+parent's S*. The scan may skip the earlier ones: by induction, a
+candidate T before S* in the parent's scan either lies outside V or
+does not separate g[V]. It separates no child g[S* + C] either. T
+containing S* would come after S*. Otherwise S* - T is a non-empty
+clique, and each x in C - T has a path to it in g[V] - T that stays in
+C until it first meets S*, so g[S* + C] - T is connected. S* separates
+no child, as C is connected.
+
+The parts of g[V] - S, for a candidate S inside V, are the non-empty
+D & V over the components D of g - S, re-sorted by lowest vertex.
+Distinct D are apart in g - S, so it is enough that D & V is
+connected. First, every component X of g - V has a complete
+neighbourhood N(X): at the root there is none. At a child V' = S* + C
+of V, a component of g - V' that misses V is a component of g - V.
+Any other holds vertices of the parts of g[V] - S* other than C,
+whose neighbours in V' lie in S*, and components X of g - V that reach
+them; such an N(X) is complete, so it lies in S* and one of those
+parts, and meets V' only in S*. So the neighbourhood of the component
+lies in S*. Now take a path in D between two vertices of D & V.
+Where it leaves V it runs through some X, and its last vertex before
+and first after lie in N(X) - S, which is complete: the two are
+adjacent, and the detour can be cut. So D & V is connected.
+
+Each candidate is scanned at one node at most, so the split loop reads
+each component of each g - S once: O(n) operations on n-bit masks per
+candidate. A node scans the candidates inside V from where it starts
+up to S*, and its children start after S*. A later candidate T inside V
+is not inside S*, or it would come before S*, so T has a vertex in one
+part C of g[V] - S*, and the clique T has none in another: T lies in
+one child at most. Each node still steps over the later candidates
+outside V, at one mask test each.
+
 The split loop yields the atoms as vertex masks (_atom_masks), which
 is all recognition's atom test reads; only decomposition_tree, and so
-atoms, builds an induced Graph per atom. recognition runs MCS-M once
-(_separator_masks) and hands its list to both the split loop and its
-separator table. Both take a deadline, which MCS-M checks at every
-step and the split loop at every node. Nothing is exponential.
+atoms, builds an induced Graph per atom. recognition runs
+_separator_splits once and hands its list to both the split loop and
+its separator table. Both take a deadline, which MCS-M checks at every
+step, the component searches at every candidate and the split loop at
+every node. Nothing is exponential.
 """
 
 from __future__ import annotations
@@ -173,84 +202,84 @@ def _clique_minimal_separators(
     return sorted(map(_members, found), key=lambda s: (len(s), s))
 
 
-def _first_split(
-    adj: list[int], separators: list[int], vertices: int, start: int = 0
-) -> tuple[int, list[int]] | None:
-    """The index of the first of `separators`, from index `start`,
-    inside `vertices` that disconnects g[vertices], with the parts of
-    the remainder. Vertex sets are masks, and adj holds g's
-    _adjacency_masks."""
-    for i in range(start, len(separators)):
-        sep = separators[i]
+# Each clique minimal separator S of g, as a mask, with the components
+# of g - S and their attachments (graphs._components)
+Splits = list[tuple[int, list[tuple[int, int]]]]
+
+
+def _first_split(splits: Splits, vertices: int, start: int = 0) -> tuple[int, list[int]] | None:
+    """The index of the first of `splits`, from index `start`, whose
+    separator lies inside `vertices` and disconnects g[vertices], with
+    the parts of the remainder in order of lowest vertex, as masks.
+    `vertices` is a node of the decomposition tree, so these parts are
+    the non-empty D & vertices (see the module docstring)."""
+    for i in range(start, len(splits)):
+        sep, below = splits[i]
         if not sep & ~vertices:
-            parts = _components(adj, vertices & ~sep)
+            parts = [part & vertices for part, _ in below if part & vertices]
             if len(parts) >= 2:
-                return i, [part for part, _ in parts]
+                return i, sorted(parts, key=lambda part: part & -part)
     return None
 
 
-def _require_connected(adj: list[int]) -> None:
-    """Refuse the graph with adjacency masks adj unless it has exactly
-    one component."""
-    if len(_components(adj, (1 << len(adj)) - 1)) != 1:
+def _separator_splits(g: Graph, adj: list[int], deadline: float = math.inf) -> Splits:
+    """The clique minimal separators of g, as masks, in the order of
+    _clique_minimal_separators, each with one component search of g - S;
+    adj holds g's _adjacency_masks. Raises ValueError for a disconnected
+    g and BudgetExhaustedError once the monotonic clock passes deadline,
+    checked at every MCS-M step and every separator."""
+    everything = (1 << g.n) - 1
+    if len(_components(adj, everything)) != 1:
         raise ValueError("input graph must be connected")
+    splits = []
+    for sep in map(_mask, _clique_minimal_separators(g, adj, deadline)):
+        _check_deadline(deadline)
+        splits.append((sep, _components(adj, everything & ~sep)))
+    return splits
 
 
 def find_clique_separator(g: Graph) -> tuple[VertexSet, list[VertexSet]] | None:
     """Smallest complete separator of a connected graph, with the parts
     of the remainder; lexicographic tie-break. None when g is an atom."""
-    adj = _adjacency_masks(g)
-    _require_connected(adj)
-    separators = _clique_minimal_separators(g, adj)
-    split = _first_split(adj, [_mask(s) for s in separators], (1 << g.n) - 1)
-    return None if split is None else (separators[split[0]], [_members(p) for p in split[1]])
+    splits = _separator_splits(g, _adjacency_masks(g))
+    split = _first_split(splits, (1 << g.n) - 1)
+    return None if split is None else (_members(splits[split[0]][0]), [_members(p) for p in split[1]])
 
 
 def _preorder(
-    adj: list[int], masks: list[int], deadline: float = math.inf
+    n: int, splits: Splits, deadline: float = math.inf
 ) -> Iterator[tuple[int, tuple[int, list[int]] | None]]:
-    """The nodes of the decomposition tree of the connected graph with
-    adjacency masks adj, in preorder, as (vertex mask, split): split is
-    _first_split's answer over the candidate masks, None at an atom.
+    """The nodes of the decomposition tree of the connected graph on n
+    vertices with these _separator_splits, in preorder, as (vertex
+    mask, split): split is _first_split's answer, None at an atom.
     Built without recursion, as a path's tree is n - 2 levels deep.
     Raises BudgetExhaustedError once the monotonic clock passes
     deadline."""
-    stack = [((1 << len(adj)) - 1, 0)]  # (vertex mask, first candidate to try)
+    stack = [((1 << n) - 1, 0)]  # (vertex mask, first candidate to try)
     while stack:
         _check_deadline(deadline)
         vertices, start = stack.pop()
-        split = _first_split(adj, masks, vertices, start)
+        split = _first_split(splits, vertices, start)
         yield vertices, split
         if split is not None:
             i, parts = split
-            stack.extend((masks[i] | part, i + 1) for part in reversed(parts))
+            stack.extend((splits[i][0] | part, i + 1) for part in reversed(parts))
 
 
-def _separator_masks(g: Graph, adj: list[int], deadline: float) -> list[int]:
-    """The clique minimal separators of g, as masks, in the order of
-    _clique_minimal_separators; adj holds g's _adjacency_masks. Raises
-    ValueError for a disconnected g and BudgetExhaustedError once the
+def _atom_masks(n: int, splits: Splits, deadline: float) -> Iterator[int]:
+    """The atoms of the connected graph on n vertices with these
+    _separator_splits, in the order of atoms(g), as vertex masks, with
+    no induced Graph built. Raises BudgetExhaustedError once the
     monotonic clock passes deadline."""
-    _require_connected(adj)
-    return [_mask(sep) for sep in _clique_minimal_separators(g, adj, deadline)]
-
-
-def _atom_masks(adj: list[int], separators: list[int], deadline: float) -> Iterator[int]:
-    """The atoms of the connected graph with adjacency masks adj, in the
-    order of atoms(g), as vertex masks, with no induced Graph built;
-    separators are its _separator_masks. Raises BudgetExhaustedError
-    once the monotonic clock passes deadline."""
-    for vertices, split in _preorder(adj, separators, deadline):
+    for vertices, split in _preorder(n, splits, deadline):
         if split is None:
             yield vertices
 
 
 def decomposition_tree(g: Graph) -> CliqueDecomposition:
     """Recursive decomposition; each part keeps the separator vertices."""
-    adj = _adjacency_masks(g)
-    _require_connected(adj)
-    separators = _clique_minimal_separators(g, adj)
-    preorder = list(_preorder(adj, [_mask(sep) for sep in separators]))
+    splits = _separator_splits(g, _adjacency_masks(g))
+    preorder = list(_preorder(g.n, splits))
     # reverse preorder builds children first, the first child on top of `built`
     built: list[SeparatorNode | AtomLeaf] = []
     for vertices, split in reversed(preorder):
@@ -259,7 +288,7 @@ def decomposition_tree(g: Graph) -> CliqueDecomposition:
             built.append(AtomLeaf(members, atom))
         else:
             i, parts = split
-            built.append(SeparatorNode(separators[i], tuple(built.pop() for _ in parts)))
+            built.append(SeparatorNode(_members(splits[i][0]), tuple(built.pop() for _ in parts)))
     return CliqueDecomposition(g, built.pop())
 
 

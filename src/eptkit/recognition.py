@@ -10,12 +10,14 @@ also lists its maximal cliques and a clique tree, and all its atoms
 are complete. Nor is a graph that the two-clique test and a 2-connected
 clique graph show to be one atom (_one_atom_count); every other
 non-chordal graph is decomposed on vertex masks (decomposition.
-_atom_masks). Then, for a non-chordal graph, the pendant filter and
-the star (_pendant_answer), and for every graph the side test
-(_side_witness), which names its odd cycle of components in a
-SideWitness. Both answer at any clique count, and both read one table
-of what hangs off each maximal clique, built from the clique minimal
-separators (_separator_table) or the clique tree (_clique_tree_table).
+_atom_masks), with one component search of g - S per clique minimal
+separator S (decomposition._separator_splits). Then, for a
+non-chordal graph, the pendant filter and the star (_pendant_answer),
+and for every graph the side test (_side_witness), which names its odd
+cycle of components in a SideWitness. Both answer at any clique count,
+and both read one table of what hangs off each maximal clique, built
+from the split loop's components of each g - S, with no search of its
+own (_separator_table), or from the clique tree (_clique_tree_table).
 Every other graph goes to the oracle's exhaustive bijection-tree
 search, which also yields the certificate. is_helly_ept is that search
 alone, the reference the tests compare with. For a member, h rests on
@@ -33,7 +35,7 @@ import itertools
 import time
 from typing import NamedTuple
 
-from .decomposition import _atom_masks, _separator_masks
+from .decomposition import Splits, _atom_masks, _separator_splits
 from .gates import _two_clique_split
 from .graphs import (
     Graph,
@@ -330,15 +332,16 @@ def _holding(n: int, masks: list[int]) -> list[list[int]]:
 
 
 def _separator_table(
-    adj: list[int], masks: list[int], separators: list[int], deadline: float
+    n: int, masks: list[int], splits: Splits, deadline: float
 ) -> tuple[list[bool], list[list[tuple[Row, int]]]]:
-    """Whether each maximal clique separates the connected g, and the
-    table, for adjacency masks adj, maximal cliques `masks` and clique
-    minimal separators `separators` (decomposition._separator_masks).
-    The traces of a component D of g - S are the sets L & S of two
-    vertices or more, L a maximal clique meeting D; a separator of one
-    vertex has no classes. Raises BudgetExhaustedError once the clock
-    passes deadline, checked once per separator.
+    """Whether each maximal clique separates the connected g on n
+    vertices, and the table, for maximal cliques `masks` and the clique
+    minimal separators with the components of g - S that the split loop
+    also reads (decomposition._separator_splits): the table searches no
+    graph itself. The traces of a component D of g - S are the sets
+    L & S of two vertices or more, L a maximal clique meeting D; a
+    separator of one vertex has no classes. Raises BudgetExhaustedError
+    once the clock passes deadline, checked once per separator.
 
     F1: the components of g - K come from the separators inside K. Let
     D be one with attachments A = N(D) other than K. K - A is not empty
@@ -368,13 +371,12 @@ def _separator_table(
     """
     separating = [False] * len(masks)
     table: list[list[tuple[Row, int]]] = [[] for _ in masks]
-    if not separators:  # one atom: no clique separates g, and no row is read
+    if not splits:  # one atom: no clique separates g, and no row is read
         return separating, table
-    everything = (1 << len(adj)) - 1
-    holding = _holding(len(adj), masks)
-    for sep in separators:
+    everything = (1 << n) - 1
+    holding = _holding(n, masks)
+    for sep, split in splits:
         _check_deadline(deadline)
-        split = _components(adj, everything & ~sep)
         row: Row = (sep, [])
         # a clique holding two vertices of sep holds one but the most held
         by_use = sorted(_members(sep), key=lambda v: len(holding[v]))
@@ -563,11 +565,11 @@ def _side_witness(
 
 
 def _pendant_answer(
-    g: Graph, adj: list[int], separators: list[int], k: int, deadline: float
+    g: Graph, splits: Splits, k: int, deadline: float
 ) -> RecognitionResult | None:
-    """The answer for a non-chordal g, with adjacency masks adj and
-    clique minimal separators as masks, whose atoms passed the atom
-    test with k the largest atom clique count, when its maximal cliques
+    """The answer for a non-chordal g, with these
+    decomposition._separator_splits, whose atoms passed the atom test
+    with k the largest atom clique count, when its maximal cliques
     decide it; None when the scan must. Raises BudgetExhaustedError
     once the monotonic clock passes deadline.
 
@@ -602,7 +604,7 @@ def _pendant_answer(
     """
     cliques = enumerate_maximal_cliques(g)
     masks = [_mask(c) for c in cliques]
-    separating, table = _separator_table(adj, masks, separators, deadline)
+    separating, table = _separator_table(g.n, masks, splits, deadline)
     leaf_count = [0] * g.n
     for c, cuts in zip(cliques, separating):
         if not cuts:
@@ -640,8 +642,8 @@ def cheapest_representation(g: Graph, budget_secs: float | None = None) -> Recog
     complete. Nor is a non-chordal graph that _one_atom_count shows to
     be one atom, whose atom test is then the two-clique test it passed.
     The first failing atom, in decomposition order, is the
-    obstruction. Disconnected inputs are refused by _atom_masks or, when
-    chordal, by is_helly_ept, with the same ValueError.
+    obstruction. Disconnected inputs are refused by _separator_splits
+    or, when chordal, by is_helly_ept, with the same ValueError.
 
     With k the maximum clique count over g's atoms (1 for a chordal
     g), k is 1 or at least 4, because a passing atom has one clique or
@@ -676,9 +678,10 @@ def cheapest_representation(g: Graph, budget_secs: float | None = None) -> Recog
 
     The budget is resolved and checked first, so a NaN or negative one
     is a ValueError on every route. It runs from the start of the call:
-    MCS-M, which runs once for the split loop and the table, the split
-    loop, the table and the side test raise BudgetExhaustedError once
-    it has run out, and the scan gets what they left.
+    MCS-M and the component search per separator, which run once for
+    the split loop and the table, the split loop, the table and the
+    side test raise BudgetExhaustedError once it has run out, and the
+    scan gets what they left.
     """
     budget_secs = resolve_budget_secs(budget_secs)
     start = time.monotonic()
@@ -695,14 +698,14 @@ def cheapest_representation(g: Graph, budget_secs: float | None = None) -> Recog
     else:
         adj = _adjacency_masks(g)
         k = _one_atom_count(adj)
-        separators = []  # one atom has no clique separator
+        splits = []  # one atom has no clique separator
         if k is None:
-            k, separators = 1, _separator_masks(g, adj, deadline)
-            for atom in _atom_masks(adj, separators, deadline):
+            k, splits = 1, _separator_splits(g, adj, deadline)
+            for atom in _atom_masks(g.n, splits, deadline):
                 if (count := _atom_clique_count(adj, atom)) is None:
                     return RecognitionResult(False, None, None, obstruction=_members(atom))
                 k = max(k, count)
-        answer = _pendant_answer(g, adj, separators, k, deadline)
+        answer = _pendant_answer(g, splits, k, deadline)
         if answer is not None:
             return answer
     rep = is_helly_ept(g, max(0.0, budget_secs - (time.monotonic() - start)))

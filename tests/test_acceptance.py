@@ -17,7 +17,7 @@ from collections import Counter
 import pytest
 
 from eptkit import recognition
-from eptkit.decomposition import _separator_masks, atoms
+from eptkit.decomposition import _separator_splits, atoms
 from eptkit.gates import (
     GateRecipe,
     build_gate,
@@ -304,7 +304,7 @@ def test_scan_members_keep_the_pruning_facts(corpus7, helly_corpus, monkeypatch)
         cliques = enumerate_maximal_cliques(g)
         masks = [_mask(c) for c in cliques]
         separating, _ = recognition._separator_table(
-            adj, masks, _separator_masks(g, adj, math.inf), math.inf
+            g.n, masks, _separator_splits(g, adj, math.inf), math.inf
         )
         # the facts rest on the search, not on the table
         everything = (1 << g.n) - 1

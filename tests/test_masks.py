@@ -16,6 +16,7 @@ from eptkit.graphs import (
     BoundExceededError,
     Graph,
     _adjacency_masks,
+    _components,
     _mask,
     _maximal_cliques,
     connected_components,
@@ -160,10 +161,36 @@ def test_atom_masks_are_the_public_atoms(families):
             if g.n and is_connected(g):
                 adj = _adjacency_masks(g)
                 leaves = decomposition.decomposition_tree(g).leaves()
-                separators = decomposition._separator_masks(g, adj, math.inf)
-                assert list(decomposition._atom_masks(adj, separators, math.inf)) == [
+                splits = decomposition._separator_splits(g, adj, math.inf)
+                assert list(decomposition._atom_masks(g.n, splits, math.inf)) == [
                     _mask(leaf.vertices) for leaf in leaves
                 ], g.edges
+
+
+def test_split_loop_parts_match_a_search_at_every_node(families):
+    # the module docstring's lemma: at every node V of the tree, the
+    # parts read off the one search of g - S are those of a search of
+    # g[V] - S, and no candidate the node scans before S* splits g[V].
+    # The walk below tracks where each node's scan starts
+    for name, graphs in families.items():
+        for g in graphs[2:] if name == "large" else graphs:
+            if g.n and is_connected(g):
+                adj = _adjacency_masks(g)
+                splits = decomposition._separator_splits(g, adj)
+                stack = [((1 << g.n) - 1, 0)]
+                for vertices, split in decomposition._preorder(g.n, splits):
+                    node, start = stack.pop()
+                    assert vertices == node, g.edges
+                    end = len(splits) if split is None else split[0]
+                    for sep, _ in splits[start:end]:
+                        if not sep & ~vertices:
+                            assert len(_components(adj, vertices & ~sep)) <= 1, g.edges
+                    if split is not None:
+                        i, parts = split
+                        sep = splits[i][0]
+                        assert parts == [part for part, _ in _components(adj, vertices & ~sep)], g.edges
+                        stack.extend((sep | part, i + 1) for part in reversed(parts))
+                assert not stack, g.edges
 
 
 def outcome(g: Graph):

@@ -380,11 +380,11 @@ def test_deadline_reaches_the_steps_before_the_scan():
 @pytest.mark.parametrize("t, bound", [(2000, 1.0), (9995, 2.0)])
 def test_hub_inputs_reach_the_clique_bound(t, bound):
     # C_5 with t pendants, up to the parse bound: every clique {0, p}
-    # holds vertex 0, the one clique minimal separator, so the separator
-    # table searches g - {0} once, where a search of g minus each clique
-    # took 4.4 s at t = 2 000. The route runs to the scan's clique bound
-    # at the default budget (about 0.05 s, and 0.35-0.55 s at t = 9 995,
-    # on 2 CPUs)
+    # holds vertex 0, the one clique minimal separator, so the split
+    # loop and the separator table share one search of g - {0}, where a
+    # search of g minus each clique took 4.4 s at t = 2 000. The route
+    # runs to the scan's clique bound at the default budget (about
+    # 0.05 s, and 0.35-0.55 s at t = 9 995, on 2 CPUs)
     g = cycle_with_pendants(5, t)
     gc.collect()
     start = time.perf_counter()
@@ -393,28 +393,56 @@ def test_hub_inputs_reach_the_clique_bound(t, bound):
     assert time.perf_counter() - start < bound
 
 
-def test_steps_before_the_scan_check_the_deadline():
-    # MCS-M, the split loop, the separator table and the side test each
-    # raise on a deadline already past, where without one they answer
+def test_route_searches_g_minus_s_once_per_separator(monkeypatch):
+    # C_600 with a pendant at every cycle vertex has 600 clique minimal
+    # separators {i}. The route searches g once to check it is
+    # connected and g - S once per separator; the split loop and the
+    # separator table read those parts and search nothing more
+    n = 600
+    g = Graph(2 * n, list(cycle_graph(n).edges) + [(i, n + i) for i in range(n)])
+    assert len(decomposition._clique_minimal_separators(g, recognition._adjacency_masks(g))) == n
+    search = decomposition._components
+    searched = []
+
+    def counted(adj, rest):
+        searched.append(rest)
+        return search(adj, rest)
+
+    monkeypatch.setattr(decomposition, "_components", counted)
+    monkeypatch.setattr(recognition, "_components", counted)
+    with pytest.raises(BoundExceededError):
+        cheapest_representation(g)
+    assert len(searched) == 1 + n
+
+
+def test_steps_before_the_scan_check_the_deadline(monkeypatch):
+    # MCS-M, the search of g - S per separator, the split loop, the
+    # separator table and the side test each raise on a deadline
+    # already past, where without one they answer
     past = time.monotonic() - 1.0
     adj = recognition._adjacency_masks(C6_PENDANT)
-    separators = decomposition._separator_masks(C6_PENDANT, adj, math.inf)
+    splits = decomposition._separator_splits(C6_PENDANT, adj, math.inf)
     with pytest.raises(BudgetExhaustedError):
         decomposition._clique_minimal_separators(C6_PENDANT, adj, past)
+    mcs_m = decomposition._clique_minimal_separators
+    with monkeypatch.context() as patched:  # MCS-M without a deadline
+        patched.setattr(decomposition, "_clique_minimal_separators", lambda g, adj, _: mcs_m(g, adj))
+        with pytest.raises(BudgetExhaustedError):
+            decomposition._separator_splits(C6_PENDANT, adj, past)
     with pytest.raises(BudgetExhaustedError):
-        next(decomposition._preorder(adj, separators, past))
-    assert len(list(decomposition._preorder(adj, separators))) == 3
+        next(decomposition._preorder(C6_PENDANT.n, splits, past))
+    assert len(list(decomposition._preorder(C6_PENDANT.n, splits))) == 3
     cliques = [recognition._mask(c) for c in enumerate_maximal_cliques(C6_PENDANT)]
     with pytest.raises(BudgetExhaustedError):
-        recognition._separator_table(adj, cliques, separators, past)
-    separating, _ = recognition._separator_table(adj, cliques, separators, math.inf)
+        recognition._separator_table(C6_PENDANT.n, cliques, splits, past)
+    separating, _ = recognition._separator_table(C6_PENDANT.n, cliques, splits, math.inf)
     assert separating == [True, True, False, False, False, False, False]
     # S3's middle triangle has three ears, each attached to two of its
     # vertices: the separators {2, 3}, {2, 5} and {3, 5}
     adj = recognition._adjacency_masks(S3_GRAPH)
     cliques = [recognition._mask(c) for c in enumerate_maximal_cliques(S3_GRAPH)]
-    separators = decomposition._separator_masks(S3_GRAPH, adj, math.inf)
-    _, table = recognition._separator_table(adj, cliques, separators, math.inf)
+    splits = decomposition._separator_splits(S3_GRAPH, adj, math.inf)
+    _, table = recognition._separator_table(S3_GRAPH.n, cliques, splits, math.inf)
     with pytest.raises(BudgetExhaustedError):
         recognition._side_witness(S3_GRAPH, cliques, table, past)
     assert recognition._side_witness(S3_GRAPH, cliques, table, math.inf).clique == (2, 3, 5)
@@ -484,8 +512,8 @@ def test_separating_cliques_match_a_search_per_clique():
         ]
         adj = recognition._adjacency_masks(g)
         masks = [recognition._mask(c) for c in cliques]
-        separators = decomposition._separator_masks(g, adj, math.inf)
-        separating, _ = recognition._separator_table(adj, masks, separators, math.inf)
+        splits = decomposition._separator_splits(g, adj, math.inf)
+        separating, _ = recognition._separator_table(g.n, masks, splits, math.inf)
         assert separating == expected, g
         pieces = [recognition._mask(vertices) for _, vertices in atoms(g)]
         splits = separating_splits(adj, masks, pieces)

@@ -70,8 +70,8 @@ def side_table(g: Graph) -> tuple[list[int], list]:
         return masks, recognition._clique_tree_table(g.n, masks, found[1])
     adj = _adjacency_masks(g)
     masks = [recognition._mask(c) for c in enumerate_maximal_cliques(g)]
-    separators = decomposition._separator_masks(g, adj, math.inf)
-    return masks, recognition._separator_table(adj, masks, separators, math.inf)[1]
+    splits = decomposition._separator_splits(g, adj, math.inf)
+    return masks, recognition._separator_table(g.n, masks, splits, math.inf)[1]
 
 
 def side_test(g: Graph):
@@ -194,7 +194,7 @@ def test_large_chordal_inputs_skip_the_search(monkeypatch):
     # the chordal route reads the side test off the clique tree: a search
     # of g - K at each of these graphs' 2 000 cliques took seconds, where
     # the scan refuses them at once; no search per separator either
-    for name in ("_components", "_separator_table", "enumerate_maximal_cliques"):
+    for name in ("_components", "_separator_splits", "_separator_table", "enumerate_maximal_cliques"):
         monkeypatch.setattr(recognition, name, refuse(name))
     rng = random.Random(20261021)
     n = 2000
@@ -305,8 +305,9 @@ def test_table_matches_a_search_per_clique():
         adj = _adjacency_masks(g)
         everything = (1 << g.n) - 1
         masks = [recognition._mask(c) for c in enumerate_maximal_cliques(g)]
-        separators = decomposition._separator_masks(g, adj, math.inf)
-        separating, table = recognition._separator_table(adj, masks, separators, math.inf)
+        splits = decomposition._separator_splits(g, adj, math.inf)
+        separators = [sep for sep, _ in splits]
+        separating, table = recognition._separator_table(g.n, masks, splits, math.inf)
         below = {s: _components(adj, everything & ~s) for s in separators}
         for k, clique in enumerate(masks):
             split = _components(adj, everything & ~clique)
