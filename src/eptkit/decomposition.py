@@ -156,6 +156,9 @@ def _clique_minimal_separators(
     waiting: list[set[int]] = [set(range(n))] + [set() for _ in range(n)]
     # the step that last reached a vertex, n once it is numbered
     stamp = [-1] * n
+    # the fill search's levels (below), made once: every step empties
+    # each level it fills
+    buckets: list[list[int]] = [[] for _ in range(n)]
     found: set[int] = set()
     previous = -1
     top = 0
@@ -170,17 +173,17 @@ def _clique_minimal_separators(
             if all(not sep & ~adj[u] & ~(1 << u) for u in _members(sep)):
                 found.add(sep)
         previous = top
-        # bucket j holds reached vertices whose paths from v have
+        # buckets[j] holds reached vertices whose paths from v have
         # interior weights at most j; they extend paths at level j.
-        # No unnumbered vertex outweighs v.
-        buckets: list[list[int]] = [[] for _ in range(top + 1)]
+        # No unnumbered vertex outweighs v, so levels above top stay empty
         raised = []
         for u in near[v]:
             if stamp[u] < step:
                 stamp[u] = step
                 buckets[weight[u]].append(u)
                 raised.append(u)
-        for level, bucket in enumerate(buckets):
+        for level in range(top + 1):
+            bucket = buckets[level]
             while bucket:
                 y = bucket.pop()
                 for z in near[y]:

@@ -32,6 +32,14 @@ automorphism fixing every placed edge. That automorphism maps the
 assignments below j one-to-one onto those below j', keeping spans
 paths and keeping non-adjacent spans disjoint, so the subtree under j'
 was searched first and fails exactly when the one under j would.
+
+The scan is _scan, on a graph's sorted maximal cliques, its adjacency
+masks and a deadline. oracle_membership lists the cliques, stopping
+past CLIQUE_BOUND, and builds the masks for it;
+recognition.cheapest_representation hands it the ones it has already
+built. Each tree shape validates its HostTree once, on its first
+accept (TreeShape.host_tree), and every certificate on that shape
+shares the tree, which is immutable.
 """
 
 from __future__ import annotations
@@ -48,7 +56,8 @@ from .graphs import (
     VertexSet,
     _adjacency_masks,
     _canonical_search,
-    _maximal_cliques,
+    _clique_masks,
+    _members,
     _orbit_representatives,
     is_connected,
 )
@@ -92,7 +101,9 @@ class TreeShape:
     when it is a key, and its value lists the path from its
     lower-numbered end."""
 
-    __slots__ = ("graph", "n", "m", "edges", "max_degree", "path_mask", "paths", "_orbit_masks")
+    __slots__ = (
+        "graph", "n", "m", "edges", "max_degree", "path_mask", "paths", "_orbit_masks", "_host"
+    )
 
     def __init__(self, graph: Graph):
         self.graph = graph
@@ -123,6 +134,15 @@ class TreeShape:
             for w in range(root + 1, n):
                 self.paths[row[w]] = seq[w]
         self._orbit_masks: tuple[int, dict[int, int]] | None = None
+        self._host: HostTree | None = None
+
+    def host_tree(self) -> HostTree:
+        """The shape as a validated HostTree, built on the first accept
+        and shared by every certificate on the shape; HostTree is
+        immutable."""
+        if self._host is None:
+            self._host = HostTree(self.n, self.edges)
+        return self._host
 
     def orbit_masks(self) -> tuple[int, dict[int, int]]:
         """Candidate edges for the first two cliques of the assignment
@@ -394,24 +414,35 @@ def oracle_membership(g: Graph, *, budget_secs: float | None = None) -> EptRepre
     or None after exhausting all of them. Raises BudgetExhaustedError
     when time runs out first, BoundExceededError as soon as the listing
     finds a clique past CLIQUE_BOUND, and ValueError for a NaN or
-    negative budget. Nothing is kept between calls."""
+    negative budget. Nothing about g is kept between calls. The scan
+    itself is _scan, which recognition.cheapest_representation calls
+    with the cliques, masks and deadline it already has."""
     budget_secs = resolve_budget_secs(budget_secs)
+    adj = _adjacency_masks(g)
     # stop listing at the first clique past the bound: K_{3x12} alone
     # has 531 441
-    cliques = sorted(itertools.islice(_maximal_cliques(g), CLIQUE_BOUND + 1))
+    cliques = sorted(map(_members, itertools.islice(_clique_masks(adj), CLIQUE_BOUND + 1)))
+    return _scan(cliques, adj, time.monotonic() + budget_secs)
+
+
+def _scan(cliques: list[VertexSet], adj: list[int], deadline: float) -> EptRepresentation | None:
+    """oracle_membership's answer for the graph with adjacency masks adj
+    (graphs._adjacency_masks) and these maximal cliques, each sorted,
+    in lexicographic order. Raises BoundExceededError, with
+    oracle_membership's text, when there are more than CLIQUE_BOUND
+    cliques, and BudgetExhaustedError once the monotonic clock passes
+    deadline."""
     m = len(cliques)
     if m > CLIQUE_BOUND:
         raise BoundExceededError(
             f"oracle limited to {CLIQUE_BOUND} cliques, graph has more than {CLIQUE_BOUND}"
         )
-    deadline = time.monotonic() + budget_secs
     order = _clique_order(cliques)
-    adj_self = [mask | 1 << v for v, mask in enumerate(_adjacency_masks(g))]
+    adj_self = [mask | 1 << v for v, mask in enumerate(adj)]
     for shape in tree_shapes(m):
         spans = _assign_cliques(shape, cliques, order, adj_self, deadline)
         if spans is not None:
-            tree = HostTree(shape.n, shape.edges)
-            return EptRepresentation(tree, tuple(shape.paths[mask] for mask in spans))
+            return EptRepresentation(shape.host_tree(), tuple(shape.paths[mask] for mask in spans))
     return None
 
 

@@ -19,9 +19,15 @@ and both read one table of what hangs off each maximal clique, built
 from the split loop's components of each g - S, with no search of its
 own (_separator_table), or from the clique tree (_clique_tree_table).
 Every other graph goes to the oracle's exhaustive bijection-tree
-search, which also yields the certificate. is_helly_ept is that search
-alone, the reference the tests compare with. For a member, h rests on
-the certificate and the atoms (see cheapest_representation).
+search (oracle._scan), which also yields the certificate. The route
+hands it the maximal cliques it has already listed, by the
+maximum-cardinality search or by one Bron-Kerbosch on the adjacency
+masks it has already built, and its own deadline; connectivity is
+settled by the route's own checks, not by a search of its own (see
+cheapest_representation). is_helly_ept is that search alone, from a
+connectivity search and a clique listing of its own: the reference the
+tests compare with. For a member, h rests on the certificate and the
+atoms (see cheapest_representation).
 is_interval and has_asteroidal_triple are standalone tests off that
 route; the tests use them as its independent reference. The
 independent characterization says non-membership at degree h is
@@ -41,13 +47,13 @@ from .graphs import (
     Graph,
     VertexSet,
     _adjacency_masks,
+    _clique_masks,
     _components,
     _mask,
     _members,
-    enumerate_maximal_cliques,
     is_connected,
 )
-from .oracle import _check_deadline, _clique_order, oracle_membership, resolve_budget_secs
+from .oracle import _check_deadline, _clique_order, _scan, oracle_membership, resolve_budget_secs
 from .representation import EptRepresentation, clique_star, max_host_degree
 
 
@@ -183,7 +189,8 @@ def is_interval(g: Graph) -> bool:
 
 def is_helly_ept(g: Graph, budget_secs: float | None = None) -> EptRepresentation | None:
     """A verified Helly representation of g, or None when exhaustive
-    bijection-tree search rules one out."""
+    bijection-tree search rules one out (oracle.oracle_membership, after
+    a connectivity search). ValueError for a disconnected or empty g."""
     if g.n == 0 or not is_connected(g):
         raise ValueError("input graph must be connected")
     return oracle_membership(g, budget_secs=budget_secs)
@@ -565,9 +572,10 @@ def _side_witness(
 
 
 def _pendant_answer(
-    g: Graph, splits: Splits, k: int, deadline: float
+    g: Graph, cliques: list[VertexSet], masks: list[int], splits: Splits, k: int, deadline: float
 ) -> RecognitionResult | None:
-    """The answer for a non-chordal g, with these
+    """The answer for a non-chordal g, with these maximal cliques in
+    lexicographic order, each also as a vertex mask, and these
     decomposition._separator_splits, whose atoms passed the atom test
     with k the largest atom clique count, when its maximal cliques
     decide it; None when the scan must. Raises BudgetExhaustedError
@@ -602,8 +610,6 @@ def _pendant_answer(
     Otherwise an odd cycle of the side test (_side_witness), on the
     same table, answers no at any clique count.
     """
-    cliques = enumerate_maximal_cliques(g)
-    masks = [_mask(c) for c in cliques]
     separating, table = _separator_table(g.n, masks, splits, deadline)
     leaf_count = [0] * g.n
     for c, cuts in zip(cliques, separating):
@@ -642,8 +648,15 @@ def cheapest_representation(g: Graph, budget_secs: float | None = None) -> Recog
     complete. Nor is a non-chordal graph that _one_atom_count shows to
     be one atom, whose atom test is then the two-clique test it passed.
     The first failing atom, in decomposition order, is the
-    obstruction. Disconnected inputs are refused by _separator_splits
-    or, when chordal, by is_helly_ept, with the same ValueError.
+    obstruction.
+
+    Disconnected inputs get ValueError("input graph must be connected")
+    from checks the route makes anyway, with no search of its own. A
+    chordal g is connected exactly when its clique forest
+    (_chordal_cliques) is one tree, and Graph(0) has no clique. A
+    non-chordal g is one atom, and so connected, when _one_atom_count
+    answers (its docstring proves it); otherwise _separator_splits
+    checks it.
 
     With k the maximum clique count over g's atoms (1 for a chordal
     g), k is 1 or at least 4, because a passing atom has one clique or
@@ -669,32 +682,38 @@ def cheapest_representation(g: Graph, budget_secs: float | None = None) -> Recog
     clique tree separates), but not the side test, on the clique tree
     of the search that found them chordal (_clique_tree_table). It
     needs four cliques, K and one per component of an odd cycle, and a
-    connected g: a clique forest of two trees means two components,
-    which is_helly_ept refuses.
+    connected g, which the root count has checked.
 
     The certificate is omitted when its tree's degree exceeds h, as on
     a K8 with five cliques attached (h = 3, while every bijection tree
     needs degree 4).
 
     The budget is resolved and checked first, so a NaN or negative one
-    is a ValueError on every route. It runs from the start of the call:
-    MCS-M and the component search per separator, which run once for
-    the split loop and the table, the split loop, the table and the
-    side test raise BudgetExhaustedError once it has run out, and the
-    scan gets what they left.
+    is a ValueError on every route. It runs from the start of the call
+    to one deadline: MCS-M and the component search per separator,
+    which run once for the split loop and the table, the split loop, the
+    table, the side test and the scan raise BudgetExhaustedError once it
+    has passed.
+
+    The scan (oracle._scan) gets the cliques the route listed, sorted,
+    the adjacency masks it built and that deadline, so each call lists
+    maximal cliques once at most and builds masks once at most. Above
+    oracle.CLIQUE_BOUND cliques it raises oracle_membership's
+    BoundExceededError.
     """
-    budget_secs = resolve_budget_secs(budget_secs)
-    start = time.monotonic()
-    deadline = start + budget_secs
+    deadline = time.monotonic() + resolve_budget_secs(budget_secs)
     k = 1
     chordal = _chordal_cliques(g)
     if chordal is not None:
         cliques, parent = chordal
-        if len(cliques) >= 4 and parent.count(-1) == 1:
+        if parent.count(-1) != 1:  # a clique forest of one tree; Graph(0) has none
+            raise ValueError("input graph must be connected")
+        if len(cliques) >= 4:
             masks = [_mask(c) for c in cliques]
             witness = _side_witness(g, masks, _clique_tree_table(g.n, masks, parent), deadline)
             if witness is not None:
                 return RecognitionResult(False, None, None, side_witness=witness)
+        adj = _adjacency_masks(g)
     else:
         adj = _adjacency_masks(g)
         k = _one_atom_count(adj)
@@ -705,10 +724,12 @@ def cheapest_representation(g: Graph, budget_secs: float | None = None) -> Recog
                 if (count := _atom_clique_count(adj, atom)) is None:
                     return RecognitionResult(False, None, None, obstruction=_members(atom))
                 k = max(k, count)
-        answer = _pendant_answer(g, splits, k, deadline)
+        listed = sorted((_members(c), c) for c in _clique_masks(adj))
+        cliques = [c for c, _ in listed]
+        answer = _pendant_answer(g, cliques, [c for _, c in listed], splits, k, deadline)
         if answer is not None:
             return answer
-    rep = is_helly_ept(g, max(0.0, budget_secs - (time.monotonic() - start)))
+    rep = _scan(cliques, adj, deadline)
     if rep is None:
         return RecognitionResult(False, None, None)
     if k == 1:

@@ -43,17 +43,28 @@ from .graphs import (
 
 
 class HostTree:
-    """Tree on vertices 0..n-1, validated at construction."""
+    """Tree on vertices 0..n-1, validated at construction and immutable
+    after it, so certificates may share one."""
 
     __slots__ = ("n", "edges", "_adj")
+    n: int
+    edges: tuple[Edge, ...]
 
     def __init__(self, n: int, edges) -> None:
         g = Graph(n, edges)
         if n > 0 and (len(g.edges) != n - 1 or not is_connected(g)):
             raise ValueError("host tree must be connected and acyclic")
-        self.n = n
-        self.edges: tuple[Edge, ...] = tuple(sorted(g.edges))
-        self._adj = g._adj
+        # __setattr__ refuses every assignment
+        fill = object.__setattr__
+        fill(self, "n", n)
+        fill(self, "edges", tuple(sorted(g.edges)))
+        fill(self, "_adj", g._adj)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
 
     def neighbors(self, v: int) -> frozenset[int]:
         return self._adj[v]

@@ -284,18 +284,21 @@ def test_scan_members_keep_the_pruning_facts(corpus7, helly_corpus, monkeypatch)
     # internal-edge lemma, recognition._pendant_answer), and the tree of
     # a non-chordal member has maximum degree at least the route's h = k
     reps = dict(helly_corpus)
+    real_scan = recognition._scan
     reached = {}
 
-    def scan(g, budget_secs):
-        reached[g] = reps[g] if g in reps else is_helly_ept(g, budget_secs)
+    def scan(cliques, adj, deadline):  # the route's scan of `current`
+        g = current
+        reached[g] = reps[g] if g in reps else real_scan(cliques, adj, deadline)
         return reached[g]
 
-    monkeypatch.setattr(recognition, "is_helly_ept", scan)
+    monkeypatch.setattr(recognition, "_scan", scan)
     counts = Counter()
     for g in [g for g in corpus7 if len(enumerate_maximal_cliques(g)) <= 9] + [
         g for _, g in wide_chordal()
     ]:
         reached.clear()
+        current = g
         result = cheapest_representation(g)
         rep = reached.get(g)
         if rep is None:
@@ -380,7 +383,7 @@ def test_star_route_matches_scan_on_corpus(corpus7, monkeypatch):
     from eptkit import recognition
 
     # None is not callable, so a call into the scan fails the test
-    monkeypatch.setattr(recognition, "oracle_membership", None)
+    monkeypatch.setattr(recognition, "_scan", None)
     rng = random.Random(20261018)
     counts = Counter()
     for g in corpus7:

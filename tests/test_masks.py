@@ -6,11 +6,14 @@ and cheapest_representation's answers."""
 import itertools
 import math
 import random
+import time
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from eptkit import decomposition, gates, oracle, recognition
+from eptkit import decomposition, gates, oracle, recognition, representation
+from eptkit import graphs as graph_module
 from eptkit.decomposition import AtomLeaf, SeparatorNode, CliqueDecomposition, tree_to_text
 from eptkit.graphs import (
     BoundExceededError,
@@ -19,13 +22,15 @@ from eptkit.graphs import (
     _components,
     _mask,
     _maximal_cliques,
+    _members,
     connected_components,
     cycle_graph,
     induced_subgraph,
     is_connected,
 )
 from eptkit.oracle import BudgetExhaustedError, small_graph_corpus
-from eptkit.recognition import cheapest_representation
+from eptkit.recognition import cheapest_representation, is_helly_ept
+from eptkit.representation import representation_to_text
 from reference import reference_clique_minimal_separators, reference_maximal_cliques
 
 DATA = Path(__file__).resolve().parents[1] / "perfbench" / "data"
@@ -200,25 +205,42 @@ def outcome(g: Graph):
         return type(exc).__name__, str(exc)
 
 
+def graph_of(adj: list[int]) -> Graph:
+    """The graph with these adjacency masks."""
+    return Graph(len(adj), [(u, v) for u, near in enumerate(adj) for v in _members(near) if u < v])
+
+
 def test_route_matches_reference_route(families, monkeypatch):
     # the reference route decomposes every graph with the set-based
-    # MCS-M and lists cliques with the set-based Bron-Kerbosch. Both
-    # routes share each graph's one scan, so the comparison is of the
-    # steps before it
+    # MCS-M and lists cliques with the set-based Bron-Kerbosch, for the
+    # table and for the scan. Both routes share each graph's one scan,
+    # so the comparison is of the steps before it, and the cliques the
+    # route hands the scan must be the reference's
     scans: dict = {}
-    real_scan = recognition.is_helly_ept
+    handed: dict = {"route": [], "reference": []}  # (adj, cliques) per scan
+    real_scan = recognition._scan
 
-    def shared_scan(g, budget_secs):
-        if g not in scans:
+    def shared_scan(cliques, adj, deadline):
+        key = (tuple(cliques), tuple(adj))
+        if key not in scans:
             try:
-                scans[g] = real_scan(g, 60.0)
+                scans[key] = real_scan(cliques, adj, time.monotonic() + 60.0)
             except (BoundExceededError, BudgetExhaustedError) as exc:
-                scans[g] = exc
-        if isinstance(scans[g], Exception):
-            raise scans[g]
-        return scans[g]
+                scans[key] = exc
+        if isinstance(scans[key], Exception):
+            raise scans[key]
+        return scans[key]
 
-    monkeypatch.setattr(recognition, "is_helly_ept", shared_scan)
+    def route_scan(cliques, adj, deadline):
+        handed["route"].append((adj, list(cliques)))
+        return shared_scan(cliques, adj, deadline)
+
+    def reference_scan(cliques, adj, deadline):
+        listed = sorted(reference_maximal_cliques(graph_of(adj)))
+        handed["reference"].append((adj, listed))
+        return shared_scan(listed, adj, deadline)
+
+    monkeypatch.setattr(recognition, "_scan", route_scan)
     graphs = families["corpus"] + families["wide-chordal"] + families["random"]
     got = [outcome(g) for g in graphs]
     monkeypatch.setattr(recognition, "_one_atom_count", lambda adj: None)
@@ -227,9 +249,89 @@ def test_route_matches_reference_route(families, monkeypatch):
         lambda g, adj, deadline=math.inf: reference_clique_minimal_separators(g),
     )
     monkeypatch.setattr(
-        recognition, "enumerate_maximal_cliques", lambda g: sorted(reference_maximal_cliques(g))
+        recognition, "_clique_masks",
+        lambda adj: map(_mask, reference_maximal_cliques(graph_of(adj))),
     )
-    monkeypatch.setattr(oracle, "_maximal_cliques", reference_maximal_cliques)
+    monkeypatch.setattr(recognition, "_scan", reference_scan)
     want = [outcome(g) for g in graphs]
     for g, a, b in zip(graphs, got, want):
         assert repr(a) == repr(b), g.edges
+    assert handed["route"] == handed["reference"]
+
+
+def test_route_sets_up_once_per_call(families, monkeypatch):
+    # one set-up per answer: each call lists maximal cliques once at
+    # most, by the maximum-cardinality search that finds g chordal and
+    # never by Bron-Kerbosch then, builds adjacency masks once at most,
+    # and searches g for connectivity never: a clique forest of one
+    # tree, _one_atom_count or _separator_splits settles it. Every
+    # in-cap member the scan decides gets is_helly_ept's certificate.
+    # Masks and searches are counted on g itself, as the lazy tree-shape
+    # set-up and HostTree's own check run them on other graphs
+    counts: Counter = Counter()
+    current: list[Graph] = []
+
+    def counted(name, fn):
+        def call(*args):
+            if name == "_clique_masks":
+                counts[name] += 1
+            else:  # calls on other graphs, such as tree shapes and host trees, are not g's
+                counts[name] += args[0] is current[-1]
+            out = fn(*args)
+            if name == "_chordal_cliques":
+                counts["chordal"] += out is not None
+            return out
+        return call
+
+    modules = (decomposition, gates, graph_module, oracle, recognition, representation)
+    names = ("_adjacency_masks", "_clique_masks", "is_connected", "connected_components")
+    for name in names:
+        fn = getattr(graph_module, name)
+        for module in modules:
+            if getattr(module, name, None) is fn:
+                monkeypatch.setattr(module, name, counted(name, fn))
+    monkeypatch.setattr(
+        recognition, "_chordal_cliques", counted("_chordal_cliques", recognition._chordal_cliques)
+    )
+    scanned = []
+    scan = recognition._scan
+
+    def recorded(cliques, adj, deadline):
+        rep = scan(cliques, adj, deadline)
+        scanned.append(rep)
+        return rep
+
+    monkeypatch.setattr(recognition, "_scan", recorded)
+    rng = random.Random(20261022)
+    graphs_ = families["corpus"] + [
+        h for g in families["wide-chordal"] + families["random"][:500] for h in (g, relabeled(g, rng))
+    ]
+    members = []
+    routes: Counter = Counter()
+    for g in graphs_:
+        counts.clear()
+        scanned.clear()
+        current.append(g)
+        result = outcome(g)
+        assert counts["_adjacency_masks"] <= 1, g.edges
+        assert counts["is_connected"] == counts["connected_components"] == 0, g.edges
+        if counts["chordal"]:
+            assert counts["_clique_masks"] == 0, g.edges
+        else:
+            assert counts["_clique_masks"] <= 1, g.edges
+        routes["chordal" if counts["chordal"] else "not chordal", bool(scanned)] += 1
+        if scanned and scanned[0] is not None:
+            assert result.certificate is None or result.certificate is scanned[0], g.edges
+            members.append((g, scanned[0]))
+    for g, rep in members:
+        assert representation_to_text(rep) == representation_to_text(is_helly_ept(g)), g.edges
+    # (route, whether the scan answered): the rest are disconnected
+    # inputs, side test, atom test and pendant filter answers, stars and
+    # clique-bound refusals
+    assert routes == {
+        ("chordal", True): 926,
+        ("chordal", False): 656,
+        ("not chordal", True): 400,
+        ("not chordal", False): 1580,
+    }
+    assert len(members) == 1326

@@ -392,6 +392,19 @@ def test_clique_order_matches_reference():
         assert _clique_order(cliques) == reference_clique_order(cliques), cliques
 
 
+def test_certificates_on_one_shape_share_its_host_tree():
+    # each tree shape validates its HostTree once, on its first accept,
+    # and the route's scan hands out the same tree
+    c5 = cycle_graph(5)
+    relabelled = Graph(5, [(0, 2), (2, 4), (4, 1), (1, 3), (3, 0)])
+    a, b = oracle_membership(c5), oracle_membership(relabelled)
+    assert a.paths != b.paths and a.tree is b.tree
+    pendant = Graph(7, list(cycle_graph(6).edges) + [(0, 6)])
+    moved = Graph(7, list(cycle_graph(6).edges) + [(3, 6)])
+    c, d = (cheapest_representation(g).certificate for g in (pendant, moved))
+    assert c.paths != d.paths and c.tree is d.tree is oracle_membership(pendant).tree
+
+
 def test_earlier_calls_do_not_answer_later_ones():
     assert oracle_membership(TWO_C5S) is not None
     with pytest.raises(BudgetExhaustedError):

@@ -154,6 +154,29 @@ def test_membership_preconditions():
         is_helly_ept(k34)
 
 
+def disjoint_union(*parts: Graph) -> Graph:
+    edges, n = [], 0
+    for part in parts:
+        edges += [(n + u, n + v) for u, v in part.edges]
+        n += part.n
+    return Graph(n, edges)
+
+
+@pytest.mark.parametrize("g", [
+    Graph(0),
+    disjoint_union(path_graph(2), path_graph(3)),  # chordal, 3 cliques
+    disjoint_union(path_graph(4), path_graph(4)),  # chordal, 6 cliques
+    disjoint_union(C6_PENDANT, path_graph(2)),  # not chordal, several atoms
+    disjoint_union(cycle_graph(5), cycle_graph(5)),  # the one-atom test declines
+    disjoint_union(cycle_graph(5), Graph(1)),
+], ids=["empty", "chordal-3", "chordal-6", "atoms", "two-c5", "c5-isolated"])
+def test_every_route_refuses_a_disconnected_input(g):
+    # whichever check settles connectivity on the route: the clique
+    # forest's root count, or the search in _separator_splits
+    with pytest.raises(ValueError, match="^input graph must be connected$"):
+        cheapest_representation(g)
+
+
 def test_cheapest_known_values():
     for n in range(4, 8):
         result = cheapest_representation(cycle_graph(n))
@@ -206,7 +229,7 @@ def refuse(name):
 
 
 def test_atom_test_answers_without_the_scan(monkeypatch):
-    monkeypatch.setattr(recognition, "oracle_membership", refuse("oracle_membership"))
+    monkeypatch.setattr(recognition, "_scan", refuse("_scan"))
     # K_{3,4} is one atom whose vertices lie in 3 or 4 cliques; the
     # 5-wheel is one atom whose hub lies in all 5 triangles
     for g in (K34, WHEEL5):
@@ -222,12 +245,12 @@ def test_chordal_input_skips_the_decomposition(monkeypatch):
 
 
 def test_scan_gets_what_the_atom_test_left(monkeypatch):
-    budgets = []
+    deadlines = []
 
-    def record(g, budget_secs):
-        budgets.append(budget_secs)
+    def record(cliques, adj, deadline):
+        deadlines.append(deadline)
 
-    monkeypatch.setattr(recognition, "is_helly_ept", record)
+    monkeypatch.setattr(recognition, "_scan", record)
     # the route and its deadline checks (oracle._check_deadline) read one
     # clock: its first reading starts the budget, and every later one
     # says what the steps before the scan have spent. C6 with a pendant
@@ -243,7 +266,8 @@ def test_scan_gets_what_the_atom_test_left(monkeypatch):
             # out of time before the scan: the decomposition stops
             with pytest.raises(BudgetExhaustedError):
                 cheapest_representation(C6_PENDANT, budget_secs=2.5)
-    assert budgets == [1.0]
+    # the scan gets the route's own deadline, start + budget
+    assert deadlines == [102.5]
 
 
 def test_atom_test_names_the_failing_atom():
@@ -266,7 +290,7 @@ def test_cycle_answered_by_its_star(monkeypatch, n):
     # and the scan's 9-clique bound never applies; C_n is one atom by the
     # two-clique test and its 2-connected clique graph, so the route
     # never decomposes it and is near-linear throughout
-    monkeypatch.setattr(recognition, "oracle_membership", refuse("oracle_membership"))
+    monkeypatch.setattr(recognition, "_scan", refuse("_scan"))
     monkeypatch.setattr(recognition, "_atom_masks", refuse("_atom_masks"))
     g = cycle_graph(n)
     gc.collect()
@@ -308,7 +332,7 @@ def test_one_atom_skips_the_decomposition(monkeypatch, g):
     monkeypatch.setattr(
         decomposition, "_clique_minimal_separators", refuse("_clique_minimal_separators")
     )
-    monkeypatch.setattr(recognition, "oracle_membership", refuse("oracle_membership"))
+    monkeypatch.setattr(recognition, "_scan", refuse("_scan"))
     result = cheapest_representation(g, budget_secs=0.5)
     n = len(enumerate_maximal_cliques(g))
     assert result.helly_ept and result.h == n
@@ -453,7 +477,7 @@ def test_route_builds_no_atom_graph(monkeypatch):
     # non-chordal inputs; only the public decomposition builds a Graph
     # per atom
     monkeypatch.setattr(decomposition, "induced_subgraph", refuse("induced_subgraph"))
-    monkeypatch.setattr(recognition, "is_helly_ept", lambda g, budget_secs: None)
+    monkeypatch.setattr(recognition, "_scan", lambda cliques, adj, deadline: None)
     graphs = [g for g in load_corpus7() if not is_chordal(g)]
     assert len(graphs) == 642
     for g in graphs:
@@ -463,7 +487,7 @@ def test_route_builds_no_atom_graph(monkeypatch):
 def test_catalog_gates_answered_by_their_star(monkeypatch):
     # every gate is one atom with no separating clique, so even those
     # with 10 or more cliques get h = k and a degree-k star
-    monkeypatch.setattr(recognition, "oracle_membership", refuse("oracle_membership"))
+    monkeypatch.setattr(recognition, "_scan", refuse("_scan"))
     past_bound = 0
     for recipe in enumerate_gates(12).values():
         gate = build_gate(recipe)
@@ -478,7 +502,7 @@ def test_catalog_gates_answered_by_their_star(monkeypatch):
 
 
 def test_pendant_filter(monkeypatch):
-    monkeypatch.setattr(recognition, "oracle_membership", refuse("oracle_membership"))
+    monkeypatch.setattr(recognition, "_scan", refuse("_scan"))
     assert cheapest_representation(A0808) == RecognitionResult(False, None, None)
     # a C10 glued at vertex 5 makes 16 cliques past the scan's bound, and
     # vertex 1's three cliques still separate nothing
@@ -525,7 +549,7 @@ def test_separating_cliques_match_a_search_per_clique():
 def test_atom_test_decides_before_listing_cliques(monkeypatch):
     # K_{3x20}, the complement of 20 disjoint triangles, is one atom
     # with 3^20 maximal cliques; each neighbourhood is a K_{3x19}
-    monkeypatch.setattr(recognition, "enumerate_maximal_cliques", refuse("enumerate_maximal_cliques"))
+    monkeypatch.setattr(recognition, "_clique_masks", refuse("_clique_masks"))
     g = Graph(60, [(u, v) for u, v in itertools.combinations(range(60), 2) if u // 3 != v // 3])
     gc.collect()
     start = time.perf_counter()
@@ -589,19 +613,20 @@ def test_atom_clique_count_matches_reference():
 
 
 def test_route_lists_no_atom_cliques(monkeypatch):
-    # k comes from the atom test, so only _pendant_answer lists cliques,
-    # once, for g itself
+    # k comes from the atom test, so only the listing for _pendant_answer
+    # lists cliques, once, for g itself
     calls = []
+    listing = recognition._clique_masks
 
-    def counted(g):
-        calls.append(g)
-        return enumerate_maximal_cliques(g)
+    def counted(adj):
+        calls.append(adj)
+        return listing(adj)
 
-    monkeypatch.setattr(recognition, "enumerate_maximal_cliques", counted)
+    monkeypatch.setattr(recognition, "_clique_masks", counted)
     assert len(atoms(C6_PENDANT)) == 2
     result = cheapest_representation(C6_PENDANT)
     assert result.helly_ept and result.h == 6
-    assert calls == [C6_PENDANT]
+    assert calls == [recognition._adjacency_masks(C6_PENDANT)]
 
 
 def test_passing_atoms_have_one_clique_or_four():

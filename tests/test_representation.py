@@ -82,6 +82,17 @@ def test_host_tree_equality():
     assert hash(HostTree(2, [(0, 1)])) == hash(HostTree(2, [(1, 0)]))
 
 
+def test_host_tree_is_frozen():
+    # certificates on one tree shape share its HostTree (test_oracle.py)
+    t = HostTree(3, [(0, 1), (1, 2)])
+    for field in ("n", "edges", "_adj", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(t, field, 7)
+        with pytest.raises(AttributeError):
+            delattr(t, field)
+    assert t == HostTree(3, [(0, 1), (1, 2)]) and t.n == 3 and t.degree(1) == 2
+
+
 def test_representation_validation():
     t = HostTree(3, [(0, 1), (1, 2)])
     with pytest.raises(ValueError, match="empty"):

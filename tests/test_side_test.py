@@ -165,7 +165,7 @@ def test_baseline_non_members_pass_the_side_test():
 
 
 def test_minimal_non_members_rejected_without_the_scan(monkeypatch):
-    monkeypatch.setattr(recognition, "oracle_membership", refuse("oracle_membership"))
+    monkeypatch.setattr(recognition, "_scan", refuse("_scan"))
     for g in MINIMAL_7 + [S3_GRAPH]:
         result = cheapest_representation(g)
         assert not result.helly_ept and result.obstruction is None
@@ -175,7 +175,7 @@ def test_minimal_non_members_rejected_without_the_scan(monkeypatch):
 @pytest.mark.parametrize("n", [40, 400])
 def test_hung_s3_rejected_past_the_clique_bound(monkeypatch, n):
     # n + 10 cliques: the scan would raise BoundExceededError
-    monkeypatch.setattr(recognition, "oracle_membership", refuse("oracle_membership"))
+    monkeypatch.setattr(recognition, "_scan", refuse("_scan"))
     g = hung_s3(n)
     result = cheapest_representation(g)
     assert not result.helly_ept and result.obstruction is None
@@ -194,7 +194,7 @@ def test_large_chordal_inputs_skip_the_search(monkeypatch):
     # the chordal route reads the side test off the clique tree: a search
     # of g - K at each of these graphs' 2 000 cliques took seconds, where
     # the scan refuses them at once; no search per separator either
-    for name in ("_components", "_separator_splits", "_separator_table", "enumerate_maximal_cliques"):
+    for name in ("_components", "_separator_splits", "_separator_table", "_clique_masks"):
         monkeypatch.setattr(recognition, name, refuse(name))
     rng = random.Random(20261021)
     n = 2000
