@@ -27,7 +27,6 @@ from .graphs import (
     graph_to_dot,
     graph_to_text,
     induced_subgraph,
-    is_connected,
     parse_graph,
 )
 from .oracle import BudgetExhaustedError
@@ -56,7 +55,8 @@ def _component_results(g: Graph, budget: float | None):
     """One result per connected component; the budget holds for all of
     them together, each component getting what the earlier ones left."""
     budget = oracle.resolve_budget_secs(budget)
-    if is_connected(g):
+    comps = connected_components(g)
+    if len(comps) <= 1:  # Graph(0) has none and counts as connected
         return [recognition.cheapest_representation(g, budget_secs=budget)]
     print(
         "warning: disconnected input, reporting the maximum over components",
@@ -64,7 +64,7 @@ def _component_results(g: Graph, budget: float | None):
     )
     start = time.monotonic()
     results = []
-    for comp in connected_components(g):
+    for comp in comps:
         sub, _ = induced_subgraph(g, comp)
         left = max(0.0, budget - (time.monotonic() - start))
         results.append(recognition.cheapest_representation(sub, budget_secs=left))

@@ -47,7 +47,8 @@ order, that lies in V and separates g[V].
 Cost: MCS-M takes O(n(n + m)) time, one search of the unnumbered
 vertices per step, and yields at most n - 1 candidates; taking a vertex
 from the top weight bucket costs O(1), and the completeness test reads
-adjacency masks. Then one component search of g - S per candidate S,
+the graph's neighbour masks (Graph._adj), built once with the graph.
+Then one component search of g - S per candidate S,
 O(n) operations on n-bit masks, lists the components of g - S with
 their attachments (_separator_splits). The split loop and
 recognition's separator table both read that one list; neither
@@ -101,7 +102,6 @@ from typing import Iterator, NamedTuple
 from .graphs import (
     Graph,
     VertexSet,
-    _adjacency_masks,
     _components,
     _mask,
     _members,
@@ -140,16 +140,14 @@ class CliqueDecomposition(NamedTuple):
         return out
 
 
-def _clique_minimal_separators(
-    g: Graph, adj: list[int], deadline: float = math.inf
-) -> list[VertexSet]:
+def _clique_minimal_separators(g: Graph, deadline: float = math.inf) -> list[VertexSet]:
     """Clique minimal separators of a connected graph, each sorted,
     ordered by (size, tuple): the complete madj sets of MCS-M
-    generators. adj holds g's _adjacency_masks, for the completeness
-    test; the fill search walks g's adjacency sets. Raises
-    BudgetExhaustedError once the monotonic clock passes deadline."""
+    generators. The completeness test reads g's neighbour masks, the
+    fill search walks its neighbour tuples. Raises BudgetExhaustedError
+    once the monotonic clock passes deadline."""
     n = g.n
-    near = g._adj
+    adj, near = g._adj, g._nbrs
     weight = [0] * n
     madj = [0] * n  # masks
     # unnumbered vertices wait in buckets by weight
@@ -225,17 +223,18 @@ def _first_split(splits: Splits, vertices: int, start: int = 0) -> tuple[int, li
     return None
 
 
-def _separator_splits(g: Graph, adj: list[int], deadline: float = math.inf) -> Splits:
+def _separator_splits(g: Graph, deadline: float = math.inf) -> Splits:
     """The clique minimal separators of g, as masks, in the order of
-    _clique_minimal_separators, each with one component search of g - S;
-    adj holds g's _adjacency_masks. Raises ValueError for a disconnected
-    g and BudgetExhaustedError once the monotonic clock passes deadline,
+    _clique_minimal_separators, each with one component search of g - S
+    on g's neighbour masks. Raises ValueError for a disconnected g and
+    BudgetExhaustedError once the monotonic clock passes deadline,
     checked at every MCS-M step and every separator."""
+    adj = g._adj
     everything = (1 << g.n) - 1
     if len(_components(adj, everything)) != 1:
         raise ValueError("input graph must be connected")
     splits = []
-    for sep in map(_mask, _clique_minimal_separators(g, adj, deadline)):
+    for sep in map(_mask, _clique_minimal_separators(g, deadline)):
         _check_deadline(deadline)
         splits.append((sep, _components(adj, everything & ~sep)))
     return splits
@@ -244,7 +243,7 @@ def _separator_splits(g: Graph, adj: list[int], deadline: float = math.inf) -> S
 def find_clique_separator(g: Graph) -> tuple[VertexSet, list[VertexSet]] | None:
     """Smallest complete separator of a connected graph, with the parts
     of the remainder; lexicographic tie-break. None when g is an atom."""
-    splits = _separator_splits(g, _adjacency_masks(g))
+    splits = _separator_splits(g)
     split = _first_split(splits, (1 << g.n) - 1)
     return None if split is None else (_members(splits[split[0]][0]), [_members(p) for p in split[1]])
 
@@ -281,7 +280,7 @@ def _atom_masks(n: int, splits: Splits, deadline: float) -> Iterator[int]:
 
 def decomposition_tree(g: Graph) -> CliqueDecomposition:
     """Recursive decomposition; each part keeps the separator vertices."""
-    splits = _separator_splits(g, _adjacency_masks(g))
+    splits = _separator_splits(g)
     preorder = list(_preorder(g.n, splits))
     # reverse preorder builds children first, the first child on top of `built`
     built: list[SeparatorNode | AtomLeaf] = []

@@ -25,7 +25,6 @@ from .graphs import (
     Edge,
     Graph,
     VertexSet,
-    _adjacency_masks,
     _canonical_search,
     _clique_masks,
     _members,
@@ -142,7 +141,7 @@ def build_gate(recipe: GateRecipe) -> LabeledGate:
     return LabeledGate(graph, cliques, recipe)
 
 
-def _two_clique_split(adj: list[int], mask: int) -> tuple[bool, int]:
+def _two_clique_split(adj: tuple[int, ...], mask: int) -> tuple[bool, int]:
     """(True, number of maximal cliques) when every vertex of the
     subgraph induced by mask lies in exactly two maximal cliques meeting
     only in that vertex, else (False, first vertex that does not).
@@ -195,7 +194,7 @@ def _two_clique_split(adj: list[int], mask: int) -> tuple[bool, int]:
 def check_two_clique_property(g: Graph) -> tuple[bool, int | None]:
     """Whether every vertex lies in exactly two maximal cliques meeting
     only in that vertex; returns the first violating vertex otherwise."""
-    ok, found = _two_clique_split(_adjacency_masks(g), (1 << g.n) - 1)
+    ok, found = _two_clique_split(g._adj, (1 << g.n) - 1)
     return (True, None) if ok else (False, found)
 
 
@@ -333,7 +332,7 @@ def rewire_gate(gate: LabeledGate, v: int, t: int) -> LabeledGate:
     return LabeledGate(rewired, tuple(enumerate_maximal_cliques(rewired)), recipe)
 
 
-def _clique_count(adj: list[int], limit: int) -> int:
+def _clique_count(adj: tuple[int, ...], limit: int) -> int:
     """The number of maximal cliques of the graph with adjacency masks
     adj, or limit when it has more (graphs._clique_masks, stopped at
     the limit)."""
@@ -371,7 +370,7 @@ def contains_gate_ge(g: Graph, h: int) -> tuple[VertexSet, GateRecipe] | None:
     low = max(4, h + 1)
     if low > g.n:
         return None
-    adj = _adjacency_masks(g)
+    adj = g._adj
     k = _clique_count(adj, max(0, h + 2))
     if k <= h:
         return None

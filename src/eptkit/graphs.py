@@ -4,6 +4,11 @@ Vertices are integers 0..n-1. Graphs are immutable, hashable and always
 simple (no loops, no parallel edges). Operations that return collections
 return them in a fixed sorted order so repeated runs produce identical
 output.
+
+A Graph builds its adjacency once, as two views (see Graph): neighbour
+masks for the readers that intersect neighbourhoods, here and in the
+other modules, and sorted neighbour tuples for the readers that walk
+neighbours one by one. No reader rebuilds either.
 """
 
 from __future__ import annotations
@@ -32,9 +37,25 @@ class BoundExceededError(ValueError):
 
 
 class Graph:
-    """Immutable simple undirected graph on vertices 0..n-1."""
+    """Immutable simple undirected graph on vertices 0..n-1.
 
-    __slots__ = ("n", "edges", "_adj")
+    _fill builds two views of the adjacency once, and no reader
+    rebuilds adjacency from the edges:
+    - `_adj`, each vertex's neighbours as a bit mask (bit w for
+      neighbour w), for the readers that intersect neighbourhoods or
+      test one pair: Bron-Kerbosch (_clique_masks), the component search
+      (_components), the canonical search, has_edge, MCS-M's
+      completeness test, the chordality test of the maximum-cardinality
+      search, the two-clique test, the atom tests,
+      has_asteroidal_triple and the scan;
+    - `_nbrs`, each vertex's neighbours as a sorted tuple, for the
+      readers that walk them one at a time: the maximum-cardinality
+      search, MCS-M's fill search, connected_components,
+      induced_subgraph, _wl_colors, find_chordless_cycle_ge, neighbors
+      and degree.
+    """
+
+    __slots__ = ("n", "edges", "_adj", "_nbrs")
 
     def __init__(self, n: int, edges: Iterable[Edge] = ()):
         if n < 0:
@@ -59,20 +80,24 @@ class Graph:
     def _fill(self, n: int, edges: frozenset[Edge]) -> None:
         self.n = n
         self.edges = edges
-        adj = [set() for _ in range(n)]
+        adj = [0] * n
+        nbrs: list[list[int]] = [[] for _ in range(n)]
         for u, v in edges:
-            adj[u].add(v)
-            adj[v].add(u)
-        self._adj = tuple(frozenset(s) for s in adj)
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
+            nbrs[u].append(v)
+            nbrs[v].append(u)
+        self._adj = tuple(adj)
+        self._nbrs = tuple(tuple(sorted(near)) for near in nbrs)
 
     def neighbors(self, v: int) -> frozenset[int]:
-        return self._adj[v]
+        return frozenset(self._nbrs[v])
 
     def degree(self, v: int) -> int:
-        return len(self._adj[v])
+        return len(self._nbrs[v])
 
     def has_edge(self, u: int, v: int) -> bool:
-        return v in self._adj[u]
+        return self._adj[u] >> v & 1 == 1
 
     def sorted_edges(self) -> list[Edge]:
         return sorted(self.edges)
@@ -191,12 +216,12 @@ def _maximal_cliques(g: Graph) -> Iterator[VertexSet]:
     """Every maximal clique, sorted, as Bron-Kerbosch finds it
     (_clique_masks), so a caller that needs only the first few can stop
     early."""
-    return map(_members, _clique_masks(_adjacency_masks(g)))
+    return map(_members, _clique_masks(g._adj))
 
 
-def _clique_masks(adj: list[int]) -> Iterator[int]:
-    """Every maximal clique of the graph with adjacency masks adj, as a
-    vertex mask, as Bron-Kerbosch finds it.
+def _clique_masks(adj: tuple[int, ...]) -> Iterator[int]:
+    """Every maximal clique of the graph with adjacency masks adj (a
+    Graph's _adj), as a vertex mask, as Bron-Kerbosch finds it.
 
     Bron-Kerbosch with pivoting on vertex masks, on its own stack rather
     than Python's; the pivot is the lowest-index vertex of P + X
@@ -237,15 +262,6 @@ def _clique_masks(adj: list[int]) -> Iterator[int]:
             yield r | v
 
 
-def _adjacency_masks(g: Graph) -> list[int]:
-    """Each vertex's neighbours as a bitmask, bit w for neighbour w."""
-    masks = [0] * g.n
-    for u, v in g.edges:
-        masks[u] |= 1 << v
-        masks[v] |= 1 << u
-    return masks
-
-
 def _mask(vertices: Iterable[int]) -> int:
     return sum(1 << v for v in vertices)
 
@@ -259,10 +275,10 @@ def _members(mask: int) -> VertexSet:
     return tuple(out)
 
 
-def _components(adj: list[int], rest: int) -> list[tuple[int, int]]:
+def _components(adj: tuple[int, ...], rest: int) -> list[tuple[int, int]]:
     """The components of the subgraph on the vertex mask `rest`, in
     order of their lowest vertices, each with the mask of its
-    neighbours outside `rest`; adj holds _adjacency_masks."""
+    neighbours outside `rest`; adj holds a Graph's _adj."""
     split = []
     while rest:
         part = rest & -rest
@@ -294,7 +310,7 @@ def connected_components(g: Graph) -> list[VertexSet]:
         while stack:
             v = stack.pop()
             comp.append(v)
-            for w in g._adj[v]:
+            for w in g._nbrs[v]:
                 if not seen[w]:
                     seen[w] = True
                     stack.append(w)
@@ -315,7 +331,7 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, VertexSe
             raise ValueError(f"vertex {v} out of range for n={g.n}")
     pos = {v: i for i, v in enumerate(vs)}
     # vs is sorted, so w > v keeps each edge once with its ends in order
-    edges = frozenset((i, pos[w]) for i, v in enumerate(vs) for w in g._adj[v] if w > v and w in pos)
+    edges = frozenset((i, pos[w]) for i, v in enumerate(vs) for w in g._nbrs[v] if w > v and w in pos)
     return Graph._from_checked(len(vs), edges), tuple(vs)
 
 
@@ -329,11 +345,11 @@ def find_chordless_cycle_ge(g: Graph, len_min: int = 4) -> VertexSet | None:
     """
     if len_min < 4:
         raise ValueError("len_min must be at least 4")
-    adj = g._adj
+    adj, nbrs = g._adj, g._nbrs
     for s in range(g.n):
         path = [s]
         # branches[i] walks the neighbours of path[i]
-        branches = [iter(sorted(adj[s]))]
+        branches = [iter(nbrs[s])]
         while branches:
             u = next(branches[-1], None)
             if u is None:
@@ -342,15 +358,15 @@ def find_chordless_cycle_ge(g: Graph, len_min: int = 4) -> VertexSet | None:
                 continue
             if u <= s or u in path:
                 continue
-            if any(u in adj[w] for w in path[1:-1]):
+            if any(adj[w] >> u & 1 for w in path[1:-1]):
                 continue
-            if len(path) >= 2 and u in adj[s]:
+            if len(path) >= 2 and adj[s] >> u & 1:
                 if len(path) + 1 >= len_min:
                     return tuple(path + [u])
                 # closing chord makes any longer cycle through u impossible
                 continue
             path.append(u)
-            branches.append(iter(sorted(adj[u])))
+            branches.append(iter(nbrs[u]))
     return None
 
 
@@ -360,7 +376,7 @@ def _wl_colors(g: Graph) -> list[int]:
     colors = [ranks[g.degree(v)] for v in range(g.n)]
     while True:
         sigs = [
-            (colors[v], tuple(sorted(colors[u] for u in g._adj[v])))
+            (colors[v], tuple(sorted(colors[u] for u in g._nbrs[v])))
             for v in range(g.n)
         ]
         order = {s: i for i, s in enumerate(sorted(set(sigs)))}
@@ -373,11 +389,13 @@ def _wl_colors(g: Graph) -> list[int]:
 # The hits are lookups of the same labelled graph: find_multipie
 # re-checks each gate that gates12 rebuilds from its recipe every pass,
 # and the test suite makes 27 253 hits in 46 976 calls. Each entry keeps
-# its key Graph alive: 5-6 KB for a sparse 12-vertex graph and about
-# 23 KB for K_16 (tracemalloc), so a full cache holds about 0.75 GB at
-# most. After the test suite the process holds 332 000 GC-tracked
-# objects and a full collection takes 0.18 s; without the cache, 88 000
-# and 0.06 s.
+# its key Graph alive: about 3.3 KB for a sparse 12-vertex graph and
+# about 17 KB for K_16 (tracemalloc), so a full cache holds about
+# 0.56 GB at most. An entry is 3 GC-tracked objects, as a Graph's views
+# hold only ints and tuples of ints. With the cache at its peak in the
+# test suite (21 863 entries) the process holds 159 000 GC-tracked
+# objects and a full collection takes 0.13 s; without the cache, 95 000
+# and 0.06 s (2 CPUs, Python 3.11.7).
 @functools.lru_cache(maxsize=32768)
 def canonical_labeling(g: Graph) -> tuple[bytes, VertexSet]:
     """Canonical form plus one vertex order that realizes it.
@@ -479,7 +497,7 @@ def _canonical_search(g: Graph) -> tuple[bytes, VertexSet, tuple[VertexSet, ...]
     if n == 0:
         return bytes([0]), (), ()
     colors = _wl_colors(g)
-    adj_mask = _adjacency_masks(g)
+    adj_mask = g._adj
     twin_class = list(range(n))
     for v in range(n):
         for u in range(v):

@@ -33,11 +33,11 @@ assignments below j one-to-one onto those below j', keeping spans
 paths and keeping non-adjacent spans disjoint, so the subtree under j'
 was searched first and fails exactly when the one under j would.
 
-The scan is _scan, on a graph's sorted maximal cliques, its adjacency
-masks and a deadline. oracle_membership lists the cliques, stopping
-past CLIQUE_BOUND, and builds the masks for it;
+The scan is _scan, on a graph's sorted maximal cliques, its neighbour
+masks (Graph._adj) and a deadline. oracle_membership lists the
+cliques, stopping past CLIQUE_BOUND;
 recognition.cheapest_representation hands it the ones it has already
-built. Each tree shape validates its HostTree once, on its first
+listed. Each tree shape validates its HostTree once, on its first
 accept (TreeShape.host_tree), and every certificate on that shape
 shares the tree, which is immutable.
 """
@@ -54,7 +54,6 @@ from .graphs import (
     BoundExceededError,
     Graph,
     VertexSet,
-    _adjacency_masks,
     _canonical_search,
     _clique_masks,
     _members,
@@ -418,16 +417,15 @@ def oracle_membership(g: Graph, *, budget_secs: float | None = None) -> EptRepre
     itself is _scan, which recognition.cheapest_representation calls
     with the cliques, masks and deadline it already has."""
     budget_secs = resolve_budget_secs(budget_secs)
-    adj = _adjacency_masks(g)
     # stop listing at the first clique past the bound: K_{3x12} alone
     # has 531 441
-    cliques = sorted(map(_members, itertools.islice(_clique_masks(adj), CLIQUE_BOUND + 1)))
-    return _scan(cliques, adj, time.monotonic() + budget_secs)
+    cliques = sorted(map(_members, itertools.islice(_clique_masks(g._adj), CLIQUE_BOUND + 1)))
+    return _scan(cliques, g._adj, time.monotonic() + budget_secs)
 
 
-def _scan(cliques: list[VertexSet], adj: list[int], deadline: float) -> EptRepresentation | None:
-    """oracle_membership's answer for the graph with adjacency masks adj
-    (graphs._adjacency_masks) and these maximal cliques, each sorted,
+def _scan(cliques: list[VertexSet], adj: tuple[int, ...], deadline: float) -> EptRepresentation | None:
+    """oracle_membership's answer for the graph with neighbour masks adj
+    (Graph._adj) and these maximal cliques, each sorted,
     in lexicographic order. Raises BoundExceededError, with
     oracle_membership's text, when there are more than CLIQUE_BOUND
     cliques, and BudgetExhaustedError once the monotonic clock passes

@@ -21,8 +21,8 @@ own (_separator_table), or from the clique tree (_clique_tree_table).
 Every other graph goes to the oracle's exhaustive bijection-tree
 search (oracle._scan), which also yields the certificate. The route
 hands it the maximal cliques it has already listed, by the
-maximum-cardinality search or by one Bron-Kerbosch on the adjacency
-masks it has already built, and its own deadline; connectivity is
+maximum-cardinality search or by one Bron-Kerbosch on the graph's
+neighbour masks, and its own deadline; connectivity is
 settled by the route's own checks, not by a search of its own (see
 cheapest_representation). is_helly_ept is that search alone, from a
 connectivity search and a clique listing of its own: the reference the
@@ -38,6 +38,7 @@ equivalent to an induced gate with more than h cliques
 from __future__ import annotations
 
 import itertools
+import math
 import time
 from typing import NamedTuple
 
@@ -46,7 +47,6 @@ from .gates import _two_clique_split
 from .graphs import (
     Graph,
     VertexSet,
-    _adjacency_masks,
     _clique_masks,
     _components,
     _mask,
@@ -91,8 +91,9 @@ def _chordal_cliques(g: Graph) -> tuple[list[VertexSet], list[int]] | None:
     enumerate_maximal_cliques lists them, and a clique forest on them,
     one tree per component of g: parent[i] is the index of clique i's
     parent, -1 at a root. None when g is not chordal. One
-    maximum-cardinality search, in O(n + m) before the sort: unvisited
-    vertices wait in buckets by weight.
+    maximum-cardinality search, in O(n + m) steps before the sort:
+    unvisited vertices wait in buckets by weight, and each vertex's
+    chordality test is one test on n-bit masks.
 
     The search visits v_1..v_n, and N_i is the set of v_i's neighbours
     visited before it, of size w_i. g is chordal exactly when, for u
@@ -106,7 +107,7 @@ def _chordal_cliques(g: Graph) -> tuple[list[VertexSet], list[int]] | None:
     starts (Blair & Peyton 1993).
     """
     n = g.n
-    adj = g._adj
+    adj, nbrs = g._adj, g._nbrs
     buckets: list[set[int]] = [set(range(n))] + [set() for _ in range(n)]
     weight = [0] * n
     visited_at = [-1] * n
@@ -115,6 +116,7 @@ def _chordal_cliques(g: Graph) -> tuple[list[VertexSet], list[int]] | None:
     found: list[list[int]] = []
     parents: list[int] = []
     prev: list[int] = []  # N_(i-1) + v_(i-1)
+    visited = 0  # mask of v_1..v_(i-1)
     for i in range(n):
         while not buckets[top]:
             top -= 1
@@ -122,7 +124,7 @@ def _chordal_cliques(g: Graph) -> tuple[list[VertexSet], list[int]] | None:
         visited_at[v] = i
         earlier = []
         latest = last = -1
-        for u in adj[v]:
+        for u in nbrs[v]:
             at = visited_at[u]
             if at < 0:
                 w = weight[u]
@@ -133,11 +135,10 @@ def _chordal_cliques(g: Graph) -> tuple[list[VertexSet], list[int]] | None:
                 earlier.append(u)
                 if at > latest:
                     latest, last = at, u
-        if earlier:
-            near = adj[last]
-            for u in earlier:
-                if u != last and u not in near:
-                    return None
+        # N_i - u lies in N(u) for u = last: u is all of N_i - N(u)
+        if earlier and adj[v] & visited & ~adj[last] != 1 << last:
+            return None
+        visited |= 1 << v
         if not prev or len(earlier) < len(prev):
             if prev:
                 found.append(prev)
@@ -166,7 +167,7 @@ def has_asteroidal_triple(g: Graph) -> bool:
     """Three pairwise non-adjacent vertices, each pair joined by a path
     avoiding the third's closed neighborhood: each two share a component
     of g - N[c] for the third vertex c, labelled once per vertex."""
-    adj = _adjacency_masks(g)
+    adj = g._adj
     label = []  # label[c][v]: v's component of g - N[c], -1 inside N[c]
     for c in range(g.n):
         where = [-1] * g.n
@@ -196,7 +197,7 @@ def is_helly_ept(g: Graph, budget_secs: float | None = None) -> EptRepresentatio
     return oracle_membership(g, budget_secs=budget_secs)
 
 
-def _twin_representatives(adj: list[int], vertices: int) -> int:
+def _twin_representatives(adj: tuple[int, ...], vertices: int) -> int:
     """The lowest vertex of each class of true twins (equal closed
     neighbourhoods) of g[vertices], as a mask, for the graph g with
     adjacency masks adj. Twins of one class have the same neighbours in
@@ -215,7 +216,7 @@ def _twin_representatives(adj: list[int], vertices: int) -> int:
     return reps
 
 
-def _atom_clique_count(adj: list[int], atom: int) -> int | None:
+def _atom_clique_count(adj: tuple[int, ...], atom: int) -> int | None:
     """1 for a complete atom, its clique count for a line-like one and
     None for any other, for the atom g[atom] of the graph g with
     adjacency masks adj, from gates._two_clique_split on the true-twin
@@ -281,10 +282,12 @@ def _biconnected(links: list[list[int]]) -> bool:
     return False
 
 
-def _one_atom_count(adj: list[int]) -> int | None:
+def _one_atom_count(adj: tuple[int, ...], deadline: float = math.inf) -> int | None:
     """The clique count of the graph g with adjacency masks adj when g
     is one atom that passes the atom test, found without decomposing
-    it; None when this test cannot tell.
+    it; None when this test cannot tell. Raises BudgetExhaustedError
+    once the monotonic clock passes deadline, checked after the twin
+    quotient and after the two-clique test.
 
     Say the two-clique test passes on g's twin quotient
     (_atom_clique_count), and H, a node per maximal clique and an edge
@@ -305,9 +308,11 @@ def _one_atom_count(adj: list[int]) -> int | None:
     parts of its neighbourhood that the two-clique test found, and two
     of them meet only in that vertex, so H has no parallel edges."""
     reps = _twin_representatives(adj, (1 << len(adj)) - 1)
+    _check_deadline(deadline)
     ok, count = _two_clique_split(adj, reps)
     if not ok:
         return None
+    _check_deadline(deadline)
     index: dict[int, int] = {}  # a clique of the quotient -> its node of H
     links: list[list[int]] = []
     for v in _members(reps):
@@ -564,7 +569,7 @@ def _side_witness(
             on_cycle = [sides[x] for x in cycle]
             parts = [part for part, _, _ in on_cycle]
             if not all(parts):  # a clique-tree table names no component
-                split = _components(_adjacency_masks(g), (1 << g.n) - 1 & ~clique)
+                split = _components(g._adj, (1 << g.n) - 1 & ~clique)
                 parts = [part or next(p for p, a in split if a == attach) for part, attach, _ in on_cycle]
             attached = tuple(_members(attach) for _, attach, _ in on_cycle)
             return SideWitness(_members(clique), tuple(map(_members, parts)), attached)
@@ -690,20 +695,23 @@ def cheapest_representation(g: Graph, budget_secs: float | None = None) -> Recog
 
     The budget is resolved and checked first, so a NaN or negative one
     is a ValueError on every route. It runs from the start of the call
-    to one deadline: MCS-M and the component search per separator,
-    which run once for the split loop and the table, the split loop, the
-    table, the side test and the scan raise BudgetExhaustedError once it
-    has passed.
+    to one deadline, checked after the maximum-cardinality search and
+    after the clique listing: _one_atom_count, MCS-M and the component
+    search per separator, which run once for the split loop and the
+    table, the split loop, the table, the side test and the scan raise
+    BudgetExhaustedError once it has passed.
 
-    The scan (oracle._scan) gets the cliques the route listed, sorted,
-    the adjacency masks it built and that deadline, so each call lists
-    maximal cliques once at most and builds masks once at most. Above
-    oracle.CLIQUE_BOUND cliques it raises oracle_membership's
+    The route reads g's neighbour masks (Graph._adj), which the scan
+    (oracle._scan) gets with the cliques the route listed, sorted, and
+    that deadline, so each call lists maximal cliques once at most.
+    Above oracle.CLIQUE_BOUND cliques it raises oracle_membership's
     BoundExceededError.
     """
     deadline = time.monotonic() + resolve_budget_secs(budget_secs)
+    adj = g._adj
     k = 1
     chordal = _chordal_cliques(g)
+    _check_deadline(deadline)
     if chordal is not None:
         cliques, parent = chordal
         if parent.count(-1) != 1:  # a clique forest of one tree; Graph(0) has none
@@ -713,18 +721,17 @@ def cheapest_representation(g: Graph, budget_secs: float | None = None) -> Recog
             witness = _side_witness(g, masks, _clique_tree_table(g.n, masks, parent), deadline)
             if witness is not None:
                 return RecognitionResult(False, None, None, side_witness=witness)
-        adj = _adjacency_masks(g)
     else:
-        adj = _adjacency_masks(g)
-        k = _one_atom_count(adj)
+        k = _one_atom_count(adj, deadline)
         splits = []  # one atom has no clique separator
         if k is None:
-            k, splits = 1, _separator_splits(g, adj, deadline)
+            k, splits = 1, _separator_splits(g, deadline)
             for atom in _atom_masks(g.n, splits, deadline):
                 if (count := _atom_clique_count(adj, atom)) is None:
                     return RecognitionResult(False, None, None, obstruction=_members(atom))
                 k = max(k, count)
         listed = sorted((_members(c), c) for c in _clique_masks(adj))
+        _check_deadline(deadline)
         cliques = [c for c, _ in listed]
         answer = _pendant_answer(g, cliques, [c for _, c in listed], splits, k, deadline)
         if answer is not None:

@@ -44,9 +44,11 @@ from .graphs import (
 
 class HostTree:
     """Tree on vertices 0..n-1, validated at construction and immutable
-    after it, so certificates may share one."""
+    after it, so certificates may share one. It keeps the two adjacency
+    views of the Graph it validated: neighbour masks and sorted
+    neighbour tuples."""
 
-    __slots__ = ("n", "edges", "_adj")
+    __slots__ = ("n", "edges", "_adj", "_nbrs")
     n: int
     edges: tuple[Edge, ...]
 
@@ -59,6 +61,7 @@ class HostTree:
         fill(self, "n", n)
         fill(self, "edges", tuple(sorted(g.edges)))
         fill(self, "_adj", g._adj)
+        fill(self, "_nbrs", g._nbrs)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -67,16 +70,16 @@ class HostTree:
         raise AttributeError(f"cannot delete field {name!r}")
 
     def neighbors(self, v: int) -> frozenset[int]:
-        return self._adj[v]
+        return frozenset(self._nbrs[v])
 
     def degree(self, v: int) -> int:
-        return len(self._adj[v])
+        return len(self._nbrs[v])
 
     def has_edge(self, u: int, v: int) -> bool:
-        return v in self._adj[u]
+        return self._adj[u] >> v & 1 == 1
 
     def max_degree(self) -> int:
-        return max((len(a) for a in self._adj), default=0)
+        return max(map(len, self._nbrs), default=0)
 
     def __eq__(self, other: object) -> bool:
         return (

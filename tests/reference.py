@@ -63,7 +63,6 @@ from eptkit.graphs import (
     Edge,
     Graph,
     VertexSet,
-    _adjacency_masks,
     _components,
     _mask,
     _members,
@@ -280,6 +279,17 @@ def reference_decomposition_tree(g: Graph) -> CliqueDecomposition:
     return CliqueDecomposition(g, build(tuple(range(g.n))))
 
 
+def neighbour_sets(g: Graph) -> list[set[int]]:
+    """Each vertex's neighbours, read off g.edges rather than the
+    adjacency views Graph builds, so a fault in those views cannot pass
+    both sides of a comparison."""
+    adj: list[set[int]] = [set() for _ in range(g.n)]
+    for u, v in g.edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    return adj
+
+
 def reference_maximal_cliques(g: Graph) -> Iterator[VertexSet]:
     """Every maximal clique, sorted, as Bron-Kerbosch finds it, so a
     caller that needs only the first few can stop early.
@@ -289,7 +299,7 @@ def reference_maximal_cliques(g: Graph) -> Iterator[VertexSet]:
     """
     if g.n == 0:
         return
-    adj = g._adj
+    adj = neighbour_sets(g)
 
     def frame(r: list[int], p: set[int], x: set[int]):
         # no vertex of p covers itself, so none covers more than cap
@@ -324,7 +334,7 @@ def reference_clique_minimal_separators(g: Graph) -> list[VertexSet]:
     ordered by (size, tuple): the complete madj sets of MCS-M
     generators."""
     n = g.n
-    adj = g._adj
+    adj = neighbour_sets(g)
     weight = [0] * n
     madj: list[list[int]] = [[] for _ in range(n)]
     unnumbered = list(range(n))
@@ -820,7 +830,7 @@ def searched_side_test(g: Graph) -> SideWitness | None:
     search of g - K at each, with at most three twins per class
     (capped_sides): the first odd cycle's witness, or None."""
     cliques = [_mask(c) for c in enumerate_maximal_cliques(g)]
-    adj = _adjacency_masks(g)
+    adj = g._adj
     for clique in cliques:
         sides = capped_sides(cliques, clique, _components(adj, (1 << g.n) - 1 & ~clique))
         cycle = _side_cycle([(attach, traces) for _, attach, traces in sides]) if len(sides) > 2 else None

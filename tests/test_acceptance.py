@@ -29,7 +29,6 @@ from eptkit.gates import (
 )
 from eptkit.graphs import (
     Graph,
-    _adjacency_masks,
     _components,
     _mask,
     canonical_form,
@@ -303,11 +302,11 @@ def test_scan_members_keep_the_pruning_facts(corpus7, helly_corpus, monkeypatch)
         rep = reached.get(g)
         if rep is None:
             continue
-        adj = _adjacency_masks(g)
+        adj = g._adj
         cliques = enumerate_maximal_cliques(g)
         masks = [_mask(c) for c in cliques]
         separating, _ = recognition._separator_table(
-            g.n, masks, _separator_splits(g, adj, math.inf), math.inf
+            g.n, masks, _separator_splits(g, math.inf), math.inf
         )
         # the facts rest on the search, not on the table
         everything = (1 << g.n) - 1

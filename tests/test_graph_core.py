@@ -78,6 +78,46 @@ def test_graph_normalization_and_accessors():
     assert hash(g) == hash(path_graph(4))
 
 
+def check_adjacency_views(obj, n: int, edges) -> None:
+    """obj's neighbour masks, sorted neighbour tuples, neighbors, degree
+    and has_edge against neighbour sets read off its edges; has_edge on
+    every pair up to 60 vertices, and above that on each vertex v's
+    neighbours and on v - 2 and v + 2."""
+    want: list[set[int]] = [set() for _ in range(n)]
+    for u, v in edges:
+        want[u].add(v)
+        want[v].add(u)
+    assert obj._adj == tuple(sum(1 << w for w in near) for near in want)
+    assert obj._nbrs == tuple(tuple(sorted(near)) for near in want)
+    for v, near in enumerate(want):
+        got = obj.neighbors(v)
+        assert type(got) is frozenset and got == near
+        assert obj.degree(v) == len(near)
+        others = range(n) if n <= 60 else {w for w in (v - 2, v + 2) if 0 <= w < n} | near
+        assert all(obj.has_edge(v, w) == (w in near) for w in others)
+    # the views are all it keeps per vertex: no neighbour set each
+    for name in type(obj).__slots__:
+        value = getattr(obj, name)
+        if isinstance(value, tuple):
+            assert not any(isinstance(x, (set, frozenset)) for x in value), name
+
+
+def test_adjacency_views_match_the_edges():
+    rng = random.Random(20261031)
+    graphs = [g for n in range(8) for g in small_graph_corpus(n)]
+    for _ in range(200):
+        n = rng.randint(1, 60)
+        p = rng.choice((0.05, 0.15, 0.3, 0.6))
+        graphs.append(Graph(n, [e for e in itertools.combinations(range(n), 2) if rng.random() < p]))
+    graphs.append(path_graph(10_000))
+    for g in graphs:
+        check_adjacency_views(g, g.n, g.edges)
+    for m in range(10):
+        for shape in tree_shapes(m):
+            tree = shape.host_tree()
+            check_adjacency_views(tree, tree.n, tree.edges)
+
+
 def test_graph_rejects_bad_edges():
     with pytest.raises(ValueError, match="self-loop"):
         Graph(2, [(1, 1)])

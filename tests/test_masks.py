@@ -18,7 +18,6 @@ from eptkit.decomposition import AtomLeaf, SeparatorNode, CliqueDecomposition, t
 from eptkit.graphs import (
     BoundExceededError,
     Graph,
-    _adjacency_masks,
     _components,
     _mask,
     _maximal_cliques,
@@ -110,7 +109,7 @@ def test_clique_count_matches_reference_at_every_limit(families):
         for g in graphs:
             k = sum(1 for _ in reference_maximal_cliques(g))
             limits = range(k + 2) if name != "large" else (0, 1, 2, k // 2, k - 1, k, k + 1)
-            adj = _adjacency_masks(g)
+            adj = g._adj
             assert [gates._clique_count(adj, limit) for limit in limits] == [
                 min(k, limit) for limit in limits
             ], g.edges
@@ -122,7 +121,7 @@ def test_clique_minimal_separators_match_reference(families):
     for graphs in families.values():
         for g in graphs:
             if g.n and is_connected(g):
-                got = decomposition._clique_minimal_separators(g, _adjacency_masks(g))
+                got = decomposition._clique_minimal_separators(g)
                 assert got == reference_clique_minimal_separators(g), g.edges
 
 
@@ -164,9 +163,8 @@ def test_atom_masks_are_the_public_atoms(families):
     for name, graphs in families.items():
         for g in graphs[2:] if name == "large" else graphs:
             if g.n and is_connected(g):
-                adj = _adjacency_masks(g)
                 leaves = decomposition.decomposition_tree(g).leaves()
-                splits = decomposition._separator_splits(g, adj, math.inf)
+                splits = decomposition._separator_splits(g, math.inf)
                 assert list(decomposition._atom_masks(g.n, splits, math.inf)) == [
                     _mask(leaf.vertices) for leaf in leaves
                 ], g.edges
@@ -180,8 +178,8 @@ def test_split_loop_parts_match_a_search_at_every_node(families):
     for name, graphs in families.items():
         for g in graphs[2:] if name == "large" else graphs:
             if g.n and is_connected(g):
-                adj = _adjacency_masks(g)
-                splits = decomposition._separator_splits(g, adj)
+                adj = g._adj
+                splits = decomposition._separator_splits(g)
                 stack = [((1 << g.n) - 1, 0)]
                 for vertices, split in decomposition._preorder(g.n, splits):
                     node, start = stack.pop()
@@ -243,10 +241,10 @@ def test_route_matches_reference_route(families, monkeypatch):
     monkeypatch.setattr(recognition, "_scan", route_scan)
     graphs = families["corpus"] + families["wide-chordal"] + families["random"]
     got = [outcome(g) for g in graphs]
-    monkeypatch.setattr(recognition, "_one_atom_count", lambda adj: None)
+    monkeypatch.setattr(recognition, "_one_atom_count", lambda adj, deadline: None)
     monkeypatch.setattr(
         decomposition, "_clique_minimal_separators",
-        lambda g, adj, deadline=math.inf: reference_clique_minimal_separators(g),
+        lambda g, deadline=math.inf: reference_clique_minimal_separators(g),
     )
     monkeypatch.setattr(
         recognition, "_clique_masks",
@@ -262,12 +260,12 @@ def test_route_matches_reference_route(families, monkeypatch):
 def test_route_sets_up_once_per_call(families, monkeypatch):
     # one set-up per answer: each call lists maximal cliques once at
     # most, by the maximum-cardinality search that finds g chordal and
-    # never by Bron-Kerbosch then, builds adjacency masks once at most,
-    # and searches g for connectivity never: a clique forest of one
-    # tree, _one_atom_count or _separator_splits settles it. Every
-    # in-cap member the scan decides gets is_helly_ept's certificate.
-    # Masks and searches are counted on g itself, as the lazy tree-shape
-    # set-up and HostTree's own check run them on other graphs
+    # never by Bron-Kerbosch then, and searches g for connectivity
+    # never: a clique forest of one tree, _one_atom_count or
+    # _separator_splits settles it. Every in-cap member the scan decides
+    # gets is_helly_ept's certificate. Searches are counted on g itself,
+    # as the lazy tree-shape set-up and HostTree's own check run them on
+    # other graphs
     counts: Counter = Counter()
     current: list[Graph] = []
 
@@ -284,7 +282,7 @@ def test_route_sets_up_once_per_call(families, monkeypatch):
         return call
 
     modules = (decomposition, gates, graph_module, oracle, recognition, representation)
-    names = ("_adjacency_masks", "_clique_masks", "is_connected", "connected_components")
+    names = ("_clique_masks", "is_connected", "connected_components")
     for name in names:
         fn = getattr(graph_module, name)
         for module in modules:
@@ -313,7 +311,6 @@ def test_route_sets_up_once_per_call(families, monkeypatch):
         scanned.clear()
         current.append(g)
         result = outcome(g)
-        assert counts["_adjacency_masks"] <= 1, g.edges
         assert counts["is_connected"] == counts["connected_components"] == 0, g.edges
         if counts["chordal"]:
             assert counts["_clique_masks"] == 0, g.edges

@@ -368,7 +368,7 @@ def test_one_atom_count_matches_the_decomposition():
         graphs.append(line_graph(edges))
     seen = Counter()
     for g in graphs:
-        adj = recognition._adjacency_masks(g)
+        adj = g._adj
         got = recognition._one_atom_count(adj)
         if not is_connected(g) or len(g.edges) == g.n * (g.n - 1) // 2:
             assert got is None, g.edges
@@ -380,7 +380,7 @@ def test_one_atom_count_matches_the_decomposition():
         assert got == want, g.edges
         seen[want is not None] += 1
     assert seen[True] >= 50 and seen[False] >= 1000
-    assert [recognition._one_atom_count(recognition._adjacency_masks(g)) for g in graphs[-5:]] == [
+    assert [recognition._one_atom_count(g._adj) for g in graphs[-5:]] == [
         None, None, None, 5, 8,
     ]
 
@@ -424,7 +424,7 @@ def test_route_searches_g_minus_s_once_per_separator(monkeypatch):
     # separator table read those parts and search nothing more
     n = 600
     g = Graph(2 * n, list(cycle_graph(n).edges) + [(i, n + i) for i in range(n)])
-    assert len(decomposition._clique_minimal_separators(g, recognition._adjacency_masks(g))) == n
+    assert len(decomposition._clique_minimal_separators(g)) == n
     search = decomposition._components
     searched = []
 
@@ -440,19 +440,21 @@ def test_route_searches_g_minus_s_once_per_separator(monkeypatch):
 
 
 def test_steps_before_the_scan_check_the_deadline(monkeypatch):
-    # MCS-M, the search of g - S per separator, the split loop, the
-    # separator table and the side test each raise on a deadline
-    # already past, where without one they answer
+    # the one-atom test, MCS-M, the search of g - S per separator, the
+    # split loop, the separator table and the side test each raise on a
+    # deadline already past, where without one they answer
     past = time.monotonic() - 1.0
-    adj = recognition._adjacency_masks(C6_PENDANT)
-    splits = decomposition._separator_splits(C6_PENDANT, adj, math.inf)
     with pytest.raises(BudgetExhaustedError):
-        decomposition._clique_minimal_separators(C6_PENDANT, adj, past)
+        recognition._one_atom_count(cycle_graph(6)._adj, past)
+    assert recognition._one_atom_count(cycle_graph(6)._adj, math.inf) == 6
+    splits = decomposition._separator_splits(C6_PENDANT, math.inf)
+    with pytest.raises(BudgetExhaustedError):
+        decomposition._clique_minimal_separators(C6_PENDANT, past)
     mcs_m = decomposition._clique_minimal_separators
     with monkeypatch.context() as patched:  # MCS-M without a deadline
-        patched.setattr(decomposition, "_clique_minimal_separators", lambda g, adj, _: mcs_m(g, adj))
+        patched.setattr(decomposition, "_clique_minimal_separators", lambda g, _: mcs_m(g))
         with pytest.raises(BudgetExhaustedError):
-            decomposition._separator_splits(C6_PENDANT, adj, past)
+            decomposition._separator_splits(C6_PENDANT, past)
     with pytest.raises(BudgetExhaustedError):
         next(decomposition._preorder(C6_PENDANT.n, splits, past))
     assert len(list(decomposition._preorder(C6_PENDANT.n, splits))) == 3
@@ -463,9 +465,8 @@ def test_steps_before_the_scan_check_the_deadline(monkeypatch):
     assert separating == [True, True, False, False, False, False, False]
     # S3's middle triangle has three ears, each attached to two of its
     # vertices: the separators {2, 3}, {2, 5} and {3, 5}
-    adj = recognition._adjacency_masks(S3_GRAPH)
     cliques = [recognition._mask(c) for c in enumerate_maximal_cliques(S3_GRAPH)]
-    splits = decomposition._separator_splits(S3_GRAPH, adj, math.inf)
+    splits = decomposition._separator_splits(S3_GRAPH, math.inf)
     _, table = recognition._separator_table(S3_GRAPH.n, cliques, splits, math.inf)
     with pytest.raises(BudgetExhaustedError):
         recognition._side_witness(S3_GRAPH, cliques, table, past)
@@ -509,7 +510,7 @@ def test_pendant_filter(monkeypatch):
     ring = [5, *range(7, 16)]
     glued = Graph(16, list(A0808.edges) + [(ring[i - 1], ring[i]) for i in range(10)])
     assert len(enumerate_maximal_cliques(glued)) == 16
-    adj = recognition._adjacency_masks(glued)
+    adj = glued._adj
     assert all(
         recognition._atom_clique_count(adj, recognition._mask(vertices)) is not None
         for _, vertices in atoms(glued)
@@ -534,9 +535,9 @@ def test_separating_cliques_match_a_search_per_clique():
         expected = [
             not is_connected(induced_subgraph(g, set(range(g.n)) - set(c))[0]) for c in cliques
         ]
-        adj = recognition._adjacency_masks(g)
+        adj = g._adj
         masks = [recognition._mask(c) for c in cliques]
-        splits = decomposition._separator_splits(g, adj, math.inf)
+        splits = decomposition._separator_splits(g, math.inf)
         separating, _ = recognition._separator_table(g.n, masks, splits, math.inf)
         assert separating == expected, g
         pieces = [recognition._mask(vertices) for _, vertices in atoms(g)]
@@ -593,7 +594,7 @@ def test_atom_clique_count_matches_reference():
         graphs.append(twin_blow_up(g, [rng.randint(1, 3) for _ in range(g.n)]))
     seen = Counter()
     for g in graphs:
-        adj = recognition._adjacency_masks(g)
+        adj = g._adj
         for atom, vertices in atoms(g):
             cliques = len(enumerate_maximal_cliques(atom))
             want = cliques if cliques == 1 or reference_is_line_like(atom) else None
@@ -626,7 +627,7 @@ def test_route_lists_no_atom_cliques(monkeypatch):
     assert len(atoms(C6_PENDANT)) == 2
     result = cheapest_representation(C6_PENDANT)
     assert result.helly_ept and result.h == 6
-    assert calls == [recognition._adjacency_masks(C6_PENDANT)]
+    assert calls == [C6_PENDANT._adj]
 
 
 def test_passing_atoms_have_one_clique_or_four():
@@ -639,7 +640,7 @@ def test_passing_atoms_have_one_clique_or_four():
                 chordal += 1
                 continue
             counts = []
-            adj = recognition._adjacency_masks(g)
+            adj = g._adj
             for _, vertices in atoms(g):
                 count = recognition._atom_clique_count(adj, recognition._mask(vertices))
                 if count is None:

@@ -18,7 +18,6 @@ from eptkit.cli import main
 from eptkit.graphs import (
     BoundExceededError,
     Graph,
-    _adjacency_masks,
     _components,
     connected_components,
     cycle_graph,
@@ -68,9 +67,8 @@ def side_table(g: Graph) -> tuple[list[int], list]:
     if found is not None:
         masks = [recognition._mask(c) for c in found[0]]
         return masks, recognition._clique_tree_table(g.n, masks, found[1])
-    adj = _adjacency_masks(g)
     masks = [recognition._mask(c) for c in enumerate_maximal_cliques(g)]
-    splits = decomposition._separator_splits(g, adj, math.inf)
+    splits = decomposition._separator_splits(g, math.inf)
     return masks, recognition._separator_table(g.n, masks, splits, math.inf)[1]
 
 
@@ -302,10 +300,10 @@ def test_table_matches_a_search_per_clique():
             graphs.append(g)
     seen = Counter()
     for g in graphs:
-        adj = _adjacency_masks(g)
+        adj = g._adj
         everything = (1 << g.n) - 1
         masks = [recognition._mask(c) for c in enumerate_maximal_cliques(g)]
-        splits = decomposition._separator_splits(g, adj, math.inf)
+        splits = decomposition._separator_splits(g, math.inf)
         separators = [sep for sep, _ in splits]
         separating, table = recognition._separator_table(g.n, masks, splits, math.inf)
         below = {s: _components(adj, everything & ~s) for s in separators}
@@ -355,7 +353,7 @@ def test_clique_tree_table_matches_a_search_per_clique():
             continue
         masks = [recognition._mask(c) for c in found[0]]
         table = recognition._clique_tree_table(g.n, masks, found[1])
-        adj = _adjacency_masks(g)
+        adj = g._adj
         wanted = []
         for clique in masks:
             split = _components(adj, (1 << g.n) - 1 & ~clique)
