@@ -220,7 +220,7 @@ def _catalog(max_vertices: int) -> dict[bytes, GateRecipe]:
     queue: deque[tuple[LabeledGate, tuple[VertexSet, ...]]] = deque()
     for base in range(4, max_vertices + 1):
         gate = build_gate(GateRecipe(base))
-        form, _, generators = _canonical_search(gate.graph)
+        form, _, generators = _canonical_search(gate.graph._adj)
         if form not in catalog:
             catalog[form] = gate.recipe
             queue.append((gate, generators))
@@ -233,7 +233,7 @@ def _catalog(max_vertices: int) -> dict[bytes, GateRecipe]:
             for length in range(2, budget + 1):
                 step = ExtensionStep(a, b, length)
                 graph, cliques = _extend(gate.graph, gate.cliques, step)
-                form, _, graph_generators = _canonical_search(graph)
+                form, _, graph_generators = _canonical_search(graph._adj)
                 if form in catalog:
                     continue
                 recipe = GateRecipe(gate.recipe.base, gate.recipe.steps + (step,))

@@ -44,15 +44,17 @@ class Graph:
     - `_adj`, each vertex's neighbours as a bit mask (bit w for
       neighbour w), for the readers that intersect neighbourhoods or
       test one pair: Bron-Kerbosch (_clique_masks), the component search
-      (_components), the canonical search, has_edge, MCS-M's
-      completeness test, the chordality test of the maximum-cardinality
-      search, the two-clique test, the atom tests,
+      (_components), the canonical search and its refinement, has_edge,
+      MCS-M's completeness test, the chordality test of the
+      maximum-cardinality search, the two-clique test, the atom tests,
       has_asteroidal_triple and the scan;
     - `_nbrs`, each vertex's neighbours as a sorted tuple, for the
       readers that walk them one at a time: the maximum-cardinality
       search, MCS-M's fill search, connected_components,
-      induced_subgraph, _wl_colors, find_chordless_cycle_ge, neighbors
-      and degree.
+      induced_subgraph, find_chordless_cycle_ge, neighbors and degree.
+
+    neighbors, degree and has_edge refuse a vertex outside 0..n-1;
+    the readers inside eptkit index the views directly.
     """
 
     __slots__ = ("n", "edges", "_adj", "_nbrs")
@@ -91,12 +93,16 @@ class Graph:
         self._nbrs = tuple(tuple(sorted(near)) for near in nbrs)
 
     def neighbors(self, v: int) -> frozenset[int]:
+        _check_vertex(self.n, v)
         return frozenset(self._nbrs[v])
 
     def degree(self, v: int) -> int:
+        _check_vertex(self.n, v)
         return len(self._nbrs[v])
 
     def has_edge(self, u: int, v: int) -> bool:
+        _check_vertex(self.n, u)
+        _check_vertex(self.n, v)
         return self._adj[u] >> v & 1 == 1
 
     def sorted_edges(self) -> list[Edge]:
@@ -113,6 +119,12 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={len(self.edges)})"
+
+
+def _check_vertex(n: int, v: int) -> None:
+    """Raise ValueError unless v is a vertex of a graph on 0..n-1."""
+    if not 0 <= v < n:
+        raise ValueError(f"vertex {v} out of range for n={n}")
 
 
 def cycle_graph(n: int) -> Graph:
@@ -370,33 +382,42 @@ def find_chordless_cycle_ge(g: Graph, len_min: int = 4) -> VertexSet | None:
     return None
 
 
-def _wl_colors(g: Graph) -> list[int]:
-    """Iterated neighborhood refinement; ranks are isomorphism-invariant."""
-    ranks = {d: i for i, d in enumerate(sorted({g.degree(v) for v in range(g.n)}))}
-    colors = [ranks[g.degree(v)] for v in range(g.n)]
+def _wl_colors(adj: tuple[int, ...]) -> list[int]:
+    """Iterated neighbourhood refinement of the graph with adjacency
+    masks adj (a Graph's _adj); ranks are isomorphism-invariant."""
+    nbrs = list(map(_members, adj))
+    degrees = list(map(len, nbrs))
+    ranks = {d: i for i, d in enumerate(sorted(set(degrees)))}
+    colors = [ranks[d] for d in degrees]
+    classes = len(ranks)
     while True:
-        sigs = [
-            (colors[v], tuple(sorted(colors[u] for u in g._nbrs[v])))
-            for v in range(g.n)
-        ]
+        sigs = [(c, tuple(sorted([colors[u] for u in near]))) for c, near in zip(colors, nbrs)]
         order = {s: i for i, s in enumerate(sorted(set(sigs)))}
-        new = [order[sigs[v]] for v in range(g.n)]
-        if len(set(new)) == len(set(colors)):
-            return new
-        colors = new
+        if len(order) == classes:
+            return [order[s] for s in sigs]
+        classes = len(order)
+        colors = [order[s] for s in sigs]
 
 
-# The hits are lookups of the same labelled graph: find_multipie
-# re-checks each gate that gates12 rebuilds from its recipe every pass,
-# and the test suite makes 27 253 hits in 46 976 calls. Each entry keeps
-# its key Graph alive: about 3.3 KB for a sparse 12-vertex graph and
-# about 17 KB for K_16 (tracemalloc), so a full cache holds about
-# 0.56 GB at most. An entry is 3 GC-tracked objects, as a Graph's views
-# hold only ints and tuples of ints. With the cache at its peak in the
-# test suite (21 863 entries) the process holds 159 000 GC-tracked
-# objects and a full collection takes 0.13 s; without the cache, 95 000
-# and 0.06 s (2 CPUs, Python 3.11.7).
+# canonical_labeling's cache, keyed on the graph's neighbour masks, so
+# an entry keeps no Graph: only the masks, the form and the order. Its
+# hits are lookups of the same labelled graph, such as find_multipie
+# re-checking each gate that gates12 rebuilds from its recipe every
+# pass. Measured by tracemalloc over 1 500 misses, an entry takes 768 B
+# for a sparse 12-vertex graph and 1 106 B for a dense 16-vertex one,
+# and a full cache of dense 16-vertex graphs holds 36 MB. An entry
+# leaves the collector no object to walk, since the collector untracks
+# a tuple that holds only ints, bytes and such tuples. With the cache
+# at its tier-1 peak (21 413 entries) the process holds 84 500
+# GC-tracked objects and a full collection takes 0.044 s, about what it
+# holds and takes with the cache cleared (85 400, 0.047 s; 2 CPUs,
+# Python 3.11.7).
 @functools.lru_cache(maxsize=32768)
+def _cached_labeling(adj: tuple[int, ...]) -> tuple[bytes, VertexSet]:
+    form, order, _ = _canonical_search(adj)
+    return form, order
+
+
 def canonical_labeling(g: Graph) -> tuple[bytes, VertexSet]:
     """Canonical form plus one vertex order that realizes it.
 
@@ -409,14 +430,19 @@ def canonical_labeling(g: Graph) -> tuple[bytes, VertexSet]:
     are isomorphic.
 
     Each node of the search costs O(n), though the number of nodes is
-    exponential in the worst case.
+    exponential in the worst case. Results are cached, at most 32 768
+    of them (cache_info, cache_clear).
     """
-    form, order, _ = _canonical_search(g)
-    return form, order
+    return _cached_labeling(g._adj)
 
 
-def _canonical_search(g: Graph) -> tuple[bytes, VertexSet, tuple[VertexSet, ...]]:
-    """canonical_labeling's search, plus a generating set of Aut(g):
+canonical_labeling.cache_info = _cached_labeling.cache_info
+canonical_labeling.cache_clear = _cached_labeling.cache_clear
+
+
+def _canonical_search(adj: tuple[int, ...]) -> tuple[bytes, VertexSet, tuple[VertexSet, ...]]:
+    """canonical_labeling's search on the graph g with adjacency masks
+    adj (a Graph's _adj), plus a generating set of Aut(g):
     the map best_order[i] -> order[i] for each leaf order whose bits
     equal the best seen so far, and the transposition of each vertex
     with the first vertex of its twin class.
@@ -489,19 +515,18 @@ def _canonical_search(g: Graph) -> tuple[bytes, VertexSet, tuple[VertexSet, ...]
     first branch vertex of its class, which is what the class table
     gives at once.
     """
-    n = g.n
+    n = len(adj)
     if n > CANONICAL_VERTEX_BOUND:
         raise BoundExceededError(
             f"canonical form limited to {CANONICAL_VERTEX_BOUND} vertices, got {n}"
         )
     if n == 0:
         return bytes([0]), (), ()
-    colors = _wl_colors(g)
-    adj_mask = g._adj
+    colors = _wl_colors(adj)
     twin_class = list(range(n))
     for v in range(n):
         for u in range(v):
-            if twin_class[u] == u and adj_mask[v] & ~(1 << u) == adj_mask[u] & ~(1 << v):
+            if twin_class[u] == u and adj[v] & ~(1 << u) == adj[u] & ~(1 << v):
                 twin_class[v] = u
                 break
     # a key is row << shift | low: the larger of two keys has the larger
@@ -509,7 +534,7 @@ def _canonical_search(g: Graph) -> tuple[bytes, VertexSet, tuple[VertexSet, ...]
     # key k into (2 * row + bit) << shift | low = 2 * k + lift[v][u].
     shift = max(colors).bit_length()
     low = [(1 << shift) - 1 - c for c in colors]
-    lift = [[((adj_mask[v] >> u & 1) << shift) - low[u] for u in range(n)] for v in range(n)]
+    lift = [[((adj[v] >> u & 1) << shift) - low[u] for u in range(n)] for v in range(n)]
     total = n * (n - 1) // 2
 
     best = -1  # below every bit string

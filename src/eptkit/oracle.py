@@ -52,6 +52,7 @@ from collections.abc import Sequence
 
 from .graphs import (
     BoundExceededError,
+    Edge,
     Graph,
     VertexSet,
     _canonical_search,
@@ -100,14 +101,11 @@ class TreeShape:
     when it is a key, and its value lists the path from its
     lower-numbered end."""
 
-    __slots__ = (
-        "graph", "n", "m", "edges", "max_degree", "path_mask", "paths", "_orbit_masks", "_host"
-    )
+    __slots__ = ("n", "m", "edges", "max_degree", "path_mask", "paths", "_orbit_masks", "_host")
 
-    def __init__(self, graph: Graph):
-        self.graph = graph
-        n = self.n = graph.n
-        self.edges = tuple(sorted(graph.edges))
+    def __init__(self, n: int, edges: Sequence[Edge]):
+        self.n = n
+        self.edges = tuple(sorted(edges))
         self.m = len(self.edges)
         # links[u]: (w, bit of the edge uw) for each neighbour w of u
         links: list[list[tuple[int, int]]] = [[] for _ in range(n)]
@@ -272,13 +270,14 @@ def tree_shapes(m: int) -> tuple[TreeShape, ...]:
     from v onto the one hung from u, which was met first, so a skipped
     hang is never the first of its class.
 
-    The sort computes canonical forms with _canonical_search, so the
-    shapes' graphs stay out of canonical_labeling's cache.
+    The sort computes canonical forms with _canonical_search on
+    adjacency masks built from the edges, so the shapes stay out of
+    canonical_labeling's cache and no Graph is built for them.
     """
     if m < 0:
         raise ValueError("edge count must be non-negative")
     if m == 0:
-        return (TreeShape(Graph(1)),)
+        return (TreeShape(1, ()),)
     intern: dict = {}
     grown: dict[int, TreeShape] = {}
     for shape in tree_shapes(m - 1):
@@ -291,10 +290,16 @@ def tree_shapes(m: int) -> tuple[TreeShape, ...]:
             adj, parent, order = _centred_subdivision(shape.n + 1, edges)
             code = _ahu_codes(adj, parent, order, intern)[order[0]]
             if code not in grown:
-                grown[code] = TreeShape(Graph(shape.n + 1, edges))
-    return tuple(
-        sorted(grown.values(), key=lambda s: (s.max_degree, _canonical_search(s.graph)[0]))
-    )
+                grown[code] = TreeShape(shape.n + 1, edges)
+
+    def form(shape: TreeShape) -> bytes:
+        adj = [0] * shape.n
+        for a, b in shape.edges:
+            adj[a] |= 1 << b
+            adj[b] |= 1 << a
+        return _canonical_search(tuple(adj))[0]
+
+    return tuple(sorted(grown.values(), key=lambda s: (s.max_degree, form(s))))
 
 
 def _clique_order(cliques: Sequence[VertexSet]) -> list[int]:
@@ -471,16 +476,18 @@ def _corpus_exact(n: int) -> tuple[tuple[Graph, tuple[VertexSet, ...]], ...]:
 
         return apply
 
+    top = 1 << (n - 1)
     out: dict[bytes, tuple[Graph, tuple[VertexSet, ...]]] = {}
     for g, generators in _corpus_exact(n - 1):
-        base = list(g.edges)
         moves = [move(image) for image in generators]
-        for mask in _orbit_representatives(range(1 << (n - 1)), moves):
-            edges = base + [(i, n - 1) for i in range(n - 1) if mask >> i & 1]
-            h = Graph(n, edges)
-            form, _, h_generators = _canonical_search(h)
+        for mask in _orbit_representatives(range(top), moves):
+            # g's masks with vertex n - 1 joined to mask; a Graph is
+            # built only for the first graph of a class
+            adj = tuple(near | top if mask >> i & 1 else near for i, near in enumerate(g._adj))
+            form, _, h_generators = _canonical_search(adj + (mask,))
             if form not in out:
-                out[form] = (h, h_generators)
+                edges = list(g.edges) + [(i, n - 1) for i in range(n - 1) if mask >> i & 1]
+                out[form] = (Graph(n, edges), h_generators)
     return tuple(entry for _, entry in sorted(out.items()))
 
 

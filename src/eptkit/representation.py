@@ -37,6 +37,7 @@ from .graphs import (
     Graph,
     GraphParseError,
     VertexSet,
+    _check_vertex,
     induced_subgraph,
     is_connected,
 )
@@ -46,7 +47,8 @@ class HostTree:
     """Tree on vertices 0..n-1, validated at construction and immutable
     after it, so certificates may share one. It keeps the two adjacency
     views of the Graph it validated: neighbour masks and sorted
-    neighbour tuples."""
+    neighbour tuples. Like Graph's, neighbors, degree and has_edge
+    refuse a vertex outside 0..n-1."""
 
     __slots__ = ("n", "edges", "_adj", "_nbrs")
     n: int
@@ -70,12 +72,16 @@ class HostTree:
         raise AttributeError(f"cannot delete field {name!r}")
 
     def neighbors(self, v: int) -> frozenset[int]:
+        _check_vertex(self.n, v)
         return frozenset(self._nbrs[v])
 
     def degree(self, v: int) -> int:
+        _check_vertex(self.n, v)
         return len(self._nbrs[v])
 
     def has_edge(self, u: int, v: int) -> bool:
+        _check_vertex(self.n, u)
+        _check_vertex(self.n, v)
         return self._adj[u] >> v & 1 == 1
 
     def max_degree(self) -> int:
@@ -125,7 +131,7 @@ class EptRepresentation:
                 if not 0 <= q < tree.n:
                     raise ValueError(f"path of vertex {v} leaves the tree: {q}")
             for a, b in zip(path, path[1:]):
-                if not tree.has_edge(a, b):
+                if not tree._adj[a] >> b & 1:
                     raise ValueError(
                         f"path of vertex {v} uses non-edge ({a}, {b})"
                     )

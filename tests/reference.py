@@ -71,7 +71,6 @@ from eptkit.graphs import (
     enumerate_maximal_cliques,
     induced_subgraph,
     is_connected,
-    _wl_colors,
 )
 from eptkit.oracle import (
     CLIQUE_BOUND,
@@ -511,6 +510,24 @@ def group_order(n: int, perms) -> int:
     return order
 
 
+def _reference_colors(g: Graph) -> list[int]:
+    """graphs._wl_colors from the Graph's degrees and neighbour tuples
+    rather than its masks: iterated neighbourhood refinement, ranks
+    isomorphism-invariant."""
+    ranks = {d: i for i, d in enumerate(sorted({g.degree(v) for v in range(g.n)}))}
+    colors = [ranks[g.degree(v)] for v in range(g.n)]
+    while True:
+        sigs = [
+            (colors[v], tuple(sorted(colors[u] for u in g._nbrs[v])))
+            for v in range(g.n)
+        ]
+        order = {s: i for i, s in enumerate(sorted(set(sigs)))}
+        new = [order[sigs[v]] for v in range(g.n)]
+        if len(set(new)) == len(set(colors)):
+            return new
+        colors = new
+
+
 def reference_canonical_search(
     g: Graph, automorphisms: list[VertexSet] | None
 ) -> tuple[bytes, VertexSet]:
@@ -534,7 +551,7 @@ def reference_canonical_search(
         )
     if n == 0:
         return bytes([0]), ()
-    colors = _wl_colors(g)
+    colors = _reference_colors(g)
     adj_mask = [0] * n
     for u, v in g.edges:
         adj_mask[u] |= 1 << v

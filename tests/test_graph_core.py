@@ -1,9 +1,11 @@
 """Core graph type, parsing, cliques, canonical forms."""
 
 import contextlib
+import gc
 import itertools
 import random
 import sys
+import tracemalloc
 
 import pytest
 
@@ -30,6 +32,7 @@ from eptkit.graphs import (
 )
 from eptkit.gates import build_gate, enumerate_gates
 from eptkit.oracle import small_graph_corpus, tree_shapes
+from eptkit.representation import HostTree
 from reference import (
     generated_group,
     group_order,
@@ -116,6 +119,25 @@ def test_adjacency_views_match_the_edges():
         for shape in tree_shapes(m):
             tree = shape.host_tree()
             check_adjacency_views(tree, tree.n, tree.edges)
+
+
+def test_accessors_refuse_vertices_out_of_range():
+    # a negative vertex would otherwise read the mask or tuple of a
+    # vertex counted from the end, and a large one would raise IndexError
+    for obj in (path_graph(3), HostTree(3, [(0, 1), (1, 2)])):
+        for call in (
+            lambda: obj.has_edge(-1, 1),
+            lambda: obj.has_edge(1, -1),
+            lambda: obj.has_edge(7, 1),
+            lambda: obj.has_edge(1, 3),
+            lambda: obj.degree(-1),
+            lambda: obj.degree(3),
+            lambda: obj.neighbors(-1),
+            lambda: obj.neighbors(3),
+        ):
+            with pytest.raises(ValueError, match=r"vertex -?\d+ out of range for n=3"):
+                call()
+        assert obj.has_edge(1, 0) and obj.degree(1) == 2 and obj.neighbors(1) == {0, 2}
 
 
 def test_graph_rejects_bad_edges():
@@ -316,6 +338,53 @@ def test_canonical_labeling_order_is_permutation():
         canonical_labeling(Graph(17))
 
 
+def test_canonical_cache_holds_masks_not_graphs():
+    # an entry keeps its key, the graph's neighbour masks, and the form
+    # and order: about 1.1 KB for a dense 16-vertex graph, where the
+    # Graph it was computed from takes about 13 KB
+    rng = random.Random(20261020)
+    pairs = list(itertools.combinations(range(16), 2))
+    count = 1500
+    canonical_labeling.cache_clear()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        for _ in range(count):
+            canonical_labeling(Graph(16, [e for e in pairs if rng.random() < 0.85]))
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert canonical_labeling.cache_info().currsize == count
+    assert retained / count < 2048, retained / count
+    canonical_labeling.cache_clear()
+
+
+def test_canonical_cache_accounting():
+    # equal graphs hit whatever object carries them, relabelled copies
+    # miss, and a graph over the bound counts as a miss but is not kept
+    canonical_labeling.cache_clear()
+    c6 = cycle_graph(6)
+    canonical_labeling(c6)
+    canonical_labeling(c6)
+    canonical_labeling(cycle_graph(6))
+    canonical_labeling(Graph(6, [((u + 1) % 6, (v + 1) % 6) for u, v in c6.edges]))
+    isomorphism(path_graph(5), Graph(5, [(0, 2), (2, 4), (4, 1), (1, 3)]))
+    for n in range(5):
+        for g in small_graph_corpus(n):
+            canonical_form(g)
+            canonical_form(Graph(g.n, g.edges))
+    for recipe in list(enumerate_gates(12).values())[:40]:
+        canonical_form(build_gate(recipe).graph)
+        canonical_form(build_gate(recipe).graph)
+    for g in (Graph(0), Graph(1), complete_graph(16), Graph(16)):
+        canonical_labeling(g)
+    with pytest.raises(BoundExceededError):
+        canonical_labeling(Graph(17))
+    assert canonical_labeling.cache_info() == (63, 64, 32768, 63)
+
+
 # twin pairs are swapped by automorphisms that no search leaf shows,
 # since the search keeps one vertex of each twin group
 C4 = cycle_graph(4)
@@ -326,7 +395,7 @@ def test_automorphism_generators_match_brute_force():
     graphs = [g for n in range(7) for g in small_graph_corpus(n)] + [C4, K23]
     assert len(graphs) == 210
     for g in graphs:
-        generators = _canonical_search(g)[2]
+        generators = _canonical_search(g._adj)[2]
         assert all(is_automorphism(g, image) for image in generators), g.edges
         brute = [
             perm
@@ -339,7 +408,7 @@ def test_automorphism_generators_match_brute_force():
 
 def test_collecting_automorphisms_leaves_the_labeling_alone():
     for g in [C4, K23, complete_graph(5), Graph(4), cycle_graph(6)]:
-        assert _canonical_search(g)[:2] == canonical_labeling(g)
+        assert _canonical_search(g._adj)[:2] == canonical_labeling(g)
 
 
 def test_canonical_search_matches_reference():
@@ -357,7 +426,7 @@ def test_canonical_search_matches_reference():
 
     corpus = [g for n in range(8) for g in small_graph_corpus(n)]
     gates = [build_gate(recipe).graph for recipe in enumerate_gates(12).values()]
-    trees = [s.graph for m in range(1, 10) for s in tree_shapes(m)]
+    trees = [Graph(s.n, s.edges) for m in range(1, 10) for s in tree_shapes(m)]
     random_graphs = []
     for _ in range(2000):
         n = rng.randint(1, 16)
@@ -368,7 +437,7 @@ def test_canonical_search_matches_reference():
     cases = corpus + [shuffled(g) for g in corpus + gates] + trees + random_graphs
     for g in cases:
         want: list = []
-        form, order, got = _canonical_search(g)
+        form, order, got = _canonical_search(g._adj)
         assert (form, order) == reference_canonical_search(g, want), g.edges
         assert all(is_automorphism(g, image) for image in got), g.edges
         assert group_order(g.n, got) == group_order(g.n, want), g.edges
@@ -391,9 +460,9 @@ def test_orbit_pruning_keeps_generators_few():
     # one generator per automorphism would be 2n - 1 for C_n and
     # 2^8 * 8! for eight disjoint edges
     for n in range(4, 17):
-        assert len(_canonical_search(cycle_graph(n))[2]) <= 3, n
+        assert len(_canonical_search(cycle_graph(n)._adj)[2]) <= 3, n
     eight_k2 = Graph(16, [(2 * i, 2 * i + 1) for i in range(8)])
-    generators = _canonical_search(eight_k2)[2]
+    generators = _canonical_search(eight_k2._adj)[2]
     assert len(generators) <= 16
     assert group_order(16, generators) == 2**8 * 40320
 
@@ -416,7 +485,7 @@ def test_automorphism_group_orders_of_symmetric_graphs():
         (rook, 1152),
         (three_c5, 6000),
     ]:
-        generators = _canonical_search(g)[2]
+        generators = _canonical_search(g._adj)[2]
         assert all(is_automorphism(g, image) for image in generators), g.edges
         assert group_order(g.n, generators) == order, g.edges
         assert len(generated_group(g.n, generators)) == order, g.edges

@@ -76,7 +76,7 @@ def test_tree_shapes_counts():
     for m in range(10):
         shapes = tree_shapes(m)
         assert len(shapes) == expected[m]
-        forms = {canonical_form(s.graph) for s in shapes}
+        forms = {canonical_form(Graph(s.n, s.edges)) for s in shapes}
         assert len(forms) == len(shapes)
         assert all(s.m == m for s in shapes)
     # ordering puts low-degree hosts first
