@@ -1,14 +1,16 @@
 """Core graph type and small-graph algorithms.
 
-Vertices are integers 0..n-1. Graphs are immutable, hashable and always
-simple (no loops, no parallel edges). Operations that return collections
+Vertices are integers 0..n-1. Graphs are hashable and always simple
+(no loops, no parallel edges), and immutable: assigning or deleting an
+attribute raises AttributeError. Operations that return collections
 return them in a fixed sorted order so repeated runs produce identical
 output.
 
 A Graph builds its adjacency once, as two views (see Graph): neighbour
 masks for the readers that intersect neighbourhoods, here and in the
 other modules, and sorted neighbour tuples for the readers that walk
-neighbours one by one. No reader rebuilds either.
+neighbours one by one. No reader rebuilds either. A host tree
+(representation.HostTree) is a Graph too, with both views.
 """
 
 from __future__ import annotations
@@ -39,6 +41,8 @@ class BoundExceededError(ValueError):
 class Graph:
     """Immutable simple undirected graph on vertices 0..n-1.
 
+    Assigning or deleting an attribute raises AttributeError, so a
+    graph's hash, and its place in a set or dict, never go stale.
     _fill builds two views of the adjacency once, and no reader
     rebuilds adjacency from the edges:
     - `_adj`, each vertex's neighbours as a bit mask (bit w for
@@ -51,10 +55,12 @@ class Graph:
     - `_nbrs`, each vertex's neighbours as a sorted tuple, for the
       readers that walk them one at a time: the maximum-cardinality
       search, MCS-M's fill search, connected_components,
-      induced_subgraph, find_chordless_cycle_ge, neighbors and degree.
+      induced_subgraph, neighbors and degree.
 
     neighbors, degree and has_edge refuse a vertex outside 0..n-1;
-    the readers inside eptkit index the views directly.
+    the readers inside eptkit index the views directly. The subclass
+    representation.HostTree keeps its edges as a sorted tuple, where a
+    Graph keeps a frozenset.
     """
 
     __slots__ = ("n", "edges", "_adj", "_nbrs")
@@ -80,8 +86,6 @@ class Graph:
         return g
 
     def _fill(self, n: int, edges: frozenset[Edge]) -> None:
-        self.n = n
-        self.edges = edges
         adj = [0] * n
         nbrs: list[list[int]] = [[] for _ in range(n)]
         for u, v in edges:
@@ -89,8 +93,23 @@ class Graph:
             adj[v] |= 1 << u
             nbrs[u].append(v)
             nbrs[v].append(u)
-        self._adj = tuple(adj)
-        self._nbrs = tuple(tuple(sorted(near)) for near in nbrs)
+        # __setattr__ refuses every assignment
+        fill = object.__setattr__
+        fill(self, "n", n)
+        fill(self, "edges", edges)
+        fill(self, "_adj", tuple(adj))
+        fill(self, "_nbrs", tuple(tuple(sorted(near)) for near in nbrs))
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # copy and pickle rebuild through the constructor rather than
+        # set the frozen slots one by one
+        return type(self), (self.n, self.edges)
 
     def neighbors(self, v: int) -> frozenset[int]:
         _check_vertex(self.n, v)
@@ -339,47 +358,11 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, VertexSe
     from the kept vertices' neighbours rather than all of g's edges."""
     vs = sorted(set(vertices))
     for v in vs:
-        if not 0 <= v < g.n:
-            raise ValueError(f"vertex {v} out of range for n={g.n}")
+        _check_vertex(g.n, v)
     pos = {v: i for i, v in enumerate(vs)}
     # vs is sorted, so w > v keeps each edge once with its ends in order
     edges = frozenset((i, pos[w]) for i, v in enumerate(vs) for w in g._nbrs[v] if w > v and w in pos)
     return Graph._from_checked(len(vs), edges), tuple(vs)
-
-
-def find_chordless_cycle_ge(g: Graph, len_min: int = 4) -> VertexSet | None:
-    """First chordless cycle with at least len_min vertices, in cycle order.
-
-    Grows induced paths from each start vertex (the cycle minimum), so a
-    returned cycle carries no chords by construction. The depth-first
-    search runs on its own stack rather than Python's. Exponential in
-    the worst case, fine at the intended scale.
-    """
-    if len_min < 4:
-        raise ValueError("len_min must be at least 4")
-    adj, nbrs = g._adj, g._nbrs
-    for s in range(g.n):
-        path = [s]
-        # branches[i] walks the neighbours of path[i]
-        branches = [iter(nbrs[s])]
-        while branches:
-            u = next(branches[-1], None)
-            if u is None:
-                branches.pop()
-                path.pop()
-                continue
-            if u <= s or u in path:
-                continue
-            if any(adj[w] >> u & 1 for w in path[1:-1]):
-                continue
-            if len(path) >= 2 and adj[s] >> u & 1:
-                if len(path) + 1 >= len_min:
-                    return tuple(path + [u])
-                # closing chord makes any longer cycle through u impossible
-                continue
-            path.append(u)
-            branches.append(iter(nbrs[u]))
-    return None
 
 
 def _wl_colors(adj: tuple[int, ...]) -> list[int]:

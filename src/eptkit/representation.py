@@ -37,65 +37,27 @@ from .graphs import (
     Graph,
     GraphParseError,
     VertexSet,
-    _check_vertex,
     induced_subgraph,
     is_connected,
 )
 
 
-class HostTree:
-    """Tree on vertices 0..n-1, validated at construction and immutable
-    after it, so certificates may share one. It keeps the two adjacency
-    views of the Graph it validated: neighbour masks and sorted
-    neighbour tuples. Like Graph's, neighbors, degree and has_edge
-    refuse a vertex outside 0..n-1."""
+class HostTree(Graph):
+    """Tree on vertices 0..n-1: a Graph validated at construction to be
+    connected and acyclic, whose edges are a sorted tuple. Like every
+    Graph it is frozen, so certificates may share one."""
 
-    __slots__ = ("n", "edges", "_adj", "_nbrs")
-    n: int
+    __slots__ = ()
     edges: tuple[Edge, ...]
 
     def __init__(self, n: int, edges) -> None:
-        g = Graph(n, edges)
-        if n > 0 and (len(g.edges) != n - 1 or not is_connected(g)):
+        super().__init__(n, edges)
+        if n > 0 and (len(self.edges) != n - 1 or not is_connected(self)):
             raise ValueError("host tree must be connected and acyclic")
-        # __setattr__ refuses every assignment
-        fill = object.__setattr__
-        fill(self, "n", n)
-        fill(self, "edges", tuple(sorted(g.edges)))
-        fill(self, "_adj", g._adj)
-        fill(self, "_nbrs", g._nbrs)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def neighbors(self, v: int) -> frozenset[int]:
-        _check_vertex(self.n, v)
-        return frozenset(self._nbrs[v])
-
-    def degree(self, v: int) -> int:
-        _check_vertex(self.n, v)
-        return len(self._nbrs[v])
-
-    def has_edge(self, u: int, v: int) -> bool:
-        _check_vertex(self.n, u)
-        _check_vertex(self.n, v)
-        return self._adj[u] >> v & 1 == 1
+        object.__setattr__(self, "edges", tuple(sorted(self.edges)))
 
     def max_degree(self) -> int:
         return max(map(len, self._nbrs), default=0)
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, HostTree)
-            and self.n == other.n
-            and self.edges == other.edges
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.edges))
 
     def __repr__(self) -> str:
         return f"HostTree({self.n}, {list(self.edges)})"

@@ -9,8 +9,9 @@ derived graph, edge cliques and verification read off every pair of
 paths, the four multipie conditions re-derived from a witness's raw
 paths, a side-test witness re-derived from the graph, the side test
 and the separating cliques on a component search of g - K at every
-maximal clique K, and the set-based Bron-Kerbosch and MCS-M the
-library ran before it moved to vertex masks and weight buckets.
+maximal clique K, the set-based Bron-Kerbosch and MCS-M the
+library ran before it moved to vertex masks and weight buckets, and a
+chordless-cycle search.
 
 All are independent of the library's routes. The labeled trees feed a
 brute-force search that cross-checks the oracle's shape scan; the
@@ -45,7 +46,9 @@ lists; they are sorted by the cached canonical forms. The set-based
 Bron-Kerbosch sorts P + X and P - N(pivot) in every frame, where the
 library walks the bits of masks, and the set-based MCS-M takes the
 lowest vertex of maximum weight by a scan of every unnumbered vertex,
-where the library pops any vertex of the top weight bucket.
+where the library pops any vertex of the top weight bucket. The
+chordless-cycle search grows induced paths, the reference for the
+library's chordality test by maximum-cardinality search.
 """
 
 import functools
@@ -287,6 +290,41 @@ def neighbour_sets(g: Graph) -> list[set[int]]:
         adj[u].add(v)
         adj[v].add(u)
     return adj
+
+
+def find_chordless_cycle_ge(g: Graph, len_min: int = 4) -> VertexSet | None:
+    """First chordless cycle with at least len_min vertices, in cycle order.
+
+    Grows induced paths from each start vertex (the cycle minimum), so a
+    returned cycle carries no chords by construction. The depth-first
+    search runs on its own stack rather than Python's. Exponential in
+    the worst case, fine at the intended scale.
+    """
+    if len_min < 4:
+        raise ValueError("len_min must be at least 4")
+    adj, nbrs = g._adj, g._nbrs
+    for s in range(g.n):
+        path = [s]
+        # branches[i] walks the neighbours of path[i]
+        branches = [iter(nbrs[s])]
+        while branches:
+            u = next(branches[-1], None)
+            if u is None:
+                branches.pop()
+                path.pop()
+                continue
+            if u <= s or u in path:
+                continue
+            if any(adj[w] >> u & 1 for w in path[1:-1]):
+                continue
+            if len(path) >= 2 and adj[s] >> u & 1:
+                if len(path) + 1 >= len_min:
+                    return tuple(path + [u])
+                # closing chord makes any longer cycle through u impossible
+                continue
+            path.append(u)
+            branches.append(iter(nbrs[u]))
+    return None
 
 
 def reference_maximal_cliques(g: Graph) -> Iterator[VertexSet]:

@@ -1,8 +1,10 @@
 """Core graph type, parsing, cliques, canonical forms."""
 
 import contextlib
+import copy
 import gc
 import itertools
+import pickle
 import random
 import sys
 import tracemalloc
@@ -21,7 +23,6 @@ from eptkit.graphs import (
     connected_components,
     cycle_graph,
     enumerate_maximal_cliques,
-    find_chordless_cycle_ge,
     graph_to_dot,
     graph_to_text,
     induced_subgraph,
@@ -34,6 +35,7 @@ from eptkit.gates import build_gate, enumerate_gates
 from eptkit.oracle import small_graph_corpus, tree_shapes
 from eptkit.representation import HostTree
 from reference import (
+    find_chordless_cycle_ge,
     generated_group,
     group_order,
     is_automorphism,
@@ -98,8 +100,12 @@ def check_adjacency_views(obj, n: int, edges) -> None:
         assert obj.degree(v) == len(near)
         others = range(n) if n <= 60 else {w for w in (v - 2, v + 2) if 0 <= w < n} | near
         assert all(obj.has_edge(v, w) == (w in near) for w in others)
-    # the views are all it keeps per vertex: no neighbour set each
-    for name in type(obj).__slots__:
+    # the views are all it keeps per vertex: no neighbour set each. A
+    # subclass such as HostTree declares no slots of its own, so the
+    # walk covers every class it inherits from
+    names = [name for cls in type(obj).__mro__ for name in vars(cls).get("__slots__", ())]
+    assert {"_adj", "_nbrs"} <= set(names), names
+    for name in names:
         value = getattr(obj, name)
         if isinstance(value, tuple):
             assert not any(isinstance(x, (set, frozenset)) for x in value), name
@@ -119,6 +125,34 @@ def test_adjacency_views_match_the_edges():
         for shape in tree_shapes(m):
             tree = shape.host_tree()
             check_adjacency_views(tree, tree.n, tree.edges)
+
+
+def test_graphs_are_frozen():
+    # a write would leave the views and the hash stale, so a set or dict
+    # holding the graph would no longer find it
+    for g in (
+        Graph(3, [(0, 1), (1, 2)]),
+        parse_graph("3 2\n0 1\n1 2\n"),
+        induced_subgraph(path_graph(4), [0, 1, 2])[0],
+        HostTree(3, [(0, 1), (1, 2)]),
+    ):
+        held = {g}
+        for name in ("n", "edges", "_adj", "_nbrs"):
+            before = getattr(g, name)
+            with pytest.raises(AttributeError):
+                setattr(g, name, frozenset() if name == "edges" else 5)
+            with pytest.raises(AttributeError):
+                delattr(g, name)
+            assert getattr(g, name) == before
+        assert g in held and g.has_edge(1, 2)
+
+
+def test_frozen_graphs_copy_and_pickle():
+    for g in (path_graph(4), Graph(0), HostTree(4, [(2, 1), (0, 1), (1, 3)])):
+        for twin in (copy.copy(g), copy.deepcopy(g), pickle.loads(pickle.dumps(g))):
+            assert type(twin) is type(g) and twin == g and hash(twin) == hash(g)
+            assert repr(twin) == repr(g) and twin.edges == g.edges
+            assert twin._adj == g._adj and twin._nbrs == g._nbrs
 
 
 def test_accessors_refuse_vertices_out_of_range():

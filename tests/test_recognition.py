@@ -20,7 +20,6 @@ from eptkit.graphs import (
     complete_graph,
     cycle_graph,
     enumerate_maximal_cliques,
-    find_chordless_cycle_ge,
     induced_subgraph,
     is_connected,
     path_graph,
@@ -38,7 +37,7 @@ from eptkit.recognition import (
     is_interval,
 )
 from eptkit.representation import is_helly, max_host_degree, verify
-from reference import oracle_min_h, reference_is_line_like, separating_splits
+from reference import find_chordless_cycle_ge, oracle_min_h, reference_is_line_like, separating_splits
 
 S3_GRAPH = Graph(6, [
     (2, 3), (3, 5), (2, 5), (0, 2), (0, 3), (1, 3), (1, 5), (2, 4), (4, 5),
