@@ -10,25 +10,31 @@ C' + {v_l}; recipes index cliques by position in that re-derived sorted
 list, which makes them replayable. A gate with k maximal cliques is
 called a k-gate; every vertex of a gate lies in exactly two maximal
 cliques whose intersection is that vertex alone.
+
+The catalog of every gate with at most CATALOG_VERTEX_BOUND vertices is
+fixed, so it ships as a table, _tables.GATES, which _catalog parses once
+per process instead of searching for it. tests/reference.py holds the
+search that generates it (reference_catalog, a breadth-first search over
+recipes with canonical dedup), and running
+`PYTHONPATH=src python tests/reference.py` from the repository root
+rewrites the table; tests/test_tables.py compares the two byte for byte.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-from collections import deque
 from typing import NamedTuple
 
+from . import _tables
 from .graphs import (
     PARSE_VERTEX_BOUND,
     BoundExceededError,
     Edge,
     Graph,
     VertexSet,
-    _canonical_search,
     _clique_masks,
     _members,
-    _orbit_representatives,
     canonical_form,
     cycle_graph,
     enumerate_maximal_cliques,
@@ -99,15 +105,6 @@ def _step(
     derived.append(tuple(sorted(a | {fresh[0]})))
     derived.append(tuple(sorted(b | {fresh[-1]})))
     return added, tuple(sorted(derived))
-
-
-def _extend(
-    graph: Graph, cliques: tuple[VertexSet, ...], step: ExtensionStep
-) -> tuple[Graph, tuple[VertexSet, ...]]:
-    """Apply one extension step; returns the new graph and the
-    re-derived sorted clique list."""
-    added, derived = _step(graph.n, cliques, step)
-    return Graph._from_checked(graph.n + step.path_len, graph.edges.union(added)), derived
 
 
 def build_gate(recipe: GateRecipe) -> LabeledGate:
@@ -198,89 +195,38 @@ def check_two_clique_property(g: Graph) -> tuple[bool, int | None]:
     return (True, None) if ok else (False, found)
 
 
-@functools.lru_cache(maxsize=8)
-def _catalog(max_vertices: int) -> dict[bytes, GateRecipe]:
-    """enumerate_gates' catalog, in insertion order.
-
-    A queued gate is extended only on the first disjoint clique pair
-    (a < b, lexicographic) of each orbit of its automorphism group on
-    pairs, and the result is the one the search over every pair gives.
-    An automorphism s maps maximal cliques to maximal cliques, so
-    extending the pair {s(a), s(b)} by a path of length l gives a graph
-    isomorphic to extending {a, b} by l (reversing the path covers the
-    case s(a) > s(b)). A skipped pair is the image of an earlier pair,
-    whose candidates were canonicalized first, length for length, so
-    each of the skipped pair's candidates would find its form already
-    cataloged and be dropped.
-
-    One canonical search per candidate gives both its form and, for a
-    gate that is queued, its automorphism generators.
-    """
+@functools.lru_cache(maxsize=1)
+def _catalog() -> dict[bytes, GateRecipe]:
+    """The shipped gate table (_tables.GATES) as enumerate_gates'
+    catalog for CATALOG_VERTEX_BOUND, in insertion order. Callers must
+    not change the dict, which is cached."""
     catalog: dict[bytes, GateRecipe] = {}
-    queue: deque[tuple[LabeledGate, tuple[VertexSet, ...]]] = deque()
-    for base in range(4, max_vertices + 1):
-        gate = build_gate(GateRecipe(base))
-        form, _, generators = _canonical_search(gate.graph._adj)
-        if form not in catalog:
-            catalog[form] = gate.recipe
-            queue.append((gate, generators))
-    while queue:
-        gate, generators = queue.popleft()
-        budget = max_vertices - gate.graph.n
-        if budget < 2:
-            continue
-        for a, b in _pair_orbit_representatives(gate, generators):
-            for length in range(2, budget + 1):
-                step = ExtensionStep(a, b, length)
-                graph, cliques = _extend(gate.graph, gate.cliques, step)
-                form, _, graph_generators = _canonical_search(graph._adj)
-                if form in catalog:
-                    continue
-                recipe = GateRecipe(gate.recipe.base, gate.recipe.steps + (step,))
-                catalog[form] = recipe
-                queue.append((LabeledGate(graph, cliques, recipe), graph_generators))
+    for line in _tables.GATES.splitlines():
+        form, base, *steps = line.split()
+        catalog[bytes.fromhex(form)] = GateRecipe(
+            int(base), tuple(ExtensionStep(*map(int, step.split(","))) for step in steps)
+        )
     return catalog
-
-
-def _pair_orbit_representatives(
-    gate: LabeledGate, generators: tuple[VertexSet, ...]
-) -> list[tuple[int, int]]:
-    """The first disjoint clique pair (a, b), a < b, of each orbit of
-    Aut(gate.graph), which the generators generate, on such pairs, in
-    lexicographic order."""
-    cliques = gate.cliques
-    k = len(cliques)
-    index = {c: i for i, c in enumerate(cliques)}
-
-    def move(image: VertexSet):
-        to = [index[tuple(sorted(image[v] for v in c))] for c in cliques]
-
-        def apply(pair: tuple[int, int]) -> tuple[int, int]:
-            a, b = to[pair[0]], to[pair[1]]
-            return (a, b) if a < b else (b, a)
-
-        return apply
-
-    pairs = [
-        (a, b)
-        for a in range(k)
-        for b in range(a + 1, k)
-        if not set(cliques[a]) & set(cliques[b])
-    ]
-    return _orbit_representatives(pairs, [move(p) for p in generators])
 
 
 def enumerate_gates(max_vertices: int = CATALOG_VERTEX_BOUND) -> dict[bytes, GateRecipe]:
     """Catalog of every gate with at most max_vertices vertices, keyed
-    by canonical form. Breadth-first over recipes with canonical
-    dedup, so construction order is deterministic."""
+    by canonical form, in a fixed order: the gates of the shipped table
+    (_tables.GATES) that have at most max_vertices vertices. The table
+    lists the gates in the order of a breadth-first search over recipes
+    with canonical dedup; tests/reference.py holds that search and
+    regenerates the table."""
     if max_vertices < 0:
         raise ValueError("vertex count must be non-negative")
     if max_vertices > CATALOG_VERTEX_BOUND:
         raise BoundExceededError(
             f"gate catalog limited to {CATALOG_VERTEX_BOUND} vertices, asked for {max_vertices}"
         )
-    return dict(_catalog(max_vertices))
+    return {
+        form: recipe
+        for form, recipe in _catalog().items()
+        if recipe.vertex_count() <= max_vertices
+    }
 
 
 def is_gate(g: Graph) -> GateRecipe | None:
@@ -293,7 +239,7 @@ def is_gate(g: Graph) -> GateRecipe | None:
         return None
     if not check_two_clique_property(g)[0]:
         return None
-    return _catalog(CATALOG_VERTEX_BOUND).get(canonical_form(g))
+    return _catalog().get(canonical_form(g))
 
 
 def rewire_gate(gate: LabeledGate, v: int, t: int) -> LabeledGate:

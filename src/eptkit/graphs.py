@@ -60,7 +60,8 @@ class Graph:
     neighbors, degree and has_edge refuse a vertex outside 0..n-1;
     the readers inside eptkit index the views directly. The subclass
     representation.HostTree keeps its edges as a sorted tuple, where a
-    Graph keeps a frozenset.
+    Graph keeps a frozenset; equality and the hash read n and `_adj`,
+    so a HostTree equals, and hashes like, the Graph on its edges.
     """
 
     __slots__ = ("n", "edges", "_adj", "_nbrs")
@@ -130,11 +131,10 @@ class Graph:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
-        return self.n == other.n and self.edges == other.edges
+        return self.n == other.n and self._adj == other._adj
 
     def __hash__(self) -> int:
-        # a frozenset keeps its hash once computed
-        return hash((self.n, self.edges))
+        return hash((self.n, self._adj))
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={len(self.edges)})"
@@ -622,29 +622,6 @@ def _canonical_search(adj: tuple[int, ...]) -> tuple[bytes, VertexSet, tuple[Ver
             generators.append(tuple(image))
             image[u], image[v] = u, v
     return form, tuple(best_order), tuple(generators)
-
-
-def _orbit_representatives(items: Iterable, moves: list) -> list:
-    """The first of the items in each orbit of the group that moves
-    (permutations of one finite set) generate, in the items' order.
-    An orbit is a closure under the moves, since in a finite group
-    every inverse is a power."""
-    seen = set()
-    firsts = []
-    for x in items:
-        if x in seen:
-            continue
-        firsts.append(x)
-        seen.add(x)
-        stack = [x]
-        while stack:
-            y = stack.pop()
-            for move in moves:
-                z = move(y)
-                if z not in seen:
-                    seen.add(z)
-                    stack.append(z)
-    return firsts
 
 
 def canonical_form(g: Graph) -> bytes:

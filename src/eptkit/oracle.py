@@ -40,6 +40,15 @@ recognition.cheapest_representation hands it the ones it has already
 listed. Each tree shape validates its HostTree once, on its first
 accept (TreeShape.host_tree), and every certificate on that shape
 shares the tree, which is immutable.
+
+The corpus of every graph on at most CORPUS_VERTEX_BOUND vertices up to
+isomorphism is fixed, so it ships as a table, _tables.GRAPHS, and
+small_graph_corpus builds each vertex count's graphs from it once per
+process instead of searching for them. tests/reference.py holds the
+search that generates it (reference_corpus, one canonical search per
+candidate), and running `PYTHONPATH=src python tests/reference.py` from
+the repository root rewrites the table; tests/test_tables.py compares the
+two byte for byte.
 """
 
 from __future__ import annotations
@@ -50,6 +59,7 @@ import itertools
 import time
 from collections.abc import Sequence
 
+from . import _tables
 from .graphs import (
     BoundExceededError,
     Edge,
@@ -58,7 +68,6 @@ from .graphs import (
     _canonical_search,
     _clique_masks,
     _members,
-    _orbit_representatives,
     is_connected,
 )
 from .representation import EptRepresentation, HostTree, TreePath
@@ -449,58 +458,32 @@ def _scan(cliques: list[VertexSet], adj: tuple[int, ...], deadline: float) -> Ep
     return None
 
 
-@functools.lru_cache(maxsize=16)
-def _corpus_exact(n: int) -> tuple[tuple[Graph, tuple[VertexSet, ...]], ...]:
-    """small_graph_corpus(n) before the connectivity filter, each graph
-    with generators of its automorphism group from the canonical search
-    that also gave its form.
-
-    Each graph on n - 1 vertices grows a vertex n - 1 joined to the
-    vertices of a neighbourhood mask, masks in ascending order; the
-    first graph found of each isomorphism class is kept, and the classes
-    come out in canonical-form order. Only the smallest mask of each
-    orbit of the parent's automorphism group is tried. An automorphism
-    s of the parent, extended by fixing n - 1, maps the graph grown from
-    mask M onto the one grown from s(M), so a skipped mask grows a graph
-    isomorphic to one grown from a smaller mask of the same parent,
-    tried before it, whose form was then already kept.
-    """
-    if n == 0:
-        return ()
-    if n == 1:
-        return ((Graph(1), ()),)
-
-    def move(image: VertexSet):
-        def apply(mask: int) -> int:
-            return sum(1 << w for v, w in enumerate(image) if mask >> v & 1)
-
-        return apply
-
-    top = 1 << (n - 1)
-    out: dict[bytes, tuple[Graph, tuple[VertexSet, ...]]] = {}
-    for g, generators in _corpus_exact(n - 1):
-        moves = [move(image) for image in generators]
-        for mask in _orbit_representatives(range(top), moves):
-            # g's masks with vertex n - 1 joined to mask; a Graph is
-            # built only for the first graph of a class
-            adj = tuple(near | top if mask >> i & 1 else near for i, near in enumerate(g._adj))
-            form, _, h_generators = _canonical_search(adj + (mask,))
-            if form not in out:
-                edges = list(g.edges) + [(i, n - 1) for i in range(n - 1) if mask >> i & 1]
-                out[form] = (Graph(n, edges), h_generators)
-    return tuple(entry for _, entry in sorted(out.items()))
+@functools.lru_cache(maxsize=CORPUS_VERTEX_BOUND + 1)
+def _corpus(n: int) -> tuple[Graph, ...]:
+    """The graphs on exactly n vertices in the shipped corpus table
+    (_tables.GRAPHS), in its order."""
+    pairs = list(itertools.combinations(range(n), 2))
+    prefix = f"{n} "
+    graphs = []
+    for line in _tables.GRAPHS.splitlines():
+        if line.startswith(prefix):
+            mask = int(line[len(prefix):], 16)
+            edges = frozenset(pair for i, pair in enumerate(pairs) if mask >> i & 1)
+            graphs.append(Graph._from_checked(n, edges))
+    return tuple(graphs)
 
 
 def small_graph_corpus(n: int, connected_only: bool = False) -> tuple[Graph, ...]:
     """All graphs on exactly n vertices up to isomorphism, in canonical
-    order; optionally only the connected ones."""
+    order; optionally only the connected ones. They are read from the
+    shipped corpus table, built once per n."""
     if n < 0:
         raise ValueError("vertex count must be non-negative")
     if n > CORPUS_VERTEX_BOUND:
         raise BoundExceededError(
             f"corpus limited to {CORPUS_VERTEX_BOUND} vertices, asked for {n}"
         )
-    graphs = tuple(g for g, _ in _corpus_exact(n))
+    graphs = _corpus(n)
     if connected_only:
         graphs = tuple(g for g in graphs if is_connected(g))
     return graphs

@@ -10,8 +10,9 @@ paths, the four multipie conditions re-derived from a witness's raw
 paths, a side-test witness re-derived from the graph, the side test
 and the separating cliques on a component search of g - K at every
 maximal clique K, the set-based Bron-Kerbosch and MCS-M the
-library ran before it moved to vertex masks and weight buckets, and a
-chordless-cycle search.
+library ran before it moved to vertex masks and weight buckets, a
+chordless-cycle search, and the canonical searches that generate the
+gate catalog and the small-graph corpus eptkit ships as tables.
 
 All are independent of the library's routes. The labeled trees feed a
 brute-force search that cross-checks the oracle's shape scan; the
@@ -48,24 +49,37 @@ library walks the bits of masks, and the set-based MCS-M takes the
 lowest vertex of maximum weight by a scan of every unnumbered vertex,
 where the library pops any vertex of the top weight bucket. The
 chordless-cycle search grows induced paths, the reference for the
-library's chordality test by maximum-cardinality search.
+library's chordality test by maximum-cardinality search. The catalog
+and corpus searches (reference_catalog, reference_corpus) are the only
+code that produces src/eptkit/_tables.py: they print its text
+(tables_module_text), which tests/test_tables.py compares byte for
+byte, and `PYTHONPATH=src python tests/reference.py` rewrites the file.
+The gate-search reference reads reference_catalog, not the table.
 """
 
 import functools
 import heapq
 import itertools
 import math
-from collections import Counter
+from collections import Counter, deque
 from collections.abc import Iterator
 
 from eptkit.decomposition import AtomLeaf, CliqueDecomposition, SeparatorNode
-from eptkit.gates import GateRecipe, enumerate_gates
+from eptkit.gates import (
+    CATALOG_VERTEX_BOUND,
+    ExtensionStep,
+    GateRecipe,
+    LabeledGate,
+    _step,
+    build_gate,
+)
 from eptkit.graphs import (
     CANONICAL_VERTEX_BOUND,
     BoundExceededError,
     Edge,
     Graph,
     VertexSet,
+    _canonical_search,
     _components,
     _mask,
     _members,
@@ -77,6 +91,7 @@ from eptkit.graphs import (
 )
 from eptkit.oracle import (
     CLIQUE_BOUND,
+    CORPUS_VERTEX_BOUND,
     _ahu_codes,
     _centred_subdivision,
     _check_deadline,
@@ -435,8 +450,9 @@ def reference_is_line_like(g: Graph) -> bool:
 
 def reference_contains_gate_ge(g: Graph, h: int) -> tuple[VertexSet, GateRecipe] | None:
     """First induced k-gate with k > h in (size, tuple) order: every
-    connected subset of minimum degree 2 is looked up in the catalog."""
-    catalog = enumerate_gates()
+    connected subset of minimum degree 2 is looked up in the catalog
+    that reference_catalog generates, not in the shipped table."""
+    catalog = reference_catalog(CATALOG_VERTEX_BOUND)
     for size in range(max(4, h + 1), g.n + 1):
         for subset in itertools.combinations(range(g.n), size):
             sub, mapping = induced_subgraph(g, subset)
@@ -897,3 +913,212 @@ def searched_side_test(g: Graph) -> SideWitness | None:
                 tuple(_members(attach) for _, attach, _ in on_cycle),
             )
     return None
+
+
+def _orbit_representatives(items, moves: list) -> list:
+    """The first of the items in each orbit of the group that moves
+    (permutations of one finite set) generate, in the items' order.
+    An orbit is a closure under the moves, since in a finite group
+    every inverse is a power."""
+    seen = set()
+    firsts = []
+    for x in items:
+        if x in seen:
+            continue
+        firsts.append(x)
+        seen.add(x)
+        stack = [x]
+        while stack:
+            y = stack.pop()
+            for move in moves:
+                z = move(y)
+                if z not in seen:
+                    seen.add(z)
+                    stack.append(z)
+    return firsts
+
+
+def _extend(
+    graph: Graph, cliques: tuple[VertexSet, ...], step: ExtensionStep
+) -> tuple[Graph, tuple[VertexSet, ...]]:
+    """Apply one extension step; returns the new graph and the
+    re-derived sorted clique list."""
+    added, derived = _step(graph.n, cliques, step)
+    return Graph._from_checked(graph.n + step.path_len, graph.edges.union(added)), derived
+
+
+def _pair_orbit_representatives(
+    gate: LabeledGate, generators: tuple[VertexSet, ...]
+) -> list[tuple[int, int]]:
+    """The first disjoint clique pair (a, b), a < b, of each orbit of
+    Aut(gate.graph), which the generators generate, on such pairs, in
+    lexicographic order."""
+    cliques = gate.cliques
+    k = len(cliques)
+    index = {c: i for i, c in enumerate(cliques)}
+
+    def move(image: VertexSet):
+        to = [index[tuple(sorted(image[v] for v in c))] for c in cliques]
+
+        def apply(pair: tuple[int, int]) -> tuple[int, int]:
+            a, b = to[pair[0]], to[pair[1]]
+            return (a, b) if a < b else (b, a)
+
+        return apply
+
+    pairs = [
+        (a, b)
+        for a in range(k)
+        for b in range(a + 1, k)
+        if not set(cliques[a]) & set(cliques[b])
+    ]
+    return _orbit_representatives(pairs, [move(p) for p in generators])
+
+
+@functools.lru_cache(maxsize=None)
+def reference_catalog(max_vertices: int) -> dict[bytes, GateRecipe]:
+    """Every gate with at most max_vertices vertices, keyed by canonical
+    form, breadth-first over recipes with canonical dedup: the generator
+    of the shipped gate table (catalog_table_text).
+
+    A queued gate is extended only on the first disjoint clique pair
+    (a < b, lexicographic) of each orbit of its automorphism group on
+    pairs, and the result is the one the search over every pair gives.
+    An automorphism s maps maximal cliques to maximal cliques, so
+    extending the pair {s(a), s(b)} by a path of length l gives a graph
+    isomorphic to extending {a, b} by l (reversing the path covers the
+    case s(a) > s(b)). A skipped pair is the image of an earlier pair,
+    whose candidates were canonicalized first, length for length, so
+    each of the skipped pair's candidates would find its form already
+    cataloged and be dropped.
+
+    One canonical search per candidate gives both its form and, for a
+    gate that is queued, its automorphism generators. Callers must not
+    change the dict, which is cached.
+    """
+    catalog: dict[bytes, GateRecipe] = {}
+    queue: deque[tuple[LabeledGate, tuple[VertexSet, ...]]] = deque()
+    for base in range(4, max_vertices + 1):
+        gate = build_gate(GateRecipe(base))
+        form, _, generators = _canonical_search(gate.graph._adj)
+        if form not in catalog:
+            catalog[form] = gate.recipe
+            queue.append((gate, generators))
+    while queue:
+        gate, generators = queue.popleft()
+        budget = max_vertices - gate.graph.n
+        if budget < 2:
+            continue
+        for a, b in _pair_orbit_representatives(gate, generators):
+            for length in range(2, budget + 1):
+                step = ExtensionStep(a, b, length)
+                graph, cliques = _extend(gate.graph, gate.cliques, step)
+                form, _, graph_generators = _canonical_search(graph._adj)
+                if form in catalog:
+                    continue
+                recipe = GateRecipe(gate.recipe.base, gate.recipe.steps + (step,))
+                catalog[form] = recipe
+                queue.append((LabeledGate(graph, cliques, recipe), graph_generators))
+    return catalog
+
+
+@functools.lru_cache(maxsize=None)
+def reference_corpus(n: int) -> tuple[tuple[Graph, tuple[VertexSet, ...]], ...]:
+    """All graphs on exactly n vertices up to isomorphism, in canonical
+    order, each with generators of its automorphism group from the
+    canonical search that also gave its form: the generator of the
+    shipped corpus table (corpus_table_text).
+
+    Each graph on n - 1 vertices grows a vertex n - 1 joined to the
+    vertices of a neighbourhood mask, masks in ascending order; the
+    first graph found of each isomorphism class is kept, and the classes
+    come out in canonical-form order. Only the smallest mask of each
+    orbit of the parent's automorphism group is tried. An automorphism
+    s of the parent, extended by fixing n - 1, maps the graph grown from
+    mask M onto the one grown from s(M), so a skipped mask grows a graph
+    isomorphic to one grown from a smaller mask of the same parent,
+    tried before it, whose form was then already kept.
+    """
+    if n == 0:
+        return ()
+    if n == 1:
+        return ((Graph(1), ()),)
+
+    def move(image: VertexSet):
+        def apply(mask: int) -> int:
+            return sum(1 << w for v, w in enumerate(image) if mask >> v & 1)
+
+        return apply
+
+    top = 1 << (n - 1)
+    out: dict[bytes, tuple[Graph, tuple[VertexSet, ...]]] = {}
+    for g, generators in reference_corpus(n - 1):
+        moves = [move(image) for image in generators]
+        for mask in _orbit_representatives(range(top), moves):
+            # g's masks with vertex n - 1 joined to mask; a Graph is
+            # built only for the first graph of a class
+            adj = tuple(near | top if mask >> i & 1 else near for i, near in enumerate(g._adj))
+            form, _, h_generators = _canonical_search(adj + (mask,))
+            if form not in out:
+                edges = list(g.edges) + [(i, n - 1) for i in range(n - 1) if mask >> i & 1]
+                out[form] = (Graph(n, edges), h_generators)
+    return tuple(entry for _, entry in sorted(out.items()))
+
+
+def catalog_table_text() -> str:
+    """The text of _tables.GATES: one line per gate of
+    reference_catalog(12), in its order, with the canonical form in
+    hex, the base, and each step as a,b,l."""
+    lines = []
+    for form, recipe in reference_catalog(CATALOG_VERTEX_BOUND).items():
+        steps = (f"{s.clique_a},{s.clique_b},{s.path_len}" for s in recipe.steps)
+        lines.append(" ".join((form.hex(), str(recipe.base), *steps)))
+    return "\n".join(lines) + "\n"
+
+
+def corpus_table_text() -> str:
+    """The text of _tables.GRAPHS: one line per graph of
+    reference_corpus(n) for n up to 7, in order, with n and the
+    upper-triangle edge mask in hex (bit i for the i-th pair of
+    itertools.combinations(range(n), 2))."""
+    lines = []
+    for n in range(CORPUS_VERTEX_BOUND + 1):
+        bit = {pair: 1 << i for i, pair in enumerate(itertools.combinations(range(n), 2))}
+        for g, _ in reference_corpus(n):
+            lines.append(f"{n} {sum(bit[e] for e in g.edges):x}")
+    return "\n".join(lines) + "\n"
+
+
+TABLES_HEADER = '''"""The gate catalog and the small-graph corpus as shipped tables.
+
+Generated by tests/reference.py from its canonical-search generators
+(reference_catalog, reference_corpus); do not edit by hand. To
+regenerate, run `PYTHONPATH=src python tests/reference.py` from the
+repository root, which rewrites this file.
+
+GATES has one line per gate with at most 12 vertices, in the catalog's
+insertion order: the canonical form in hex, the base cycle length, and
+each extension step as `a,b,l`.
+
+GRAPHS has one line per graph on at most 7 vertices up to isomorphism,
+by vertex count and then in canonical-form order: the vertex count n
+and the upper-triangle edge mask in hex, bit i for the i-th pair of
+itertools.combinations(range(n), 2).
+"""
+'''
+
+
+def tables_module_text() -> str:
+    """The source of eptkit/_tables.py, byte for byte."""
+    return (
+        f'{TABLES_HEADER}\nGATES = """\\\n{catalog_table_text()}"""\n'
+        f'\nGRAPHS = """\\\n{corpus_table_text()}"""\n'
+    )
+
+
+if __name__ == "__main__":
+    import pathlib
+
+    target = pathlib.Path(__file__).resolve().parents[1] / "src" / "eptkit" / "_tables.py"
+    target.write_text(tables_module_text())
+    print(f"wrote {target}")

@@ -155,6 +155,19 @@ def test_frozen_graphs_copy_and_pickle():
             assert twin._adj == g._adj and twin._nbrs == g._nbrs
 
 
+def test_host_trees_equal_graphs_on_their_edges():
+    # a HostTree keeps its edges as a sorted tuple and a Graph as a
+    # frozenset; equality and the hash must not see the difference
+    for n, edges in ((2, [(0, 1)]), (1, []), (4, [(2, 1), (0, 1), (1, 3)])):
+        tree, graph = HostTree(n, edges), Graph(n, edges)
+        assert tree == graph and graph == tree and not tree != graph
+        assert hash(tree) == hash(graph)
+        assert tree in {graph} and graph in {tree} and {tree: 1}[graph] == 1
+        assert repr(tree) != repr(graph)
+    assert HostTree(3, [(0, 1), (1, 2)]) != Graph(3, [(0, 1), (0, 2)])
+    assert HostTree(2, [(0, 1)]) != Graph(3, [(0, 1)])
+
+
 def test_accessors_refuse_vertices_out_of_range():
     # a negative vertex would otherwise read the mask or tuple of a
     # vertex counted from the end, and a large one would raise IndexError
