@@ -1,4 +1,4 @@
-"""Brute-force ground truth: host-tree enumeration, representation
+"""Brute-force ground truth: the host-tree shapes, representation
 search, and exhaustive small-graph corpora.
 
 The membership search runs over "bijection trees": host trees whose
@@ -41,14 +41,18 @@ listed. Each tree shape validates its HostTree once, on its first
 accept (TreeShape.host_tree), and every certificate on that shape
 shares the tree, which is immutable.
 
-The corpus of every graph on at most CORPUS_VERTEX_BOUND vertices up to
-isomorphism is fixed, so it ships as a table, _tables.GRAPHS, and
-small_graph_corpus builds each vertex count's graphs from it once per
-process instead of searching for them. tests/reference.py holds the
-search that generates it (reference_corpus, one canonical search per
-candidate), and running `PYTHONPATH=src python tests/reference.py` from
-the repository root rewrites the table; tests/test_tables.py compares the
-two byte for byte.
+The tree shapes with at most CLIQUE_BOUND edges and their orbit masks
+are fixed, so they ship as a table, _tables.SHAPES, and tree_shapes
+builds each edge count's shapes from it once per process; the scan
+computes no orbits and building shapes runs no canonical search. The
+corpus of every graph on at most CORPUS_VERTEX_BOUND vertices up to
+isomorphism ships likewise as _tables.GRAPHS, and small_graph_corpus
+builds each vertex count's graphs from it once per process instead of
+searching for them. tests/reference.py holds the generators of both
+tables (reference_tree_shapes with ReferenceTreeShape.orbit_masks, and
+reference_corpus, one canonical search per candidate), and running
+`PYTHONPATH=src python tests/reference.py` from the repository root
+rewrites them; tests/test_tables.py compares the text byte for byte.
 """
 
 from __future__ import annotations
@@ -56,6 +60,7 @@ from __future__ import annotations
 import functools
 import heapq
 import itertools
+import operator
 import time
 from collections.abc import Sequence
 
@@ -65,7 +70,6 @@ from .graphs import (
     Edge,
     Graph,
     VertexSet,
-    _canonical_search,
     _clique_masks,
     _members,
     is_connected,
@@ -108,14 +112,21 @@ class TreeShape:
     edge set of a tree is a path exactly when it is the tree path
     between two of its vertices, so a connected span is a path exactly
     when it is a key, and its value lists the path from its
-    lower-numbered end."""
+    lower-numbered end.
 
-    __slots__ = ("n", "m", "edges", "max_degree", "path_mask", "paths", "_orbit_masks", "_host")
+    orbit_masks holds the candidate edges for the first two cliques of
+    the assignment search: the mask of the lowest-index edge of each
+    orbit of Aut(T), and for each such edge r the mask of the
+    lowest-index edge other than r of each orbit of the stabilizer of r,
+    as the shape table ships them."""
 
-    def __init__(self, n: int, edges: Sequence[Edge]):
+    __slots__ = ("n", "m", "edges", "max_degree", "path_mask", "paths", "orbit_masks", "_host")
+
+    def __init__(self, n: int, edges: Sequence[Edge], orbit_masks: tuple[int, dict[int, int]]):
         self.n = n
         self.edges = tuple(sorted(edges))
         self.m = len(self.edges)
+        self.orbit_masks = orbit_masks
         # links[u]: (w, bit of the edge uw) for each neighbour w of u
         links: list[list[tuple[int, int]]] = [[] for _ in range(n)]
         for j, (a, b) in enumerate(self.edges):
@@ -139,7 +150,6 @@ class TreeShape:
             self.path_mask.append(row)
             for w in range(root + 1, n):
                 self.paths[row[w]] = seq[w]
-        self._orbit_masks: tuple[int, dict[int, int]] | None = None
         self._host: HostTree | None = None
 
     def host_tree(self) -> HostTree:
@@ -150,165 +160,30 @@ class TreeShape:
             self._host = HostTree(self.n, self.edges)
         return self._host
 
-    def orbit_masks(self) -> tuple[int, dict[int, int]]:
-        """Candidate edges for the first two cliques of the assignment
-        search: the lowest-index edge of each orbit of Aut(T), and for
-        each such edge r the lowest-index edge other than r of each
-        orbit of the stabilizer of r. Built on first use; 1 + m entries
-        at most."""
-        if self._orbit_masks is None:
-            self._orbit_masks = _edge_orbit_masks(self)
-        return self._orbit_masks
 
-
-def _centred_subdivision(
-    n: int, edges: tuple[tuple[int, int], ...]
-) -> tuple[list[list[int]], list[int], list[int]]:
-    """The tree on n vertices with these edges, every edge j subdivided
-    by a midpoint n + j, rooted at its centre: adjacency lists, parents
-    (-1 at the root) and a breadth-first order from the root.
-    Subdividing every edge gives a tree of even diameter, so it has one
-    centre, which every automorphism fixes."""
-    size = n + len(edges)
-    adj: list[list[int]] = [[] for _ in range(size)]
-    for j, (a, b) in enumerate(edges):
-        adj[a].append(n + j)
-        adj[b].append(n + j)
-        adj[n + j] += (a, b)
-    degree = [len(nb) for nb in adj]
-    layer = [v for v in range(size) if degree[v] <= 1]
-    left = size
-    while left > len(layer):
-        left -= len(layer)
-        nxt = []
-        for v in layer:
-            for w in adj[v]:
-                degree[w] -= 1
-                if degree[w] == 1:
-                    nxt.append(w)
-        layer = nxt
-    parent = [-1] * size
-    order = [layer[0]]
-    for u in order:
-        for w in adj[u]:
-            if w != parent[u]:
-                parent[w] = u
-                order.append(w)
-    return adj, parent, order
-
-
-def _ahu_codes(
-    adj: list[list[int]], parent: list[int], order: list[int], intern: dict, mark: int = -1
-) -> list[int]:
-    """AHU codes of the rooted subtrees, with vertex mark labelled.
-    Codes drawn from one intern table are equal exactly when the
-    labelled rooted subtrees are isomorphic."""
-    code = [0] * len(adj)
-    for u in reversed(order):
-        children = sorted(code[w] for w in adj[u] if w != parent[u])
-        code[u] = intern.setdefault((u == mark, *children), len(intern))
-    return code
-
-
-def _orbits(
-    adj: list[list[int]], parent: list[int], order: list[int], mark: int = -1
-) -> list[int]:
-    """Orbit ids of the vertices of a centred subdivision
-    (_centred_subdivision) under its automorphisms that fix vertex
-    mark, from one AHU pass. Every automorphism fixes the root, so two
-    vertices lie in one orbit exactly when their AHU codes agree and
-    their parents lie in one orbit."""
-    code = _ahu_codes(adj, parent, order, {}, mark)
-    orbit = [0] * len(adj)
-    orbit_ids: dict[tuple[int, int], int] = {}
-    for u in order[1:]:
-        orbit[u] = orbit_ids.setdefault((orbit[parent[u]], code[u]), len(orbit_ids) + 1)
-    return orbit
-
-
-def _edge_orbit_masks(shape: TreeShape) -> tuple[int, dict[int, int]]:
-    """TreeShape.orbit_masks, computed.
-
-    The automorphisms of the shape are those of its subdivision rooted
-    at the centre (_centred_subdivision), and those fixing edge r are
-    the ones that also fix r's midpoint when it is labelled (_orbits).
-    """
-    n = shape.n
-    adj, parent, order = _centred_subdivision(n, shape.edges)
-
-    def representatives(mark: int) -> int:
-        orbit = _orbits(adj, parent, order, mark)
-        first: dict[int, int] = {}
-        mask = 0
-        for j in range(shape.m):
-            if first.setdefault(orbit[n + j], j) == j:
-                mask |= 1 << j
-        return mask
-
-    level0 = representatives(-1)
-    level1 = {}
-    rest = level0
-    while rest:
-        r = (rest & -rest).bit_length() - 1
-        rest &= rest - 1
-        level1[r] = representatives(n + r) & ~(1 << r)
-    return level0, level1
-
-
-@functools.lru_cache(maxsize=32)
+@functools.lru_cache(maxsize=CLIQUE_BOUND + 1)
 def tree_shapes(m: int) -> tuple[TreeShape, ...]:
     """All unlabeled trees with m edges, sorted by (max degree,
-    canonical form) so low-degree hosts come first.
-
-    Each shape is the first tree of its isomorphism class met while
-    hanging a new leaf from every vertex of every shape with m - 1
-    edges, in order. Classes are told apart by the AHU code of the
-    edge-subdivided tree rooted at its centre, and only the first tree
-    of a class is canonicalized, for the sort. That code is a complete
-    invariant. Two trees with an edge are isomorphic exactly when their
-    subdivisions are: an isomorphism of subdivisions maps leaves, which
-    are original vertices, to leaves, so it keeps the side of the
-    bipartition that holds the original vertices, and it keeps which of
-    them share a midpoint. Subdivisions are isomorphic exactly when they
-    are as trees rooted at their centres, since every isomorphism maps
-    centre to centre, and AHU codes decide rooted isomorphism.
-
-    The leaf is hung only from the lowest vertex of each vertex orbit of
-    the parent shape (_orbits). An automorphism of the parent mapping v
-    to a lower u, extended by fixing the new leaf, maps the tree hung
-    from v onto the one hung from u, which was met first, so a skipped
-    hang is never the first of its class.
-
-    The sort computes canonical forms with _canonical_search on
-    adjacency masks built from the edges, so the shapes stay out of
-    canonical_labeling's cache and no Graph is built for them.
-    """
+    canonical form) so low-degree hosts come first, with their orbit
+    masks. They are read from the shipped shape table (_tables.SHAPES),
+    built once per m; m above CLIQUE_BOUND is a BoundExceededError and
+    a non-integer m a TypeError."""
+    m = operator.index(m)
     if m < 0:
         raise ValueError("edge count must be non-negative")
-    if m == 0:
-        return (TreeShape(1, ()),)
-    intern: dict = {}
-    grown: dict[int, TreeShape] = {}
-    for shape in tree_shapes(m - 1):
-        orbit = _orbits(*_centred_subdivision(shape.n, shape.edges))
-        first: dict[int, int] = {}
-        for v in range(shape.n):
-            if first.setdefault(orbit[v], v) != v:
-                continue
-            edges = shape.edges + ((v, shape.n),)
-            adj, parent, order = _centred_subdivision(shape.n + 1, edges)
-            code = _ahu_codes(adj, parent, order, intern)[order[0]]
-            if code not in grown:
-                grown[code] = TreeShape(shape.n + 1, edges)
-
-    def form(shape: TreeShape) -> bytes:
-        adj = [0] * shape.n
-        for a, b in shape.edges:
-            adj[a] |= 1 << b
-            adj[b] |= 1 << a
-        return _canonical_search(tuple(adj))[0]
-
-    return tuple(sorted(grown.values(), key=lambda s: (s.max_degree, form(s))))
+    if m > CLIQUE_BOUND:
+        raise BoundExceededError(f"tree shapes limited to {CLIQUE_BOUND} edges, asked for {m}")
+    shapes = []
+    for line in _tables.SHAPES.splitlines():
+        count, *fields = line.split()
+        if int(count) != m:
+            continue
+        edges = [(int(p), k) for k, p in enumerate(fields[:m], 1)]
+        level0 = int(fields[m], 16)
+        firsts = [j for j in range(m) if level0 >> j & 1]
+        level1 = dict(zip(firsts, (int(mask, 16) for mask in fields[m + 1 :])))
+        shapes.append(TreeShape(len(edges) + 1, edges, (level0, level1)))
+    return tuple(shapes)
 
 
 def _clique_order(cliques: Sequence[VertexSet]) -> list[int]:
@@ -373,7 +248,7 @@ def _assign_cliques(
     whichever w is taken. Spans are thus connected, so a grown span is
     a path exactly when it is a key of shape.paths, the test place makes.
     """
-    level0, level1 = shape.orbit_masks()
+    level0, level1 = shape.orbit_masks
     full = (1 << shape.m) - 1
 
     def place(ci: int, j: int, spans: list[int], covered: list[int]) -> bool:
@@ -463,13 +338,14 @@ def _corpus(n: int) -> tuple[Graph, ...]:
     """The graphs on exactly n vertices in the shipped corpus table
     (_tables.GRAPHS), in its order."""
     pairs = list(itertools.combinations(range(n), 2))
-    prefix = f"{n} "
     graphs = []
     for line in _tables.GRAPHS.splitlines():
-        if line.startswith(prefix):
-            mask = int(line[len(prefix):], 16)
-            edges = frozenset(pair for i, pair in enumerate(pairs) if mask >> i & 1)
-            graphs.append(Graph._from_checked(n, edges))
+        count, mask = line.split()
+        # compared as ints, so that _corpus(True) reads the lines of 1
+        if int(count) == n:
+            bits = int(mask, 16)
+            edges = frozenset(pair for i, pair in enumerate(pairs) if bits >> i & 1)
+            graphs.append(Graph._from_checked(int(count), edges))
     return tuple(graphs)
 
 

@@ -11,8 +11,9 @@ paths, a side-test witness re-derived from the graph, the side test
 and the separating cliques on a component search of g - K at every
 maximal clique K, the set-based Bron-Kerbosch and MCS-M the
 library ran before it moved to vertex masks and weight buckets, a
-chordless-cycle search, and the canonical searches that generate the
-gate catalog and the small-graph corpus eptkit ships as tables.
+chordless-cycle search, and the generators of the tables eptkit
+ships: the canonical searches for the gate catalog and the small-graph
+corpus, and the host-tree shapes with their orbit masks.
 
 All are independent of the library's routes. The labeled trees feed a
 brute-force search that cross-checks the oracle's shape scan; the
@@ -40,18 +41,20 @@ them off bitmasks or a clique tree. The searched side test and
 separating cliques are the route the library ran before its separator
 table: one search of g - K per maximal clique K, where the library
 reads every g - K off one search per clique minimal separator. The tree shapes hang a leaf from
-every vertex of every smaller shape and walk neighbour sets through an
-edge-index dict for their path tables, where the library hangs leaves
-only at vertex-orbit representatives and reads (neighbour, edge bit)
-lists; they are sorted by the cached canonical forms. The set-based
+every vertex of every smaller shape, are sorted by the cached canonical
+forms and walk neighbour sets through an edge-index dict for their path
+tables, where the library reads the shapes off the table and walks
+(neighbour, edge bit) lists; their orbit masks come from AHU codes of
+the centred subdivision. The set-based
 Bron-Kerbosch sorts P + X and P - N(pivot) in every frame, where the
 library walks the bits of masks, and the set-based MCS-M takes the
 lowest vertex of maximum weight by a scan of every unnumbered vertex,
 where the library pops any vertex of the top weight bucket. The
 chordless-cycle search grows induced paths, the reference for the
 library's chordality test by maximum-cardinality search. The catalog
-and corpus searches (reference_catalog, reference_corpus) are the only
-code that produces src/eptkit/_tables.py: they print its text
+and corpus searches (reference_catalog, reference_corpus) and the tree
+shapes (reference_tree_shapes, ReferenceTreeShape.orbit_masks) are the
+only code that produces src/eptkit/_tables.py: they print its text
 (tables_module_text), which tests/test_tables.py compares byte for
 byte, and `PYTHONPATH=src python tests/reference.py` rewrites the file.
 The gate-search reference reads reference_catalog, not the table.
@@ -92,8 +95,6 @@ from eptkit.graphs import (
 from eptkit.oracle import (
     CLIQUE_BOUND,
     CORPUS_VERTEX_BOUND,
-    _ahu_codes,
-    _centred_subdivision,
     _check_deadline,
     oracle_membership,
 )
@@ -150,6 +151,55 @@ def enumerate_trees(m: int, max_degree: int | None = None) -> Iterator[HostTree]
     return emit([])
 
 
+def _centred_subdivision(
+    n: int, edges: tuple[tuple[int, int], ...]
+) -> tuple[list[list[int]], list[int], list[int]]:
+    """The tree on n vertices with these edges, every edge j subdivided
+    by a midpoint n + j, rooted at its centre: adjacency lists, parents
+    (-1 at the root) and a breadth-first order from the root.
+    Subdividing every edge gives a tree of even diameter, so it has one
+    centre, which every automorphism fixes."""
+    size = n + len(edges)
+    adj: list[list[int]] = [[] for _ in range(size)]
+    for j, (a, b) in enumerate(edges):
+        adj[a].append(n + j)
+        adj[b].append(n + j)
+        adj[n + j] += (a, b)
+    degree = [len(nb) for nb in adj]
+    layer = [v for v in range(size) if degree[v] <= 1]
+    left = size
+    while left > len(layer):
+        left -= len(layer)
+        nxt = []
+        for v in layer:
+            for w in adj[v]:
+                degree[w] -= 1
+                if degree[w] == 1:
+                    nxt.append(w)
+        layer = nxt
+    parent = [-1] * size
+    order = [layer[0]]
+    for u in order:
+        for w in adj[u]:
+            if w != parent[u]:
+                parent[w] = u
+                order.append(w)
+    return adj, parent, order
+
+
+def _ahu_codes(
+    adj: list[list[int]], parent: list[int], order: list[int], intern: dict, mark: int = -1
+) -> list[int]:
+    """AHU codes (Aho, Hopcroft & Ullman) of the rooted subtrees, with
+    vertex mark labelled. Codes drawn from one intern table are equal
+    exactly when the labelled rooted subtrees are isomorphic."""
+    code = [0] * len(adj)
+    for u in reversed(order):
+        children = sorted(code[w] for w in adj[u] if w != parent[u])
+        code[u] = intern.setdefault((u == mark, *children), len(intern))
+    return code
+
+
 class ReferenceTreeShape:
     """oracle.TreeShape's tables and orbit masks, built by a depth-first
     walk from every root over the graph's neighbour sets, with one AHU
@@ -180,6 +230,17 @@ class ReferenceTreeShape:
                         stack.append(w)
 
     def orbit_masks(self) -> tuple[int, dict[int, int]]:
+        """The mask of the lowest-index edge of each orbit of Aut(T), and
+        for each such edge r the mask of the lowest-index edge other than
+        r of each orbit of the stabilizer of r: oracle.TreeShape's
+        orbit_masks, which _tables.SHAPES ships.
+
+        The automorphisms of the shape are those of its subdivision
+        rooted at the centre (_centred_subdivision), and those fixing
+        edge r are the ones that also fix r's midpoint when it is
+        labelled. Every automorphism fixes the root, so two vertices of
+        the subdivision lie in one orbit exactly when their AHU codes
+        agree and their parents lie in one orbit."""
         n = self.n
         adj, parent, order = _centred_subdivision(n, self.edges)
 
@@ -208,9 +269,22 @@ class ReferenceTreeShape:
 
 @functools.lru_cache(maxsize=16)
 def reference_tree_shapes(m: int) -> tuple[ReferenceTreeShape, ...]:
-    """oracle.tree_shapes by hanging a new leaf from every vertex of
-    every shape with m - 1 edges, keeping the first tree of each class
-    of AHU codes, sorted by (max degree, canonical form)."""
+    """All unlabeled trees with m edges, in oracle.tree_shapes's order
+    and labelling, which _tables.SHAPES ships: hang a new leaf from
+    every vertex of every shape with m - 1 edges, in order, keep the
+    first tree of each class, and sort by (max degree, canonical form)
+    so low-degree hosts come first. Every shape's edges are thus
+    (parent[k], k) with parent[k] < k for k = 1..m.
+
+    Classes are told apart by the AHU code of the edge-subdivided tree
+    rooted at its centre, a complete invariant. Two trees with an edge
+    are isomorphic exactly when their subdivisions are: an isomorphism
+    of subdivisions maps leaves, which are original vertices, to leaves,
+    so it keeps the side of the bipartition that holds the original
+    vertices, and it keeps which of them share a midpoint. Subdivisions
+    are isomorphic exactly when they are as trees rooted at their
+    centres, since every isomorphism maps centre to centre, and AHU
+    codes decide rooted isomorphism."""
     if m == 0:
         return (ReferenceTreeShape(Graph(1)),)
     intern: dict = {}
@@ -1089,10 +1163,32 @@ def corpus_table_text() -> str:
     return "\n".join(lines) + "\n"
 
 
-TABLES_HEADER = '''"""The gate catalog and the small-graph corpus as shipped tables.
+def shape_table_text() -> str:
+    """The text of _tables.SHAPES: one line per shape of
+    reference_tree_shapes(m) for m up to 9, in order, with m, the parent
+    of each vertex 1..m, the level-0 orbit mask and the level-1 mask of
+    each of its bits in ascending order, masks in hex."""
+    lines = []
+    for m in range(CLIQUE_BOUND + 1):
+        for shape in reference_tree_shapes(m):
+            parent = {b: a for a, b in shape.edges}
+            if sorted(parent) != list(range(1, m + 1)):
+                raise ValueError(f"shape {shape.edges} is not (parent[k], k) for k = 1..{m}")
+            level0, level1 = shape.orbit_masks()
+            lines.append(" ".join((
+                str(m),
+                *(str(parent[k]) for k in range(1, m + 1)),
+                f"{level0:x}",
+                *(f"{level1[r]:x}" for r in sorted(level1)),
+            )))
+    return "\n".join(lines) + "\n"
 
-Generated by tests/reference.py from its canonical-search generators
-(reference_catalog, reference_corpus); do not edit by hand. To
+
+TABLES_HEADER = '''"""The gate catalog, the small-graph corpus and the host-tree shapes
+as shipped tables.
+
+Generated by tests/reference.py from its generators (reference_catalog,
+reference_corpus, reference_tree_shapes); do not edit by hand. To
 regenerate, run `PYTHONPATH=src python tests/reference.py` from the
 repository root, which rewrites this file.
 
@@ -1104,6 +1200,14 @@ GRAPHS has one line per graph on at most 7 vertices up to isomorphism,
 by vertex count and then in canonical-form order: the vertex count n
 and the upper-triangle edge mask in hex, bit i for the i-th pair of
 itertools.combinations(range(n), 2).
+
+SHAPES has one line per unlabeled tree with at most 9 edges, by edge
+count m and then in the oracle's scan order: m; the parent of each
+vertex 1..m, so the shape's edges are (parent[k], k); the level-0 mask,
+of the lowest-index edge of each edge orbit of the tree's automorphism
+group; and for each bit r of it, in ascending order, the level-1 mask,
+of the lowest-index edge other than r of each orbit of the stabilizer
+of edge r. Masks are in hex, bit j for the j-th edge in sorted order.
 """
 '''
 
@@ -1113,6 +1217,7 @@ def tables_module_text() -> str:
     return (
         f'{TABLES_HEADER}\nGATES = """\\\n{catalog_table_text()}"""\n'
         f'\nGRAPHS = """\\\n{corpus_table_text()}"""\n'
+        f'\nSHAPES = """\\\n{shape_table_text()}"""\n'
     )
 
 

@@ -21,6 +21,7 @@ from eptkit.graphs import (
     path_graph,
 )
 from eptkit.oracle import (
+    CLIQUE_BOUND,
     BudgetExhaustedError,
     _clique_order,
     oracle_membership,
@@ -93,21 +94,22 @@ def test_tree_shapes_refuses_negative_edge_count():
 
 
 def test_tree_shapes_match_the_generator_hanging_every_leaf():
-    # hanging leaves only at vertex-orbit representatives keeps every
-    # shape, its labelling and its place; the tables built from
-    # (neighbour, edge bit) lists match those of a neighbour-set walk
-    for m in range(11):
+    # the shipped shapes keep the generator's shapes, labelling and
+    # order; the tables built from (neighbour, edge bit) lists match
+    # those of a neighbour-set walk, and the shipped orbit masks those
+    # of the AHU passes
+    for m in range(CLIQUE_BOUND + 1):
         got, want = tree_shapes(m), reference_tree_shapes(m)
         assert [s.edges for s in got] == [r.edges for r in want], m
         for s, r in zip(got, want):
             assert s.max_degree == r.max_degree, s.edges
             assert s.path_mask == r.path_mask, s.edges
             assert s.paths == r.paths, s.edges
-            assert s.orbit_masks() == r.orbit_masks(), s.edges
+            assert s.orbit_masks == r.orbit_masks(), s.edges
 
 
 def test_tree_shapes_stay_out_of_the_canonical_cache():
-    # the sort reads canonical forms without caching the shapes' graphs
+    # reading the shape table leaves no shape graph in the cache
     tree_shapes.cache_clear()
     canonical_labeling.cache_clear()
     tree_shapes(9)
@@ -138,7 +140,7 @@ def test_orbit_masks_match_brute_force():
             ]
             if None not in image:
                 automorphisms.append(image)
-        level0, level1 = shape.orbit_masks()
+        level0, level1 = shape.orbit_masks
         assert level0 == brute_orbit_representatives(shape, automorphisms), shape.edges
         assert sorted(level1) == [j for j in range(shape.m) if level0 >> j & 1]
         for r, mask in level1.items():
