@@ -11,8 +11,8 @@ vertex's cliques. The search therefore assigns cliques to tree edges
 and accepts when every vertex's span (the minimal subtree covering its
 cliques' edges) is a path and spans of non-adjacent vertices share no
 edge; accepted assignments are Helly representations verbatim. A span
-is a path exactly when its edge mask is a key of the shape's table of
-tree paths (TreeShape.paths), whose value is the certificate's path.
+is a path exactly when its mask is a key of TreeShape.paths (the xor of
+two tree vertices' root-path masks); TreeShape.path lists its vertices.
 
 Tree candidates are scanned as unlabeled shapes in ascending order of
 maximum degree, so the first accepting shape realizes the minimum host
@@ -67,7 +67,6 @@ from collections.abc import Sequence
 from . import _tables
 from .graphs import (
     BoundExceededError,
-    Edge,
     Graph,
     VertexSet,
     _clique_masks,
@@ -105,14 +104,16 @@ def _check_deadline(deadline: float) -> None:
 
 class TreeShape:
     """One unlabeled host-tree shape, pinned as a labeled representative
-    with precomputed edge-index masks for the assignment search.
+    rooted at vertex 0, with edge-index masks for the assignment search.
 
-    paths maps the edge mask of the tree path between tree vertices
-    a < b to its vertex sequence from a, one entry per pair. A connected
-    edge set of a tree is a path exactly when it is the tree path
-    between two of its vertices, so a connected span is a path exactly
-    when it is a key, and its value lists the path from its
-    lower-numbered end.
+    parent[k] < k is the parent of vertex k (the root is its own), as
+    the shape table ships it. lift[j] masks the root path from edge j's
+    lower end, its child, j included. The tree path between a and b is
+    the symmetric difference of their root paths, and paths maps each
+    pair's mask to (a, b), a < b. A connected edge set of a tree is a
+    path exactly when it is the tree path between two of its vertices,
+    so a connected span is a path exactly when it is a key, and
+    path(mask) lists its vertices.
 
     orbit_masks holds the candidate edges for the first two cliques of
     the assignment search: the mask of the lowest-index edge of each
@@ -120,37 +121,33 @@ class TreeShape:
     lowest-index edge other than r of each orbit of the stabilizer of r,
     as the shape table ships them."""
 
-    __slots__ = ("n", "m", "edges", "max_degree", "path_mask", "paths", "orbit_masks", "_host")
+    __slots__ = ("n", "m", "parent", "edges", "lift", "paths", "orbit_masks", "_host")
 
-    def __init__(self, n: int, edges: Sequence[Edge], orbit_masks: tuple[int, dict[int, int]]):
-        self.n = n
-        self.edges = tuple(sorted(edges))
+    def __init__(self, parent: Sequence[int], orbit_masks: tuple[int, dict[int, int]]):
+        self.parent = tuple(parent)
+        self.n = len(self.parent)
+        self.edges = tuple(sorted((p, k) for k, p in enumerate(self.parent) if k))
         self.m = len(self.edges)
         self.orbit_masks = orbit_masks
-        # links[u]: (w, bit of the edge uw) for each neighbour w of u
-        links: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+        # up[v]: mask of v's root path; an upper end's own edge sorts
+        # before its edges down, since parent[a] < a
+        up = [0] * self.n
         for j, (a, b) in enumerate(self.edges):
-            links[a].append((b, 1 << j))
-            links[b].append((a, 1 << j))
-        self.max_degree = max(map(len, links), default=0)
-        # path_mask[a][b]: edge-index mask of the tree path from a to b
-        self.path_mask: list[list[int]] = []
-        self.paths: dict[int, TreePath] = {}
-        for root in range(n):
-            row = [0] * n
-            seq = {root: (root,)}
-            stack = [root]
-            while stack:
-                u = stack.pop()
-                for w, bit in links[u]:
-                    if w not in seq:
-                        seq[w] = seq[u] + (w,)
-                        row[w] = row[u] | bit
-                        stack.append(w)
-            self.path_mask.append(row)
-            for w in range(root + 1, n):
-                self.paths[row[w]] = seq[w]
+            up[b] = up[a] | 1 << j
+        self.lift = tuple(up[b] for _, b in self.edges)
+        self.paths = {up[a] ^ up[b]: (a, b) for a, b in itertools.combinations(range(self.n), 2)}
         self._host: HostTree | None = None
+
+    def path(self, mask: int) -> TreePath:
+        """The tree path with this edge mask, a key of paths, from its
+        lower-numbered end: the higher-numbered of the two walks steps
+        up until they meet, since ancestors have lower numbers."""
+        a, b = self.paths[mask]
+        head, tail = [a], [b]
+        while head[-1] != tail[-1]:
+            walk = head if head[-1] > tail[-1] else tail
+            walk.append(self.parent[walk[-1]])
+        return tuple(head + tail[-2::-1])
 
     def host_tree(self) -> HostTree:
         """The shape as a validated HostTree, built on the first accept
@@ -178,11 +175,10 @@ def tree_shapes(m: int) -> tuple[TreeShape, ...]:
         count, *fields = line.split()
         if int(count) != m:
             continue
-        edges = [(int(p), k) for k, p in enumerate(fields[:m], 1)]
         level0 = int(fields[m], 16)
         firsts = [j for j in range(m) if level0 >> j & 1]
         level1 = dict(zip(firsts, (int(mask, 16) for mask in fields[m + 1 :])))
-        shapes.append(TreeShape(len(edges) + 1, edges, (level0, level1)))
+        shapes.append(TreeShape([0, *map(int, fields[:m])], (level0, level1)))
     return tuple(shapes)
 
 
@@ -241,23 +237,25 @@ def _assign_cliques(
     mask per tree edge), and passes the used edges down as an argument,
     so a failed candidate is dropped with its copies and nothing is undone.
 
-    A vertex's span grows from any tree vertex w it already holds, here
-    the first end of its lowest edge: the span S is connected, so for
-    the vertex p of S nearest a new end a, path(w, a) runs inside S up
-    to p and then along path(p, a), and S | path(w, a) = S | path(p, a)
-    whichever w is taken. Spans are thus connected, so a grown span is
-    a path exactly when it is a key of shape.paths, the test place makes.
+    A span S grows by edge j = (a, b) to S | lift[e] ^ lift[j] | 1 << j
+    for e the lowest edge of S (an empty span to 1 << j). lift[e] ^
+    lift[j] is the path from e's lower end w to b, and with j it makes
+    path(w, a) | path(w, b), since w's paths to j's two ends together
+    make w's path to j's lower end plus j. For the vertex p of the
+    connected S nearest a, path(w, a) runs inside S up to p and then
+    along path(p, a), so the grown span is the least connected edge set
+    holding S and j, whichever w of S is taken. Spans are thus
+    connected, and a grown span is a path exactly when it is a key of
+    shape.paths, the test place makes.
     """
     level0, level1 = shape.orbit_masks
+    lift = shape.lift
     full = (1 << shape.m) - 1
 
     def place(ci: int, j: int, spans: list[int], covered: list[int]) -> bool:
-        a, b = shape.edges[j]
         for v in cliques[ci]:
             old = spans[v]
-            # an empty span grows from a, to edge j alone
-            w = shape.edges[(old & -old).bit_length() - 1][0] if old else a
-            new = old | shape.path_mask[w][a] | shape.path_mask[w][b]
+            new = old | lift[(old & -old).bit_length() - 1] ^ lift[j] | 1 << j if old else 1 << j
             if new == old:
                 continue
             if new not in shape.paths:
@@ -329,7 +327,7 @@ def _scan(cliques: list[VertexSet], adj: tuple[int, ...], deadline: float) -> Ep
     for shape in tree_shapes(m):
         spans = _assign_cliques(shape, cliques, order, adj_self, deadline)
         if spans is not None:
-            return EptRepresentation(shape.host_tree(), tuple(shape.paths[mask] for mask in spans))
+            return EptRepresentation(shape.host_tree(), tuple(map(shape.path, spans)))
     return None
 
 

@@ -201,9 +201,12 @@ def _ahu_codes(
 
 
 class ReferenceTreeShape:
-    """oracle.TreeShape's tables and orbit masks, built by a depth-first
-    walk from every root over the graph's neighbour sets, with one AHU
-    pass per orbit mask."""
+    """The independent reference for oracle.TreeShape: path_mask[a][b],
+    the edge mask of the tree path from a to b, and paths, from that
+    mask to the path's vertices from a for a < b, come from a
+    depth-first walk from every root over the graph's neighbour sets,
+    where TreeShape xors root-path masks and walks up its parent array;
+    the orbit masks take one AHU pass each."""
 
     def __init__(self, graph: Graph):
         self.graph = graph

@@ -81,7 +81,7 @@ def test_tree_shapes_counts():
         assert len(forms) == len(shapes)
         assert all(s.m == m for s in shapes)
     # ordering puts low-degree hosts first
-    degrees = [s.max_degree for s in tree_shapes(6)]
+    degrees = [s.host_tree().max_degree() for s in tree_shapes(6)]
     assert degrees == sorted(degrees)
     assert degrees[0] == 2 and degrees[-1] == 6
 
@@ -95,17 +95,33 @@ def test_tree_shapes_refuses_negative_edge_count():
 
 def test_tree_shapes_match_the_generator_hanging_every_leaf():
     # the shipped shapes keep the generator's shapes, labelling and
-    # order; the tables built from (neighbour, edge bit) lists match
-    # those of a neighbour-set walk, and the shipped orbit masks those
-    # of the AHU passes
+    # order; the paths built from root-path masks match those of a
+    # walk from every root, and the shipped orbit masks those of the
+    # AHU passes
     for m in range(CLIQUE_BOUND + 1):
         got, want = tree_shapes(m), reference_tree_shapes(m)
         assert [s.edges for s in got] == [r.edges for r in want], m
         for s, r in zip(got, want):
-            assert s.max_degree == r.max_degree, s.edges
-            assert s.path_mask == r.path_mask, s.edges
-            assert s.paths == r.paths, s.edges
+            pairs = itertools.combinations(range(r.n), 2)
+            assert s.paths == {r.path_mask[a][b]: (a, b) for a, b in pairs}, s.edges
+            assert {mask: s.path(mask) for mask in s.paths} == r.paths, s.edges
+            assert s.host_tree().max_degree() == r.max_degree, s.edges
             assert s.orbit_masks == r.orbit_masks(), s.edges
+
+
+def test_lifts_grow_a_span_by_the_paths_to_both_ends_of_an_edge():
+    # lift[e] ^ lift[j] | 1 << j, the scan's growth rule, is the union
+    # of the reference's paths from e's lower end w to j's two ends
+    checked = 0
+    for m in range(CLIQUE_BOUND + 1):
+        for s, r in zip(tree_shapes(m), reference_tree_shapes(m)):
+            assert s.edges == r.edges
+            for e, (_, w) in enumerate(s.edges):
+                for j, (a, b) in enumerate(s.edges):
+                    grown = s.lift[e] ^ s.lift[j] | 1 << j
+                    assert grown == r.path_mask[w][a] | r.path_mask[w][b], (s.edges, e, j)
+            checked += 1
+    assert checked == 201
 
 
 def test_tree_shapes_stay_out_of_the_canonical_cache():
@@ -149,8 +165,8 @@ def test_orbit_masks_match_brute_force():
 
 
 def test_shape_paths_match_brute_force():
-    shapes = [s for m in range(8) for s in tree_shapes(m)]
-    assert len(shapes) == 48
+    shapes = [s for m in range(CLIQUE_BOUND + 1) for s in tree_shapes(m)]
+    assert len(shapes) == 201
     for shape in shapes:
         assert len(shape.paths) == shape.n * (shape.n - 1) // 2, shape.edges
         for mask in range(1, 1 << shape.m):
@@ -163,7 +179,7 @@ def test_shape_paths_match_brute_force():
             is_path = max(touched.values()) <= 2
             assert (mask in shape.paths) == is_path, (shape.edges, mask)
             if is_path:
-                path = shape.paths[mask]
+                path = shape.path(mask)
                 ends = [v for v, d in touched.items() if d == 1]
                 assert path[0] == min(ends) and path[-1] == max(ends), (shape.edges, path)
                 assert len(path) == len(set(path)) == len(edges) + 1

@@ -1,6 +1,7 @@
 """The shipped gate, corpus and tree-shape tables against the
 generators in reference.py that produce them."""
 
+import itertools
 import pathlib
 
 import pytest
@@ -43,14 +44,15 @@ def test_corpus_table_matches_the_corpus_search(n):
 
 @pytest.mark.parametrize("m", range(oracle.CLIQUE_BOUND + 1))
 def test_shape_table_matches_the_shape_generator(m):
-    # order, labelling, path tables and orbit masks
+    # order, labelling, paths and orbit masks
     got, want = tree_shapes(m), reference_tree_shapes(m)
     message = f"tree_shapes({m}) differs from reference_tree_shapes({m}): {REGENERATE}"
     assert [s.edges for s in got] == [r.edges for r in want], message
     for s, r in zip(got, want):
-        assert s.max_degree == r.max_degree, message
-        assert s.path_mask == r.path_mask, message
-        assert s.paths == r.paths, message
+        pairs = itertools.combinations(range(r.n), 2)
+        assert s.paths == {r.path_mask[a][b]: (a, b) for a, b in pairs}, message
+        assert {mask: s.path(mask) for mask in s.paths} == r.paths, message
+        assert s.host_tree().max_degree() == r.max_degree, message
         assert s.orbit_masks == r.orbit_masks(), message
 
 
