@@ -28,6 +28,7 @@ from .graphs import (
     graph_to_text,
     induced_subgraph,
     parse_graph,
+    read_naturals,
 )
 from .oracle import BudgetExhaustedError
 from .representation import representation_to_text
@@ -118,14 +119,8 @@ def _cmd_atoms(args) -> int:
 
 
 def _parse_extend(spec: str) -> gates.ExtensionStep:
-    parts = spec.split(",")
-    if len(parts) != 3:
-        raise GraphParseError(f"bad extension {spec!r}, want A,B,L", line=1)
-    try:
-        a, b, length = (int(p) for p in parts)
-    except ValueError:
-        raise GraphParseError(f"bad extension {spec!r}, want A,B,L", line=1) from None
-    return gates.ExtensionStep(a, b, length)
+    message = f"bad extension {spec!r}, want A,B,L"
+    return gates.ExtensionStep(*read_naturals(spec.split(","), message, 1, 3))
 
 
 def _gate_comments(recipe: gates.GateRecipe, cliques) -> list[str]:

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from typing import NamedTuple
 
 from . import _tables
@@ -215,7 +216,8 @@ def enumerate_gates(max_vertices: int = CATALOG_VERTEX_BOUND) -> dict[bytes, Gat
     (_tables.GATES) that have at most max_vertices vertices. The table
     lists the gates in the order of a breadth-first search over recipes
     with canonical dedup; tests/reference.py holds that search and
-    regenerates the table."""
+    regenerates the table. A non-integer max_vertices is a TypeError."""
+    max_vertices = operator.index(max_vertices)
     if max_vertices < 0:
         raise ValueError("vertex count must be non-negative")
     if max_vertices > CATALOG_VERTEX_BOUND:
@@ -308,7 +310,8 @@ def contains_gate_ge(g: Graph, h: int) -> tuple[VertexSet, GateRecipe] | None:
     then fixes those ends and combines the other vertices. Two
     sets of one size compare lexicographically by the least element of
     their symmetric difference, which the fixed vertices never join, so
-    the (size, lex) order is kept."""
+    the (size, lex) order is kept. A non-integer h is a TypeError."""
+    h = operator.index(h)
     if g.n > CATALOG_VERTEX_BOUND:
         raise BoundExceededError(
             f"gate search limited to {CATALOG_VERTEX_BOUND} vertices, got {g.n}"

@@ -160,65 +160,68 @@ def complete_graph(n: int) -> Graph:
     return Graph(n, itertools.combinations(range(n), 2))
 
 
+def text_records(text: str) -> Iterator[tuple[int, str]]:
+    """The 1-based line number and stripped text of every line that is
+    neither blank nor a '#' comment: the records of the graph and
+    representation formats."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if line and not line.startswith("#"):
+            yield lineno, line
+
+
+def read_naturals(tokens: list[str], message: str, line: int, count: int = 0) -> tuple[int, ...]:
+    """tokens as counts or vertices: exactly count of them (one or more
+    when count is 0), each non-empty ASCII decimal digits, so no sign,
+    '_' or other script's digit that int() would take. Anything else is
+    GraphParseError(message, line)."""
+    wrong_count = len(tokens) != count if count else not tokens
+    if wrong_count or not all(t.isascii() and t.isdigit() for t in tokens):
+        raise GraphParseError(message, line)
+    try:
+        return tuple(map(int, tokens))
+    except ValueError:  # more digits than int() converts
+        raise GraphParseError(message, line) from None
+
+
 def parse_graph(text: str | bytes) -> Graph:
     """Parse the line-oriented graph format.
 
     Line 1 is "n m", followed by m lines "u v" with 0 <= u,v < n and
-    u != v. Tokens are whitespace-separated, '#'-prefixed comment lines
-    and blank lines are ignored. Raises GraphParseError naming the
-    1-based line number of the first offending line; a header with more
-    than PARSE_VERTEX_BOUND vertices is rejected before anything is
-    allocated for them.
+    u != v. Tokens are whitespace-separated ASCII decimal digits;
+    '#'-prefixed comment lines and blank lines are ignored. Raises
+    GraphParseError naming the 1-based line number of the first
+    offending line; a header with more than PARSE_VERTEX_BOUND vertices
+    is rejected before anything is allocated for them.
     """
     if isinstance(text, bytes):
         text = text.decode()
     header = None
     edges: set[Edge] = set()
-    last_line = 1
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        last_line = lineno
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
+    lineno = 1
+    for lineno, line in text_records(text):
         if header is None:
-            if len(parts) != 2:
-                raise GraphParseError("expected header 'n m'", lineno)
-            try:
-                n, m = int(parts[0]), int(parts[1])
-            except ValueError:
-                raise GraphParseError("expected header 'n m'", lineno) from None
-            if n < 0 or m < 0:
-                raise GraphParseError("header counts must be non-negative", lineno)
+            header = n, m = read_naturals(line.split(), "expected header 'n m'", lineno, 2)
             if n > PARSE_VERTEX_BOUND:
                 raise GraphParseError(
                     f"graph input limited to {PARSE_VERTEX_BOUND} vertices, got {n}", lineno
                 )
-            header = (n, m)
             continue
-        n, m = header
         if len(edges) >= m:
             raise GraphParseError(f"more than {m} edge lines", lineno)
-        if len(parts) != 2:
-            raise GraphParseError("expected edge line 'u v'", lineno)
-        try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise GraphParseError("expected edge line 'u v'", lineno) from None
+        u, v = read_naturals(line.split(), "expected edge line 'u v'", lineno, 2)
         if u == v:
             raise GraphParseError(f"self-loop at vertex {u}", lineno)
-        if not (0 <= u < n and 0 <= v < n):
-            w = v if 0 <= u < n else u
-            raise GraphParseError(f"vertex {w} out of range for n={n}", lineno)
+        if not (u < n and v < n):
+            raise GraphParseError(f"vertex {v if u < n else u} out of range for n={n}", lineno)
         key = (u, v) if u < v else (v, u)
         if key in edges:
             raise GraphParseError(f"duplicate edge {key[0]} {key[1]}", lineno)
         edges.add(key)
     if header is None:
-        raise GraphParseError("empty input, expected header 'n m'", last_line)
-    n, m = header
+        raise GraphParseError("empty input, expected header 'n m'", lineno)
     if len(edges) != m:
-        raise GraphParseError(f"expected {m} edges, found {len(edges)}", last_line)
+        raise GraphParseError(f"expected {m} edges, found {len(edges)}", lineno)
     return Graph._from_checked(n, frozenset(edges))
 
 

@@ -110,10 +110,11 @@ class TreeShape:
     the shape table ships it. lift[j] masks the root path from edge j's
     lower end, its child, j included. The tree path between a and b is
     the symmetric difference of their root paths, and paths maps each
-    pair's mask to (a, b), a < b. A connected edge set of a tree is a
-    path exactly when it is the tree path between two of its vertices,
-    so a connected span is a path exactly when it is a key, and
-    path(mask) lists its vertices.
+    pair's mask to its tuple (a, b), a < b, in pairs, which lists every
+    pair and is shared by the shapes of one size. A connected edge set
+    of a tree is a path exactly when it is the tree path between two of
+    its vertices, so a connected span is a path exactly when it is a
+    key, and path(mask) lists its vertices.
 
     orbit_masks holds the candidate edges for the first two cliques of
     the assignment search: the mask of the lowest-index edge of each
@@ -123,7 +124,7 @@ class TreeShape:
 
     __slots__ = ("n", "m", "parent", "edges", "lift", "paths", "orbit_masks", "_host")
 
-    def __init__(self, parent: Sequence[int], orbit_masks: tuple[int, dict[int, int]]):
+    def __init__(self, parent: Sequence[int], orbit_masks: tuple[int, dict[int, int]], pairs: Sequence[VertexSet]):
         self.parent = tuple(parent)
         self.n = len(self.parent)
         self.edges = tuple(sorted((p, k) for k, p in enumerate(self.parent) if k))
@@ -135,7 +136,7 @@ class TreeShape:
         for j, (a, b) in enumerate(self.edges):
             up[b] = up[a] | 1 << j
         self.lift = tuple(up[b] for _, b in self.edges)
-        self.paths = {up[a] ^ up[b]: (a, b) for a, b in itertools.combinations(range(self.n), 2)}
+        self.paths = {up[pair[0]] ^ up[pair[1]]: pair for pair in pairs}
         self._host: HostTree | None = None
 
     def path(self, mask: int) -> TreePath:
@@ -158,6 +159,18 @@ class TreeShape:
         return self._host
 
 
+@functools.cache
+def _table_rows(table: str) -> dict[int, list[list[str]]]:
+    """A shipped table whose lines lead with a count (_tables.SHAPES,
+    _tables.GRAPHS), split once per process: each line's other fields,
+    grouped by that count in table order."""
+    rows: dict[int, list[list[str]]] = {}
+    for line in table.splitlines():
+        count, *fields = line.split()
+        rows.setdefault(int(count), []).append(fields)
+    return rows
+
+
 @functools.lru_cache(maxsize=CLIQUE_BOUND + 1)
 def tree_shapes(m: int) -> tuple[TreeShape, ...]:
     """All unlabeled trees with m edges, sorted by (max degree,
@@ -171,14 +184,12 @@ def tree_shapes(m: int) -> tuple[TreeShape, ...]:
     if m > CLIQUE_BOUND:
         raise BoundExceededError(f"tree shapes limited to {CLIQUE_BOUND} edges, asked for {m}")
     shapes = []
-    for line in _tables.SHAPES.splitlines():
-        count, *fields = line.split()
-        if int(count) != m:
-            continue
+    pairs = tuple(itertools.combinations(range(m + 1), 2))
+    for fields in _table_rows(_tables.SHAPES)[m]:
         level0 = int(fields[m], 16)
         firsts = [j for j in range(m) if level0 >> j & 1]
         level1 = dict(zip(firsts, (int(mask, 16) for mask in fields[m + 1 :])))
-        shapes.append(TreeShape([0, *map(int, fields[:m])], (level0, level1)))
+        shapes.append(TreeShape([0, *map(int, fields[:m])], (level0, level1), pairs))
     return tuple(shapes)
 
 
@@ -337,20 +348,19 @@ def _corpus(n: int) -> tuple[Graph, ...]:
     (_tables.GRAPHS), in its order."""
     pairs = list(itertools.combinations(range(n), 2))
     graphs = []
-    for line in _tables.GRAPHS.splitlines():
-        count, mask = line.split()
-        # compared as ints, so that _corpus(True) reads the lines of 1
-        if int(count) == n:
-            bits = int(mask, 16)
-            edges = frozenset(pair for i, pair in enumerate(pairs) if bits >> i & 1)
-            graphs.append(Graph._from_checked(int(count), edges))
+    for (mask,) in _table_rows(_tables.GRAPHS).get(n, ()):
+        bits = int(mask, 16)
+        edges = frozenset(pair for i, pair in enumerate(pairs) if bits >> i & 1)
+        graphs.append(Graph._from_checked(n, edges))
     return tuple(graphs)
 
 
 def small_graph_corpus(n: int, connected_only: bool = False) -> tuple[Graph, ...]:
     """All graphs on exactly n vertices up to isomorphism, in canonical
     order; optionally only the connected ones. They are read from the
-    shipped corpus table, built once per n."""
+    shipped corpus table, built once per n; a non-integer n is a
+    TypeError."""
+    n = operator.index(n)
     if n < 0:
         raise ValueError("vertex count must be non-negative")
     if n > CORPUS_VERTEX_BOUND:

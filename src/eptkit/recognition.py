@@ -744,11 +744,12 @@ def cheapest_representation(g: Graph, budget_secs: float | None = None) -> Recog
     rep = _scan(cliques, adj, deadline)
     if rep is None:
         return RecognitionResult(False, None, None)
+    degree = max_host_degree(rep)
     if k == 1:
-        h = 2 if max_host_degree(rep) <= 2 else 3
+        h = 2 if degree <= 2 else 3
     else:
         h = k
-    cert = rep if max_host_degree(rep) <= h else None
+    cert = rep if degree <= h else None
     return RecognitionResult(True, h, cert)
 
 

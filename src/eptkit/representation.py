@@ -39,6 +39,8 @@ from .graphs import (
     VertexSet,
     induced_subgraph,
     is_connected,
+    read_naturals,
+    text_records,
 )
 
 
@@ -430,54 +432,39 @@ def find_multipie(
 
 def parse_representation(text: str) -> EptRepresentation:
     """Parse the line format: "t_n t_m" header, t_m tree-edge lines
-    "a b", then one line "v : p_0 p_1 ..." per graph vertex. Blank
-    lines and '#' comments are skipped."""
-    rows = [
-        (i + 1, line.strip())
-        for i, line in enumerate(text.splitlines())
-        if line.strip() and not line.strip().startswith("#")
-    ]
+    "a b", then one line "v : p_0 p_1 ..." per graph vertex, every
+    number ASCII decimal digits. Blank lines and '#' comments are
+    skipped."""
+    rows = list(text_records(text))
     if not rows:
         raise GraphParseError("empty representation", line=1)
     line_no, header = rows[0]
-    parts = header.split()
-    if len(parts) != 2 or not all(p.isdigit() for p in parts):
-        raise GraphParseError(f"malformed header {header!r}", line=line_no)
-    t_n, t_m = int(parts[0]), int(parts[1])
+    t_n, t_m = read_naturals(header.split(), f"malformed header {header!r}", line_no, 2)
     if t_n >= 1 and t_m != t_n - 1:
         raise GraphParseError(
             f"a tree on {t_n} vertices has {t_n - 1} edges, not {t_m}", line=line_no
         )
     if len(rows) - 1 < t_m:
         raise GraphParseError(f"expected {t_m} tree edges", line=rows[-1][0])
-    edges = []
-    for line_no, row in rows[1 : 1 + t_m]:
-        parts = row.split()
-        if len(parts) != 2 or not all(p.isdigit() for p in parts):
-            raise GraphParseError(f"malformed edge line {row!r}", line=line_no)
-        edges.append((int(parts[0]), int(parts[1])))
+    edges = [
+        read_naturals(row.split(), f"malformed edge line {row!r}", line_no, 2)
+        for line_no, row in rows[1 : 1 + t_m]
+    ]
     try:
         tree = HostTree(t_n, edges)
     except ValueError as exc:
         raise GraphParseError(str(exc), line=rows[0][0]) from exc
-    path_rows = rows[1 + t_m :]
     seen: dict[int, TreePath] = {}
-    for line_no, row in path_rows:
+    for line_no, row in rows[1 + t_m :]:
         head, sep, rest = row.partition(":")
-        if not sep or not head.strip().isdigit():
-            raise GraphParseError(f"malformed path line {row!r}", line=line_no)
-        v = int(head.strip())
+        message = f"malformed path line {row!r}"
+        (v,) = read_naturals(head.split() if sep else [], message, line_no, 1)
         if v in seen:
             raise GraphParseError(f"duplicate path for vertex {v}", line=line_no)
-        fields = rest.split()
-        if not fields or not all(p.isdigit() for p in fields):
-            raise GraphParseError(f"malformed path line {row!r}", line=line_no)
-        seen[v] = tuple(int(p) for p in fields)
+        seen[v] = read_naturals(rest.split(), message, line_no)
     if sorted(seen) != list(range(len(seen))):
         missing = next(i for i in range(len(seen) + 1) if i not in seen)
-        raise GraphParseError(
-            f"missing path for vertex {missing}", line=rows[-1][0]
-        )
+        raise GraphParseError(f"missing path for vertex {missing}", line=rows[-1][0])
     paths = tuple(seen[v] for v in range(len(seen)))
     try:
         return EptRepresentation(tree, paths)

@@ -223,6 +223,24 @@ def test_gen_gate_errors(capsys):
     assert code == 2 and "want A,B,L" in err
     code, _, err = run(capsys, "gen-gate", "--base", "4", "--extend", "0,1,2")
     assert code == 2 and "not disjoint" in err
+    # int() reads each of these as 0,3,2
+    for spec in ("0,3,0_2", "0,3,+2", "0,3,٢", "0, 3,2"):
+        code, out, err = run(capsys, "gen-gate", "--base", "4", "--extend", spec)
+        assert (code, out) == (2, "") and "want A,B,L" in err, spec
+
+
+def test_malformed_numbers_name_their_line(capsys, tmp_path):
+    graph, rep = tmp_path / "g.txt", tmp_path / "rep.txt"
+    graph.write_text("11 1\n0 1_0\n")
+    code, out, err = run(capsys, "cheapest", str(graph))
+    assert (code, out) == (2, "") and "line 2" in err
+    graph.write_text("2 1\n0 1\n")
+    rep.write_text("2 1\n0 1\n0 : 0 1\n1 : 0 1\u00b2\n")
+    code, out, err = run(capsys, "verify-rep", str(graph), str(rep))
+    assert (code, out) == (2, "") and "line 4" in err and "invalid literal" not in err
+    rep.write_text("2 1\n0 1\n0 : 0 1\n1 : 0 1\n")
+    code, out, _ = run(capsys, "verify-rep", str(graph), str(rep))
+    assert code == 0 and out.startswith("ok helly=true degree=1\n")
 
 
 def test_gen_gate_over_vertex_bound(capsys):

@@ -405,3 +405,15 @@ def test_gate_search_work_is_bounded_by_the_clique_count(monkeypatch):
         calls.clear()
     # combining every vertex, both queries together take 37 276
     assert queries <= 2000
+
+
+def test_counts_must_be_integers():
+    # unchecked, 2.5 would give {} and leak islice's ValueError
+    with pytest.raises(TypeError):
+        enumerate_gates(2.5)
+    with pytest.raises(TypeError):
+        contains_gate_ge(cycle_graph(5), 2.5)
+    with pytest.raises(TypeError):
+        small_graph_corpus(2.5)
+    assert enumerate_gates(True) == enumerate_gates(1)
+    assert contains_gate_ge(cycle_graph(5), True) == contains_gate_ge(cycle_graph(5), 1)

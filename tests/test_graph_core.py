@@ -229,6 +229,23 @@ def test_parse_graph_errors(text, message):
         parse_graph(text)
 
 
+@pytest.mark.parametrize(
+    "text, message, line",
+    [
+        ("20 1\n0 1_0\n", "expected edge line", 2),
+        ("3 1\n0 +1\n", "expected edge line", 2),
+        ("٣ 0\n", "expected header", 1),
+        ("3 1\n# a comment\n0 ١\n", "expected edge line", 3),
+    ],
+)
+def test_parse_graph_reads_only_ascii_decimal_digits(text, message, line):
+    # int() takes each of these tokens ('1_0' as 10, '+1' as 1
+    # and the Arabic-Indic digits)
+    with pytest.raises(GraphParseError, match=message) as info:
+        parse_graph(text)
+    assert info.value.line == line
+
+
 def test_parse_graph_normalizes_each_edge():
     g = parse_graph("3 2\n1 0\n2 1\n")
     assert g == path_graph(3) and hash(g) == hash(path_graph(3))

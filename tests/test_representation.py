@@ -14,6 +14,7 @@ from eptkit.graphs import (
     GraphParseError,
     cycle_graph,
     enumerate_maximal_cliques,
+    parse_graph,
     path_graph,
 )
 from eptkit.representation import (
@@ -549,12 +550,29 @@ def test_text_format_and_comments():
         ("3 2\n0 1\n0 2\n0 : 9\n", "leaves the tree", 4),
         ("3 2\n0 1\n1 0\n0 : 0\n", "connected and acyclic", 1),
         ("400000 0\n0 : 0\n", "a tree on 400000 vertices has 399999 edges, not 0", 1),
+        # str.isdigit() accepts a superscript, which int() then refuses,
+        # and an Arabic-Indic digit, which int() reads as 1
+        ("2² 1\n0 1\n0 : 0 1\n1 : 1\n", "malformed header", 1),
+        ("2 1\n0 1²\n0 : 0 1\n1 : 1\n", "malformed edge", 2),
+        ("2 1\n0 1\n0 : 0 1²\n1 : 1\n", "malformed path", 3),
+        ("2 1\n0 1\n0 : 0 1\n١ : 1\n", "malformed path", 4),
+        ("2 1\n0 1\n0 : 0 1\n1 : ١\n", "malformed path", 4),
     ],
 )
 def test_parse_errors(text, message, line):
     with pytest.raises(GraphParseError, match=message) as exc_info:
         parse_representation(text)
     assert exc_info.value.line == line
+
+
+def test_parse_refuses_numbers_int_does_not_convert():
+    # 5000 digits pass the digit rule, but int() refuses them where
+    # Python limits the digits it converts; either way each parser
+    # answers with a GraphParseError at line 1, never a bare ValueError
+    for parse in (parse_graph, parse_representation):
+        with pytest.raises(GraphParseError) as exc_info:
+            parse(f"{'1' * 5000} 0\n")
+        assert exc_info.value.line == 1
 
 
 def test_representation_to_dot():
