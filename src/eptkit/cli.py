@@ -28,7 +28,7 @@ from .graphs import (
     graph_to_text,
     induced_subgraph,
     parse_graph,
-    read_naturals,
+    _read_naturals,
 )
 from .oracle import BudgetExhaustedError
 from .representation import representation_to_text
@@ -120,7 +120,7 @@ def _cmd_atoms(args) -> int:
 
 def _parse_extend(spec: str) -> gates.ExtensionStep:
     message = f"bad extension {spec!r}, want A,B,L"
-    return gates.ExtensionStep(*read_naturals(spec.split(","), message, 1, 3))
+    return gates.ExtensionStep(*_read_naturals(spec.split(","), message, 1, 3))
 
 
 def _gate_comments(recipe: gates.GateRecipe, cliques) -> list[str]:

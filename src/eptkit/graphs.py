@@ -160,7 +160,7 @@ def complete_graph(n: int) -> Graph:
     return Graph(n, itertools.combinations(range(n), 2))
 
 
-def text_records(text: str) -> Iterator[tuple[int, str]]:
+def _text_records(text: str) -> Iterator[tuple[int, str]]:
     """The 1-based line number and stripped text of every line that is
     neither blank nor a '#' comment: the records of the graph and
     representation formats."""
@@ -170,12 +170,14 @@ def text_records(text: str) -> Iterator[tuple[int, str]]:
             yield lineno, line
 
 
-def read_naturals(tokens: list[str], message: str, line: int, count: int = 0) -> tuple[int, ...]:
+def _read_naturals(
+    tokens: list[str], message: str, line: int, count: int | None = None
+) -> tuple[int, ...]:
     """tokens as counts or vertices: exactly count of them (one or more
-    when count is 0), each non-empty ASCII decimal digits, so no sign,
+    when count is None), each non-empty ASCII decimal digits, so no sign,
     '_' or other script's digit that int() would take. Anything else is
     GraphParseError(message, line)."""
-    wrong_count = len(tokens) != count if count else not tokens
+    wrong_count = not tokens if count is None else len(tokens) != count
     if wrong_count or not all(t.isascii() and t.isdigit() for t in tokens):
         raise GraphParseError(message, line)
     try:
@@ -199,9 +201,9 @@ def parse_graph(text: str | bytes) -> Graph:
     header = None
     edges: set[Edge] = set()
     lineno = 1
-    for lineno, line in text_records(text):
+    for lineno, line in _text_records(text):
         if header is None:
-            header = n, m = read_naturals(line.split(), "expected header 'n m'", lineno, 2)
+            header = n, m = _read_naturals(line.split(), "expected header 'n m'", lineno, 2)
             if n > PARSE_VERTEX_BOUND:
                 raise GraphParseError(
                     f"graph input limited to {PARSE_VERTEX_BOUND} vertices, got {n}", lineno
@@ -209,7 +211,7 @@ def parse_graph(text: str | bytes) -> Graph:
             continue
         if len(edges) >= m:
             raise GraphParseError(f"more than {m} edge lines", lineno)
-        u, v = read_naturals(line.split(), "expected edge line 'u v'", lineno, 2)
+        u, v = _read_naturals(line.split(), "expected edge line 'u v'", lineno, 2)
         if u == v:
             raise GraphParseError(f"self-loop at vertex {u}", lineno)
         if not (u < n and v < n):

@@ -110,11 +110,10 @@ class TreeShape:
     the shape table ships it. lift[j] masks the root path from edge j's
     lower end, its child, j included. The tree path between a and b is
     the symmetric difference of their root paths, and paths maps each
-    pair's mask to its tuple (a, b), a < b, in pairs, which lists every
-    pair and is shared by the shapes of one size. A connected edge set
-    of a tree is a path exactly when it is the tree path between two of
-    its vertices, so a connected span is a path exactly when it is a
-    key, and path(mask) lists its vertices.
+    pair's mask to (a, b), a < b. A connected edge set of a tree is a
+    path exactly when it is the tree path between two of its vertices,
+    so a connected span is a path exactly when it is a key, and
+    path(mask) lists its vertices.
 
     orbit_masks holds the candidate edges for the first two cliques of
     the assignment search: the mask of the lowest-index edge of each
@@ -124,7 +123,7 @@ class TreeShape:
 
     __slots__ = ("n", "m", "parent", "edges", "lift", "paths", "orbit_masks", "_host")
 
-    def __init__(self, parent: Sequence[int], orbit_masks: tuple[int, dict[int, int]], pairs: Sequence[VertexSet]):
+    def __init__(self, parent: Sequence[int], orbit_masks: tuple[int, dict[int, int]]):
         self.parent = tuple(parent)
         self.n = len(self.parent)
         self.edges = tuple(sorted((p, k) for k, p in enumerate(self.parent) if k))
@@ -136,7 +135,7 @@ class TreeShape:
         for j, (a, b) in enumerate(self.edges):
             up[b] = up[a] | 1 << j
         self.lift = tuple(up[b] for _, b in self.edges)
-        self.paths = {up[pair[0]] ^ up[pair[1]]: pair for pair in pairs}
+        self.paths = {up[a] ^ up[b]: (a, b) for a, b in itertools.combinations(range(self.n), 2)}
         self._host: HostTree | None = None
 
     def path(self, mask: int) -> TreePath:
@@ -184,12 +183,11 @@ def tree_shapes(m: int) -> tuple[TreeShape, ...]:
     if m > CLIQUE_BOUND:
         raise BoundExceededError(f"tree shapes limited to {CLIQUE_BOUND} edges, asked for {m}")
     shapes = []
-    pairs = tuple(itertools.combinations(range(m + 1), 2))
     for fields in _table_rows(_tables.SHAPES)[m]:
         level0 = int(fields[m], 16)
         firsts = [j for j in range(m) if level0 >> j & 1]
         level1 = dict(zip(firsts, (int(mask, 16) for mask in fields[m + 1 :])))
-        shapes.append(TreeShape([0, *map(int, fields[:m])], (level0, level1), pairs))
+        shapes.append(TreeShape([0, *map(int, fields[:m])], (level0, level1)))
     return tuple(shapes)
 
 
@@ -346,6 +344,7 @@ def _scan(cliques: list[VertexSet], adj: tuple[int, ...], deadline: float) -> Ep
 def _corpus(n: int) -> tuple[Graph, ...]:
     """The graphs on exactly n vertices in the shipped corpus table
     (_tables.GRAPHS), in its order."""
+    n = operator.index(n)
     pairs = list(itertools.combinations(range(n), 2))
     graphs = []
     for (mask,) in _table_rows(_tables.GRAPHS).get(n, ()):
@@ -360,7 +359,6 @@ def small_graph_corpus(n: int, connected_only: bool = False) -> tuple[Graph, ...
     order; optionally only the connected ones. They are read from the
     shipped corpus table, built once per n; a non-integer n is a
     TypeError."""
-    n = operator.index(n)
     if n < 0:
         raise ValueError("vertex count must be non-negative")
     if n > CORPUS_VERTEX_BOUND:

@@ -39,8 +39,8 @@ from .graphs import (
     VertexSet,
     induced_subgraph,
     is_connected,
-    read_naturals,
-    text_records,
+    _read_naturals,
+    _text_records,
 )
 
 
@@ -435,11 +435,11 @@ def parse_representation(text: str) -> EptRepresentation:
     "a b", then one line "v : p_0 p_1 ..." per graph vertex, every
     number ASCII decimal digits. Blank lines and '#' comments are
     skipped."""
-    rows = list(text_records(text))
+    rows = list(_text_records(text))
     if not rows:
         raise GraphParseError("empty representation", line=1)
     line_no, header = rows[0]
-    t_n, t_m = read_naturals(header.split(), f"malformed header {header!r}", line_no, 2)
+    t_n, t_m = _read_naturals(header.split(), f"malformed header {header!r}", line_no, 2)
     if t_n >= 1 and t_m != t_n - 1:
         raise GraphParseError(
             f"a tree on {t_n} vertices has {t_n - 1} edges, not {t_m}", line=line_no
@@ -447,7 +447,7 @@ def parse_representation(text: str) -> EptRepresentation:
     if len(rows) - 1 < t_m:
         raise GraphParseError(f"expected {t_m} tree edges", line=rows[-1][0])
     edges = [
-        read_naturals(row.split(), f"malformed edge line {row!r}", line_no, 2)
+        _read_naturals(row.split(), f"malformed edge line {row!r}", line_no, 2)
         for line_no, row in rows[1 : 1 + t_m]
     ]
     try:
@@ -458,10 +458,10 @@ def parse_representation(text: str) -> EptRepresentation:
     for line_no, row in rows[1 + t_m :]:
         head, sep, rest = row.partition(":")
         message = f"malformed path line {row!r}"
-        (v,) = read_naturals(head.split() if sep else [], message, line_no, 1)
+        (v,) = _read_naturals(head.split() if sep else [], message, line_no, 1)
         if v in seen:
             raise GraphParseError(f"duplicate path for vertex {v}", line=line_no)
-        seen[v] = read_naturals(rest.split(), message, line_no)
+        seen[v] = _read_naturals(rest.split(), message, line_no)
     if sorted(seen) != list(range(len(seen))):
         missing = next(i for i in range(len(seen) + 1) if i not in seen)
         raise GraphParseError(f"missing path for vertex {missing}", line=rows[-1][0])

@@ -8,6 +8,7 @@ from collections import Counter
 
 import pytest
 
+from eptkit import _tables, oracle
 from eptkit.gates import ExtensionStep, GateRecipe, build_gate
 from eptkit.graphs import (
     BoundExceededError,
@@ -473,3 +474,26 @@ def test_corpus_counts():
         small_graph_corpus(8)
     with pytest.raises(ValueError):
         small_graph_corpus(-1)
+
+
+def test_tables_are_split_once_per_process(monkeypatch):
+    splits = Counter()
+
+    class Table(str):
+        def splitlines(self, *args, **kwargs):
+            splits[self.name] += 1
+            return super().splitlines(*args, **kwargs)
+
+    for name in ("SHAPES", "GRAPHS"):
+        table = Table(getattr(_tables, name))
+        table.name = name
+        monkeypatch.setattr(_tables, name, table)
+    caches = (oracle._table_rows, oracle._corpus, tree_shapes)
+    for cache in caches:
+        cache.cache_clear()
+    assert sum(len(tree_shapes(m)) for m in range(CLIQUE_BOUND + 1)) == 201
+    assert sum(len(small_graph_corpus(n)) for n in range(8)) == 1252
+    assert splits == {"SHAPES": 1, "GRAPHS": 1}
+    monkeypatch.undo()
+    for cache in caches:
+        cache.cache_clear()

@@ -1,7 +1,6 @@
 """The shipped gate, corpus and tree-shape tables against the
 generators in reference.py that produce them."""
 
-import collections
 import itertools
 import pathlib
 
@@ -65,8 +64,8 @@ def test_shape_table_refuses_counts_it_does_not_hold():
 
 
 def test_tables_read_true_as_one_in_either_order():
-    # both read their count with operator.index, so True reads the rows
-    # of 1, with int sizes, whichever call fills a cache entry first
+    # lines are matched on their parsed size, so True reads those of 1,
+    # with int sizes, whichever call fills a cache entry first
     for read, cache in ((small_graph_corpus, oracle._corpus), (tree_shapes, tree_shapes)):
         cache.cache_clear()
         want = [(x.n, x.edges) for x in read(1)]
@@ -77,29 +76,6 @@ def test_tables_read_true_as_one_in_either_order():
                 got = read(count)
                 assert [(x.n, x.edges) for x in got] == want, (read.__name__, order, count)
                 assert all(type(x.n) is int for x in got)
-
-
-def test_tables_are_split_once_per_process(monkeypatch):
-    splits = collections.Counter()
-
-    class Table(str):
-        def splitlines(self, *args, **kwargs):
-            splits[self.name] += 1
-            return super().splitlines(*args, **kwargs)
-
-    for name in ("SHAPES", "GRAPHS"):
-        table = Table(getattr(_tables, name))
-        table.name = name
-        monkeypatch.setattr(_tables, name, table)
-    caches = (oracle._table_rows, oracle._corpus, tree_shapes)
-    for cache in caches:
-        cache.cache_clear()
-    assert sum(len(tree_shapes(m)) for m in range(oracle.CLIQUE_BOUND + 1)) == 201
-    assert sum(len(small_graph_corpus(n)) for n in range(8)) == 1252
-    assert splits == {"SHAPES": 1, "GRAPHS": 1}
-    monkeypatch.undo()
-    for cache in caches:
-        cache.cache_clear()
 
 
 def test_tables_need_no_canonical_search(monkeypatch):
