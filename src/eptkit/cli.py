@@ -29,6 +29,7 @@ from .graphs import (
     induced_subgraph,
     parse_graph,
     _read_naturals,
+    _utf8_text,
 )
 from .oracle import BudgetExhaustedError
 from .representation import representation_to_text
@@ -40,9 +41,10 @@ EXIT_BOUND = 3
 EXIT_PIPE = 141  # what a shell reports for a process ended by SIGPIPE
 
 
-def _read_graph(path: str) -> Graph:
-    text = sys.stdin.read() if path == "-" else Path(path).read_text()
-    return parse_graph(text)
+def _read_text(path: str) -> str:
+    """The file at path, or stdin for '-', read as bytes and decoded by
+    the parsers' UTF-8 rule, whatever the locale."""
+    return _utf8_text(sys.stdin.buffer.read() if path == "-" else Path(path).read_bytes())
 
 
 def _emit(payload: str, output: str | None) -> None:
@@ -76,7 +78,7 @@ def _cmd_recognize(args) -> int:
     """recognize and cheapest; cheapest is recognize without --h."""
     if args.h is not None and args.h < 2:
         raise ValueError("membership test requires h >= 2")
-    g = _read_graph(args.file)
+    g = parse_graph(_read_text(args.file))
     results = _component_results(g, args.budget_secs)
     if not all(r.helly_ept for r in results):
         print("not-helly-ept")
@@ -105,7 +107,7 @@ def _cmd_recognize(args) -> int:
 
 
 def _cmd_atoms(args) -> int:
-    g = _read_graph(args.file)
+    g = parse_graph(_read_text(args.file))
     tree = decomposition.decomposition_tree(g)
     if args.format == "dot":
         _emit(decomposition.tree_to_dot(tree), args.output)
@@ -120,7 +122,12 @@ def _cmd_atoms(args) -> int:
 
 def _parse_extend(spec: str) -> gates.ExtensionStep:
     message = f"bad extension {spec!r}, want A,B,L"
-    return gates.ExtensionStep(*_read_naturals(spec.split(","), message, 1, 3))
+    try:
+        numbers = _read_naturals(spec.split(","), message, 1, 3)
+    except GraphParseError:
+        # the digit rule names a line, and an argument has none
+        raise ValueError(message) from None
+    return gates.ExtensionStep(*numbers)
 
 
 def _gate_comments(recipe: gates.GateRecipe, cliques) -> list[str]:
@@ -172,7 +179,7 @@ def _cmd_catalog(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    g = _read_graph(args.file)
+    g = parse_graph(_read_text(args.file))
     rep = oracle.oracle_membership(g, budget_secs=args.budget_secs)
     if rep is None:
         print("none")
@@ -182,9 +189,8 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_verify_rep(args) -> int:
-    g = _read_graph(args.graph)
-    text = sys.stdin.read() if args.rep == "-" else Path(args.rep).read_text()
-    rep = representation.parse_representation(text)
+    g = parse_graph(_read_text(args.graph))
+    rep = representation.parse_representation(_read_text(args.rep))
     ok, why = representation.verify(rep, g)
     if not ok:
         print(f"mismatch: {why}")

@@ -186,18 +186,51 @@ def _read_naturals(
         raise GraphParseError(message, line) from None
 
 
+def _read_edge(line: str, lineno: int, message: str, n: int, edges: set[Edge]) -> None:
+    """Add the edge of an edge line "u v" to edges as (u, v) with u < v.
+    Tokens that are not two vertices by _read_naturals' rule are
+    GraphParseError(message, lineno); a self-loop, a vertex outside
+    0..n-1 or an edge already in edges is a GraphParseError at lineno
+    too."""
+    u, v = _read_naturals(line.split(), message, lineno, 2)
+    if u == v:
+        raise GraphParseError(f"self-loop at vertex {u}", lineno)
+    if not (u < n and v < n):
+        raise GraphParseError(f"vertex {v if u < n else u} out of range for n={n}", lineno)
+    key = (u, v) if u < v else (v, u)
+    if key in edges:
+        raise GraphParseError(f"duplicate edge {key[0]} {key[1]}", lineno)
+    edges.add(key)
+
+
+def _utf8_text(data: bytes) -> str:
+    """data decoded as UTF-8, the encoding of the graph and
+    representation formats. Bytes that are not UTF-8 are a
+    GraphParseError naming the line they fall on, numbered as
+    _text_records numbers lines."""
+    try:
+        return data.decode()
+    except UnicodeDecodeError as exc:
+        # the bytes before the bad one decode; the bad one starts a new
+        # line exactly when they end with a line break
+        line = len((data[: exc.start].decode() + "_").splitlines())
+        message = f"byte {data[exc.start]:#04x} is not UTF-8 ({exc.reason})"
+        raise GraphParseError(message, line) from None
+
+
 def parse_graph(text: str | bytes) -> Graph:
     """Parse the line-oriented graph format.
 
     Line 1 is "n m", followed by m lines "u v" with 0 <= u,v < n and
     u != v. Tokens are whitespace-separated ASCII decimal digits;
-    '#'-prefixed comment lines and blank lines are ignored. Raises
-    GraphParseError naming the 1-based line number of the first
-    offending line; a header with more than PARSE_VERTEX_BOUND vertices
-    is rejected before anything is allocated for them.
+    '#'-prefixed comment lines and blank lines are ignored. Bytes are
+    read as UTF-8. Raises GraphParseError naming the 1-based line number
+    of the first offending line; a header with more than
+    PARSE_VERTEX_BOUND vertices is rejected before anything is allocated
+    for them.
     """
     if isinstance(text, bytes):
-        text = text.decode()
+        text = _utf8_text(text)
     header = None
     edges: set[Edge] = set()
     lineno = 1
@@ -211,15 +244,7 @@ def parse_graph(text: str | bytes) -> Graph:
             continue
         if len(edges) >= m:
             raise GraphParseError(f"more than {m} edge lines", lineno)
-        u, v = _read_naturals(line.split(), "expected edge line 'u v'", lineno, 2)
-        if u == v:
-            raise GraphParseError(f"self-loop at vertex {u}", lineno)
-        if not (u < n and v < n):
-            raise GraphParseError(f"vertex {v if u < n else u} out of range for n={n}", lineno)
-        key = (u, v) if u < v else (v, u)
-        if key in edges:
-            raise GraphParseError(f"duplicate edge {key[0]} {key[1]}", lineno)
-        edges.add(key)
+        _read_edge(line, lineno, "expected edge line 'u v'", n, edges)
     if header is None:
         raise GraphParseError("empty input, expected header 'n m'", lineno)
     if len(edges) != m:
@@ -245,14 +270,7 @@ def graph_to_dot(g: Graph, name: str = "g") -> str:
 
 def enumerate_maximal_cliques(g: Graph) -> list[VertexSet]:
     """All maximal cliques, each sorted, listed in lexicographic order."""
-    return sorted(_maximal_cliques(g))
-
-
-def _maximal_cliques(g: Graph) -> Iterator[VertexSet]:
-    """Every maximal clique, sorted, as Bron-Kerbosch finds it
-    (_clique_masks), so a caller that needs only the first few can stop
-    early."""
-    return map(_members, _clique_masks(g._adj))
+    return sorted(map(_members, _clique_masks(g._adj)))
 
 
 def _clique_masks(adj: tuple[int, ...]) -> Iterator[int]:

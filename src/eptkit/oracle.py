@@ -58,7 +58,6 @@ rewrites them; tests/test_tables.py compares the text byte for byte.
 from __future__ import annotations
 
 import functools
-import heapq
 import itertools
 import operator
 import time
@@ -197,37 +196,24 @@ def _clique_order(cliques: Sequence[VertexSet]) -> list[int]:
     the lowest-index clique left that shares a vertex with those
     placed, or the lowest-index clique left when none does.
 
-    A clique joins the heap `linked` when one of its vertices is first
-    placed and stays linked until it is taken, so the heap's lowest
-    index not yet taken is the next clique. A clique is pushed at most
-    once per vertex it holds, so the order costs O(s log s) for s the
-    total size of the cliques."""
-    holding: dict[int, list[int]] = {}
+    Cliques are bits of masks: holders maps each vertex not yet placed
+    to the mask of the cliques that hold it, and placing a clique pops
+    the holders of its vertices into linked, so each vertex adds them
+    once."""
+    holders: dict[int, int] = {}
     for i, c in enumerate(cliques):
         for v in c:
-            holding.setdefault(v, []).append(i)
-    taken = [False] * len(cliques)
-    placed: set[int] = set()
-    linked: list[int] = []
-    first_free = 0
+            holders[v] = holders.get(v, 0) | 1 << i
+    left = (1 << len(cliques)) - 1
+    linked = 0
     order = []
-    while len(order) < len(cliques):
-        while linked and taken[linked[0]]:
-            heapq.heappop(linked)
-        if linked:
-            nxt = heapq.heappop(linked)
-        else:
-            while taken[first_free]:
-                first_free += 1
-            nxt = first_free
-        taken[nxt] = True
+    while left:
+        pick = linked & left or left
+        nxt = (pick & -pick).bit_length() - 1
+        left ^= 1 << nxt
         order.append(nxt)
         for v in cliques[nxt]:
-            if v not in placed:
-                placed.add(v)
-                for j in holding[v]:
-                    if not taken[j]:
-                        heapq.heappush(linked, j)
+            linked |= holders.pop(v, 0)
     return order
 
 

@@ -39,6 +39,7 @@ from .graphs import (
     VertexSet,
     induced_subgraph,
     is_connected,
+    _read_edge,
     _read_naturals,
     _text_records,
 )
@@ -74,6 +75,22 @@ def _path_edges(path: TreePath) -> frozenset[Edge]:
     )
 
 
+def _check_path(tree: HostTree, v: int, path: TreePath) -> None:
+    """EptRepresentation's rule for the path of vertex v: a non-empty
+    walk along edges of tree that repeats no tree vertex. Raises
+    ValueError naming v otherwise."""
+    if not path:
+        raise ValueError(f"path of vertex {v} is empty")
+    if len(set(path)) != len(path):
+        raise ValueError(f"path of vertex {v} repeats a tree vertex")
+    for q in path:
+        if not 0 <= q < tree.n:
+            raise ValueError(f"path of vertex {v} leaves the tree: {q}")
+    for a, b in zip(path, path[1:]):
+        if not tree._adj[a] >> b & 1:
+            raise ValueError(f"path of vertex {v} uses non-edge ({a}, {b})")
+
+
 class EptRepresentation:
     """Paths in a host tree, indexed by graph vertex, validated at
     construction and immutable after it. Equal when tree and paths are.
@@ -87,18 +104,7 @@ class EptRepresentation:
 
     def __init__(self, tree: HostTree, paths: tuple[TreePath, ...]) -> None:
         for v, path in enumerate(paths):
-            if not path:
-                raise ValueError(f"path of vertex {v} is empty")
-            if len(set(path)) != len(path):
-                raise ValueError(f"path of vertex {v} repeats a tree vertex")
-            for q in path:
-                if not 0 <= q < tree.n:
-                    raise ValueError(f"path of vertex {v} leaves the tree: {q}")
-            for a, b in zip(path, path[1:]):
-                if not tree._adj[a] >> b & 1:
-                    raise ValueError(
-                        f"path of vertex {v} uses non-edge ({a}, {b})"
-                    )
+            _check_path(tree, v, path)
         # __setattr__ refuses every assignment; the cached properties
         # below write to __dict__ as well
         self.__dict__.update(tree=tree, paths=paths)
@@ -434,7 +440,9 @@ def parse_representation(text: str) -> EptRepresentation:
     """Parse the line format: "t_n t_m" header, t_m tree-edge lines
     "a b", then one line "v : p_0 p_1 ..." per graph vertex, every
     number ASCII decimal digits. Blank lines and '#' comments are
-    skipped."""
+    skipped. Each record is checked as it is read, so an error names
+    the line of its record; a tree that is not connected and acyclic
+    names the header."""
     rows = list(_text_records(text))
     if not rows:
         raise GraphParseError("empty representation", line=1)
@@ -446,13 +454,12 @@ def parse_representation(text: str) -> EptRepresentation:
         )
     if len(rows) - 1 < t_m:
         raise GraphParseError(f"expected {t_m} tree edges", line=rows[-1][0])
-    edges = [
-        _read_naturals(row.split(), f"malformed edge line {row!r}", line_no, 2)
-        for line_no, row in rows[1 : 1 + t_m]
-    ]
+    edges: set[Edge] = set()
+    for line_no, row in rows[1 : 1 + t_m]:
+        _read_edge(row, line_no, f"malformed edge line {row!r}", t_n, edges)
     try:
         tree = HostTree(t_n, edges)
-    except ValueError as exc:
+    except ValueError as exc:  # the edge lines are checked: only the shape is left
         raise GraphParseError(str(exc), line=rows[0][0]) from exc
     seen: dict[int, TreePath] = {}
     for line_no, row in rows[1 + t_m :]:
@@ -461,15 +468,15 @@ def parse_representation(text: str) -> EptRepresentation:
         (v,) = _read_naturals(head.split() if sep else [], message, line_no, 1)
         if v in seen:
             raise GraphParseError(f"duplicate path for vertex {v}", line=line_no)
-        seen[v] = _read_naturals(rest.split(), message, line_no)
+        seen[v] = path = _read_naturals(rest.split(), message, line_no)
+        try:
+            _check_path(tree, v, path)
+        except ValueError as exc:
+            raise GraphParseError(str(exc), line=line_no) from exc
     if sorted(seen) != list(range(len(seen))):
         missing = next(i for i in range(len(seen) + 1) if i not in seen)
         raise GraphParseError(f"missing path for vertex {missing}", line=rows[-1][0])
-    paths = tuple(seen[v] for v in range(len(seen)))
-    try:
-        return EptRepresentation(tree, paths)
-    except ValueError as exc:
-        raise GraphParseError(str(exc), line=rows[-1][0]) from exc
+    return EptRepresentation(tree, tuple(seen[v] for v in range(len(seen))))
 
 
 def representation_to_text(rep: EptRepresentation, comments=()) -> str:

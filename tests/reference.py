@@ -26,8 +26,8 @@ from Bron-Kerbosch. The clique witnesses run Bron-Kerbosch on the
 derived graph and try every claw at every node, the route the library
 replaced by reading the candidates off the host tree; its claws come
 from every triple of spoke ends, where the library lists the triangles
-of the covered pairs. The clique order is the quadratic rescan the
-heap in oracle._clique_order replaced. The derived graph and
+of the covered pairs. The clique order is a quadratic rescan, where
+oracle._clique_order takes the lowest bit of a mask. The derived graph and
 verification intersect every pair of paths, and each K_e scans every
 path, where the library reads both off its index of the paths that use
 each tree edge. The canonical search rebuilds every candidate's

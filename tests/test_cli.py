@@ -75,6 +75,12 @@ def s3_file(tmp_path):
     return str(p)
 
 
+def stdin_of(text: str | bytes) -> io.TextIOWrapper:
+    """A stdin holding text, read as bytes through its buffer like the
+    real one."""
+    return io.TextIOWrapper(io.BytesIO(text if isinstance(text, bytes) else text.encode()))
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -115,7 +121,7 @@ def test_recognize_non_member(capsys, s3_file):
 
 @pytest.mark.parametrize("command", ["recognize", "cheapest"])
 def test_recognize_stdin(capsys, monkeypatch, command):
-    monkeypatch.setattr("sys.stdin", io.StringIO(graph_to_text(cycle_graph(4))))
+    monkeypatch.setattr("sys.stdin", stdin_of(graph_to_text(cycle_graph(4))))
     code, out, _ = run(capsys, command, "-")
     assert (code, out) == (0, "helly-ept h=4\n")
 
@@ -227,6 +233,32 @@ def test_gen_gate_errors(capsys):
     for spec in ("0,3,0_2", "0,3,+2", "0,3,٢", "0, 3,2"):
         code, out, err = run(capsys, "gen-gate", "--base", "4", "--extend", spec)
         assert (code, out) == (2, "") and "want A,B,L" in err, spec
+        # a command-line argument has no line to name
+        assert "line" not in err, spec
+
+
+def test_each_input_error_names_its_own_line(capsys, monkeypatch, tmp_path):
+    graph, rep = tmp_path / "g.txt", tmp_path / "rep.txt"
+    # a byte that is not UTF-8, in a file and on stdin
+    graph.write_bytes(b"2 1\n0 \xff1\n")
+    code, out, err = run(capsys, "cheapest", str(graph))
+    assert (code, out) == (2, "") and "line 2: byte 0xff is not UTF-8" in err
+    monkeypatch.setattr("sys.stdin", stdin_of(b"2 1\n0 \xff1\n"))
+    code, out, err = run(capsys, "cheapest", "-")
+    assert (code, out) == (2, "") and "line 2: byte 0xff is not UTF-8" in err
+    graph.write_bytes(b"3 2\n0 1\n1 2\n")
+    code, out, _ = run(capsys, "cheapest", str(graph))
+    assert (code, out) == (0, "helly-ept h=2\n")
+    # a bad path that is not the last line, and a bad byte in a path
+    rep.write_bytes(b"3 2\n0 1\n1 2\n0 : 0 2\n1 : 0 1\n2 : 1 2\n")
+    code, out, err = run(capsys, "verify-rep", str(graph), str(rep))
+    assert (code, out) == (2, "") and "line 4: path of vertex 0 uses non-edge (0, 2)" in err
+    rep.write_bytes(b"3 2\n0 1\n1 2\n0 : 0 1\n1 : 0 \xff1\n2 : 1 2\n")
+    code, out, err = run(capsys, "verify-rep", str(graph), str(rep))
+    assert (code, out) == (2, "") and "line 5: byte 0xff is not UTF-8" in err
+    rep.write_bytes(b"3 2\n0 1\n1 2\n0 : 0 1\n1 : 0 1 2\n2 : 1 2\n")
+    code, out, _ = run(capsys, "verify-rep", str(graph), str(rep))
+    assert code == 0 and out.startswith("ok helly=true degree=2\n")
 
 
 def test_malformed_numbers_name_their_line(capsys, tmp_path):
@@ -376,13 +408,13 @@ def test_components_share_the_budget(capsys, monkeypatch):
     clock = iter([10.0, 10.0, 11.0, 13.0])
     monkeypatch.setattr(cli, "time", SimpleNamespace(monotonic=lambda: next(clock)))
     three_edges = graph_to_text(Graph(6, [(0, 1), (2, 3), (4, 5)]))
-    monkeypatch.setattr("sys.stdin", io.StringIO(three_edges))
+    monkeypatch.setattr("sys.stdin", stdin_of(three_edges))
     code, out, _ = run(capsys, "cheapest", "-", "--budget-secs", "2.5")
     assert (code, out) == (0, "helly-ept h=2\n")
     assert budgets == [2.5, 1.5, 0.0]
     # a connected input gets the whole budget
     budgets.clear()
-    monkeypatch.setattr("sys.stdin", io.StringIO(graph_to_text(path_graph(3))))
+    monkeypatch.setattr("sys.stdin", stdin_of(graph_to_text(path_graph(3))))
     code, out, _ = run(capsys, "cheapest", "-", "--budget-secs", "7")
     assert (code, out) == (0, "helly-ept h=2\n")
     assert budgets == [7.0]
@@ -391,7 +423,7 @@ def test_components_share_the_budget(capsys, monkeypatch):
 def test_nan_budget_before_the_atom_test(capsys, monkeypatch):
     # K_{3,4} is answered by the atom test, which never runs the scan
     k34 = graph_to_text(Graph(7, [(a, b) for a in range(3) for b in range(3, 7)]))
-    monkeypatch.setattr("sys.stdin", io.StringIO(k34))
+    monkeypatch.setattr("sys.stdin", stdin_of(k34))
     code, out, err = run(capsys, "recognize", "-", "--budget-secs", "nan")
     assert (code, out) == (2, "")
     assert "got nan" in err

@@ -246,6 +246,23 @@ def test_parse_graph_reads_only_ascii_decimal_digits(text, message, line):
     assert info.value.line == line
 
 
+@pytest.mark.parametrize(
+    "data, line",
+    [
+        (b"2 1\n0 \xff1\n", 2),
+        (b"# caf\xe9\n2 0\n", 1),
+        (b"2 0\r\n\r\n# \xe2\x82\n", 3),
+        (b"2 1\r0 1\r\xc3", 3),
+    ],
+)
+def test_parse_graph_names_the_line_of_a_byte_not_utf8(data, line):
+    # numbered as the records are, comments, blank lines and every
+    # line break included
+    with pytest.raises(GraphParseError, match="is not UTF-8") as info:
+        parse_graph(data)
+    assert info.value.line == line
+
+
 def test_parse_graph_normalizes_each_edge():
     g = parse_graph("3 2\n1 0\n2 1\n")
     assert g == path_graph(3) and hash(g) == hash(path_graph(3))

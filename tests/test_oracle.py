@@ -397,8 +397,8 @@ def test_clique_listing_stops_past_the_bound():
 
 
 def test_clique_order_matches_reference():
-    # the heap order equals the rescan it replaced, on the corpus and on
-    # seeded random clique lists with repeated and isolated vertices
+    # the mask order equals the rescan, on the corpus and on seeded
+    # random clique lists with repeated and isolated vertices
     rng = random.Random(20261018)
     lists = [enumerate_maximal_cliques(g) for n in range(1, 8) for g in small_graph_corpus(n)]
     for _ in range(2000):
@@ -409,6 +409,10 @@ def test_clique_order_matches_reference():
         ])
     for cliques in lists:
         assert _clique_order(cliques) == reference_clique_order(cliques), cliques
+    # C_2000's sorted cliques are (0, 1), (0, 1999), (1, 2), ...,
+    # (1998, 1999): each step links the next index, so the order is the
+    # identity
+    assert _clique_order(enumerate_maximal_cliques(cycle_graph(2000))) == list(range(2000))
 
 
 def test_certificates_on_one_shape_share_its_host_tree():

@@ -411,6 +411,40 @@ def test_find_multipie():
     check_multipie_conditions(rep, witness, 5)
 
 
+def with_lower_turn(star: EptRepresentation) -> EptRepresentation:
+    """star, a star on centre 0 with spokes 1..k, with its centre
+    renamed k + 1 and a new leaf 0 hung from a, the first spoke end of
+    vertex 0's path, which now starts at that leaf. So vertex 0's path
+    turns at a, below the centre, where no other path turns, and the
+    derived graph stays the same: no other path uses the new edge."""
+    k = star.tree.n - 1
+    a = star.paths[0][0]
+    tree = HostTree(k + 2, [(0, a), *((q, k + 1) for q in range(1, k + 1))])
+    paths = [tuple(q or k + 1 for q in path) for path in star.paths]
+    paths[0] = (0, *paths[0])
+    return EptRepresentation(tree, tuple(paths))
+
+
+def test_pie_and_multipie_pass_over_a_centre_where_others_do_not_turn():
+    # every other test's pie or multipie is a star whose first member
+    # turns only at the centre; here the first centre tried is a, where
+    # the other members' paths end, and the witness is the star's with
+    # the centre renamed
+    for recipe in (GateRecipe(5), GateRecipe(4, (ExtensionStep(0, 3, 2),))):
+        gate = build_gate(recipe)
+        k = recipe.clique_count()
+        star = star_representation(gate)
+        rep = with_lower_turn(star)
+        assert verify(rep, gate.graph) == (True, None)
+        assert sorted(rep._turns[0]) == [star.paths[0][0], k + 1]
+        members = tuple(range(gate.graph.n))
+        witness = find_multipie(rep, members, k)
+        assert witness == find_multipie(star, members, k)._replace(center=k + 1)
+        check_multipie_conditions(rep, witness, k)
+        if not recipe.steps:
+            assert find_pie(rep, members) == find_pie(star, members)._replace(center=k + 1)
+
+
 def test_find_multipie_rejects_non_gates():
     rep = c5_pie()
     with pytest.raises(ValueError, match="do not induce"):
@@ -548,7 +582,13 @@ def test_text_format_and_comments():
         ("2 1\n0 1\n1 : 0\n", "missing path for vertex 0", 3),
         ("2 1\n", "expected 1 tree edges", 1),
         ("3 2\n0 1\n0 2\n0 : 9\n", "leaves the tree", 4),
-        ("3 2\n0 1\n1 0\n0 : 0\n", "connected and acyclic", 1),
+        ("3 2\n0 1\n1 0\n0 : 0\n", "duplicate edge 0 1", 3),
+        ("4 3\n0 1\n1 2\n0 2\n0 : 0 1\n", "connected and acyclic", 1),
+        # each tree edge and each path names its own line
+        ("3 2\n0 1\n1 5\n0 : 0 1\n", "vertex 5 out of range for n=3", 3),
+        ("3 2\n0 1\n1 1\n0 : 0 1\n", "self-loop at vertex 1", 3),
+        ("3 2\n0 1\n1 2\n0 : 0 2\n1 : 0 1\n2 : 1 2\n", r"vertex 0 uses non-edge \(0, 2\)", 4),
+        ("3 2\n0 1\n1 2\n1 : 0 1\n0 : 1 0 1\n2 : 1 2\n", "vertex 0 repeats a tree vertex", 5),
         ("400000 0\n0 : 0\n", "a tree on 400000 vertices has 399999 edges, not 0", 1),
         # str.isdigit() accepts a superscript, which int() then refuses,
         # and an Arabic-Indic digit, which int() reads as 1
