@@ -1,148 +1,94 @@
 """Recognition and cheapest-representation toolkit for Helly
-edge-intersection graphs of paths in bounded-degree trees."""
+edge-intersection graphs of paths in bounded-degree trees.
 
-from .decomposition import (
-    AtomLeaf,
-    CliqueDecomposition,
-    SeparatorNode,
-    atoms,
-    decomposition_tree,
-    find_clique_separator,
-)
-from .gates import (
-    ExtensionStep,
-    GateRecipe,
-    LabeledGate,
-    build_gate,
-    check_two_clique_property,
-    contains_gate_ge,
-    enumerate_gates,
-    is_gate,
-    rewire_gate,
-)
-from .graphs import (
-    BoundExceededError,
-    Graph,
-    GraphParseError,
-    canonical_form,
-    canonical_labeling,
-    complete_graph,
-    connected_components,
-    cycle_graph,
-    enumerate_maximal_cliques,
-    graph_to_dot,
-    graph_to_text,
-    induced_subgraph,
-    is_connected,
-    isomorphism,
-    parse_graph,
-    path_graph,
-)
-from .oracle import (
-    BudgetExhaustedError,
-    oracle_membership,
-    small_graph_corpus,
-    tree_shapes,
-)
-from .recognition import (
-    RecognitionResult,
-    SideWitness,
-    cheapest_representation,
-    has_asteroidal_triple,
-    helly_h_membership,
-    is_chordal,
-    is_helly_ept,
-    is_interval,
-)
-from .representation import (
-    ClawClique,
-    EdgeClique,
-    EptRepresentation,
-    HostTree,
-    MultipieWitness,
-    PieWitness,
-    classify_clique,
-    clique_of_claw,
-    clique_of_edge,
-    clique_star,
-    clique_witnesses,
-    edge_intersection_graph,
-    find_claw_violation,
-    find_multipie,
-    find_pie,
-    is_helly,
-    max_host_degree,
-    parse_representation,
-    representation_to_dot,
-    representation_to_text,
-    star_representation,
-    verify,
-)
+Each public name is imported from its defining module on first use, so
+`import eptkit` loads no submodule and a process compiles only the
+modules it reads.
+"""
 
-__all__ = [
-    "AtomLeaf",
-    "BoundExceededError",
-    "BudgetExhaustedError",
-    "ClawClique",
-    "CliqueDecomposition",
-    "EdgeClique",
-    "EptRepresentation",
-    "ExtensionStep",
-    "GateRecipe",
-    "Graph",
-    "GraphParseError",
-    "HostTree",
-    "LabeledGate",
-    "MultipieWitness",
-    "PieWitness",
-    "RecognitionResult",
-    "SeparatorNode",
-    "SideWitness",
-    "atoms",
-    "build_gate",
-    "canonical_form",
-    "canonical_labeling",
-    "cheapest_representation",
-    "check_two_clique_property",
-    "classify_clique",
-    "clique_of_claw",
-    "clique_of_edge",
-    "clique_star",
-    "clique_witnesses",
-    "complete_graph",
-    "connected_components",
-    "contains_gate_ge",
-    "cycle_graph",
-    "decomposition_tree",
-    "edge_intersection_graph",
-    "enumerate_gates",
-    "enumerate_maximal_cliques",
-    "find_claw_violation",
-    "find_clique_separator",
-    "find_multipie",
-    "find_pie",
-    "graph_to_dot",
-    "graph_to_text",
-    "has_asteroidal_triple",
-    "helly_h_membership",
-    "induced_subgraph",
-    "is_chordal",
-    "is_connected",
-    "is_gate",
-    "is_helly",
-    "is_helly_ept",
-    "is_interval",
-    "isomorphism",
-    "max_host_degree",
-    "oracle_membership",
-    "parse_graph",
-    "parse_representation",
-    "path_graph",
-    "representation_to_dot",
-    "representation_to_text",
-    "rewire_gate",
-    "small_graph_corpus",
-    "star_representation",
-    "tree_shapes",
-    "verify",
-]
+import importlib
+
+# public name -> defining module
+_MODULES = {
+    "AtomLeaf": "decomposition",
+    "BoundExceededError": "graphs",
+    "BudgetExhaustedError": "graphs",
+    "ClawClique": "representation",
+    "CliqueDecomposition": "decomposition",
+    "EdgeClique": "representation",
+    "EptRepresentation": "representation",
+    "ExtensionStep": "gates",
+    "GateRecipe": "gates",
+    "Graph": "graphs",
+    "GraphParseError": "graphs",
+    "HostTree": "representation",
+    "LabeledGate": "gates",
+    "MultipieWitness": "representation",
+    "PieWitness": "representation",
+    "RecognitionResult": "recognition",
+    "SeparatorNode": "decomposition",
+    "SideWitness": "recognition",
+    "atoms": "decomposition",
+    "build_gate": "gates",
+    "canonical_form": "graphs",
+    "canonical_labeling": "graphs",
+    "cheapest_representation": "recognition",
+    "check_two_clique_property": "gates",
+    "classify_clique": "representation",
+    "clique_of_claw": "representation",
+    "clique_of_edge": "representation",
+    "clique_star": "representation",
+    "clique_witnesses": "representation",
+    "complete_graph": "graphs",
+    "connected_components": "graphs",
+    "contains_gate_ge": "gates",
+    "cycle_graph": "graphs",
+    "decomposition_tree": "decomposition",
+    "edge_intersection_graph": "representation",
+    "enumerate_gates": "gates",
+    "enumerate_maximal_cliques": "graphs",
+    "find_claw_violation": "representation",
+    "find_clique_separator": "decomposition",
+    "find_multipie": "representation",
+    "find_pie": "representation",
+    "graph_to_dot": "graphs",
+    "graph_to_text": "graphs",
+    "has_asteroidal_triple": "recognition",
+    "helly_h_membership": "recognition",
+    "induced_subgraph": "graphs",
+    "is_chordal": "recognition",
+    "is_connected": "graphs",
+    "is_gate": "gates",
+    "is_helly": "representation",
+    "is_helly_ept": "recognition",
+    "is_interval": "recognition",
+    "isomorphism": "graphs",
+    "max_host_degree": "representation",
+    "oracle_membership": "oracle",
+    "parse_graph": "graphs",
+    "parse_representation": "representation",
+    "path_graph": "graphs",
+    "representation_to_dot": "representation",
+    "representation_to_text": "representation",
+    "rewire_gate": "gates",
+    "small_graph_corpus": "oracle",
+    "star_representation": "representation",
+    "tree_shapes": "oracle",
+    "verify": "representation",
+}
+
+__all__ = list(_MODULES)
+
+
+def __getattr__(name: str):
+    try:
+        module = _MODULES[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -8,6 +8,9 @@ failed check, 2 input error, 3 bound or budget exceeded, 141 closed pipe.
 Disconnected inputs to recognize/cheapest are handled per connected
 component with the maximum degree reported; the library pipeline
 itself requires connected graphs, so this is flagged on stderr.
+
+Only graphs is imported here; each command imports the modules it runs,
+so a fresh process loads, and without bytecode compiles, no others.
 """
 
 from __future__ import annotations
@@ -18,9 +21,9 @@ import sys
 import time
 from pathlib import Path
 
-from . import decomposition, gates, oracle, recognition, representation
 from .graphs import (
     BoundExceededError,
+    BudgetExhaustedError,
     Graph,
     GraphParseError,
     connected_components,
@@ -31,8 +34,6 @@ from .graphs import (
     _read_naturals,
     _utf8_text,
 )
-from .oracle import BudgetExhaustedError
-from .representation import representation_to_text
 
 EXIT_OK = 0
 EXIT_NO = 1
@@ -57,6 +58,8 @@ def _emit(payload: str, output: str | None) -> None:
 def _component_results(g: Graph, budget: float | None):
     """One result per connected component; the budget holds for all of
     them together, each component getting what the earlier ones left."""
+    from . import oracle, recognition
+
     budget = oracle.resolve_budget_secs(budget)
     comps = connected_components(g)
     if len(comps) <= 1:  # Graph(0) has none and counts as connected
@@ -76,6 +79,8 @@ def _component_results(g: Graph, budget: float | None):
 
 def _cmd_recognize(args) -> int:
     """recognize and cheapest; cheapest is recognize without --h."""
+    from . import representation
+
     if args.h is not None and args.h < 2:
         raise ValueError("membership test requires h >= 2")
     g = parse_graph(_read_text(args.file))
@@ -94,7 +99,7 @@ def _cmd_recognize(args) -> int:
             )
         else:
             Path(args.output).write_text(
-                representation_to_text(results[0].certificate)
+                representation.representation_to_text(results[0].certificate)
             )
     if args.h is not None:
         if h <= args.h:
@@ -107,6 +112,8 @@ def _cmd_recognize(args) -> int:
 
 
 def _cmd_atoms(args) -> int:
+    from . import decomposition
+
     g = parse_graph(_read_text(args.file))
     tree = decomposition.decomposition_tree(g)
     if args.format == "dot":
@@ -120,17 +127,17 @@ def _cmd_atoms(args) -> int:
     return EXIT_OK
 
 
-def _parse_extend(spec: str) -> gates.ExtensionStep:
+def _parse_extend(spec: str) -> tuple[int, ...]:
+    """An --extend value's clique ids A, B and path length L."""
     message = f"bad extension {spec!r}, want A,B,L"
     try:
-        numbers = _read_naturals(spec.split(","), message, 1, 3)
+        return _read_naturals(spec.split(","), message, 1, 3)
     except GraphParseError:
         # the digit rule names a line, and an argument has none
         raise ValueError(message) from None
-    return gates.ExtensionStep(*numbers)
 
 
-def _gate_comments(recipe: gates.GateRecipe, cliques) -> list[str]:
+def _gate_comments(recipe, cliques) -> list[str]:
     lines = [f"gate: base cycle {recipe.base}"]
     lines.extend(
         f"extend: cliques {s.clique_a},{s.clique_b} path {s.path_len}"
@@ -143,7 +150,9 @@ def _gate_comments(recipe: gates.GateRecipe, cliques) -> list[str]:
 
 
 def _cmd_gen_gate(args) -> int:
-    steps = tuple(_parse_extend(s) for s in args.extend)
+    from . import gates
+
+    steps = tuple(gates.ExtensionStep(*_parse_extend(s)) for s in args.extend)
     gate = gates.build_gate(gates.GateRecipe(args.base, steps))
     if args.format == "dot":
         _emit(graph_to_dot(gate.graph), args.output)
@@ -156,7 +165,11 @@ def _cmd_gen_gate(args) -> int:
 
 
 def _cmd_catalog(args) -> int:
-    catalog = gates.enumerate_gates(args.max)
+    from . import gates
+
+    catalog = gates.enumerate_gates(
+        gates.CATALOG_VERTEX_BOUND if args.max is None else args.max
+    )
     out_dir = Path(args.output) if args.output else None
     if out_dir:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -179,16 +192,20 @@ def _cmd_catalog(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    from . import oracle, representation
+
     g = parse_graph(_read_text(args.file))
     rep = oracle.oracle_membership(g, budget_secs=args.budget_secs)
     if rep is None:
         print("none")
         return EXIT_NO
-    _emit(representation_to_text(rep), args.output)
+    _emit(representation.representation_to_text(rep), args.output)
     return EXIT_OK
 
 
 def _cmd_verify_rep(args) -> int:
+    from . import representation
+
     g = parse_graph(_read_text(args.graph))
     rep = representation.parse_representation(_read_text(args.rep))
     ok, why = representation.verify(rep, g)
@@ -214,6 +231,8 @@ def _cmd_verify_rep(args) -> int:
 
 
 def _cmd_corpus(args) -> int:
+    from . import oracle
+
     blocks = [
         graph_to_text(g)
         for g in oracle.small_graph_corpus(args.n, connected_only=args.connected)
@@ -262,7 +281,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(run=_cmd_gen_gate)
 
     p = sub.add_parser("catalog", help="all gates up to a vertex bound")
-    p.add_argument("--max", type=int, default=gates.CATALOG_VERTEX_BOUND)
+    p.add_argument("--max", type=int, default=None)
     p.add_argument("--output", default=None, help="directory for one file per gate")
     p.set_defaults(run=_cmd_catalog)
 

@@ -102,12 +102,12 @@ from typing import Iterator, NamedTuple
 from .graphs import (
     Graph,
     VertexSet,
+    _check_deadline,
     _components,
     _mask,
     _members,
     induced_subgraph,
 )
-from .oracle import _check_deadline
 
 
 class AtomLeaf(NamedTuple):

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import time
 from typing import Iterable, Iterator
 
 VertexSet = tuple[int, ...]
@@ -36,6 +37,17 @@ class GraphParseError(ValueError):
 
 class BoundExceededError(ValueError):
     """An input is larger than the configured search bound."""
+
+
+class BudgetExhaustedError(RuntimeError):
+    """The wall-clock budget ran out before the search space did."""
+
+
+def _check_deadline(deadline: float) -> None:
+    """Raise BudgetExhaustedError once the monotonic clock has passed
+    deadline; the steps before the scan call it as they go."""
+    if time.monotonic() > deadline:
+        raise BudgetExhaustedError("budget exhausted before the scan")
 
 
 class Graph:

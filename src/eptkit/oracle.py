@@ -66,6 +66,7 @@ from collections.abc import Sequence
 from . import _tables
 from .graphs import (
     BoundExceededError,
+    BudgetExhaustedError,
     Graph,
     VertexSet,
     _clique_masks,
@@ -78,10 +79,6 @@ CLIQUE_BOUND = 9
 CORPUS_VERTEX_BOUND = 7
 
 
-class BudgetExhaustedError(RuntimeError):
-    """The wall-clock budget ran out before the search space did."""
-
-
 def resolve_budget_secs(budget_secs: float | None) -> float:
     """budget_secs, or 60 when None; a NaN or negative budget is a
     ValueError."""
@@ -92,13 +89,6 @@ def resolve_budget_secs(budget_secs: float | None) -> float:
     if not budget_secs >= 0:
         raise ValueError(f"budget must be a non-negative number of seconds, got {budget_secs}")
     return budget_secs
-
-
-def _check_deadline(deadline: float) -> None:
-    """Raise BudgetExhaustedError once the monotonic clock has passed
-    deadline; the steps before the scan call it as they go."""
-    if time.monotonic() > deadline:
-        raise BudgetExhaustedError("budget exhausted before the scan")
 
 
 class TreeShape:

@@ -47,13 +47,14 @@ from .gates import _two_clique_split
 from .graphs import (
     Graph,
     VertexSet,
+    _check_deadline,
     _clique_masks,
     _components,
     _mask,
     _members,
     is_connected,
 )
-from .oracle import _check_deadline, _clique_order, _scan, oracle_membership, resolve_budget_secs
+from .oracle import _clique_order, _scan, oracle_membership, resolve_budget_secs
 from .representation import EptRepresentation, clique_star, max_host_degree
 
 

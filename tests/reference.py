@@ -83,6 +83,7 @@ from eptkit.graphs import (
     Graph,
     VertexSet,
     _canonical_search,
+    _check_deadline,
     _components,
     _mask,
     _members,
@@ -95,7 +96,6 @@ from eptkit.graphs import (
 from eptkit.oracle import (
     CLIQUE_BOUND,
     CORPUS_VERTEX_BOUND,
-    _check_deadline,
     oracle_membership,
 )
 from eptkit.recognition import SideWitness, _side_cycle

@@ -305,7 +305,7 @@ def test_catalog_prints_from_recipes(capsys, monkeypatch):
     def refuse(recipe):
         raise AssertionError("build_gate called")
 
-    monkeypatch.setattr(cli.gates, "build_gate", refuse)
+    monkeypatch.setattr("eptkit.gates.build_gate", refuse)
     code, out, _ = run(capsys, "catalog", "--max", "8")
     assert code == 0
     lines = out.splitlines()
@@ -403,7 +403,7 @@ def test_components_share_the_budget(capsys, monkeypatch):
         budgets.append(budget_secs)
         return RecognitionResult(True, 2, None)
 
-    monkeypatch.setattr(cli.recognition, "cheapest_representation", record)
+    monkeypatch.setattr("eptkit.recognition.cheapest_representation", record)
     # read once before the first component and once before each one
     clock = iter([10.0, 10.0, 11.0, 13.0])
     monkeypatch.setattr(cli, "time", SimpleNamespace(monotonic=lambda: next(clock)))

@@ -12,7 +12,8 @@ from types import SimpleNamespace
 
 import pytest
 
-from eptkit import decomposition, oracle, recognition
+from eptkit import decomposition, recognition
+from eptkit import graphs as graph_module
 from eptkit.decomposition import atoms
 from eptkit.graphs import (
     BoundExceededError,
@@ -250,7 +251,7 @@ def test_scan_gets_what_the_atom_test_left(monkeypatch):
         deadlines.append(deadline)
 
     monkeypatch.setattr(recognition, "_scan", record)
-    # the route and its deadline checks (oracle._check_deadline) read one
+    # the route and its deadline checks (graphs._check_deadline) read one
     # clock: its first reading starts the budget, and every later one
     # says what the steps before the scan have spent. C6 with a pendant
     # vertex has two separating cliques, so the scan decides it
@@ -258,7 +259,7 @@ def test_scan_gets_what_the_atom_test_left(monkeypatch):
         readings = itertools.chain([begin], itertools.repeat(begin + spent))
         clock = SimpleNamespace(monotonic=lambda: next(readings))
         monkeypatch.setattr(recognition, "time", clock)
-        monkeypatch.setattr(oracle, "time", clock)
+        monkeypatch.setattr(graph_module, "time", clock)
         if spent < 2.5:
             assert not cheapest_representation(C6_PENDANT, budget_secs=2.5).helly_ept
         else:

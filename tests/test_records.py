@@ -1,8 +1,14 @@
 """The result records: value equality and hashing, their repr, their
-defaults and their immutability; EptRepresentation's validation; and a
-package import that loads no dataclasses module."""
+defaults and their immutability; EptRepresentation's validation; a
+package import that loads no dataclasses module and no submodule; the
+modules each command loads; and the package's lazily resolved names."""
 
+import contextlib
+import importlib
+import io
+import json
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -10,6 +16,7 @@ from pathlib import Path
 import pytest
 
 import eptkit
+from eptkit import cli, graphs, oracle
 from eptkit.decomposition import AtomLeaf, CliqueDecomposition, SeparatorNode
 from eptkit.gates import ExtensionStep, GateRecipe, LabeledGate, build_gate
 from eptkit.graphs import Graph
@@ -132,15 +139,102 @@ def test_representation_indexes_survive_the_assignment_guard():
     assert rep == EptRepresentation(HostTree(4, [(0, 1), (1, 2), (2, 3)]), ((0, 1, 2), (2, 3)))
 
 
+def run_fresh(code: str, *args: str, stdin: str = "") -> str:
+    """stdout of code run with args in a fresh interpreter that imports
+    eptkit from this checkout."""
+    src = str(Path(eptkit.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run(
+        [sys.executable, "-c", code, *args],
+        env=env, input=stdin, capture_output=True, text=True, check=True,
+    )
+    return out.stdout
+
+
 @pytest.mark.parametrize("module", ["eptkit", "eptkit.cli"])
 def test_import_loads_no_dataclasses(module):
     # a fresh eptkit process compiles and imports what the package
     # imports, and dataclasses costs it about 20 ms
-    src = str(Path(eptkit.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     probe = f"import sys, {module}; print('dataclasses' in sys.modules)"
-    out = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
-    )
-    assert out.stdout == "False\n"
+    assert run_fresh(probe) == "False\n"
 
+
+def test_import_loads_no_submodule():
+    probe = "import sys, eptkit; print(sorted(m for m in sys.modules if 'eptkit' in m))"
+    assert run_fresh(probe) == "['eptkit']\n"
+
+
+# runs `python -m eptkit.cli <args>` and prints, after its output, the
+# exit code and the eptkit modules it loaded as the last line
+RUN_CLI = """\
+import json, runpy, sys
+try:
+    runpy.run_module("eptkit.cli", run_name="__main__")
+except SystemExit as exit:
+    code = exit.code
+print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("eptkit."))]))
+"""
+
+LIBRARY = {"eptkit.decomposition", "eptkit.oracle", "eptkit.recognition", "eptkit.representation"}
+
+
+@pytest.mark.parametrize("args, first_line, unloaded", [
+    (["catalog", "--max", "4"], "gate 0: n=4 k=4 base 4", LIBRARY),
+    (["gen-gate", "--base", "4"], "# gate: base cycle 4", LIBRARY),
+    (["atoms", "-"], "separator: 1", LIBRARY - {"eptkit.decomposition"}),
+], ids=["catalog", "gen-gate", "atoms"])
+def test_command_loads_only_its_modules(args, first_line, unloaded):
+    out = run_fresh(RUN_CLI, *args, stdin="3 2\n0 1\n1 2\n").splitlines()
+    code, loaded = json.loads(out[-1])
+    assert code == 0 and out[0] == first_line
+    assert "eptkit.graphs" in loaded and not unloaded & set(loaded)
+
+
+# prints the --help text of each argument list in argv[1] and the
+# eptkit modules loaded after them
+HELP_PROBE = """\
+import contextlib, io, json, sys
+from eptkit import cli
+texts = []
+for args in json.loads(sys.argv[1]):
+    text = io.StringIO()
+    with contextlib.redirect_stdout(text):
+        try:
+            cli.main([*args, "--help"])
+        except SystemExit:
+            texts.append(text.getvalue())
+print(json.dumps([texts, sorted(m for m in sys.modules if m.startswith("eptkit."))]))
+"""
+
+
+def test_help_reads_no_library_module(monkeypatch):
+    # building the parser reads no module but graphs, so every help
+    # text is the same in a fresh process as in one that loaded them all
+    monkeypatch.setenv("COLUMNS", "80")
+    commands = ["recognize", "cheapest", "atoms", "gen-gate", "catalog", "oracle",
+                "verify-rep", "corpus"]
+    argvs = [[]] + [[c] for c in commands]
+    texts, loaded = json.loads(run_fresh(HELP_PROBE, json.dumps(argvs)))
+    assert loaded == ["eptkit.cli", "eptkit.graphs"]
+    assert len(texts) == len(argvs)
+    for args, fresh in zip(argvs, texts):
+        text = io.StringIO()
+        with contextlib.redirect_stdout(text), pytest.raises(SystemExit):
+            cli.main([*args, "--help"])
+        assert text.getvalue() == fresh, args
+
+
+def test_public_names_are_their_modules_objects():
+    for name in eptkit.__all__:
+        value = getattr(eptkit, name)
+        assert value.__module__.startswith("eptkit."), name
+        assert getattr(importlib.import_module(value.__module__), name) is value, name
+    assert set(eptkit.__all__) <= set(dir(eptkit))
+    with pytest.raises(AttributeError, match="no_such_name"):
+        eptkit.no_such_name
+
+
+def test_budget_error_is_one_class():
+    assert eptkit.BudgetExhaustedError is oracle.BudgetExhaustedError is graphs.BudgetExhaustedError
+    error = pickle.loads(pickle.dumps(graphs.BudgetExhaustedError("budget exhausted")))
+    assert type(error) is graphs.BudgetExhaustedError and error.args == ("budget exhausted",)
