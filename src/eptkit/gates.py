@@ -25,6 +25,7 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
+import time
 from typing import NamedTuple
 
 from . import _tables
@@ -34,13 +35,14 @@ from .graphs import (
     Edge,
     Graph,
     VertexSet,
+    _check_deadline,
     _clique_masks,
     _members,
     canonical_form,
     cycle_graph,
     enumerate_maximal_cliques,
     induced_subgraph,
-    is_connected,
+    resolve_budget_secs,
 )
 
 CATALOG_VERTEX_BOUND = 12
@@ -196,6 +198,63 @@ def check_two_clique_property(g: Graph) -> tuple[bool, int | None]:
     return (True, None) if ok else (False, found)
 
 
+def _clique_links(adj: tuple[int, ...], mask: int) -> list[list[int]]:
+    """H of the subgraph induced by mask, which passes
+    _two_clique_split: a node per maximal clique, numbered as the
+    vertices first meet them, and an edge per vertex joining its two
+    cliques, as adjacency lists. A vertex's cliques are the two parts of
+    its neighbourhood that the split found, and two cliques meet only in
+    that vertex, so H has no parallel edges."""
+    index: dict[int, int] = {}  # a clique, as a mask -> its node of H
+    links: list[list[int]] = []
+    for v in _members(mask):
+        nbrs = adj[v] & mask
+        x = nbrs & -nbrs
+        side = adj[x.bit_length() - 1] & nbrs | x
+        a, b = (index.setdefault(part | 1 << v, len(index)) for part in (side, nbrs & ~side))
+        links += [[] for _ in range(len(index) - len(links))]
+        links[a].append(b)
+        links[b].append(a)
+    return links
+
+
+def _biconnected(links: list[list[int]]) -> bool:
+    """Whether the simple graph with these adjacency lists is connected
+    and has no cut node, on two nodes or more: one depth-first search
+    from node 0 with low points (Hopcroft & Tarjan 1973). Node 0 is a
+    cut node when the search leaves a node unreached after its first
+    child, any other node when a child's subtree has no edge to above
+    it."""
+    depth = [-1] * len(links)
+    low = [0] * len(links)
+    depth[0] = 0
+    stack = [(0, -1, iter(links[0]))]
+    while stack:
+        u, parent, branch = stack[-1]
+        w = next(branch, None)
+        if w is None:
+            stack.pop()
+            if parent == 0:
+                return -1 not in depth
+            if low[u] >= depth[parent]:
+                return False
+            low[parent] = min(low[parent], low[u])
+        elif depth[w] < 0:
+            depth[w] = low[w] = depth[u] + 1
+            stack.append((w, u, iter(links[w])))
+        elif w != parent:
+            low[u] = min(low[u], depth[w])
+    return False
+
+
+def _gate_shaped(adj: tuple[int, ...], mask: int, h: int = 0) -> bool:
+    """Whether the subgraph induced by mask passes the two tests every
+    gate with more than h maximal cliques passes (see is_gate): the
+    two-clique split, with more than h cliques, and a 2-connected H."""
+    ok, count = _two_clique_split(adj, mask)
+    return ok and count > h and _biconnected(_clique_links(adj, mask))
+
+
 @functools.lru_cache(maxsize=1)
 def _catalog() -> dict[bytes, GateRecipe]:
     """The shipped gate table (_tables.GATES) as enumerate_gates'
@@ -232,14 +291,31 @@ def enumerate_gates(max_vertices: int = CATALOG_VERTEX_BOUND) -> dict[bytes, Gat
 
 
 def is_gate(g: Graph) -> GateRecipe | None:
-    """The catalog recipe for g's isomorphism class, if g is a gate."""
+    """The catalog recipe for g's isomorphism class, if g is a gate.
+
+    g is looked up only when it is gate-shaped (_gate_shaped): every
+    vertex lies in exactly two maximal cliques meeting only in it, and
+    H, a node per maximal clique and an edge per vertex joining its two
+    cliques, is 2-connected. Every gate is gate-shaped, so the graphs
+    turned away before the lookup are graphs it would miss:
+    - a gate's vertices lie in two cliques each (see the module);
+    - the base cycle C_n, n >= 4, has H = C_n, which is 2-connected;
+    - an extension step between disjoint cliques C and C' with a path
+      of l >= 2 vertices turns C and C' into C + v_1 and C' + v_l and
+      adds the l - 1 path cliques: in H, an ear of l edges from C to
+      C' through l - 1 new nodes. Adding an ear to a 2-connected graph
+      keeps it 2-connected (Whitney 1932), and the ear has an inner
+      node, so H stays simple (C and C', disjoint, are not adjacent
+      anyway).
+    Two vertices of a gate-shaped g are adjacent exactly when they
+    share a clique, that is when their H-edges share a node: g is the
+    line graph of H, so a connected H makes g connected, and no
+    connectivity search is needed."""
     if g.n > CATALOG_VERTEX_BOUND:
         raise BoundExceededError(
             f"gate lookup limited to {CATALOG_VERTEX_BOUND} vertices, got {g.n}"
         )
-    if g.n < 4 or not is_connected(g):
-        return None
-    if not check_two_clique_property(g)[0]:
+    if g.n < 4 or not _gate_shaped(g._adj, (1 << g.n) - 1):
         return None
     return _catalog().get(canonical_form(g))
 
@@ -287,14 +363,22 @@ def _clique_count(adj: tuple[int, ...], limit: int) -> int:
     return sum(1 for _ in itertools.islice(_clique_masks(adj), limit))
 
 
-def contains_gate_ge(g: Graph, h: int) -> tuple[VertexSet, GateRecipe] | None:
+def contains_gate_ge(
+    g: Graph, h: int, *, budget_secs: float | None = None
+) -> tuple[VertexSet, GateRecipe] | None:
     """First induced k-gate with k > h, scanning vertex subsets by size
     then lexicographic order. None when no such gate is induced.
+    Raises BudgetExhaustedError once budget_secs (60 when None) have
+    passed, checked once per subset tested, and ValueError for a NaN or
+    negative budget.
 
-    A subset is looked up in the catalog only when every vertex lies in
-    exactly two of its maximal cliques, meeting only in that vertex, and
-    it has more than h cliques (_two_clique_split). Every k-gate with
-    k > h passes, so the subsets skipped hold no hit.
+    A subset is looked up in the catalog only when it is gate-shaped
+    with more than h cliques (_gate_shaped): every vertex lies in
+    exactly two of its maximal cliques, meeting only in that vertex, it
+    has more than h cliques, and its H is 2-connected. Every k-gate
+    with k > h passes (see is_gate), so the subsets skipped hold no
+    hit. The subset of every vertex is g itself, looked up without an
+    induced copy.
 
     g's maximal cliques bound the subsets worth testing. Let Q be a
     maximal clique of G[S] for a subset S. Q lies in a maximal clique C
@@ -312,6 +396,7 @@ def contains_gate_ge(g: Graph, h: int) -> tuple[VertexSet, GateRecipe] | None:
     their symmetric difference, which the fixed vertices never join, so
     the (size, lex) order is kept. A non-integer h is a TypeError."""
     h = operator.index(h)
+    deadline = time.monotonic() + resolve_budget_secs(budget_secs)
     if g.n > CATALOG_VERTEX_BOUND:
         raise BoundExceededError(
             f"gate search limited to {CATALOG_VERTEX_BOUND} vertices, got {g.n}"
@@ -331,14 +416,18 @@ def contains_gate_ge(g: Graph, h: int) -> tuple[VertexSet, GateRecipe] | None:
                 pinned |= 1 << u | 1 << w
     free = [1 << v for v in range(g.n) if not pinned >> v & 1]
     width = g.n - len(free)
+    whole = (1 << g.n) - 1
     for size in range(max(low, width), g.n + 1):
         for combo in itertools.combinations(free, size - width):
+            _check_deadline(deadline)
             mask = sum(combo, pinned)
-            ok, cliques = _two_clique_split(adj, mask)
-            if not ok or cliques <= h:
+            if not _gate_shaped(adj, mask, h):
                 continue
-            sub, mapping = induced_subgraph(g, _members(mask))
-            recipe = is_gate(sub)
+            if mask == whole:
+                sub, mapping = g, tuple(range(g.n))
+            else:
+                sub, mapping = induced_subgraph(g, _members(mask))
+            recipe = _catalog().get(canonical_form(sub))
             if recipe is not None:
                 return mapping, recipe
     return None

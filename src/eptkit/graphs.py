@@ -43,9 +43,22 @@ class BudgetExhaustedError(RuntimeError):
     """The wall-clock budget ran out before the search space did."""
 
 
+def resolve_budget_secs(budget_secs: float | None) -> float:
+    """budget_secs, or 60 when None; a NaN or negative budget is a
+    ValueError."""
+    if budget_secs is None:
+        budget_secs = 60.0
+    # NaN compares false with everything, so it would switch the budget
+    # off instead of being rejected
+    if not budget_secs >= 0:
+        raise ValueError(f"budget must be a non-negative number of seconds, got {budget_secs}")
+    return budget_secs
+
+
 def _check_deadline(deadline: float) -> None:
     """Raise BudgetExhaustedError once the monotonic clock has passed
-    deadline; the steps before the scan call it as they go."""
+    deadline; the steps before the scan call it as they go, and so does
+    the induced-gate search (gates.contains_gate_ge)."""
     if time.monotonic() > deadline:
         raise BudgetExhaustedError("budget exhausted before the scan")
 

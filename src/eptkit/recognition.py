@@ -43,7 +43,7 @@ import time
 from typing import NamedTuple
 
 from .decomposition import Splits, _atom_masks, _separator_splits
-from .gates import _two_clique_split
+from .gates import _biconnected, _clique_links, _two_clique_split
 from .graphs import (
     Graph,
     VertexSet,
@@ -53,8 +53,9 @@ from .graphs import (
     _mask,
     _members,
     is_connected,
+    resolve_budget_secs,
 )
-from .oracle import _clique_order, _scan, oracle_membership, resolve_budget_secs
+from .oracle import _clique_order, _scan, oracle_membership
 from .representation import EptRepresentation, clique_star, max_host_degree
 
 
@@ -254,35 +255,6 @@ def _atom_clique_count(adj: tuple[int, ...], atom: int) -> int | None:
     return count if ok else None
 
 
-def _biconnected(links: list[list[int]]) -> bool:
-    """Whether the simple graph with these adjacency lists is connected
-    and has no cut node, on two nodes or more: one depth-first search
-    from node 0 with low points (Hopcroft & Tarjan 1973). Node 0 is a
-    cut node when the search leaves a node unreached after its first
-    child, any other node when a child's subtree has no edge to above
-    it."""
-    depth = [-1] * len(links)
-    low = [0] * len(links)
-    depth[0] = 0
-    stack = [(0, -1, iter(links[0]))]
-    while stack:
-        u, parent, branch = stack[-1]
-        w = next(branch, None)
-        if w is None:
-            stack.pop()
-            if parent == 0:
-                return -1 not in depth
-            if low[u] >= depth[parent]:
-                return False
-            low[parent] = min(low[parent], low[u])
-        elif depth[w] < 0:
-            depth[w] = low[w] = depth[u] + 1
-            stack.append((w, u, iter(links[w])))
-        elif w != parent:
-            low[u] = min(low[u], depth[w])
-    return False
-
-
 def _one_atom_count(adj: tuple[int, ...], deadline: float = math.inf) -> int | None:
     """The clique count of the graph g with adjacency masks adj when g
     is one atom that passes the atom test, found without decomposing
@@ -305,26 +277,15 @@ def _one_atom_count(adj: tuple[int, ...], deadline: float = math.inf) -> int | N
     own only atom, and the atom test on it is the two-clique test that
     passed, with its clique count.
 
-    H is read off the quotient: the cliques of a vertex are the two
-    parts of its neighbourhood that the two-clique test found, and two
-    of them meet only in that vertex, so H has no parallel edges."""
+    H is read off the quotient (gates._clique_links), the graph the
+    gate lookups test too."""
     reps = _twin_representatives(adj, (1 << len(adj)) - 1)
     _check_deadline(deadline)
     ok, count = _two_clique_split(adj, reps)
     if not ok:
         return None
     _check_deadline(deadline)
-    index: dict[int, int] = {}  # a clique of the quotient -> its node of H
-    links: list[list[int]] = []
-    for v in _members(reps):
-        nbrs = adj[v] & reps
-        x = nbrs & -nbrs
-        side = adj[x.bit_length() - 1] & nbrs | x
-        a, b = (index.setdefault(part | 1 << v, len(index)) for part in (side, nbrs & ~side))
-        links += [[] for _ in range(len(index) - len(links))]
-        links[a].append(b)
-        links[b].append(a)
-    return count if _biconnected(links) else None
+    return count if _biconnected(_clique_links(adj, reps)) else None
 
 
 # A row of the separator table: a clique minimal separator S and the

@@ -148,6 +148,25 @@ class EptRepresentation:
             for p in self.paths
         )
 
+    @cached_property
+    def _graph(self) -> Graph:
+        """The derived graph, on the path indices: the pairs inside each
+        K_e. A Graph is frozen, so every reader may share it."""
+        return Graph(len(self.paths), {
+            pair
+            for held in self._edge_holders.values()
+            for pair in itertools.combinations(held, 2)
+        })
+
+    @cached_property
+    def _claws(self) -> tuple[tuple[ClawClique, tuple[VertexSet, VertexSet, VertexSet]], ...]:
+        """Every covered claw over all the paths, as _covered_claws
+        lists them, with the vertices covering each of its pairs."""
+        return tuple(
+            (claw, tuple(map(tuple, held)))
+            for claw, held in _covered_claws(self, range(len(self.paths)))
+        )
+
 
 class EdgeClique(NamedTuple):
     edge: Edge
@@ -178,12 +197,9 @@ class MultipieWitness(NamedTuple):
 
 def edge_intersection_graph(rep: EptRepresentation) -> Graph:
     """Graph on the path indices, adjacent iff paths share a tree edge:
-    the pairs inside each K_e."""
-    return Graph(len(rep.paths), {
-        pair
-        for held in rep._edge_holders.values()
-        for pair in itertools.combinations(held, 2)
-    })
+    the pairs inside each K_e. Built once per representation; the
+    Graph is frozen, so every call returns the same one."""
+    return rep._graph
 
 
 def verify(rep: EptRepresentation, g: Graph) -> tuple[bool, str | None]:
@@ -193,7 +209,7 @@ def verify(rep: EptRepresentation, g: Graph) -> tuple[bool, str | None]:
         raise ValueError(
             f"representation has {len(rep.paths)} paths, graph has {g.n} vertices"
         )
-    wrong = edge_intersection_graph(rep).edges ^ g.edges
+    wrong = rep._graph.edges ^ g.edges
     if not wrong:
         return True, None
     u, v = min(wrong)
@@ -274,13 +290,20 @@ def find_claw_violation(
     """Three paths forming a claw: a degree-3 star of the tree whose
     three spoke pairs are each covered by one of the paths. Returns the
     claw and the covering vertices, or None. Scans centers ascending.
-    Raises ValueError for a vertex of subset that has no path."""
+    Raises ValueError for a vertex of subset that has no path. Over
+    every path in vertex order it reads the representation's claw list
+    once clique_witnesses has built it, and otherwise stops at the
+    first claw without building it."""
     n = len(rep.paths)
     vertices = range(n) if subset is None else tuple(subset)
     for v in vertices:
         if not 0 <= v < n:
             raise ValueError(f"vertex {v} out of range for {n} paths")
-    for claw, held in _covered_claws(rep, vertices):
+    if "_claws" in rep.__dict__ and tuple(vertices) == tuple(range(n)):
+        claws = rep._claws
+    else:
+        claws = _covered_claws(rep, vertices)
+    for claw, held in claws:
         return claw, tuple(h[0] for h in held)
     return None
 
@@ -326,7 +349,7 @@ def clique_witnesses(
     for e, held in rep._edge_holders.items():
         if held:
             candidates.setdefault(held, EdgeClique(e))
-    for claw, held in _covered_claws(rep, range(len(rep.paths))):
+    for claw, held in rep._claws:
         candidates.setdefault(tuple(sorted(held[0] + held[1] + held[2])), claw)
     for v, path in enumerate(rep.paths):
         if len(path) == 1:
@@ -372,7 +395,7 @@ def find_pie(rep: EptRepresentation, cycle: VertexSet) -> PieWitness:
         raise ValueError("a pie needs a cycle of length at least 4")
     inside = set(cycle)
     ring = {(a, b) if a < b else (b, a) for a, b in zip(cycle, [*cycle[1:], cycle[0]])}
-    among = {e for e in edge_intersection_graph(rep).edges if inside.issuperset(e)}
+    among = {e for e in rep._graph.edges if inside.issuperset(e)}
     if len(inside) != k or among != ring:
         raise ValueError("cycle argument is not a chordless cycle in the derived graph")
     turns = rep._turns
@@ -409,8 +432,8 @@ def find_multipie(
     for a, b in zip(members, members[1:]):
         if a == b:
             raise ValueError(f"vertex {a} appears twice in the gate vertices")
-    g = edge_intersection_graph(rep)
-    sub, _ = induced_subgraph(g, gate_vertices)
+    g = rep._graph
+    sub = g if members == tuple(range(g.n)) else induced_subgraph(g, members)[0]
     recipe = is_gate(sub)
     if recipe is None or recipe.clique_count() != k:
         raise ValueError(f"vertices {gate_vertices} do not induce a {k}-gate")

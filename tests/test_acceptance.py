@@ -61,6 +61,7 @@ from eptkit.representation import (
     verify,
 )
 from reference import check_multipie_conditions, check_side_witness, oracle_min_h
+from test_representation import assert_caches_change_no_answer
 from test_side_test import wide_chordal
 
 MEMBERSHIP_BUDGET_SECS = 600.0
@@ -373,6 +374,14 @@ def test_corpus_certificates_pinned(helly_corpus):
         relabelled.update(representation_to_text(rep_h).encode())
     assert given.hexdigest() == CORPUS_CERTIFICATES_SHA256
     assert relabelled.hexdigest() == RELABELLED_CERTIFICATES_SHA256
+
+
+def test_certificates_answer_the_same_with_warm_caches(helly_corpus, cheapest_corpus):
+    # the scan's and the route's certificate of every member
+    for (g, rep), result in zip(helly_corpus, cheapest_corpus):
+        assert_caches_change_no_answer(rep, g)
+        if result.certificate is not None:
+            assert_caches_change_no_answer(result.certificate, g)
 
 
 def test_star_route_matches_scan_on_corpus(corpus7, monkeypatch):

@@ -20,15 +20,18 @@ from eptkit.gates import (
     is_gate,
     rewire_gate,
 )
+from eptkit import graphs, oracle
 from eptkit.graphs import (
     PARSE_VERTEX_BOUND,
     BoundExceededError,
+    BudgetExhaustedError,
     Graph,
     canonical_form,
     complete_graph,
     cycle_graph,
     enumerate_maximal_cliques,
     induced_subgraph,
+    is_connected,
     isomorphism,
     path_graph,
 )
@@ -417,3 +420,73 @@ def test_counts_must_be_integers():
         small_graph_corpus(2.5)
     assert enumerate_gates(True) == enumerate_gates(1)
     assert contains_gate_ge(cycle_graph(5), True) == contains_gate_ge(cycle_graph(5), 1)
+
+
+def clique_graph_biconnected(g: Graph) -> bool:
+    return gates._biconnected(gates._clique_links(g._adj, (1 << g.n) - 1))
+
+
+def unfiltered_is_gate(g: Graph):
+    """is_gate without the clique-graph test: a connectivity search,
+    the two-clique test, then the catalog lookup."""
+    if g.n < 4 or not is_connected(g) or not check_two_clique_property(g)[0]:
+        return None
+    return gates._catalog().get(canonical_form(g))
+
+
+def test_every_catalog_gate_has_a_2_connected_clique_graph():
+    for recipe, relabeled_gate in relabeled_catalog():
+        for g in (build_gate(recipe).graph, relabeled_gate):
+            assert clique_graph_biconnected(g), recipe
+            assert is_gate(g) == recipe
+
+
+def test_clique_graph_test_changes_no_lookup():
+    # every graph on up to 7 vertices, then gates less one to three
+    # vertices, some of them connected two-clique graphs whose H has a
+    # cut node: the graphs the clique-graph test turns away
+    graphs = [g for n in range(8) for g in small_graph_corpus(n)]
+    rng = random.Random(20261021)
+    recipes = list(enumerate_gates().values())
+    for _ in range(2000):
+        gate = build_gate(rng.choice(recipes)).graph
+        keep = rng.sample(range(gate.n), gate.n - rng.randint(1, 3))
+        graphs.append(induced_subgraph(gate, keep)[0])
+    turned_away = 0
+    for g in graphs:
+        assert is_gate(g) == unfiltered_is_gate(g), (g.n, sorted(g.edges))
+        if g.n >= 4 and is_connected(g) and check_two_clique_property(g)[0]:
+            turned_away += not clique_graph_biconnected(g)
+    assert turned_away >= 10
+
+
+def test_gate_search_canonicalizes_once_per_gate(monkeypatch):
+    # a connected two-clique subset whose H has a cut node is no gate,
+    # so the only canonical form the k - 1 query takes is its hit's
+    calls = Counter()
+    real = gates.canonical_form
+
+    def form(g):
+        calls[g.n] += 1
+        return real(g)
+
+    monkeypatch.setattr(gates, "canonical_form", form)
+    for recipe, g in relabeled_catalog():
+        assert contains_gate_ge(g, recipe.clique_count() - 1) is not None
+        assert sum(calls.values()) == 1, (recipe, calls)
+        calls.clear()
+
+
+def test_gate_search_budget():
+    # C_8 at h = 3 tests subsets of 4 to 8 vertices before its hit
+    assert contains_gate_ge(cycle_graph(8), 3) == ((0, 1, 2, 3, 4, 5, 6, 7), GateRecipe(8))
+    with pytest.raises(BudgetExhaustedError):
+        contains_gate_ge(cycle_graph(8), 3, budget_secs=0)
+    for bad in (float("nan"), -1.0):
+        with pytest.raises(ValueError, match="non-negative number of seconds"):
+            contains_gate_ge(cycle_graph(8), 3, budget_secs=bad)
+    for recipe, g in relabeled_catalog():
+        k = recipe.clique_count()
+        for h in (k - 1, k):
+            assert contains_gate_ge(g, h, budget_secs=None) == contains_gate_ge(g, h), recipe
+    assert oracle.resolve_budget_secs is graphs.resolve_budget_secs

@@ -7,7 +7,14 @@ import time
 
 import pytest
 
-from eptkit.gates import ExtensionStep, GateRecipe, LabeledGate, build_gate, enumerate_gates
+from eptkit.gates import (
+    ExtensionStep,
+    GateRecipe,
+    LabeledGate,
+    build_gate,
+    contains_gate_ge,
+    enumerate_gates,
+)
 from eptkit.graphs import (
     BoundExceededError,
     Graph,
@@ -620,3 +627,83 @@ def test_representation_to_dot():
     assert dot.startswith("graph host")
     assert 't0 -- t1 [label="2,4,5"];' in dot
     assert dot.count(" -- ") == 6
+
+
+def cyclic_order(g: Graph, vertices) -> tuple[int, ...]:
+    """The vertices of a chordless cycle of g, in order around it."""
+    order = [vertices[0]]
+    while len(order) < len(vertices):
+        order.append(min(w for w in vertices if g.has_edge(order[-1], w) and w not in order))
+    return tuple(order)
+
+
+def cache_readers(g: Graph, found=()):
+    """Every reader of a representation's derived graph and claw list,
+    as calls on a representation of g: verify, is_helly,
+    clique_witnesses and find_claw_violation, then find_multipie on each
+    induced gate of `found` and on g's first induced gate, and find_pie
+    on those that are chordless cycles."""
+    found = [*found, contains_gate_ge(g, 3)]
+    calls = [lambda rep: verify(rep, g), is_helly, clique_witnesses, find_claw_violation]
+    for vertices, recipe in filter(None, found):
+        calls.append(lambda rep, v=vertices, k=recipe.clique_count(): find_multipie(rep, v, k))
+        if not recipe.steps:
+            calls.append(lambda rep, cycle=cyclic_order(g, vertices): find_pie(rep, cycle))
+    return calls
+
+
+def answer(call, rep):
+    try:
+        return call(rep)
+    except (ValueError, RuntimeError) as exc:
+        return repr(exc)
+
+
+def assert_caches_change_no_answer(rep: EptRepresentation, g: Graph, found=()) -> None:
+    """Each reader answers the same on a fresh copy of rep, whose
+    caches are cold, as on a copy whose caches are all built."""
+    calls = cache_readers(g, found)
+    cold = [answer(call, EptRepresentation(rep.tree, rep.paths)) for call in calls]
+    warm = EptRepresentation(rep.tree, rep.paths)
+    edge_intersection_graph(warm)
+    clique_witnesses(warm)
+    assert {"_graph", "_claws"} <= set(vars(warm))
+    assert [answer(call, warm) for call in calls] == cold, rep
+
+
+def test_derived_graph_is_built_once():
+    rep = EptRepresentation(S3_REP.tree, S3_REP.paths)
+    assert edge_intersection_graph(rep) is edge_intersection_graph(rep)
+    assert edge_intersection_graph(rep) == S3_GRAPH
+    assert verify(rep, S3_GRAPH) == (True, None)
+    assert vars(rep)["_graph"] is edge_intersection_graph(rep)
+
+
+def test_catalog_stars_answer_the_same_with_warm_caches():
+    for recipe in enumerate_gates().values():
+        gate = build_gate(recipe)
+        whole = (tuple(range(gate.graph.n)), recipe)
+        assert_caches_change_no_answer(star_representation(gate), gate.graph, [whole])
+
+
+def test_cold_claw_scan_stops_at_the_first_claw():
+    # the covering vertices of the pairs (1, 2), (1, 3) and (2, 3)
+    claw = (ClawClique(0, (1, 2, 3)), (2, 5, 3))
+    rep = EptRepresentation(S3_REP.tree, S3_REP.paths)
+    assert find_claw_violation(rep) == claw
+    assert "_claws" not in vars(rep)
+    assert is_helly(rep) == (False, (2, 3, 5))
+    assert "_claws" in vars(rep)
+    assert find_claw_violation(rep) == claw
+    assert find_claw_violation(rep, subset=(5, 3, 2)) == claw
+    assert find_claw_violation(rep, subset=(0, 1, 4)) is None
+
+
+def test_caches_leave_equality_hash_and_repr_alone():
+    cold = EptRepresentation(S3_REP.tree, S3_REP.paths)
+    warm = EptRepresentation(S3_REP.tree, S3_REP.paths)
+    clique_witnesses(warm)
+    verify(warm, S3_GRAPH)
+    assert warm == cold and hash(warm) == hash(cold) and repr(warm) == repr(cold)
+    assert repr(warm) == f"EptRepresentation(tree={S3_REP.tree!r}, paths={S3_REP.paths!r})"
+    assert warm != EptRepresentation(S3_REP.tree, S3_REP.paths[::-1])
