@@ -25,7 +25,6 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
-import time
 from typing import NamedTuple
 
 from . import _tables
@@ -35,14 +34,12 @@ from .graphs import (
     Edge,
     Graph,
     VertexSet,
-    _check_deadline,
     _clique_masks,
     _members,
     canonical_form,
     cycle_graph,
     enumerate_maximal_cliques,
     induced_subgraph,
-    resolve_budget_secs,
 )
 
 CATALOG_VERTEX_BOUND = 12
@@ -363,22 +360,16 @@ def _clique_count(adj: tuple[int, ...], limit: int) -> int:
     return sum(1 for _ in itertools.islice(_clique_masks(adj), limit))
 
 
-def contains_gate_ge(
-    g: Graph, h: int, *, budget_secs: float | None = None
-) -> tuple[VertexSet, GateRecipe] | None:
+def contains_gate_ge(g: Graph, h: int) -> tuple[VertexSet, GateRecipe] | None:
     """First induced k-gate with k > h, scanning vertex subsets by size
     then lexicographic order. None when no such gate is induced.
-    Raises BudgetExhaustedError once budget_secs (60 when None) have
-    passed, checked once per subset tested, and ValueError for a NaN or
-    negative budget.
 
     A subset is looked up in the catalog only when it is gate-shaped
     with more than h cliques (_gate_shaped): every vertex lies in
     exactly two of its maximal cliques, meeting only in that vertex, it
     has more than h cliques, and its H is 2-connected. Every k-gate
     with k > h passes (see is_gate), so the subsets skipped hold no
-    hit. The subset of every vertex is g itself, looked up without an
-    induced copy.
+    hit.
 
     g's maximal cliques bound the subsets worth testing. Let Q be a
     maximal clique of G[S] for a subset S. Q lies in a maximal clique C
@@ -396,7 +387,6 @@ def contains_gate_ge(
     their symmetric difference, which the fixed vertices never join, so
     the (size, lex) order is kept. A non-integer h is a TypeError."""
     h = operator.index(h)
-    deadline = time.monotonic() + resolve_budget_secs(budget_secs)
     if g.n > CATALOG_VERTEX_BOUND:
         raise BoundExceededError(
             f"gate search limited to {CATALOG_VERTEX_BOUND} vertices, got {g.n}"
@@ -416,17 +406,12 @@ def contains_gate_ge(
                 pinned |= 1 << u | 1 << w
     free = [1 << v for v in range(g.n) if not pinned >> v & 1]
     width = g.n - len(free)
-    whole = (1 << g.n) - 1
     for size in range(max(low, width), g.n + 1):
         for combo in itertools.combinations(free, size - width):
-            _check_deadline(deadline)
             mask = sum(combo, pinned)
             if not _gate_shaped(adj, mask, h):
                 continue
-            if mask == whole:
-                sub, mapping = g, tuple(range(g.n))
-            else:
-                sub, mapping = induced_subgraph(g, _members(mask))
+            sub, mapping = induced_subgraph(g, _members(mask))
             recipe = _catalog().get(canonical_form(sub))
             if recipe is not None:
                 return mapping, recipe

@@ -43,22 +43,9 @@ class BudgetExhaustedError(RuntimeError):
     """The wall-clock budget ran out before the search space did."""
 
 
-def resolve_budget_secs(budget_secs: float | None) -> float:
-    """budget_secs, or 60 when None; a NaN or negative budget is a
-    ValueError."""
-    if budget_secs is None:
-        budget_secs = 60.0
-    # NaN compares false with everything, so it would switch the budget
-    # off instead of being rejected
-    if not budget_secs >= 0:
-        raise ValueError(f"budget must be a non-negative number of seconds, got {budget_secs}")
-    return budget_secs
-
-
 def _check_deadline(deadline: float) -> None:
     """Raise BudgetExhaustedError once the monotonic clock has passed
-    deadline; the steps before the scan call it as they go, and so does
-    the induced-gate search (gates.contains_gate_ge)."""
+    deadline; the steps before the scan call it as they go."""
     if time.monotonic() > deadline:
         raise BudgetExhaustedError("budget exhausted before the scan")
 
@@ -403,10 +390,14 @@ def is_connected(g: Graph) -> bool:
 
 def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, VertexSet]:
     """Induced subgraph plus the index map (new index -> old vertex),
-    from the kept vertices' neighbours rather than all of g's edges."""
+    from the kept vertices' neighbours rather than all of g's edges.
+    When every vertex is kept it is g itself, which is frozen, so the
+    caller shares it rather than a copy."""
     vs = sorted(set(vertices))
     for v in vs:
         _check_vertex(g.n, v)
+    if len(vs) == g.n:
+        return g, tuple(vs)
     pos = {v: i for i, v in enumerate(vs)}
     # vs is sorted, so w > v keeps each edge once with its ends in order
     edges = frozenset((i, pos[w]) for i, v in enumerate(vs) for w in g._nbrs[v] if w > v and w in pos)

@@ -72,12 +72,23 @@ from .graphs import (
     _clique_masks,
     _members,
     is_connected,
-    resolve_budget_secs,
 )
 from .representation import EptRepresentation, HostTree, TreePath
 
 CLIQUE_BOUND = 9
 CORPUS_VERTEX_BOUND = 7
+
+
+def resolve_budget_secs(budget_secs: float | None) -> float:
+    """budget_secs, or 60 when None; a NaN or negative budget is a
+    ValueError."""
+    if budget_secs is None:
+        budget_secs = 60.0
+    # NaN compares false with everything, so it would switch the budget
+    # off instead of being rejected
+    if not budget_secs >= 0:
+        raise ValueError(f"budget must be a non-negative number of seconds, got {budget_secs}")
+    return budget_secs
 
 
 class TreeShape:

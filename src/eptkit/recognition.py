@@ -53,9 +53,8 @@ from .graphs import (
     _mask,
     _members,
     is_connected,
-    resolve_budget_secs,
 )
-from .oracle import _clique_order, _scan, oracle_membership
+from .oracle import _clique_order, _scan, oracle_membership, resolve_budget_secs
 from .representation import EptRepresentation, clique_star, max_host_degree
 
 

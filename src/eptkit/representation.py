@@ -291,15 +291,14 @@ def find_claw_violation(
     three spoke pairs are each covered by one of the paths. Returns the
     claw and the covering vertices, or None. Scans centers ascending.
     Raises ValueError for a vertex of subset that has no path. Over
-    every path in vertex order it reads the representation's claw list
-    once clique_witnesses has built it, and otherwise stops at the
-    first claw without building it."""
+    every path in vertex order it reads the representation's claw list,
+    which clique_witnesses shares."""
     n = len(rep.paths)
     vertices = range(n) if subset is None else tuple(subset)
     for v in vertices:
         if not 0 <= v < n:
             raise ValueError(f"vertex {v} out of range for {n} paths")
-    if "_claws" in rep.__dict__ and tuple(vertices) == tuple(range(n)):
+    if tuple(vertices) == tuple(range(n)):
         claws = rep._claws
     else:
         claws = _covered_claws(rep, vertices)
@@ -433,7 +432,7 @@ def find_multipie(
         if a == b:
             raise ValueError(f"vertex {a} appears twice in the gate vertices")
     g = rep._graph
-    sub = g if members == tuple(range(g.n)) else induced_subgraph(g, members)[0]
+    sub, _ = induced_subgraph(g, members)
     recipe = is_gate(sub)
     if recipe is None or recipe.clique_count() != k:
         raise ValueError(f"vertices {gate_vertices} do not induce a {k}-gate")

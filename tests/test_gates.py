@@ -20,11 +20,9 @@ from eptkit.gates import (
     is_gate,
     rewire_gate,
 )
-from eptkit import graphs, oracle
 from eptkit.graphs import (
     PARSE_VERTEX_BOUND,
     BoundExceededError,
-    BudgetExhaustedError,
     Graph,
     canonical_form,
     complete_graph,
@@ -476,17 +474,3 @@ def test_gate_search_canonicalizes_once_per_gate(monkeypatch):
         assert sum(calls.values()) == 1, (recipe, calls)
         calls.clear()
 
-
-def test_gate_search_budget():
-    # C_8 at h = 3 tests subsets of 4 to 8 vertices before its hit
-    assert contains_gate_ge(cycle_graph(8), 3) == ((0, 1, 2, 3, 4, 5, 6, 7), GateRecipe(8))
-    with pytest.raises(BudgetExhaustedError):
-        contains_gate_ge(cycle_graph(8), 3, budget_secs=0)
-    for bad in (float("nan"), -1.0):
-        with pytest.raises(ValueError, match="non-negative number of seconds"):
-            contains_gate_ge(cycle_graph(8), 3, budget_secs=bad)
-    for recipe, g in relabeled_catalog():
-        k = recipe.clique_count()
-        for h in (k - 1, k):
-            assert contains_gate_ge(g, h, budget_secs=None) == contains_gate_ge(g, h), recipe
-    assert oracle.resolve_budget_secs is graphs.resolve_budget_secs

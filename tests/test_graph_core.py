@@ -359,6 +359,9 @@ def test_induced_subgraph():
     for bad in ([7], [2, 5, 1], [-1, 3], [4, 4, 9]):
         with pytest.raises(ValueError, match="out of range for n=5"):
             induced_subgraph(g, bad)
+    # keeping every vertex, in any order, gives g itself
+    assert induced_subgraph(g, [4, 0, 3, 1, 2, 0]) == (g, (0, 1, 2, 3, 4))
+    assert induced_subgraph(g, range(5))[0] is g
     # against filtering all of g's edges, on vertices given unsorted and
     # repeated
     rng = random.Random(20261019)
