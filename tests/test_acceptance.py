@@ -376,6 +376,37 @@ def test_corpus_certificates_pinned(helly_corpus):
     assert relabelled.hexdigest() == RELABELLED_CERTIFICATES_SHA256
 
 
+# sha256 over every cheapest_representation outcome (route_outcome) on
+# corpus7 then wide-chordal, each graph as given and then under one
+# random.Random(20261022) relabelling
+ROUTE_SHA256 = "70ab41af25a318955d9c595dd3893edc6c037481e6a42feb9cf5f64711093d8e"
+
+
+def route_outcome(g: Graph) -> str:
+    """The verdict, h, certificate text, obstruction and side witness of
+    cheapest_representation(g), or the name of the ValueError it raises
+    (a disconnected g, or BoundExceededError past the scan's bound)."""
+    try:
+        result = cheapest_representation(g)
+    except ValueError as exc:
+        return type(exc).__name__
+    cert = None if result.certificate is None else representation_to_text(result.certificate)
+    return repr((result.helly_ept, result.h, cert, result.obstruction, result.side_witness))
+
+
+def test_route_answers_pinned(corpus7):
+    # every answer of the route, not only the scan's certificates, is
+    # byte-stable: h, obstructions, side witnesses and exceptions too
+    digest = hashlib.sha256()
+    rng = random.Random(20261022)
+    for g in corpus7 + [g for _, g in wide_chordal()]:
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        for h in (g, Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])):
+            digest.update(route_outcome(h).encode())
+    assert digest.hexdigest() == ROUTE_SHA256
+
+
 def test_certificates_answer_the_same_with_warm_caches(helly_corpus, cheapest_corpus):
     # the scan's and the route's certificate of every member
     for (g, rep), result in zip(helly_corpus, cheapest_corpus):
