@@ -138,10 +138,16 @@ def build_gate(recipe: GateRecipe) -> LabeledGate:
     return LabeledGate(graph, cliques, recipe)
 
 
-def _two_clique_split(adj: tuple[int, ...], mask: int) -> tuple[bool, int]:
-    """(True, number of maximal cliques) when every vertex of the
-    subgraph induced by mask lies in exactly two maximal cliques meeting
-    only in that vertex, else (False, first vertex that does not).
+def _two_clique_split(adj: tuple[int, ...], mask: int) -> tuple[bool, list[list[int]] | int]:
+    """(True, H) when every vertex of the subgraph induced by mask lies
+    in exactly two maximal cliques meeting only in that vertex, else
+    (False, first vertex that does not). H has a node per maximal
+    clique, numbered as the vertices in ascending order first meet
+    them, and an edge per vertex joining its two cliques, as adjacency
+    lists; len(H) is the clique count. A clique is first met at its
+    lowest vertex, and of two first met at one vertex, the one holding
+    its lowest neighbour comes first, so node i is the i-th clique in
+    lexicographic order (enumerate_maximal_cliques).
 
     Vertex v passes when its neighbourhood N inside mask splits into two
     non-empty cliques A and B with no edge between them, and that is
@@ -159,11 +165,13 @@ def _two_clique_split(adj: tuple[int, ...], mask: int) -> tuple[bool, int]:
     With x the lowest vertex of N, N splits that way exactly when each u
     in N, together with its neighbours inside N, makes up its own part:
     x with its neighbours inside N, or the rest of N.
-    When every vertex passes, each maximal clique is one of its lowest
-    vertex's two, so counting the parts above their vertex counts the
-    cliques.
+    Each vertex's two cliques, A + v and B + v, are recorded as masks,
+    and H is built from them once every vertex has passed. Every
+    maximal clique is one of its vertices' two, so H has a node for
+    each, and two cliques meet only in one vertex, so H has no parallel
+    edges.
     """
-    count = 0
+    cliques = []  # each vertex's two cliques, as masks, in turn
     rest = mask
     while rest:
         low = rest & -rest
@@ -183,9 +191,14 @@ def _two_clique_split(adj: tuple[int, ...], mask: int) -> tuple[bool, int]:
                 todo ^= u
                 if (adj[u.bit_length() - 1] & nbrs) | u != part:
                     return False, v
-            if not part & (low - 1):
-                count += 1
-    return True, count
+            cliques.append(part | low)
+    index: dict[int, int] = {}  # a clique, as a mask -> its node of H
+    nodes = [index.setdefault(c, len(index)) for c in cliques]
+    links: list[list[int]] = [[] for _ in index]
+    for a, b in zip(nodes[::2], nodes[1::2]):
+        links[a].append(b)
+        links[b].append(a)
+    return True, links
 
 
 def check_two_clique_property(g: Graph) -> tuple[bool, int | None]:
@@ -193,26 +206,6 @@ def check_two_clique_property(g: Graph) -> tuple[bool, int | None]:
     only in that vertex; returns the first violating vertex otherwise."""
     ok, found = _two_clique_split(g._adj, (1 << g.n) - 1)
     return (True, None) if ok else (False, found)
-
-
-def _clique_links(adj: tuple[int, ...], mask: int) -> list[list[int]]:
-    """H of the subgraph induced by mask, which passes
-    _two_clique_split: a node per maximal clique, numbered as the
-    vertices first meet them, and an edge per vertex joining its two
-    cliques, as adjacency lists. A vertex's cliques are the two parts of
-    its neighbourhood that the split found, and two cliques meet only in
-    that vertex, so H has no parallel edges."""
-    index: dict[int, int] = {}  # a clique, as a mask -> its node of H
-    links: list[list[int]] = []
-    for v in _members(mask):
-        nbrs = adj[v] & mask
-        x = nbrs & -nbrs
-        side = adj[x.bit_length() - 1] & nbrs | x
-        a, b = (index.setdefault(part | 1 << v, len(index)) for part in (side, nbrs & ~side))
-        links += [[] for _ in range(len(index) - len(links))]
-        links[a].append(b)
-        links[b].append(a)
-    return links
 
 
 def _biconnected(links: list[list[int]]) -> bool:
@@ -248,8 +241,8 @@ def _gate_shaped(adj: tuple[int, ...], mask: int, h: int = 0) -> bool:
     """Whether the subgraph induced by mask passes the two tests every
     gate with more than h maximal cliques passes (see is_gate): the
     two-clique split, with more than h cliques, and a 2-connected H."""
-    ok, count = _two_clique_split(adj, mask)
-    return ok and count > h and _biconnected(_clique_links(adj, mask))
+    ok, links = _two_clique_split(adj, mask)
+    return ok and len(links) > h and _biconnected(links)
 
 
 @functools.lru_cache(maxsize=1)

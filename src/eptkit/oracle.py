@@ -180,20 +180,24 @@ def tree_shapes(m: int) -> tuple[TreeShape, ...]:
     return tuple(shapes)
 
 
-def _clique_order(cliques: Sequence[VertexSet]) -> list[int]:
+def _holders(n: int, cliques: Sequence[VertexSet]) -> list[int]:
+    """Each of n vertices' mask of the indices of the cliques holding it."""
+    holders = [0] * n
+    for i, c in enumerate(cliques):
+        for v in c:
+            holders[v] |= 1 << i
+    return holders
+
+
+def _clique_order(cliques: Sequence[VertexSet], holders: list[int]) -> list[int]:
     """Assignment order: grow a connected front over shared vertices so
     span pruning bites early; lexicographic tie-break. Each step takes
     the lowest-index clique left that shares a vertex with those
     placed, or the lowest-index clique left when none does.
 
-    Cliques are bits of masks: holders maps each vertex not yet placed
-    to the mask of the cliques that hold it, and placing a clique pops
-    the holders of its vertices into linked, so each vertex adds them
-    once."""
-    holders: dict[int, int] = {}
-    for i, c in enumerate(cliques):
-        for v in c:
-            holders[v] = holders.get(v, 0) | 1 << i
+    Cliques are bits of masks: holders (_holders) gives each vertex the
+    mask of the cliques that hold it, and placing a clique adds the
+    holders of its vertices to linked."""
     left = (1 << len(cliques)) - 1
     linked = 0
     order = []
@@ -203,7 +207,7 @@ def _clique_order(cliques: Sequence[VertexSet]) -> list[int]:
         left ^= 1 << nxt
         order.append(nxt)
         for v in cliques[nxt]:
-            linked |= holders.pop(v, 0)
+            linked |= holders[v]
     return order
 
 
@@ -292,22 +296,23 @@ def oracle_membership(g: Graph, *, budget_secs: float | None = None) -> EptRepre
     # stop listing at the first clique past the bound: K_{3x12} alone
     # has 531 441
     cliques = sorted(map(_members, itertools.islice(_clique_masks(g._adj), CLIQUE_BOUND + 1)))
-    return _scan(cliques, g._adj, time.monotonic() + budget_secs)
+    return _scan(cliques, _holders(g.n, cliques), g._adj, time.monotonic() + budget_secs)
 
 
-def _scan(cliques: list[VertexSet], adj: tuple[int, ...], deadline: float) -> EptRepresentation | None:
+def _scan(
+    cliques: list[VertexSet], holders: list[int], adj: tuple[int, ...], deadline: float
+) -> EptRepresentation | None:
     """oracle_membership's answer for the graph with neighbour masks adj
-    (Graph._adj) and these maximal cliques, each sorted,
-    in lexicographic order. Raises BoundExceededError, with
-    oracle_membership's text, when there are more than CLIQUE_BOUND
-    cliques, and BudgetExhaustedError once the monotonic clock passes
-    deadline."""
+    (Graph._adj), these maximal cliques, each sorted, in lexicographic
+    order, and their holder masks (_holders). Raises BoundExceededError,
+    with oracle_membership's text, when there are more than CLIQUE_BOUND
+    cliques, and BudgetExhaustedError once the clock passes deadline."""
     m = len(cliques)
     if m > CLIQUE_BOUND:
         raise BoundExceededError(
             f"oracle limited to {CLIQUE_BOUND} cliques, graph has more than {CLIQUE_BOUND}"
         )
-    order = _clique_order(cliques)
+    order = _clique_order(cliques, holders)
     adj_self = [mask | 1 << v for v, mask in enumerate(adj)]
     for shape in tree_shapes(m):
         spans = _assign_cliques(shape, cliques, order, adj_self, deadline)

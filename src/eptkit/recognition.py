@@ -24,9 +24,11 @@ hands it the maximal cliques it has already listed, by the
 maximum-cardinality search or by one Bron-Kerbosch on the graph's
 neighbour masks, and its own deadline; connectivity is
 settled by the route's own checks, not by a search of its own (see
-cheapest_representation). is_helly_ept is that search alone, from a
-connectivity search and a clique listing of its own: the reference the
-tests compare with. For a member, h rests on the certificate and the
+cheapest_representation). After that listing it builds each vertex's
+mask of the cliques holding it once (oracle._holders), for both
+tables, the pendant filter, the star and the scan. is_helly_ept is
+that search alone, from a connectivity search and a clique listing of
+its own: the reference the tests compare with. For a member, h rests on the certificate and the
 atoms (see cheapest_representation).
 is_interval and has_asteroidal_triple are standalone tests off that
 route; the tests use them as its independent reference. The
@@ -43,7 +45,7 @@ import time
 from typing import NamedTuple
 
 from .decomposition import Splits, _atom_masks, _separator_splits
-from .gates import _biconnected, _clique_links, _two_clique_split
+from .gates import _biconnected, _two_clique_split
 from .graphs import (
     Graph,
     VertexSet,
@@ -54,7 +56,7 @@ from .graphs import (
     _members,
     is_connected,
 )
-from .oracle import _clique_order, _scan, oracle_membership, resolve_budget_secs
+from .oracle import _clique_order, _holders, _scan, oracle_membership, resolve_budget_secs
 from .representation import EptRepresentation, clique_star, max_host_degree
 
 
@@ -250,8 +252,8 @@ def _atom_clique_count(adj: tuple[int, ...], atom: int) -> int | None:
     reps = _twin_representatives(adj, atom)
     if not reps & (reps - 1):
         return 1
-    ok, count = _two_clique_split(adj, reps)
-    return count if ok else None
+    ok, links = _two_clique_split(adj, reps)
+    return len(links) if ok else None
 
 
 def _one_atom_count(adj: tuple[int, ...], deadline: float = math.inf) -> int | None:
@@ -276,15 +278,15 @@ def _one_atom_count(adj: tuple[int, ...], deadline: float = math.inf) -> int | N
     own only atom, and the atom test on it is the two-clique test that
     passed, with its clique count.
 
-    H is read off the quotient (gates._clique_links), the graph the
-    gate lookups test too."""
+    H is the one the two-clique test returns on the quotient
+    (gates._two_clique_split), the graph the gate lookups test too."""
     reps = _twin_representatives(adj, (1 << len(adj)) - 1)
     _check_deadline(deadline)
-    ok, count = _two_clique_split(adj, reps)
+    ok, links = _two_clique_split(adj, reps)
     if not ok:
         return None
     _check_deadline(deadline)
-    return count if _biconnected(_clique_links(adj, reps)) else None
+    return len(links) if _biconnected(links) else None
 
 
 # A row of the separator table: a clique minimal separator S and the
@@ -295,22 +297,14 @@ def _one_atom_count(adj: tuple[int, ...], deadline: float = math.inf) -> int | N
 Row = tuple[int, list[tuple[frozenset[int], list[int]]]]
 
 
-def _holding(n: int, masks: list[int]) -> list[list[int]]:
-    """For each of n vertices, the indices of the cliques holding it."""
-    holding: list[list[int]] = [[] for _ in range(n)]
-    for k, c in enumerate(masks):
-        for v in _members(c):
-            holding[v].append(k)
-    return holding
-
-
 def _separator_table(
-    n: int, masks: list[int], splits: Splits, deadline: float
+    masks: list[int], holders: list[int], splits: Splits, deadline: float
 ) -> tuple[list[bool], list[list[tuple[Row, int]]]]:
-    """Whether each maximal clique separates the connected g on n
-    vertices, and the table, for maximal cliques `masks` and the clique
-    minimal separators with the components of g - S that the split loop
-    also reads (decomposition._separator_splits): the table searches no
+    """Whether each maximal clique separates the connected g, and the
+    table, for maximal cliques `masks`, each vertex's mask of the
+    cliques holding it (oracle._holders) and the clique minimal
+    separators with the components of g - S that the split loop also
+    reads (decomposition._separator_splits): the table searches no
     graph itself. The traces of a component D of g - S are the sets
     L & S of two vertices or more, L a maximal clique meeting D; a
     separator of one vertex has no classes. Raises BudgetExhaustedError
@@ -346,14 +340,13 @@ def _separator_table(
     table: list[list[tuple[Row, int]]] = [[] for _ in masks]
     if not splits:  # one atom: no clique separates g, and no row is read
         return separating, table
-    everything = (1 << n) - 1
-    holding = _holding(n, masks)
+    everything = (1 << len(holders)) - 1
     for sep, split in splits:
         _check_deadline(deadline)
         row: Row = (sep, [])
         # a clique holding two vertices of sep holds one but the most held
-        by_use = sorted(_members(sep), key=lambda v: len(holding[v]))
-        outs = {k: masks[k] & ~sep for v in by_use[:-1] or by_use for k in holding[v]}
+        by_use = sorted(_members(sep), key=lambda v: holders[v].bit_count())
+        outs = {k: masks[k] & ~sep for v in by_use[:-1] or by_use for k in _members(holders[v])}
         wanted = sum({out & -out for out in outs.values()})
         where = {v: i for i, (part, _) in enumerate(split) for v in _members(part & wanted)}
         traces: list[set[int]] = [set() for _ in split]
@@ -377,16 +370,19 @@ def _separator_table(
         for _, home in table[k]:
             rest &= home
         if rest:
-            by_use = sorted(_members(clique), key=lambda v: len(holding[v]))
-            meets = {masks[j] & clique for v in by_use[:-1] for j in holding[v] if masks[j] & rest}
+            by_use = sorted(_members(clique), key=lambda v: holders[v].bit_count())
+            meets = {masks[j] & clique for v in by_use[:-1] for j in _members(holders[v]) if masks[j] & rest}
             traces_left = frozenset(t for t in meets if t & (t - 1))
             table[k].append(((clique, [(traces_left, [rest])]), 0))
     return separating, table
 
 
-def _clique_tree_table(n: int, masks: list[int], parent: list[int]) -> list[list[tuple[Row, int]]]:
-    """The table of a connected chordal g on n vertices for the side
-    test, read off its clique tree T (parent, _chordal_cliques).
+def _clique_tree_table(
+    masks: list[int], holders: list[int], parent: list[int]
+) -> list[list[tuple[Row, int]]]:
+    """The table of a connected chordal g for the side test, read off
+    its clique tree T (parent, _chordal_cliques) and each vertex's mask
+    of the cliques holding it (oracle._holders).
 
     Delete from T every edge whose separator, the intersection of its
     two cliques, lies in K; that isolates K. The cliques holding a
@@ -411,10 +407,9 @@ def _clique_tree_table(n: int, masks: list[int], parent: list[int]) -> list[list
     table: list[list[tuple[Row, int]]] = [[] for _ in masks]
     if len(seps) < 3:
         return table
-    holding = _holding(n, masks)
     for sep in seps:
         row = (sep, [(frozenset((sep,)), [0])])
-        for k in holding[min(_members(sep), key=lambda v: len(holding[v]))]:
+        for k in _members(holders[min(_members(sep), key=lambda v: holders[v].bit_count())]):
             if not sep & ~masks[k]:
                 table[k].append((row, -1))
     return table
@@ -538,14 +533,14 @@ def _side_witness(
 
 
 def _pendant_answer(
-    g: Graph, cliques: list[VertexSet], masks: list[int], splits: Splits, k: int, deadline: float
+    g: Graph, cliques: list[VertexSet], holders: list[int], splits: Splits, k: int, deadline: float
 ) -> RecognitionResult | None:
     """The answer for a non-chordal g, with these maximal cliques in
-    lexicographic order, each also as a vertex mask, and these
-    decomposition._separator_splits, whose atoms passed the atom test
-    with k the largest atom clique count, when its maximal cliques
-    decide it; None when the scan must. Raises BudgetExhaustedError
-    once the monotonic clock passes deadline.
+    lexicographic order, each vertex's mask of the cliques holding it
+    (oracle._holders), and these decomposition._separator_splits, whose
+    atoms passed the atom test with k the largest atom clique count,
+    when its maximal cliques decide it; None when the scan must. Raises
+    BudgetExhaustedError once the monotonic clock passes deadline.
 
     The internal-edge lemma. In a normal form (oracle.py: a host tree
     whose edges are g's maximal cliques, each vertex's path made of the
@@ -576,18 +571,15 @@ def _pendant_answer(
     Otherwise an odd cycle of the side test (_side_witness), on the
     same table, answers no at any clique count.
     """
-    separating, table = _separator_table(g.n, masks, splits, deadline)
-    leaf_count = [0] * g.n
-    for c, cuts in zip(cliques, separating):
-        if not cuts:
-            for v in c:
-                leaf_count[v] += 1
-    if max(leaf_count) > 2:
+    masks = [_mask(c) for c in cliques]
+    separating, table = _separator_table(masks, holders, splits, deadline)
+    leaves = sum(1 << i for i, cuts in enumerate(separating) if not cuts)
+    if any((held & leaves).bit_count() > 2 for held in holders):
         return RecognitionResult(False, None, None)
     if any(separating):
         witness = _side_witness(g, masks, table, deadline)
         return None if witness is None else RecognitionResult(False, None, None, side_witness=witness)
-    star = clique_star(g.n, [cliques[i] for i in _clique_order(cliques)])
+    star = clique_star(g.n, [cliques[i] for i in _clique_order(cliques, holders)])
     return RecognitionResult(True, k, star if len(cliques) <= k else None)
 
 
@@ -682,9 +674,10 @@ def cheapest_representation(g: Graph, budget_secs: float | None = None) -> Recog
         cliques, parent = chordal
         if parent.count(-1) != 1:  # a clique forest of one tree; Graph(0) has none
             raise ValueError("input graph must be connected")
+        holders = _holders(g.n, cliques)
         if len(cliques) >= 4:
             masks = [_mask(c) for c in cliques]
-            witness = _side_witness(g, masks, _clique_tree_table(g.n, masks, parent), deadline)
+            witness = _side_witness(g, masks, _clique_tree_table(masks, holders, parent), deadline)
             if witness is not None:
                 return RecognitionResult(False, None, None, side_witness=witness)
     else:
@@ -696,13 +689,13 @@ def cheapest_representation(g: Graph, budget_secs: float | None = None) -> Recog
                 if (count := _atom_clique_count(adj, atom)) is None:
                     return RecognitionResult(False, None, None, obstruction=_members(atom))
                 k = max(k, count)
-        listed = sorted((_members(c), c) for c in _clique_masks(adj))
+        cliques = sorted(map(_members, _clique_masks(adj)))
         _check_deadline(deadline)
-        cliques = [c for c, _ in listed]
-        answer = _pendant_answer(g, cliques, [c for _, c in listed], splits, k, deadline)
+        holders = _holders(g.n, cliques)
+        answer = _pendant_answer(g, cliques, holders, splits, k, deadline)
         if answer is not None:
             return answer
-    rep = _scan(cliques, adj, deadline)
+    rep = _scan(cliques, holders, adj, deadline)
     if rep is None:
         return RecognitionResult(False, None, None)
     degree = max_host_degree(rep)

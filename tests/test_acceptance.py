@@ -287,9 +287,9 @@ def test_scan_members_keep_the_pruning_facts(corpus7, helly_corpus, monkeypatch)
     real_scan = recognition._scan
     reached = {}
 
-    def scan(cliques, adj, deadline):  # the route's scan of `current`
+    def scan(cliques, holders, adj, deadline):  # the route's scan of `current`
         g = current
-        reached[g] = reps[g] if g in reps else real_scan(cliques, adj, deadline)
+        reached[g] = reps[g] if g in reps else real_scan(cliques, holders, adj, deadline)
         return reached[g]
 
     monkeypatch.setattr(recognition, "_scan", scan)
@@ -307,7 +307,7 @@ def test_scan_members_keep_the_pruning_facts(corpus7, helly_corpus, monkeypatch)
         cliques = enumerate_maximal_cliques(g)
         masks = [_mask(c) for c in cliques]
         separating, _ = recognition._separator_table(
-            g.n, masks, _separator_splits(g, math.inf), math.inf
+            masks, recognition._holders(g.n, cliques), _separator_splits(g, math.inf), math.inf
         )
         # the facts rest on the search, not on the table
         everything = (1 << g.n) - 1

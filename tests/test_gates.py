@@ -421,7 +421,41 @@ def test_counts_must_be_integers():
 
 
 def clique_graph_biconnected(g: Graph) -> bool:
-    return gates._biconnected(gates._clique_links(g._adj, (1 << g.n) - 1))
+    return gates._biconnected(gates._two_clique_split(g._adj, (1 << g.n) - 1)[1])
+
+
+def listed_clique_graph(g: Graph) -> list[list[int]]:
+    """H of a two-clique graph g built from enumerate_maximal_cliques:
+    node i is the i-th listed clique, and an edge per vertex joins its
+    two cliques."""
+    cliques = enumerate_maximal_cliques(g)
+    links: list[list[int]] = [[] for _ in cliques]
+    for v in range(g.n):
+        a, b = (i for i, c in enumerate(cliques) if v in c)
+        links[a].append(b)
+        links[b].append(a)
+    return links
+
+
+def test_split_returns_the_clique_graph():
+    # the split's H against one built from the listed cliques, node for
+    # node, on every two-clique graph of the corpus and every catalog
+    # gate, as built and relabelled
+    graphs = [g for n in range(8) for g in small_graph_corpus(n)]
+    for recipe, relabeled_gate in relabeled_catalog():
+        graphs += [build_gate(recipe).graph, relabeled_gate]
+    tested = 0
+    for g in graphs:
+        if not check_two_clique_property(g)[0]:
+            continue
+        ok, links = gates._two_clique_split(g._adj, (1 << g.n) - 1)
+        assert ok
+        assert len(links) == len(enumerate_maximal_cliques(g)), sorted(g.edges)
+        assert [sorted(nodes) for nodes in links] == [
+            sorted(nodes) for nodes in listed_clique_graph(g)
+        ], sorted(g.edges)
+        tested += 1
+    assert tested == 7 + 2 * 203  # seven corpus graphs, each gate twice
 
 
 def unfiltered_is_gate(g: Graph):

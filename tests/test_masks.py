@@ -213,31 +213,32 @@ def test_route_matches_reference_route(families, monkeypatch):
     # the reference route decomposes every graph with the set-based
     # MCS-M and lists cliques with the set-based Bron-Kerbosch, for the
     # table and for the scan. Both routes share each graph's one scan,
-    # so the comparison is of the steps before it, and the cliques the
-    # route hands the scan must be the reference's
+    # so the comparison is of the steps before it, and the cliques and
+    # holder masks the route hands the scan must be the reference's
     scans: dict = {}
-    handed: dict = {"route": [], "reference": []}  # (adj, cliques) per scan
+    handed: dict = {"route": [], "reference": []}  # (adj, cliques, holders) per scan
     real_scan = recognition._scan
 
-    def shared_scan(cliques, adj, deadline):
+    def shared_scan(cliques, holders, adj, deadline):
         key = (tuple(cliques), tuple(adj))
         if key not in scans:
             try:
-                scans[key] = real_scan(cliques, adj, time.monotonic() + 60.0)
+                scans[key] = real_scan(cliques, holders, adj, time.monotonic() + 60.0)
             except (BoundExceededError, BudgetExhaustedError) as exc:
                 scans[key] = exc
         if isinstance(scans[key], Exception):
             raise scans[key]
         return scans[key]
 
-    def route_scan(cliques, adj, deadline):
-        handed["route"].append((adj, list(cliques)))
-        return shared_scan(cliques, adj, deadline)
+    def route_scan(cliques, holders, adj, deadline):
+        handed["route"].append((adj, list(cliques), holders))
+        return shared_scan(cliques, holders, adj, deadline)
 
-    def reference_scan(cliques, adj, deadline):
+    def reference_scan(cliques, holders, adj, deadline):
         listed = sorted(reference_maximal_cliques(graph_of(adj)))
-        handed["reference"].append((adj, listed))
-        return shared_scan(listed, adj, deadline)
+        holders = [sum(1 << i for i, c in enumerate(listed) if v in c) for v in range(len(adj))]
+        handed["reference"].append((adj, listed, holders))
+        return shared_scan(listed, holders, adj, deadline)
 
     monkeypatch.setattr(recognition, "_scan", route_scan)
     graphs = families["corpus"] + families["wide-chordal"] + families["random"]
@@ -295,8 +296,8 @@ def test_route_sets_up_once_per_call(families, monkeypatch):
     scanned = []
     scan = recognition._scan
 
-    def recorded(cliques, adj, deadline):
-        rep = scan(cliques, adj, deadline)
+    def recorded(cliques, holders, adj, deadline):
+        rep = scan(cliques, holders, adj, deadline)
         scanned.append(rep)
         return rep
 

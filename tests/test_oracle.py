@@ -25,6 +25,7 @@ from eptkit.oracle import (
     CLIQUE_BOUND,
     BudgetExhaustedError,
     _clique_order,
+    _holders,
     oracle_membership,
     small_graph_corpus,
     tree_shapes,
@@ -407,12 +408,13 @@ def test_clique_order_matches_reference():
             tuple(sorted(rng.sample(range(size), rng.randint(1, min(size, 4)))))
             for _ in range(rng.randint(0, 12))
         ])
-    for cliques in lists:
-        assert _clique_order(cliques) == reference_clique_order(cliques), cliques
+    for cliques in lists:  # every vertex lies below 14
+        assert _clique_order(cliques, _holders(14, cliques)) == reference_clique_order(cliques), cliques
     # C_2000's sorted cliques are (0, 1), (0, 1999), (1, 2), ...,
     # (1998, 1999): each step links the next index, so the order is the
     # identity
-    assert _clique_order(enumerate_maximal_cliques(cycle_graph(2000))) == list(range(2000))
+    cliques = enumerate_maximal_cliques(cycle_graph(2000))
+    assert _clique_order(cliques, _holders(2000, cliques)) == list(range(2000))
 
 
 def test_certificates_on_one_shape_share_its_host_tree():

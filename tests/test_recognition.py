@@ -247,7 +247,7 @@ def test_chordal_input_skips_the_decomposition(monkeypatch):
 def test_scan_gets_what_the_atom_test_left(monkeypatch):
     deadlines = []
 
-    def record(cliques, adj, deadline):
+    def record(cliques, holders, adj, deadline):
         deadlines.append(deadline)
 
     monkeypatch.setattr(recognition, "_scan", record)
@@ -458,16 +458,20 @@ def test_steps_before_the_scan_check_the_deadline(monkeypatch):
     with pytest.raises(BudgetExhaustedError):
         next(decomposition._preorder(C6_PENDANT.n, splits, past))
     assert len(list(decomposition._preorder(C6_PENDANT.n, splits))) == 3
-    cliques = [recognition._mask(c) for c in enumerate_maximal_cliques(C6_PENDANT)]
+    listed = enumerate_maximal_cliques(C6_PENDANT)
+    cliques = [recognition._mask(c) for c in listed]
+    holders = recognition._holders(C6_PENDANT.n, listed)
     with pytest.raises(BudgetExhaustedError):
-        recognition._separator_table(C6_PENDANT.n, cliques, splits, past)
-    separating, _ = recognition._separator_table(C6_PENDANT.n, cliques, splits, math.inf)
+        recognition._separator_table(cliques, holders, splits, past)
+    separating, _ = recognition._separator_table(cliques, holders, splits, math.inf)
     assert separating == [True, True, False, False, False, False, False]
     # S3's middle triangle has three ears, each attached to two of its
     # vertices: the separators {2, 3}, {2, 5} and {3, 5}
-    cliques = [recognition._mask(c) for c in enumerate_maximal_cliques(S3_GRAPH)]
+    listed = enumerate_maximal_cliques(S3_GRAPH)
+    cliques = [recognition._mask(c) for c in listed]
     splits = decomposition._separator_splits(S3_GRAPH, math.inf)
-    _, table = recognition._separator_table(S3_GRAPH.n, cliques, splits, math.inf)
+    holders = recognition._holders(S3_GRAPH.n, listed)
+    _, table = recognition._separator_table(cliques, holders, splits, math.inf)
     with pytest.raises(BudgetExhaustedError):
         recognition._side_witness(S3_GRAPH, cliques, table, past)
     assert recognition._side_witness(S3_GRAPH, cliques, table, math.inf).clique == (2, 3, 5)
@@ -478,7 +482,7 @@ def test_route_builds_no_atom_graph(monkeypatch):
     # non-chordal inputs; only the public decomposition builds a Graph
     # per atom
     monkeypatch.setattr(decomposition, "induced_subgraph", refuse("induced_subgraph"))
-    monkeypatch.setattr(recognition, "_scan", lambda cliques, adj, deadline: None)
+    monkeypatch.setattr(recognition, "_scan", lambda cliques, holders, adj, deadline: None)
     graphs = [g for g in load_corpus7() if not is_chordal(g)]
     assert len(graphs) == 642
     for g in graphs:
@@ -538,7 +542,8 @@ def test_separating_cliques_match_a_search_per_clique():
         adj = g._adj
         masks = [recognition._mask(c) for c in cliques]
         splits = decomposition._separator_splits(g, math.inf)
-        separating, _ = recognition._separator_table(g.n, masks, splits, math.inf)
+        holders = recognition._holders(g.n, cliques)
+        separating, _ = recognition._separator_table(masks, holders, splits, math.inf)
         assert separating == expected, g
         pieces = [recognition._mask(vertices) for _, vertices in atoms(g)]
         splits = separating_splits(adj, masks, pieces)

@@ -66,10 +66,13 @@ def side_table(g: Graph) -> tuple[list[int], list]:
     found = recognition._chordal_cliques(g)
     if found is not None:
         masks = [recognition._mask(c) for c in found[0]]
-        return masks, recognition._clique_tree_table(g.n, masks, found[1])
-    masks = [recognition._mask(c) for c in enumerate_maximal_cliques(g)]
+        holders = recognition._holders(g.n, found[0])
+        return masks, recognition._clique_tree_table(masks, holders, found[1])
+    cliques = enumerate_maximal_cliques(g)
+    masks = [recognition._mask(c) for c in cliques]
     splits = decomposition._separator_splits(g, math.inf)
-    return masks, recognition._separator_table(g.n, masks, splits, math.inf)[1]
+    holders = recognition._holders(g.n, cliques)
+    return masks, recognition._separator_table(masks, holders, splits, math.inf)[1]
 
 
 def side_test(g: Graph):
@@ -302,10 +305,12 @@ def test_table_matches_a_search_per_clique():
     for g in graphs:
         adj = g._adj
         everything = (1 << g.n) - 1
-        masks = [recognition._mask(c) for c in enumerate_maximal_cliques(g)]
+        cliques = enumerate_maximal_cliques(g)
+        masks = [recognition._mask(c) for c in cliques]
         splits = decomposition._separator_splits(g, math.inf)
         separators = [sep for sep, _ in splits]
-        separating, table = recognition._separator_table(g.n, masks, splits, math.inf)
+        holders = recognition._holders(g.n, cliques)
+        separating, table = recognition._separator_table(masks, holders, splits, math.inf)
         below = {s: _components(adj, everything & ~s) for s in separators}
         for k, clique in enumerate(masks):
             split = _components(adj, everything & ~clique)
@@ -352,7 +357,7 @@ def test_clique_tree_table_matches_a_search_per_clique():
         if found is None:
             continue
         masks = [recognition._mask(c) for c in found[0]]
-        table = recognition._clique_tree_table(g.n, masks, found[1])
+        table = recognition._clique_tree_table(masks, recognition._holders(g.n, found[0]), found[1])
         adj = g._adj
         wanted = []
         for clique in masks:
