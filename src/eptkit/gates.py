@@ -171,7 +171,7 @@ def _two_clique_split(adj: tuple[int, ...], mask: int) -> tuple[bool, list[list[
     each, and two cliques meet only in one vertex, so H has no parallel
     edges.
     """
-    cliques = []  # each vertex's two cliques, as masks, in turn
+    cliques: list[int] = []  # each vertex's two cliques, as masks, in turn
     rest = mask
     while rest:
         low = rest & -rest

@@ -28,8 +28,8 @@ cheapest_representation). After that listing it builds each vertex's
 mask of the cliques holding it once (oracle._holders), for both
 tables, the pendant filter, the star and the scan. is_helly_ept is
 that search alone, from a connectivity search and a clique listing of
-its own: the reference the tests compare with. For a member, h rests on the certificate and the
-atoms (see cheapest_representation).
+its own: the reference the tests compare with. For a member, h rests
+on the certificate and the atoms (see cheapest_representation).
 is_interval and has_asteroidal_triple are standalone tests off that
 route; the tests use them as its independent reference. The
 independent characterization says non-membership at degree h is
