@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-import time
 from pathlib import Path
 
 from .graphs import (
@@ -31,7 +30,9 @@ from .graphs import (
     graph_to_text,
     induced_subgraph,
     parse_graph,
+    _deadline,
     _read_naturals,
+    _seconds_left,
     _utf8_text,
 )
 
@@ -56,11 +57,11 @@ def _emit(payload: str, output: str | None) -> None:
 
 
 def _component_results(g: Graph, budget: float | None):
-    """One result per connected component; the budget holds for all of
-    them together, each component getting what the earlier ones left."""
-    from . import oracle, recognition
+    """One result per connected component; one deadline holds for all
+    of them together, each component getting what the earlier left."""
+    from . import recognition
 
-    budget = oracle.resolve_budget_secs(budget)
+    deadline = _deadline(budget)
     comps = connected_components(g)
     if len(comps) <= 1:  # Graph(0) has none and counts as connected
         return [recognition.cheapest_representation(g, budget_secs=budget)]
@@ -68,12 +69,10 @@ def _component_results(g: Graph, budget: float | None):
         "warning: disconnected input, reporting the maximum over components",
         file=sys.stderr,
     )
-    start = time.monotonic()
     results = []
     for comp in comps:
         sub, _ = induced_subgraph(g, comp)
-        left = max(0.0, budget - (time.monotonic() - start))
-        results.append(recognition.cheapest_representation(sub, budget_secs=left))
+        results.append(recognition.cheapest_representation(sub, budget_secs=_seconds_left(deadline)))
     return results
 
 

@@ -85,13 +85,13 @@ part C of g[V] - S*, and the clique T has none in another: T lies in
 one child at most. Each node still steps over the later candidates
 outside V, at one mask test each.
 
-The split loop yields the atoms as vertex masks (_atom_masks), which
-is all recognition's atom test reads; only decomposition_tree, and so
-atoms, builds an induced Graph per atom. recognition runs
-_separator_splits once and hands its list to both the split loop and
-its separator table. Both take a deadline, which MCS-M checks at every
-step, the component searches at every candidate and the split loop at
-every node. Nothing is exponential.
+The split loop (_preorder) yields the atoms, its nodes with no split,
+as vertex masks: all that recognition's atom test reads. Only
+decomposition_tree, and so atoms, builds an induced Graph per atom.
+recognition hands the one _separator_splits list to the split loop and
+its separator table, with a deadline, which MCS-M checks at every step,
+the component searches at every candidate and the split loop at every
+node; the public functions run without one. Nothing is exponential.
 """
 
 from __future__ import annotations
@@ -266,16 +266,6 @@ def _preorder(
         if split is not None:
             i, parts = split
             stack.extend((splits[i][0] | part, i + 1) for part in reversed(parts))
-
-
-def _atom_masks(n: int, splits: Splits, deadline: float) -> Iterator[int]:
-    """The atoms of the connected graph on n vertices with these
-    _separator_splits, in the order of atoms(g), as vertex masks, with
-    no induced Graph built. Raises BudgetExhaustedError once the
-    monotonic clock passes deadline."""
-    for vertices, split in _preorder(n, splits, deadline):
-        if split is None:
-            yield vertices
 
 
 def decomposition_tree(g: Graph) -> CliqueDecomposition:

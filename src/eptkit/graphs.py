@@ -43,11 +43,28 @@ class BudgetExhaustedError(RuntimeError):
     """The wall-clock budget ran out before the search space did."""
 
 
+def _deadline(budget_secs: float | None) -> float:
+    """The monotonic-clock deadline budget_secs (60 when None) from now,
+    the only code that makes one; NaN or negative is a ValueError."""
+    if budget_secs is None:
+        budget_secs = 60.0
+    # NaN compares false with everything, so it would switch the budget
+    # off instead of being rejected
+    if not budget_secs >= 0:
+        raise ValueError(f"budget must be a non-negative number of seconds, got {budget_secs}")
+    return time.monotonic() + budget_secs
+
+
+def _seconds_left(deadline: float) -> float:
+    """The seconds left before deadline, 0.0 once it has passed."""
+    return max(0.0, deadline - time.monotonic())
+
+
 def _check_deadline(deadline: float) -> None:
-    """Raise BudgetExhaustedError once the monotonic clock has passed
-    deadline; the steps before the scan call it as they go."""
+    """Raise BudgetExhaustedError, the only code that does, once the
+    monotonic clock has passed deadline."""
     if time.monotonic() > deadline:
-        raise BudgetExhaustedError("budget exhausted before the scan")
+        raise BudgetExhaustedError("budget exhausted")
 
 
 class Graph:

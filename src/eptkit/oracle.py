@@ -60,16 +60,17 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
-import time
 from collections.abc import Sequence
 
 from . import _tables
 from .graphs import (
     BoundExceededError,
-    BudgetExhaustedError,
+    BudgetExhaustedError,  # re-exported: the scan raises it
     Graph,
     VertexSet,
+    _check_deadline,
     _clique_masks,
+    _deadline,
     _members,
     is_connected,
 )
@@ -77,18 +78,6 @@ from .representation import EptRepresentation, HostTree, TreePath
 
 CLIQUE_BOUND = 9
 CORPUS_VERTEX_BOUND = 7
-
-
-def resolve_budget_secs(budget_secs: float | None) -> float:
-    """budget_secs, or 60 when None; a NaN or negative budget is a
-    ValueError."""
-    if budget_secs is None:
-        budget_secs = 60.0
-    # NaN compares false with everything, so it would switch the budget
-    # off instead of being rejected
-    if not budget_secs >= 0:
-        raise ValueError(f"budget must be a non-negative number of seconds, got {budget_secs}")
-    return budget_secs
 
 
 class TreeShape:
@@ -260,8 +249,7 @@ def _assign_cliques(
         return True
 
     def search(i: int, used: int, spans: list[int], covered: list[int]) -> list[int] | None:
-        if time.monotonic() > deadline:
-            raise BudgetExhaustedError("representation search budget exhausted")
+        _check_deadline(deadline)
         if i == len(order):
             return spans
         if i == 0:
@@ -287,16 +275,17 @@ def oracle_membership(g: Graph, *, budget_secs: float | None = None) -> EptRepre
     """A verified Helly representation of g on the first accepting
     bijection tree, which has the minimum host degree over all of them,
     or None after exhausting all of them. Raises BudgetExhaustedError
-    when time runs out first, BoundExceededError as soon as the listing
-    finds a clique past CLIQUE_BOUND, and ValueError for a NaN or
-    negative budget. Nothing about g is kept between calls. The scan
-    itself is _scan, which recognition.cheapest_representation calls
-    with the cliques, masks and deadline it already has."""
-    budget_secs = resolve_budget_secs(budget_secs)
+    when time, counted from the call, runs out first, BoundExceededError
+    as soon as the listing finds a clique past CLIQUE_BOUND, and
+    ValueError for a NaN or negative budget. Nothing about g is kept
+    between calls. The scan itself is _scan, which
+    recognition.cheapest_representation calls with the cliques, masks
+    and deadline it already has."""
+    deadline = _deadline(budget_secs)
     # stop listing at the first clique past the bound: K_{3x12} alone
     # has 531 441
     cliques = sorted(map(_members, itertools.islice(_clique_masks(g._adj), CLIQUE_BOUND + 1)))
-    return _scan(cliques, _holders(g.n, cliques), g._adj, time.monotonic() + budget_secs)
+    return _scan(cliques, _holders(g.n, cliques), g._adj, deadline)
 
 
 def _scan(

@@ -10,8 +10,8 @@ also lists its maximal cliques and a clique tree, and all its atoms
 are complete. Nor is a graph that the two-clique test and a 2-connected
 clique graph show to be one atom (_one_atom_count); every other
 non-chordal graph is decomposed on vertex masks (decomposition.
-_atom_masks), with one component search of g - S per clique minimal
-separator S (decomposition._separator_splits). Then, for a
+_preorder, its leaves), with one component search of g - S per clique
+minimal separator S (decomposition._separator_splits). Then, for a
 non-chordal graph, the pendant filter and the star (_pendant_answer),
 and for every graph the side test (_side_witness), which names its odd
 cycle of components in a SideWitness. Both answer at any clique count,
@@ -21,9 +21,9 @@ own (_separator_table), or from the clique tree (_clique_tree_table).
 Every other graph goes to the oracle's exhaustive bijection-tree
 search (oracle._scan), which also yields the certificate. The route
 hands it the maximal cliques it has already listed, by the
-maximum-cardinality search or by one Bron-Kerbosch on the graph's
-neighbour masks, and its own deadline; connectivity is
-settled by the route's own checks, not by a search of its own (see
+maximum-cardinality search or by graphs.enumerate_maximal_cliques,
+and its own deadline (graphs._deadline); connectivity is settled by
+the route's own checks, not by a search of its own (see
 cheapest_representation). After that listing it builds each vertex's
 mask of the cliques holding it once (oracle._holders), for both
 tables, the pendant filter, the star and the scan. is_helly_ept is
@@ -41,22 +41,22 @@ from __future__ import annotations
 
 import itertools
 import math
-import time
 from typing import NamedTuple
 
-from .decomposition import Splits, _atom_masks, _separator_splits
+from .decomposition import Splits, _preorder, _separator_splits
 from .gates import _biconnected, _two_clique_split
 from .graphs import (
     Graph,
     VertexSet,
     _check_deadline,
-    _clique_masks,
     _components,
+    _deadline,
     _mask,
     _members,
+    enumerate_maximal_cliques,
     is_connected,
 )
-from .oracle import _clique_order, _holders, _scan, oracle_membership, resolve_budget_secs
+from .oracle import _clique_order, _holders, _scan, oracle_membership
 from .representation import EptRepresentation, clique_star, max_host_degree
 
 
@@ -399,8 +399,9 @@ def _clique_tree_table(
     of one vertex, so each distinct one of two vertices or more inside
     K is one class, traces {S}, with one component given as 0: the
     first component of g - K attached at S. No row holds a home (-1).
-    An odd cycle needs three classes, so with fewer distinct separators
-    the table is left empty.
+    Rows go in clique-tree edge order, which _side_witness keeps. An odd
+    cycle needs three classes, so with fewer distinct separators the
+    table is left empty.
     """
     edges = (masks[i] & masks[p] for i, p in enumerate(parent) if p >= 0)
     seps = dict.fromkeys(sep for sep in edges if sep & (sep - 1))  # in order, without repeats
@@ -500,8 +501,10 @@ def _side_witness(
     components of g - K (F1 in _separator_table): the full components
     of g - S but the one holding K - S, for each separator S of two
     vertices or more inside K, and the leftover. They go in order of
-    lowest vertex, as a search of g - K lists them; fewer than three
-    hold no cycle. Raises BudgetExhaustedError past deadline.
+    lowest vertex, as a search of g - K lists them, but in table order,
+    clique-tree edge order, where each is the clique-tree table's
+    placeholder 0. Fewer than three hold no cycle. Raises
+    BudgetExhaustedError past deadline.
 
     Only the first three of each class of twins, equal in attachments
     and traces, go to _side_cycle. Twins relate alike to every other
@@ -646,13 +649,13 @@ def cheapest_representation(g: Graph, budget_secs: float | None = None) -> Recog
     a K8 with five cliques attached (h = 3, while every bijection tree
     needs degree 4).
 
-    The budget is resolved and checked first, so a NaN or negative one
-    is a ValueError on every route. It runs from the start of the call
-    to one deadline, checked after the maximum-cardinality search and
-    after the clique listing: _one_atom_count, MCS-M and the component
-    search per separator, which run once for the split loop and the
-    table, the split loop, the table, the side test and the scan raise
-    BudgetExhaustedError once it has passed.
+    The budget becomes one deadline first (graphs._deadline), so a NaN
+    or negative one is a ValueError on every route; it runs from the
+    start of the call. It is checked after the maximum-cardinality
+    search and after the clique listing, and _one_atom_count, MCS-M and
+    the component search per separator, which run once for the split
+    loop and the table, the split loop, the table, the side test and the
+    scan at every node raise BudgetExhaustedError once it has passed.
 
     The route reads g's neighbour masks (Graph._adj), which the scan
     (oracle._scan) gets with the cliques the route listed, sorted, and
@@ -665,7 +668,7 @@ def cheapest_representation(g: Graph, budget_secs: float | None = None) -> Recog
     about 0.05 s at the default budget (9 995 pendants: 0.4-0.6 s;
     2 CPUs, Python 3.11).
     """
-    deadline = time.monotonic() + resolve_budget_secs(budget_secs)
+    deadline = _deadline(budget_secs)
     adj = g._adj
     k = 1
     chordal = _chordal_cliques(g)
@@ -685,11 +688,12 @@ def cheapest_representation(g: Graph, budget_secs: float | None = None) -> Recog
         splits = []  # one atom has no clique separator
         if k is None:
             k, splits = 1, _separator_splits(g, deadline)
-            for atom in _atom_masks(g.n, splits, deadline):
-                if (count := _atom_clique_count(adj, atom)) is None:
-                    return RecognitionResult(False, None, None, obstruction=_members(atom))
-                k = max(k, count)
-        cliques = sorted(map(_members, _clique_masks(adj)))
+            for atom, split in _preorder(g.n, splits, deadline):
+                if split is None:  # a leaf of the decomposition tree
+                    if (count := _atom_clique_count(adj, atom)) is None:
+                        return RecognitionResult(False, None, None, obstruction=_members(atom))
+                    k = max(k, count)
+        cliques = enumerate_maximal_cliques(g)
         _check_deadline(deadline)
         holders = _holders(g.n, cliques)
         answer = _pendant_answer(g, cliques, holders, splits, k, deadline)

@@ -13,6 +13,7 @@ from types import SimpleNamespace
 import pytest
 
 from eptkit import cli
+from eptkit import graphs as graph_module
 from eptkit.cli import main
 from eptkit.graphs import (
     PARSE_VERTEX_BOUND,
@@ -404,9 +405,10 @@ def test_components_share_the_budget(capsys, monkeypatch):
         return RecognitionResult(True, 2, None)
 
     monkeypatch.setattr("eptkit.recognition.cheapest_representation", record)
-    # read once before the first component and once before each one
-    clock = iter([10.0, 10.0, 11.0, 13.0])
-    monkeypatch.setattr(cli, "time", SimpleNamespace(monotonic=lambda: next(clock)))
+    # read once for the one deadline (graphs._deadline), once before
+    # each component, and once for the connected input's deadline
+    clock = iter([10.0, 10.0, 11.0, 13.0, 20.0])
+    monkeypatch.setattr(graph_module, "time", SimpleNamespace(monotonic=lambda: next(clock)))
     three_edges = graph_to_text(Graph(6, [(0, 1), (2, 3), (4, 5)]))
     monkeypatch.setattr("sys.stdin", stdin_of(three_edges))
     code, out, _ = run(capsys, "cheapest", "-", "--budget-secs", "2.5")

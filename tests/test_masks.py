@@ -166,7 +166,8 @@ def test_atom_masks_are_the_public_atoms(families):
             if g.n and is_connected(g):
                 leaves = decomposition.decomposition_tree(g).leaves()
                 splits = decomposition._separator_splits(g, math.inf)
-                assert list(decomposition._atom_masks(g.n, splits, math.inf)) == [
+                nodes = decomposition._preorder(g.n, splits, math.inf)
+                assert [vertices for vertices, split in nodes if split is None] == [
                     _mask(leaf.vertices) for leaf in leaves
                 ], g.edges
 
@@ -249,8 +250,7 @@ def test_route_matches_reference_route(families, monkeypatch):
         lambda g, deadline=math.inf: reference_clique_minimal_separators(g),
     )
     monkeypatch.setattr(
-        recognition, "_clique_masks",
-        lambda adj: map(_mask, reference_maximal_cliques(graph_of(adj))),
+        recognition, "enumerate_maximal_cliques", lambda g: sorted(reference_maximal_cliques(g))
     )
     monkeypatch.setattr(recognition, "_scan", reference_scan)
     want = [outcome(g) for g in graphs]

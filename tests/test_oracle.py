@@ -5,10 +5,12 @@ import itertools
 import random
 import time
 from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 
 from eptkit import _tables, oracle
+from eptkit import graphs as graph_module
 from eptkit.gates import ExtensionStep, GateRecipe, build_gate
 from eptkit.graphs import (
     BoundExceededError,
@@ -440,12 +442,27 @@ def test_zero_budget_exhausts_the_scan_at_its_first_node():
     # the scan reads the clock at every node, so a zero budget runs out
     # before the first placement, however small the search; the route
     # reads it after its maximum-cardinality search too, so C_10000,
-    # answered by its star without a scan, runs out there
-    with pytest.raises(BudgetExhaustedError):
+    # answered by its star without a scan, runs out there. Every check
+    # is graphs._check_deadline, so all three raise one text
+    messages = set()
+    with pytest.raises(BudgetExhaustedError) as info:
         oracle_membership(cycle_graph(5), budget_secs=0.0)
+    messages.add(str(info.value))
     for g in (path_graph(4), cycle_graph(10_000)):
-        with pytest.raises(BudgetExhaustedError):
+        with pytest.raises(BudgetExhaustedError) as info:
             cheapest_representation(g, budget_secs=0.0)
+        messages.add(str(info.value))
+    assert len(messages) == 1
+
+
+def test_oracle_budget_starts_at_its_call(monkeypatch):
+    # the clock reads 0.0 when the call makes its deadline and 1.0 at
+    # every later check, so a 0.5 s budget has run out by the first node
+    # of the scan: the deadline comes before the clique listing
+    readings = itertools.chain([0.0], itertools.repeat(1.0))
+    monkeypatch.setattr(graph_module, "time", SimpleNamespace(monotonic=lambda: next(readings)))
+    with pytest.raises(BudgetExhaustedError):
+        oracle_membership(cycle_graph(5), budget_secs=0.5)
 
 
 def test_oracle_rejects_bad_budget():

@@ -239,7 +239,7 @@ def test_atom_test_answers_without_the_scan(monkeypatch):
 
 
 def test_chordal_input_skips_the_decomposition(monkeypatch):
-    monkeypatch.setattr(recognition, "_atom_masks", refuse("_atom_masks"))
+    monkeypatch.setattr(recognition, "_preorder", refuse("_preorder"))
     result = cheapest_representation(W09)
     assert result.helly_ept and result.h == 3
 
@@ -251,15 +251,14 @@ def test_scan_gets_what_the_atom_test_left(monkeypatch):
         deadlines.append(deadline)
 
     monkeypatch.setattr(recognition, "_scan", record)
-    # the route and its deadline checks (graphs._check_deadline) read one
-    # clock: its first reading starts the budget, and every later one
-    # says what the steps before the scan have spent. C6 with a pendant
-    # vertex has two separating cliques, so the scan decides it
+    # the route's deadline (graphs._deadline) and its checks
+    # (graphs._check_deadline) read one clock: its first reading starts
+    # the budget, and every later one says what the steps before the
+    # scan have spent. C6 with a pendant vertex has two separating
+    # cliques, so the scan decides it
     for begin, spent in ((100.0, 1.5), (200.0, 3.0)):
         readings = itertools.chain([begin], itertools.repeat(begin + spent))
-        clock = SimpleNamespace(monotonic=lambda: next(readings))
-        monkeypatch.setattr(recognition, "time", clock)
-        monkeypatch.setattr(graph_module, "time", clock)
+        monkeypatch.setattr(graph_module, "time", SimpleNamespace(monotonic=lambda: next(readings)))
         if spent < 2.5:
             assert not cheapest_representation(C6_PENDANT, budget_secs=2.5).helly_ept
         else:
@@ -268,6 +267,19 @@ def test_scan_gets_what_the_atom_test_left(monkeypatch):
                 cheapest_representation(C6_PENDANT, budget_secs=2.5)
     # the scan gets the route's own deadline, start + budget
     assert deadlines == [102.5]
+
+
+def test_deadline_is_the_one_budget_rule(monkeypatch):
+    # graphs._deadline turns every budget into a deadline: 60 s when
+    # none is given, 0 and inf as they are, and NaN or a negative budget
+    # refused with the text the CLI prints
+    monkeypatch.setattr(graph_module, "time", SimpleNamespace(monotonic=lambda: 5.0))
+    assert graph_module._deadline(None) == 65.0
+    for budget, deadline in ((0, 5.0), (0.0, 5.0), (-0.0, 5.0), (math.inf, math.inf)):
+        assert graph_module._deadline(budget) == deadline
+    for budget, text in ((math.nan, "got nan"), (-1, "got -1")):
+        with pytest.raises(ValueError, match="non-negative number of seconds, " + text):
+            graph_module._deadline(budget)
 
 
 def test_atom_test_names_the_failing_atom():
@@ -291,7 +303,7 @@ def test_cycle_answered_by_its_star(monkeypatch, n):
     # two-clique test and its 2-connected clique graph, so the route
     # never decomposes it and is near-linear throughout
     monkeypatch.setattr(recognition, "_scan", refuse("_scan"))
-    monkeypatch.setattr(recognition, "_atom_masks", refuse("_atom_masks"))
+    monkeypatch.setattr(recognition, "_preorder", refuse("_preorder"))
     g = cycle_graph(n)
     gc.collect()
     start = time.perf_counter()
@@ -555,7 +567,7 @@ def test_separating_cliques_match_a_search_per_clique():
 def test_atom_test_decides_before_listing_cliques(monkeypatch):
     # K_{3x20}, the complement of 20 disjoint triangles, is one atom
     # with 3^20 maximal cliques; each neighbourhood is a K_{3x19}
-    monkeypatch.setattr(recognition, "_clique_masks", refuse("_clique_masks"))
+    monkeypatch.setattr(recognition, "enumerate_maximal_cliques", refuse("enumerate_maximal_cliques"))
     g = Graph(60, [(u, v) for u, v in itertools.combinations(range(60), 2) if u // 3 != v // 3])
     gc.collect()
     start = time.perf_counter()
@@ -622,17 +634,17 @@ def test_route_lists_no_atom_cliques(monkeypatch):
     # k comes from the atom test, so only the listing for _pendant_answer
     # lists cliques, once, for g itself
     calls = []
-    listing = recognition._clique_masks
+    listing = recognition.enumerate_maximal_cliques
 
-    def counted(adj):
-        calls.append(adj)
-        return listing(adj)
+    def counted(g):
+        calls.append(g)
+        return listing(g)
 
-    monkeypatch.setattr(recognition, "_clique_masks", counted)
+    monkeypatch.setattr(recognition, "enumerate_maximal_cliques", counted)
     assert len(atoms(C6_PENDANT)) == 2
     result = cheapest_representation(C6_PENDANT)
     assert result.helly_ept and result.h == 6
-    assert calls == [C6_PENDANT._adj]
+    assert calls == [C6_PENDANT]
 
 
 def test_passing_atoms_have_one_clique_or_four():

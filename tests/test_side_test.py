@@ -195,7 +195,7 @@ def test_large_chordal_inputs_skip_the_search(monkeypatch):
     # the chordal route reads the side test off the clique tree: a search
     # of g - K at each of these graphs' 2 000 cliques took seconds, where
     # the scan refuses them at once; no search per separator either
-    for name in ("_components", "_separator_splits", "_separator_table", "_clique_masks"):
+    for name in ("_components", "_separator_splits", "_separator_table", "enumerate_maximal_cliques"):
         monkeypatch.setattr(recognition, name, refuse(name))
     rng = random.Random(20261021)
     n = 2000
