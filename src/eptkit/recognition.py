@@ -12,12 +12,15 @@ clique graph show to be one atom (_one_atom_count); every other
 non-chordal graph is decomposed on vertex masks (decomposition.
 _preorder, its leaves), with one component search of g - S per clique
 minimal separator S (decomposition._separator_splits). Then, for a
-non-chordal graph, the pendant filter and the star (_pendant_answer),
-and for every graph the side test (_side_witness), which names its odd
-cycle of components in a SideWitness. Both answer at any clique count,
-and both read one table of what hangs off each maximal clique, built
-from the split loop's components of each g - S, with no search of its
-own (_separator_table), or from the clique tree (_clique_tree_table).
+non-chordal graph, the pendant filter and the star, and for every
+graph the side test (_side_witness), which names its odd cycle of
+components in a SideWitness: one list of rules in
+cheapest_representation, whose two branches differ only in how they
+list cliques and which table they build. All three answer at any
+clique count, and read one table of what hangs off each maximal
+clique, built from the split loop's components of each g - S, with no
+search of its own (_separator_table), or from the clique tree
+(_clique_tree_table).
 Every other graph goes to the oracle's exhaustive bijection-tree
 search (oracle._scan), which also yields the certificate. The route
 hands it the maximal cliques it has already listed, by the
@@ -25,11 +28,12 @@ maximum-cardinality search or by graphs.enumerate_maximal_cliques,
 and its own deadline (graphs._deadline); connectivity is settled by
 the route's own checks, not by a search of its own (see
 cheapest_representation). After that listing it builds each vertex's
-mask of the cliques holding it once (oracle._holders), for both
-tables, the pendant filter, the star and the scan. is_helly_ept is
-that search alone, from a connectivity search and a clique listing of
-its own: the reference the tests compare with. For a member, h rests
-on the certificate and the atoms (see cheapest_representation).
+mask of the cliques holding it (oracle._holders) and each clique's
+mask once, for both tables, the pendant filter, the star, the side
+test and the scan. is_helly_ept is that search alone, from a
+connectivity search and a clique listing of its own: the reference the
+tests compare with. For a member, h rests on the certificate and the
+atoms (see cheapest_representation).
 is_interval and has_asteroidal_triple are standalone tests off that
 route; the tests use them as its independent reference. The
 independent characterization says non-membership at degree h is
@@ -79,8 +83,8 @@ class RecognitionResult(NamedTuple):
     that is neither complete nor line-like, and side_witness, when
     attached, is an odd cycle of components at a separating maximal
     clique. Without either, a vertex lies in three maximal cliques that
-    separate nothing (the pendant filter in _pendant_answer) or the
-    exhaustive search ruled g out."""
+    separate nothing (the pendant filter in cheapest_representation) or
+    the exhaustive search ruled g out."""
 
     helly_ept: bool
     h: int | None
@@ -338,8 +342,6 @@ def _separator_table(
     """
     separating = [False] * len(masks)
     table: list[list[tuple[Row, int]]] = [[] for _ in masks]
-    if not splits:  # one atom: no clique separates g, and no row is read
-        return separating, table
     everything = (1 << len(holders)) - 1
     for sep, split in splits:
         _check_deadline(deadline)
@@ -535,61 +537,10 @@ def _side_witness(
     return None
 
 
-def _pendant_answer(
-    g: Graph, cliques: list[VertexSet], holders: list[int], splits: Splits, k: int, deadline: float
-) -> RecognitionResult | None:
-    """The answer for a non-chordal g, with these maximal cliques in
-    lexicographic order, each vertex's mask of the cliques holding it
-    (oracle._holders), and these decomposition._separator_splits, whose
-    atoms passed the atom test with k the largest atom clique count,
-    when its maximal cliques decide it; None when the scan must. Raises
-    BudgetExhaustedError once the monotonic clock passes deadline.
-
-    The internal-edge lemma. In a normal form (oracle.py: a host tree
-    whose edges are g's maximal cliques, each vertex's path made of the
-    edges of its cliques), the clique K_e of every internal edge e
-    separates g. Each side of e holds another edge D. By maximality
-    K_D has a vertex outside K_e, whose path holds D but not e and so
-    stays on D's side. Adjacent vertices share an edge, so every path
-    in g between the two such vertices, one per side, passes a vertex
-    whose path crosses e, that is a vertex of K_e. Hence a maximal
-    clique that separates nothing is a leaf edge of every normal form.
-    The separator table tells which cliques separate g (F2).
-
-    The pendant filter. A path in a tree holds at most two leaf edges,
-    its end edges, so in a member no vertex lies in three maximal
-    cliques that separate nothing. A g with such a vertex is answered
-    no, without the scan and at any clique count.
-
-    No separating clique means a star. Then every edge of a normal form
-    is a leaf edge, and a tree with no internal edge is a star. A
-    vertex's path in a star covers one or two spokes, so g is a member
-    exactly when no vertex lies in three maximal cliques, which the
-    filter has checked. The certificate is clique_star on the cliques
-    in oracle._clique_order, the very star the scan would return: the
-    star is the only bijection tree, with spoke i + 1 taken by the i-th
-    clique of that order. h is k as always; the star, of degree m, the
-    clique count, is attached only when m <= k.
-
-    Otherwise an odd cycle of the side test (_side_witness), on the
-    same table, answers no at any clique count.
-    """
-    masks = [_mask(c) for c in cliques]
-    separating, table = _separator_table(masks, holders, splits, deadline)
-    leaves = sum(1 << i for i, cuts in enumerate(separating) if not cuts)
-    if any((held & leaves).bit_count() > 2 for held in holders):
-        return RecognitionResult(False, None, None)
-    if any(separating):
-        witness = _side_witness(g, masks, table, deadline)
-        return None if witness is None else RecognitionResult(False, None, None, side_witness=witness)
-    star = clique_star(g.n, [cliques[i] for i in _clique_order(cliques, holders)])
-    return RecognitionResult(True, k, star if len(cliques) <= k else None)
-
-
 def cheapest_representation(g: Graph, budget_secs: float | None = None) -> RecognitionResult:
     """Minimum h with g in Helly [h,2,2], from the atom test, the
-    pendant filter or the star (_pendant_answer), the scan and the
-    atoms.
+    pendant filter, the star, the side test (_side_witness), the scan
+    and the atoms, in that order.
 
     The atom test. Every atom of a Helly EPT graph is complete or
     line-like (_atom_clique_count). An atom A is an induced subgraph,
@@ -636,14 +587,49 @@ def cheapest_representation(g: Graph, budget_secs: float | None = None) -> Recog
       graph's clique path (Gilmore & Hoffman 1964) is a bijection tree;
     - so the certificate lies on a path exactly when g is interval.
 
-    A non-chordal g that passes the atom test goes to _pendant_answer;
-    only what it leaves reaches the scan and its clique bound. Chordal
-    inputs skip the pendant filter, as a chordal graph with no
-    separating maximal clique has at most two (every inner node of a
-    clique tree separates), but not the side test, on the clique tree
-    of the search that found them chordal (_clique_tree_table). It
-    needs four cliques, K and one per component of an odd cycle, and a
-    connected g, which the root count has checked.
+    After the atom test both branches build each vertex's mask of the
+    cliques holding it (oracle._holders) and the clique masks once,
+    and a table of what hangs off each maximal clique: for a
+    non-chordal g off the separator splits (_separator_table), for a
+    chordal g off the clique tree of the search that found it chordal
+    (_clique_tree_table). Then, for a non-chordal g, the pendant filter
+    and the star; for every g, the side test and the scan. Only what
+    these rules leave reaches the scan and its clique bound.
+
+    The internal-edge lemma. In a normal form (oracle.py: a host tree
+    whose edges are g's maximal cliques, each vertex's path made of the
+    edges of its cliques), the clique K_e of every internal edge e
+    separates g. Each side of e holds another edge D. By maximality
+    K_D has a vertex outside K_e, whose path holds D but not e and so
+    stays on D's side. Adjacent vertices share an edge, so every path
+    in g between the two such vertices, one per side, passes a vertex
+    whose path crosses e, that is a vertex of K_e. Hence a maximal
+    clique that separates nothing is a leaf edge of every normal form.
+    The separator table tells which cliques separate g (F2).
+
+    The pendant filter. A path in a tree holds at most two leaf edges,
+    its end edges, so in a member no vertex lies in three maximal
+    cliques that separate nothing. A g with such a vertex is answered
+    no, without the scan and at any clique count.
+
+    No separating clique means a star. Then every edge of a normal form
+    is a leaf edge, and a tree with no internal edge is a star. A
+    vertex's path in a star covers one or two spokes, so g is a member
+    exactly when no vertex lies in three maximal cliques, which the
+    filter has checked. The certificate is clique_star on the cliques
+    in oracle._clique_order, the very star the scan would return: the
+    star is the only bijection tree, with spoke i + 1 taken by the i-th
+    clique of that order. h is k as always; the star, of degree m, the
+    clique count, is attached only when m <= k.
+
+    Chordal inputs skip the pendant filter and the star, as a chordal
+    graph with no separating maximal clique has at most two (every
+    inner node of a clique tree separates). Otherwise an odd cycle of
+    the side test (_side_witness), on either table, answers no at any
+    clique count. It needs four cliques, K and one per component of an
+    odd cycle, and a connected g, which the root count or the split
+    loop has checked: with three cliques or fewer the clique-tree table
+    has fewer than three separators and stays empty.
 
     The certificate is omitted when its tree's degree exceeds h, as on
     a K8 with five cliques attached (h = 3, while every bijection tree
@@ -677,12 +663,6 @@ def cheapest_representation(g: Graph, budget_secs: float | None = None) -> Recog
         cliques, parent = chordal
         if parent.count(-1) != 1:  # a clique forest of one tree; Graph(0) has none
             raise ValueError("input graph must be connected")
-        holders = _holders(g.n, cliques)
-        if len(cliques) >= 4:
-            masks = [_mask(c) for c in cliques]
-            witness = _side_witness(g, masks, _clique_tree_table(masks, holders, parent), deadline)
-            if witness is not None:
-                return RecognitionResult(False, None, None, side_witness=witness)
     else:
         k = _one_atom_count(adj, deadline)
         splits = []  # one atom has no clique separator
@@ -695,10 +675,21 @@ def cheapest_representation(g: Graph, budget_secs: float | None = None) -> Recog
                     k = max(k, count)
         cliques = enumerate_maximal_cliques(g)
         _check_deadline(deadline)
-        holders = _holders(g.n, cliques)
-        answer = _pendant_answer(g, cliques, holders, splits, k, deadline)
-        if answer is not None:
-            return answer
+    holders = _holders(g.n, cliques)
+    masks = [_mask(c) for c in cliques]
+    if chordal is not None:
+        table = _clique_tree_table(masks, holders, parent)
+    else:
+        separating, table = _separator_table(masks, holders, splits, deadline)
+        leaves = sum(1 << i for i, cuts in enumerate(separating) if not cuts)
+        if any((held & leaves).bit_count() > 2 for held in holders):  # the pendant filter
+            return RecognitionResult(False, None, None)
+        if not any(separating):  # the star
+            star = clique_star(g.n, [cliques[i] for i in _clique_order(cliques, holders)])
+            return RecognitionResult(True, k, star if len(cliques) <= k else None)
+    witness = _side_witness(g, masks, table, deadline)
+    if witness is not None:
+        return RecognitionResult(False, None, None, side_witness=witness)
     rep = _scan(cliques, holders, adj, deadline)
     if rep is None:
         return RecognitionResult(False, None, None)

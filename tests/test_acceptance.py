@@ -28,6 +28,7 @@ from eptkit.gates import (
     rewire_gate,
 )
 from eptkit.graphs import (
+    BoundExceededError,
     Graph,
     _components,
     _mask,
@@ -281,8 +282,9 @@ def test_scan_members_keep_the_pruning_facts(corpus7, helly_corpus, monkeypatch)
     # and wide-chordal that reaches the scan, against the scan's own
     # certificate: each maximal clique that the separator table says
     # separates nothing is a leaf edge of the certificate tree (the
-    # internal-edge lemma, recognition._pendant_answer), and the tree of
-    # a non-chordal member has maximum degree at least the route's h = k
+    # internal-edge lemma, in recognition.cheapest_representation), and
+    # the tree of a non-chordal member has maximum degree at least the
+    # route's h = k
     reps = dict(helly_corpus)
     real_scan = recognition._scan
     reached = {}
@@ -405,6 +407,49 @@ def test_route_answers_pinned(corpus7):
         for h in (g, Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])):
             digest.update(route_outcome(h).encode())
     assert digest.hexdigest() == ROUTE_SHA256
+
+
+def test_deciding_rule_pinned(corpus7, monkeypatch):
+    # which rule answers each graph, which ROUTE_SHA256 cannot tell: the
+    # star's certificate has the scan's bytes, and the pendant filter's
+    # "no" is the scan's RecognitionResult(False, None, None)
+    real_scan = recognition._scan
+    scanned = []
+
+    def scan(*args):
+        scanned.append(True)
+        return real_scan(*args)
+
+    monkeypatch.setattr(recognition, "_scan", scan)
+
+    def rule(g: Graph) -> str:
+        scanned.clear()
+        try:
+            result = cheapest_representation(g)
+        except BoundExceededError:
+            return "bound"
+        if result.obstruction is not None:
+            return "atom test"
+        if result.side_witness is not None:
+            return "side test"
+        if scanned:
+            return "scan member" if result.helly_ept else "scan non-member"
+        return "star" if result.helly_ept else "pendant filter"
+
+    counts = Counter()
+    for g in corpus7:
+        counts[rule(g), is_chordal(g), len(enumerate_maximal_cliques(g)) <= 9] += 1
+    assert counts == {
+        ("atom test", False, True): 385,
+        ("atom test", False, False): 11,
+        ("pendant filter", False, True): 1,
+        ("side test", True, True): 11,
+        ("side test", False, True): 1,
+        ("star", False, True): 53,
+        ("scan member", True, True): 343,
+        ("scan member", False, True): 191,
+    }
+    assert Counter(rule(g) for _, g in wide_chordal()) == {"side test": 8, "scan member": 21}
 
 
 def test_certificates_answer_the_same_with_warm_caches(helly_corpus, cheapest_corpus):

@@ -301,9 +301,11 @@ def test_cycle_answered_by_its_star(monkeypatch, n):
     # no maximal clique of C_n separates it, so its star answers at any n
     # and the scan's 9-clique bound never applies; C_n is one atom by the
     # two-clique test and its 2-connected clique graph, so the route
-    # never decomposes it and is near-linear throughout
-    monkeypatch.setattr(recognition, "_scan", refuse("_scan"))
-    monkeypatch.setattr(recognition, "_preorder", refuse("_preorder"))
+    # never decomposes it and is near-linear throughout. The star
+    # answers before the side test, and a non-chordal input reads no
+    # clique tree
+    for name in ("_scan", "_preorder", "_side_witness", "_clique_tree_table"):
+        monkeypatch.setattr(recognition, name, refuse(name))
     g = cycle_graph(n)
     gc.collect()
     start = time.perf_counter()
@@ -503,8 +505,10 @@ def test_route_builds_no_atom_graph(monkeypatch):
 
 def test_catalog_gates_answered_by_their_star(monkeypatch):
     # every gate is one atom with no separating clique, so even those
-    # with 10 or more cliques get h = k and a degree-k star
-    monkeypatch.setattr(recognition, "_scan", refuse("_scan"))
+    # with 10 or more cliques get h = k and a degree-k star, before the
+    # side test and without a clique tree
+    for name in ("_scan", "_side_witness", "_clique_tree_table"):
+        monkeypatch.setattr(recognition, name, refuse(name))
     past_bound = 0
     for recipe in enumerate_gates(12).values():
         gate = build_gate(recipe)
@@ -519,7 +523,9 @@ def test_catalog_gates_answered_by_their_star(monkeypatch):
 
 
 def test_pendant_filter(monkeypatch):
-    monkeypatch.setattr(recognition, "_scan", refuse("_scan"))
+    # the pendant filter answers before the side test and the scan
+    for name in ("_scan", "_side_witness"):
+        monkeypatch.setattr(recognition, name, refuse(name))
     assert cheapest_representation(A0808) == RecognitionResult(False, None, None)
     # a C10 glued at vertex 5 makes 16 cliques past the scan's bound, and
     # vertex 1's three cliques still separate nothing
@@ -631,8 +637,9 @@ def test_atom_clique_count_matches_reference():
 
 
 def test_route_lists_no_atom_cliques(monkeypatch):
-    # k comes from the atom test, so only the listing for _pendant_answer
-    # lists cliques, once, for g itself
+    # k comes from the atom test, so only the listing before the
+    # separator table (cheapest_representation) lists cliques, once, for
+    # g itself
     calls = []
     listing = recognition.enumerate_maximal_cliques
 
